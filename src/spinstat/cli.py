@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from itertools import permutations as iter_permutations
 from pathlib import Path
@@ -24,9 +24,12 @@ import numpy as np
 from . import correlations as corr
 from .fockspace import (
     DEFAULT_DIMENSION_CAP,
+    DimensionCapError,
+    bracket_amplitudes,
     bracket_state,
     build_basis,
     identity_matrix,
+    index_tuples,
     matrix_of,
     max_abs,
     overlap,
@@ -68,16 +71,7 @@ SUITE_NAMES = (
     "theorem",
 )
 
-SUITE_DEFAULT_TOL = {
-    "commutators": 1e-12,
-    "orthonormality": 1e-12,
-    "completeness": 1e-12,
-    "permutations": 1e-12,
-    "ideal-gas": 1e-9,
-    "rotation": 1e-12,
-    "pair-operator": 1e-12,
-    "theorem": 1e-12,
-}
+SUITE_DEFAULT_TOL = {name: 1e-9 if name == "ideal-gas" else 1e-12 for name in SUITE_NAMES}
 
 
 class ConfigError(Exception):
@@ -164,7 +158,15 @@ class RunConfig:
                 raise ConfigError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
         if self.tol is not None and self.tol <= 0:
             raise ConfigError("tol must be positive")
-        self.make_space()  # validates lattice and spin together
+        lattice = self.make_space().lattice  # validates lattice and spin together
+        try:
+            self.one_body().site_potential(lattice)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad one-body parameters: {exc}") from exc
+        spec2 = self.two_body()
+        unmatched = spec2.unmatched_distances(lattice) if spec2 is not None else []
+        if unmatched:
+            raise ConfigError(f"interaction keys {unmatched} match no site distance of the lattice")
         return self
 
 
@@ -177,15 +179,6 @@ def load_config(path: str | None) -> RunConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config file must hold a JSON object")
-    known = {
-        "lattice", "twos_s", "sigma", "N", "hop_t", "onsite_U", "V", "n_max",
-        "seed", "tol", "out", "suites", "state_index", "twos_ms",
-        "dimension_cap", "dump_basis", "dump_matrix", "eigenvectors",
-    }
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    kwargs = {}
     mapping = {
         "lattice": "lattice", "twos_s": "twos_s", "sigma": "sigma", "N": "n_particles",
         "hop_t": "hop_t", "onsite_U": "onsite_u", "V": "v_table", "n_max": "n_max",
@@ -193,6 +186,10 @@ def load_config(path: str | None) -> RunConfig:
         "twos_ms": "twos_ms", "dimension_cap": "dimension_cap", "dump_basis": "dump_basis",
         "dump_matrix": "dump_matrix", "eigenvectors": "eigenvectors",
     }
+    unknown = set(raw) - set(mapping) - {"suites"}
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    kwargs = {}
     for key, attr in mapping.items():
         if key in raw:
             kwargs[attr] = raw[key]
@@ -213,11 +210,10 @@ def _parse_sigma(text: str):
 
 def _parse_lattice_flag(text: str) -> dict:
     kind, _, size = text.partition(":")
-    if kind == "ring":
-        return {"kind": "ring", "M": int(size)}
-    if kind == "grid2d":
-        return {"kind": "grid2d", "L": int(size)}
-    raise ConfigError(f"bad --lattice value {text!r}; use ring:M or grid2d:L")
+    key = {"ring": "M", "grid2d": "L"}.get(kind)
+    if key is None or not size.isdigit():
+        raise ConfigError(f"bad --lattice value {text!r}; use ring:M or grid2d:L")
+    return {"kind": kind, key: int(size)}
 
 
 # -- reports -----------------------------------------------------------------
@@ -252,13 +248,7 @@ class SuiteReport:
     seed: int
 
     def to_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "params": self.params,
-            "residuals": self.residuals,
-            "passed": self.passed,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def _finish(suite: str, cfg: RunConfig, checks: list[tuple[str, float, float]]) -> SuiteReport:
@@ -331,21 +321,17 @@ def suite_orthonormality(cfg: RunConfig, rng) -> SuiteReport:
     for sigma in cfg.sigmas():
         worst = 0.0
         for n in range(n_top + 1):
-            if m ** (2 * n) <= 60_000:
-                pairs = (
-                    (b, k)
-                    for b in np.ndindex(*([m] * n))
-                    for k in np.ndindex(*([m] * n))
-                )
+            if m ** (2 * n) <= 60_000:  # every pair of coordinate tuples
+                tuples = index_tuples(m, n)
+                bras, kets = np.divmod(np.arange(len(tuples) ** 2), len(tuples))
             else:
-                draws = rng.integers(0, m, size=(2000, 2, n))
-                pairs = ((tuple(row[0]), tuple(row[1])) for row in draws)
-            for bra_idx, ket_idx in pairs:
-                bra = tuple(space.mode_at(int(i)) for i in bra_idx)
-                ket = tuple(space.mode_at(int(i)) for i in ket_idx)
-                got = overlap(space, bra, ket, sigma)
-                want = overlap_oracle(bra, ket, sigma)
-                worst = max(worst, abs(got - want))
+                tuples = rng.integers(0, m, size=(2000, 2, n)).reshape(4000, n)
+                bras, kets = np.arange(0, 4000, 2), np.arange(1, 4000, 2)
+            _, index, amp = bracket_amplitudes(space, tuples, sigma)
+            overlaps = np.where(index[bras] == index[kets], amp[bras] * amp[kets], 0.0)
+            for b, k, got in zip(bras.tolist(), kets.tolist(), overlaps.tolist()):
+                bra, ket = (tuple(space.mode_at(i) for i in tuples[r]) for r in (b, k))
+                worst = max(worst, abs(got - overlap_oracle(bra, ket, sigma)))
         # sectors differing in particle number must give exactly zero
         cross = abs(
             overlap(space, (space.mode_at(0),), (space.mode_at(0), space.mode_at(0)), sigma)
@@ -499,10 +485,7 @@ def suite_pair_operator(cfg: RunConfig, rng) -> SuiteReport:
 def suite_theorem(cfg: RunConfig, rng) -> SuiteReport:
     space = cfg.make_space()
     tol = _tol(cfg, "theorem")
-    try:
-        report = theorem_report(space, n_max=min(max(cfg.n_max, 2), 3))
-    except IncompatibleRotationError as exc:
-        raise ConfigError(str(exc)) from exc
+    report = theorem_report(space, n_max=min(max(cfg.n_max, 2), 3))
     checks = []
     expected_verdict = 1 if cfg.twos_s % 2 == 0 else -1
     checks.append(("verdict grade", 0.0 if report.verdict_sigma == expected_verdict else 1.0, tol))
@@ -606,10 +589,7 @@ def _write_csv(path: Path, header: tuple[str, ...], rows) -> None:
 def _spectrum_for(cfg: RunConfig):
     space = cfg.make_space()
     sigma = cfg.single_sigma()
-    try:
-        basis = build_basis(space, cfg.n_particles, sigma, cfg.dimension_cap)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    basis = build_basis(space, cfg.n_particles, sigma, cfg.dimension_cap)
     ham = build_many_body(cfg.one_body(), cfg.two_body(), basis)
     return space, basis, ham, diagonalize(ham)
 
@@ -751,10 +731,7 @@ def main(argv=None) -> int:
         if args.command == "diagonalize":
             return cmd_diagonalize(cfg)
         return cmd_correlate(cfg)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (ConfigError, DimensionCapError, IncompatibleRotationError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:

@@ -6,6 +6,15 @@ operator expressions, product-of-creation bracket states, and the
 first-quantized cross-checks (permanents, determinants, symmetrizers) that
 everything else is verified against.
 
+All ladder action goes through one kernel, ``_apply_strings``, which
+applies ladder strings to a batch of occupation rows at once; operator
+matrices, single ladder steps, rotation lifts and bracket states are built on
+it.  ``FockBasis.rank`` inverts the basis order (combinations for sigma=-1,
+multisets for sigma=+1, in lexicographic order) with the combinatorial number
+system, the usual exact-diagonalization indexing.  The permanent, determinant
+and symmetrizer oracles stay brute force and separate on purpose: they check
+the kernel instead of repeating it.
+
 Bases and matrices are immutable once built; functions are pure, so matrix
 assembly can be partitioned by column with no shared state.
 """
@@ -13,9 +22,9 @@ assembly can be partitioned by column with no shared state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import chain, combinations, combinations_with_replacement, permutations
 
 import numpy as np
 import scipy.sparse as sp
@@ -24,6 +33,7 @@ from .modes import ModeSpace, kron_delta
 from .opalgebra import LadderOp, OperatorExpr, check_sigma
 
 DEFAULT_DIMENSION_CAP = 2_000_000
+_KERNEL_ROWS = 4096  # rows per kernel call in matrix_of, which bounds its working arrays
 
 
 class DimensionCapError(ValueError):
@@ -40,6 +50,28 @@ def sector_dimension(n_modes: int, n_particles: int, sigma: int) -> int:
     return math.comb(n_modes + n_particles - 1, n_particles)
 
 
+def _particle_modes(rows: np.ndarray, n_particles: int) -> np.ndarray:
+    """Each row's occupied modes, ascending and repeated by occupancy: (rows, N)."""
+    return np.repeat(np.nonzero(rows)[1], rows[rows > 0]).reshape(len(rows), n_particles)
+
+
+def _rank_table(n_modes: int, n_particles: int, sigma: int) -> np.ndarray:
+    """Entry [s, j]: C(top - e, N - s) for particle s in mode j, e = j + s for
+    sigma=+1 and e = j for sigma=-1; a state with these strictly increasing
+    e_s over 0..top has sum_s of them states after it in the basis order.
+    Fermion slots no state reaches hold 0, so every entry fits in int64."""
+    m, n = n_modes, n_particles
+    top = m - 1 if sigma == -1 else m + n - 2
+    table = np.zeros((n, m), dtype=np.int64)
+    for s in range(n):
+        for j in range(m):
+            if sigma == 1:
+                table[s, j] = math.comb(top - j - s, n - s)
+            elif s <= j <= m - n + s:
+                table[s, j] = math.comb(top - j, n - s)
+    return table
+
+
 @dataclass(frozen=True, eq=False)
 class FockBasis:
     """Every occupation vector of one (N, sigma) sector, in a fixed order.
@@ -53,6 +85,7 @@ class FockBasis:
     sigma: int
     n_particles: int
     occupations: np.ndarray  # (dim, n_modes) small ints
+    rank_table: np.ndarray = field(repr=False)
 
     @property
     def dim(self) -> int:
@@ -61,29 +94,25 @@ class FockBasis:
     def occ_tuple(self, i: int) -> tuple[int, ...]:
         return tuple(int(x) for x in self.occupations[i])
 
-    @property
-    def _lookup(self) -> dict[tuple[int, ...], int]:
-        cached = self.__dict__.get("_lookup_cache")
-        if cached is None:
-            cached = {self.occ_tuple(i): i for i in range(self.dim)}
-            self.__dict__["_lookup_cache"] = cached
-        return cached
-
-    def index_of(self, occ: tuple[int, ...]) -> int | None:
-        return self._lookup.get(occ)
+    def rank(self, rows: np.ndarray) -> np.ndarray:
+        """Sector index of each occupation row of this sector."""
+        slots = _particle_modes(np.asarray(rows), self.n_particles)
+        after = self.rank_table[np.arange(self.n_particles), slots].sum(axis=1)
+        return self.dim - 1 - after
 
 
 @lru_cache(maxsize=None)
 def _build_basis_cached(space: ModeSpace, n_particles: int, sigma: int) -> FockBasis:
     m = space.n_modes
     dim = sector_dimension(m, n_particles, sigma)
-    occs = np.zeros((dim, m), dtype=np.int64)
     chooser = combinations if sigma == -1 else combinations_with_replacement
-    for row, picked in enumerate(chooser(range(m), n_particles)):
-        for idx in picked:
-            occs[row, idx] += 1
+    picked = np.fromiter(
+        chain.from_iterable(chooser(range(m), n_particles)), dtype=np.intp, count=dim * n_particles
+    ).reshape(dim, n_particles)
+    occs = np.zeros((dim, m), dtype=np.int8 if n_particles < 128 else np.int64)
+    np.add.at(occs, (np.arange(dim)[:, None], picked), 1)
     occs.setflags(write=False)
-    return FockBasis(space, sigma, n_particles, occs)
+    return FockBasis(space, sigma, n_particles, occs, _rank_table(m, n_particles, sigma))
 
 
 def build_basis(
@@ -124,39 +153,42 @@ class StateVector:
             raise ValueError("states live in different sectors")
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
-    def scaled(self, c: complex) -> "StateVector":
-        return StateVector(self.basis, self.amplitudes * c)
-
 
 def zero_state(basis: FockBasis) -> StateVector:
     return StateVector(basis, np.zeros(basis.dim, dtype=np.complex128))
 
 
-def occ_apply(
-    occ: tuple[int, ...], idx: int, dagger: bool, sigma: int
-) -> tuple[tuple[int, ...], float] | None:
-    """Apply one ladder operator to an occupation tuple.
+def _apply_strings(occ: np.ndarray, modes, daggers, sigma: int):
+    """Apply one ladder string to each occupation row, rightmost factor first.
 
-    Returns (new occupation, numeric factor) or None when the result
-    vanishes.  sigma=+1: sqrt(n+1) / sqrt(n) factors; sigma=-1: occupancy
-    0/1 with the parity sign over occupied modes before ``idx`` in the
-    global mode order.
+    Factor f of row r creates (``daggers[r, f]``) or annihilates a particle
+    in mode ``modes[r, f]``; an (L,) ``modes`` or ``daggers`` is shared by
+    all rows.  sigma=+1 gives sqrt(n+1) / sqrt(n) factors; sigma=-1 allows
+    occupancy 0/1 and gives the parity sign of the occupied modes before the
+    target.  Returns (new rows, real amplitudes, alive); a row whose string
+    vanishes has alive False and amplitude 0.
     """
-    n = occ[idx]
-    if sigma == -1:
-        sign = -1.0 if sum(occ[:idx]) % 2 else 1.0
-        if dagger:
-            if n:
-                return None
-            return occ[:idx] + (1,) + occ[idx + 1:], sign
-        if not n:
-            return None
-        return occ[:idx] + (0,) + occ[idx + 1:], sign
-    if dagger:
-        return occ[:idx] + (n + 1,) + occ[idx + 1:], math.sqrt(n + 1)
-    if not n:
-        return None
-    return occ[:idx] + (n - 1,) + occ[idx + 1:], math.sqrt(n)
+    k, m = occ.shape
+    modes = np.broadcast_to(modes, (k, np.shape(modes)[-1]))
+    daggers = np.broadcast_to(daggers, modes.shape)
+    top = occ.max(initial=0) + modes.shape[1]
+    work = occ.astype(np.int8 if top < 128 else np.int64)
+    amp = np.ones(k)
+    alive = np.ones(k, dtype=bool)
+    rows = np.arange(k)
+    for f in reversed(range(modes.shape[1])):
+        idx, dag = modes[:, f], daggers[:, f]
+        n = work[rows, idx].astype(np.float64)
+        if sigma == -1:
+            alive &= n != dag  # a creator needs an empty mode, an annihilator a filled one
+            below = np.arange(m) < idx[:, None]
+            amp *= 1 - 2 * ((work * below).sum(axis=1) & 1)
+        else:
+            alive &= dag | (n > 0)
+            amp *= np.sqrt(n + dag)
+        work[rows, idx] += np.where(alive, 2 * dag - 1, 0)
+    amp[~alive] = 0.0
+    return work, amp, alive
 
 
 def apply_ladder(state: StateVector, op: LadderOp) -> StateVector:
@@ -166,15 +198,12 @@ def apply_ladder(state: StateVector, op: LadderOp) -> StateVector:
     if not op.dagger and n == 0:
         raise ValueError("cannot annihilate on the vacuum sector")
     target = build_basis(basis.space, n + (1 if op.dagger else -1), basis.sigma)
-    idx = basis.space.index(op.mode)
+    source = np.nonzero(state.amplitudes)[0]
+    occ, amp, alive = _apply_strings(
+        basis.occupations[source], [basis.space.index(op.mode)], [op.dagger], basis.sigma
+    )
     out = np.zeros(target.dim, dtype=np.complex128)
-    for i in np.nonzero(state.amplitudes)[0]:
-        res = occ_apply(basis.occ_tuple(int(i)), idx, op.dagger, basis.sigma)
-        if res is None:
-            continue
-        occ, factor = res
-        j = target.index_of(occ)
-        out[j] += state.amplitudes[i] * factor
+    out[target.rank(occ[alive])] = (state.amplitudes[source] * amp)[alive]
     return StateVector(target, out)
 
 
@@ -228,39 +257,52 @@ def matrix_of(expr: OperatorExpr, domain: FockBasis, codomain: FockBasis) -> Ope
         raise ValueError(
             f"expression shifts particle number by {shift}, sectors differ by {required}"
         )
-    space = domain.space
-    sigma = domain.sigma
-    # (mode index, dagger) per factor, rightmost factor acts first
-    compiled = [
-        (t.coeff, [(space.index(f.mode), f.dagger) for f in reversed(t.factors)])
-        for t in expr.terms
-    ]
+    dim = domain.dim
+    by_length: dict[int, list] = {}
+    for term in expr.terms:
+        by_length.setdefault(len(term.factors), []).append(term)
+    per_call = max(1, _KERNEL_ROWS // max(dim, 1))
+    batches = [(n, ts[i:i + per_call]) for n, ts in by_length.items() for i in range(0, len(ts), per_call)]
     rows, cols, vals = [], [], []
-    for j in range(domain.dim):
-        occ0 = domain.occ_tuple(j)
-        for coeff, ops in compiled:
-            occ, amp = occ0, coeff
-            alive = True
-            for idx, dagger in ops:
-                res = occ_apply(occ, idx, dagger, sigma)
-                if res is None:
-                    alive = False
-                    break
-                occ, factor = res
-                amp *= factor
-            if not alive:
-                continue
-            i = codomain.index_of(occ)
-            if i is None:
-                raise ValueError("operator result left the codomain sector")
-            rows.append(i)
-            cols.append(j)
-            vals.append(amp)
-    coo = sp.coo_matrix((vals, (rows, cols)), shape=shape, dtype=np.complex128)
+    for length, terms in batches:  # one kernel row per (term, column), term-major
+        factors = [f for t in terms for f in t.factors]
+        modes = np.array([domain.space.index(f.mode) for f in factors], dtype=np.intp)
+        daggers = np.array([f.dagger for f in factors], dtype=bool)
+        occ, amp, alive = _apply_strings(
+            np.tile(domain.occupations, (len(terms), 1)),
+            np.repeat(modes.reshape(len(terms), length), dim, axis=0),
+            np.repeat(daggers.reshape(len(terms), length), dim, axis=0),
+            domain.sigma,
+        )
+        rows.append(codomain.rank(occ[alive]))
+        cols.append(np.tile(np.arange(dim), len(terms))[alive])
+        vals.append((np.repeat([t.coeff for t in terms], dim) * amp)[alive])
+    entries = (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols)))
+    coo = sp.coo_matrix(entries, shape=shape, dtype=np.complex128)
     return OperatorMatrix(domain, codomain, coo.tocsr())
 
 
 # -- bracket states and overlaps --------------------------------------------
+
+
+def index_tuples(n_modes: int, n_particles: int) -> np.ndarray:
+    """Every tuple of N mode indices, one per row, in row-major order."""
+    return np.indices((n_modes,) * n_particles).reshape(n_particles, n_modes**n_particles).T
+
+
+def bracket_amplitudes(space: ModeSpace, mode_idx, sigma: int):
+    """Bracket states of many coordinate tuples (rows of N mode indices) at
+    once.  Each is a multiple of one basis state: returns the sector basis and,
+    per row, that state's index and the amplitude (0 where creations clash)."""
+    mode_idx = np.asarray(mode_idx, dtype=np.intp)
+    rows, n = mode_idx.shape
+    basis = build_basis(space, n, check_sigma(sigma))
+    occ, amp, alive = _apply_strings(
+        np.zeros((rows, space.n_modes), dtype=np.int8), mode_idx, True, sigma
+    )
+    index = np.zeros(rows, dtype=np.intp)
+    index[alive] = basis.rank(occ[alive])
+    return basis, index, amp / math.sqrt(math.factorial(n))
 
 
 def bracket_state(space: ModeSpace, coords, sigma: int) -> StateVector:
@@ -270,21 +312,10 @@ def bracket_state(space: ModeSpace, coords, sigma: int) -> StateVector:
     vector (exclusion).  Swapping two coordinates multiplies the state by
     sigma.
     """
-    coords = tuple(coords)
-    check_sigma(sigma)
-    n = len(coords)
-    target = build_basis(space, n, sigma)
-    occ: tuple[int, ...] = (0,) * space.n_modes
-    amp: complex = 1.0 / math.sqrt(math.factorial(n))
-    for mode in reversed(coords):  # rightmost creation acts first
-        res = occ_apply(occ, space.index(mode), True, sigma)
-        if res is None:
-            return zero_state(target)
-        occ, factor = res
-        amp *= factor
-    out = np.zeros(target.dim, dtype=np.complex128)
-    out[target.index_of(occ)] = amp
-    return StateVector(target, out)
+    basis, index, amp = bracket_amplitudes(space, [[space.index(mode) for mode in coords]], sigma)
+    out = np.zeros(basis.dim, dtype=np.complex128)
+    out[index[amp != 0]] = amp[amp != 0]
+    return StateVector(basis, out)
 
 
 def overlap(space: ModeSpace, bra_coords, ket_coords, sigma: int) -> complex:
@@ -390,11 +421,10 @@ def bracket_matrix(space: ModeSpace, n_particles: int, sigma: int) -> np.ndarray
     n_tuples = m**n_particles
     if n_tuples > 500_000:
         raise DimensionCapError(f"{n_tuples} coordinate tuples is past desk scale")
-    basis = build_basis(space, n_particles, sigma)
+    basis, index, amp = bracket_amplitudes(space, index_tuples(m, n_particles), sigma)
     out = np.zeros((basis.dim, n_tuples), dtype=np.complex128)
-    for col, idxs in enumerate(np.ndindex(*([m] * n_particles))):
-        coords = tuple(space.mode_at(i) for i in idxs)
-        out[:, col] = bracket_state(space, coords, sigma).amplitudes
+    live = amp != 0
+    out[index[live], np.nonzero(live)[0]] = amp[live]
     return out
 
 

@@ -33,6 +33,7 @@ from .opalgebra import OperatorExpr, create, destroy, normal_order, sigma_commut
 HERMITICITY_TOL = 1e-12
 SPECTRUM_TOL = 1e-9
 MODE_COMMUTATOR_TOL = 1e-10
+DISTANCE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -69,9 +70,15 @@ class TwoBodySpec:
 
     def value(self, distance: float) -> float:
         for d, v in self.table:
-            if abs(d - distance) <= 1e-9:
+            if abs(d - distance) <= DISTANCE_TOL:
                 return v
         return 0.0
+
+    def unmatched_distances(self, lattice: Lattice) -> list[float]:
+        """Table distances that no pair of lattice sites is apart by."""
+        n = lattice.n_sites
+        found = {lattice.site_distance(i, j) for i in range(n) for j in range(n)}
+        return [d for d, _ in self.table if all(abs(d - x) > DISTANCE_TOL for x in found)]
 
 
 def one_body_matrix(spec: OneBodySpec, lattice: Lattice, spin: SpinQuantum) -> np.ndarray:
@@ -116,14 +123,12 @@ def mode_operators(
     """Annihilators of the one-particle eigenmodes: c_q = sum_xi phi_q*(xi) a(xi)."""
     space = ModeSpace(lattice, spin)
     _, phi = one_particle_spectrum(spec, lattice, spin)
-    ops = []
-    for q in range(space.n_modes):
-        terms = None
-        for i, mode in enumerate(space.modes):
-            piece = complex(np.conj(phi[i, q])) * destroy(mode, sigma)
-            terms = piece if terms is None else terms + piece
-        ops.append(terms)
-    return ops
+    return [
+        OperatorExpr.sum_of(sigma, (
+            complex(np.conj(phi[i, q])) * destroy(mode, sigma) for i, mode in enumerate(space.modes)
+        ))
+        for q in range(space.n_modes)
+    ]
 
 
 def mode_operator_check(
@@ -166,29 +171,22 @@ def mode_operator_check(
 
 def one_body_expr(space: ModeSpace, h: np.ndarray, sigma: int) -> OperatorExpr:
     """sum_{xi xi'} h[xi, xi'] a+(xi) a(xi')."""
-    expr = OperatorExpr.zero(sigma)
-    for i in range(space.n_modes):
-        for j in range(space.n_modes):
-            if h[i, j] != 0:
-                expr = expr + complex(h[i, j]) * (
-                    create(space.mode_at(i), sigma) * destroy(space.mode_at(j), sigma)
-                )
-    return expr
+    modes = space.modes
+    return OperatorExpr.sum_of(sigma, (
+        complex(h[i, j]) * (create(modes[i], sigma) * destroy(modes[j], sigma))
+        for i, j in zip(*np.nonzero(h))
+    ))
 
 
 def interaction_expr(space: ModeSpace, spec2: TwoBodySpec, sigma: int) -> OperatorExpr:
     """(1/2) sum over ordered mode pairs of V(|r-r'|) a+ a+' a' a, literal ordering."""
-    expr = OperatorExpr.zero(sigma)
     lattice = space.lattice
-    for i, mi in enumerate(space.modes):
-        for j, mj in enumerate(space.modes):
-            v = spec2.value(lattice.site_distance(mi.site, mj.site))
-            if v == 0.0:
-                continue
-            expr = expr + (0.5 * v) * (
-                create(mi, sigma) * create(mj, sigma) * destroy(mj, sigma) * destroy(mi, sigma)
-            )
-    return expr
+    pairs = [(mi, mj, spec2.value(lattice.site_distance(mi.site, mj.site)))
+             for mi in space.modes for mj in space.modes]
+    return OperatorExpr.sum_of(sigma, (
+        (0.5 * v) * (create(mi, sigma) * create(mj, sigma) * destroy(mj, sigma) * destroy(mi, sigma))
+        for mi, mj, v in pairs if v != 0.0
+    ))
 
 
 def many_body_expr(
@@ -210,10 +208,9 @@ def build_many_body(
 
 
 def number_operator(space: ModeSpace, sigma: int) -> OperatorExpr:
-    expr = OperatorExpr.zero(sigma)
-    for mode in space.modes:
-        expr = expr + create(mode, sigma) * destroy(mode, sigma)
-    return expr
+    return OperatorExpr.sum_of(
+        sigma, (create(mode, sigma) * destroy(mode, sigma) for mode in space.modes)
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -298,9 +295,9 @@ def ideal_gas_check(
 
     eps, _ = one_particle_spectrum(spec1, lattice, spin)
     cs = mode_operators(spec1, lattice, spin, sigma)
-    diag_expr = OperatorExpr.zero(sigma)
-    for q, cq in enumerate(cs):
-        diag_expr = diag_expr + complex(eps[q]) * (cq.dagger() * cq)
+    diag_expr = OperatorExpr.sum_of(
+        sigma, (complex(eps[q]) * (cq.dagger() * cq) for q, cq in enumerate(cs))
+    )
     h0_residual = max_abs(matrix_of(diag_expr, basis, basis).matrix - ham.matrix)
 
     return IdealGasReport(

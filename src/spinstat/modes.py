@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable
+from typing import Callable
 
 
 @dataclass(frozen=True)
@@ -243,9 +243,6 @@ class ModeSpace:
     def contains(self, mode: Mode) -> bool:
         return mode in self._index
 
-    def invert_mode(self, mode: Mode) -> Mode:
-        return Mode(self.lattice.invert_site(mode.site), mode.twos_ms)
-
     def rotate_mode(self, mode: Mode, steps: int) -> Mode:
         return Mode(self.lattice.rotate_site_z(mode.site, steps), mode.twos_ms)
 
@@ -255,6 +252,3 @@ class ModeSpace:
         This is the lattice realization of sum_{m_s} integral d^3r.
         """
         return self.lattice.cell_volume * sum(f(m) for m in self.modes)
-
-    def iter_modes(self) -> Iterable[Mode]:
-        return iter(self.modes)

@@ -91,6 +91,14 @@ class OperatorExpr:
         return OperatorExpr(sigma, (OperatorTerm(complex(coeff), ()),))
 
     @staticmethod
+    def sum_of(sigma: int, parts) -> "OperatorExpr":
+        """The sum of ``parts`` in order, built in one pass."""
+        parts = tuple(parts)
+        if any(part.sigma != sigma for part in parts):
+            raise ValueError(f"mixed statistics grades in a sum of grade {sigma}")
+        return OperatorExpr(sigma, tuple(t for part in parts for t in part.terms))
+
+    @staticmethod
     def from_factors(sigma: int, factors: Sequence[LadderOp], coeff: complex = 1.0) -> "OperatorExpr":
         return OperatorExpr(sigma, (OperatorTerm(complex(coeff), tuple(factors)),))
 
@@ -150,9 +158,6 @@ class OperatorExpr:
         if len(shifts) == 1:
             return shifts.pop()
         return None
-
-    def is_zero(self) -> bool:
-        return not normal_order(self).terms
 
     def __str__(self) -> str:
         if not self.terms:

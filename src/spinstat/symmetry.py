@@ -28,11 +28,12 @@ import scipy.sparse as sp
 from .fockspace import (
     FockBasis,
     OperatorMatrix,
+    _apply_strings,
+    _particle_modes,
     bracket_state,
     build_basis,
     matrix_of,
     max_abs,
-    occ_apply,
     perm_parity,
 )
 from .modes import Mode, ModeSpace
@@ -137,27 +138,21 @@ def _sector_unitary(rot: SpinorRotation, n_particles: int, sigma: int) -> sp.csr
     # A rotated occupation state is built by transporting each creation
     # operator of the defining ascending product: the creation transport
     # carries the conjugate spinor phase e^{-i m_s theta}.
-    space = rot.space
-    basis = build_basis(space, n_particles, sigma)
-    perm = rot.mode_permutation
-    phases = tuple(p.conjugate() for p in rot.field_phases)
-    rows, cols, vals = [], [], []
-    vacuum = (0,) * space.n_modes
-    for j in range(basis.dim):
-        occ_j = basis.occ_tuple(j)
-        creation_list = [i for i, n in enumerate(occ_j) for _ in range(n)]
-        occ = vacuum
-        amp: complex = 1.0
-        for idx in reversed(creation_list):  # rightmost creation acts first
-            res = occ_apply(occ, perm[idx], True, sigma)
-            assert res is not None  # creations of a permuted multiset never clash
-            occ, factor = res
-            amp *= factor * phases[idx]
-        amp /= math.sqrt(math.prod(math.factorial(n) for n in occ_j))
-        rows.append(basis.index_of(occ))
-        cols.append(j)
-        vals.append(amp)
-    mat = sp.coo_matrix((vals, (rows, cols)), shape=(basis.dim, basis.dim), dtype=np.complex128)
+    basis = build_basis(rot.space, n_particles, sigma)
+    occ = basis.occupations
+    created = _particle_modes(occ, n_particles)  # each state's ascending creation list
+    perm = np.asarray(rot.mode_permutation)
+    rotated, amp, alive = _apply_strings(np.zeros_like(occ), perm[created], True, sigma)
+    assert alive.all()  # creations of a permuted multiset never clash
+    phases = np.conj(rot.field_phases)
+    vals = amp.astype(np.complex128)
+    for f in reversed(range(n_particles)):  # rightmost creation acts first
+        vals *= phases[created[:, f]]
+    factorials = np.array([math.factorial(n) for n in range(n_particles + 1)], dtype=np.float64)
+    vals /= np.sqrt(factorials[occ].prod(axis=1))
+    mat = sp.coo_matrix(
+        (vals, (basis.rank(rotated), np.arange(basis.dim))), shape=(basis.dim,) * 2, dtype=np.complex128
+    )
     return mat.tocsr()
 
 

@@ -16,6 +16,34 @@ from spinstat.fockspace import StateVector, symmetrizer_oracle
 from spinstat.modes import ModeSpace
 
 
+def occ_apply(
+    occ: tuple[int, ...], idx: int, dagger: bool, sigma: int
+) -> tuple[tuple[int, ...], float] | None:
+    """Apply one ladder operator to an occupation tuple: the scalar reference
+    for the batched ladder kernel.
+
+    Returns (new occupation, numeric factor) or None when the result
+    vanishes.  sigma=+1: sqrt(n+1) / sqrt(n) factors; sigma=-1: occupancy
+    0/1 with the parity sign over occupied modes before ``idx`` in the
+    global mode order.
+    """
+    n = occ[idx]
+    if sigma == -1:
+        sign = -1.0 if sum(occ[:idx]) % 2 else 1.0
+        if dagger:
+            if n:
+                return None
+            return occ[:idx] + (1,) + occ[idx + 1:], sign
+        if not n:
+            return None
+        return occ[:idx] + (0,) + occ[idx + 1:], sign
+    if dagger:
+        return occ[:idx] + (n + 1,) + occ[idx + 1:], math.sqrt(n + 1)
+    if not n:
+        return None
+    return occ[:idx] + (n - 1,) + occ[idx + 1:], math.sqrt(n)
+
+
 def random_state(basis, rng) -> StateVector:
     amps = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
     amps /= np.linalg.norm(amps)

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from spinstat import cli
 from spinstat.cli import load_config, main
 from spinstat.hamiltonians import OneBodySpec, one_particle_spectrum
 from spinstat.modes import Lattice, SpinQuantum
@@ -81,6 +82,41 @@ def test_unknown_config_key_rejected(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"bogus": 1}))
     assert main(["verify", "--config", str(path)]) == 2
+
+
+def test_unmatched_interaction_key_is_config_error(tmp_path, capsys):
+    cfg = {"lattice": {"kind": "grid2d", "L": 3}, "twos_s": 0, "sigma": -1, "N": 2,
+           "V": {"1.414": -5}, "out": str(tmp_path / "o")}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["diagonalize", "--config", str(path)]) == 2
+    assert "1.414" in capsys.readouterr().err
+    cfg["V"] = {"1.4142135623730951": -5}  # the diagonal distance matches
+    path.write_text(json.dumps(cfg))
+    assert main(["diagonalize", "--config", str(path)]) == 0
+
+
+def test_internal_value_error_is_not_a_config_error(tmp_path, monkeypatch):
+    def broken(cfg, rng):
+        raise ValueError("winding undefined")
+
+    monkeypatch.setitem(cli.SUITES, "theorem", broken)
+    with pytest.raises(ValueError, match="winding undefined"):
+        main(["verify", "--suite", "theorem", "--out", str(tmp_path / "o")])
+
+
+def test_bad_lattice_flag_is_config_error(tmp_path, capsys):
+    assert main(["verify", "--lattice", "ring:x", "--out", str(tmp_path / "o")]) == 2
+    assert "ring:x" in capsys.readouterr().err
+
+
+def test_onsite_list_of_wrong_length_is_config_error(tmp_path, capsys):
+    cfg = {"lattice": {"kind": "ring", "M": 4}, "twos_s": 0, "sigma": -1, "N": 1,
+           "onsite_U": [0.1, 0.2], "out": str(tmp_path / "o")}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["diagonalize", "--config", str(path)]) == 2
+    assert "onsite_u has 2 entries" in capsys.readouterr().err
 
 
 def test_theorem_winding_too_coarse_is_config_error(tmp_path):

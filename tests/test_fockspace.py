@@ -3,11 +3,14 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from helpers import random_state, state_coordinate_tensor
+from helpers import occ_apply, random_state, state_coordinate_tensor
 from spinstat.fockspace import (
     DimensionCapError,
     StateVector,
+    _apply_strings,
     apply_ladder,
     bracket_state,
     build_basis,
@@ -61,6 +64,66 @@ def test_basis_enumeration_order():
     assert basis2.occ_tuple(5) == (0, 0, 1, 1)
     counts = build_basis(SPACE4, 2, 1).occupations.sum(axis=1)
     assert set(counts.tolist()) == {2}
+
+
+@pytest.mark.parametrize("lattice", [Lattice.ring(4), Lattice.grid2d(3)])
+@pytest.mark.parametrize("sigma", [1, -1])
+@pytest.mark.parametrize("twos_s", [0, 1, 2])
+def test_rank_inverts_enumeration(lattice, sigma, twos_s):
+    space = ModeSpace(lattice, SpinQuantum(twos_s))
+    for n in range(4):
+        basis = build_basis(space, n, sigma)
+        assert np.array_equal(basis.rank(basis.occupations), np.arange(basis.dim))
+
+
+KERNEL_SPACES = (
+    ModeSpace(Lattice.ring(4), SpinQuantum(0)),
+    ModeSpace(Lattice.ring(4), SpinQuantum(1)),
+    ModeSpace(Lattice.grid2d(3), SpinQuantum(0)),
+)
+
+
+@st.composite
+def ladder_batches(draw):
+    """A sector, a few of its states and one ladder string per state."""
+    space = draw(st.sampled_from(KERNEL_SPACES))
+    sigma = draw(st.sampled_from((1, -1)))
+    basis = build_basis(space, draw(st.integers(0, 3)), sigma)
+    states = draw(st.lists(st.integers(0, basis.dim - 1), min_size=1, max_size=6))
+    length = draw(st.integers(0, 5))
+    factor = st.tuples(st.integers(0, space.n_modes - 1), st.booleans())
+    strings = draw(st.lists(
+        st.lists(factor, min_size=length, max_size=length),
+        min_size=len(states), max_size=len(states),
+    ))
+    return basis, states, strings
+
+
+@settings(max_examples=300)
+@given(ladder_batches())
+@example((build_basis(KERNEL_SPACES[1], 1, -1), [0], [[(0, True)]]))  # Pauli exclusion
+@example((build_basis(KERNEL_SPACES[1], 2, -1), [0], [[(1, False)]]))  # sign from mode 0
+@example((build_basis(KERNEL_SPACES[2], 1, 1), [4], [[(3, False)]]))  # empty mode
+def test_kernel_matches_scalar_reference(batch):
+    basis, states, strings = batch
+    length = len(strings[0])
+    modes = np.array([[idx for idx, _ in s] for s in strings], dtype=np.intp).reshape(len(states), length)
+    daggers = np.array([[dag for _, dag in s] for s in strings], dtype=bool).reshape(len(states), length)
+    occ, amp, alive = _apply_strings(basis.occupations[states], modes, daggers, basis.sigma)
+    for row, (state, string) in enumerate(zip(states, strings)):
+        want, factor = basis.occ_tuple(state), 1.0
+        for idx, dag in reversed(string):
+            res = occ_apply(want, idx, dag, basis.sigma)
+            if res is None:
+                want = None
+                break
+            want, step = res
+            factor *= step
+        if want is None:
+            assert not alive[row] and amp[row] == 0.0
+        else:
+            assert alive[row] and amp[row] == factor
+            assert tuple(occ[row].tolist()) == want
 
 
 def test_dimension_cap():

@@ -153,6 +153,16 @@ def test_adjoint_reverses_and_conjugates():
     assert expr_equal(dag.dagger(), e)
 
 
+def test_sum_of_keeps_term_order():
+    x, y = MODES[0], MODES[1]
+    parts = [create(x, 1), 2.0 * destroy(y, 1), create(y, 1) * destroy(x, 1)]
+    total = OperatorExpr.sum_of(1, parts)
+    assert total.terms == (parts[0] + parts[1] + parts[2]).terms
+    assert OperatorExpr.sum_of(1, []).terms == ()
+    with pytest.raises(ValueError):
+        OperatorExpr.sum_of(-1, parts)
+
+
 def test_particle_shift():
     x = MODES[0]
     assert (create(x, 1) * destroy(x, 1)).particle_shift() == 0
