@@ -28,6 +28,7 @@ from .fockspace import (
     bracket_amplitudes,
     bracket_state,
     build_basis,
+    completeness_check,
     identity_matrix,
     index_tuples,
     matrix_of,
@@ -247,9 +248,6 @@ class SuiteReport:
     passed: bool
     seed: int
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def _finish(suite: str, cfg: RunConfig, checks: list[tuple[str, float, float]]) -> SuiteReport:
     residuals = [
@@ -273,10 +271,8 @@ def _finish(suite: str, cfg: RunConfig, checks: list[tuple[str, float, float]]) 
     )
 
 
-def _tol(cfg: RunConfig, suite: str, fallback: float | None = None) -> float:
-    if cfg.tol is not None:
-        return cfg.tol
-    return fallback if fallback is not None else SUITE_DEFAULT_TOL[suite]
+def _tol(cfg: RunConfig, suite: str) -> float:
+    return cfg.tol if cfg.tol is not None else SUITE_DEFAULT_TOL[suite]
 
 
 # -- suites -------------------------------------------------------------------
@@ -349,24 +345,15 @@ def suite_completeness(cfg: RunConfig, rng) -> SuiteReport:
     shape = (m,) * n
     checks = []
     for sigma in cfg.sigmas():
-        worst_vs_oracle = worst_idem = worst_fixed = 0.0
+        worst_vs_oracle = 0.0
         for _ in range(100):
             probe = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            worst_vs_oracle = max(
-                worst_vs_oracle,
-                float(np.max(np.abs(
-                    project_onto_symmetric(space, n, sigma, probe)
-                    - symmetrizer_oracle(probe, sigma)
-                ))),
-            )
+            worst_vs_oracle = max(worst_vs_oracle, completeness_check(space, n, sigma, probe))
         probe = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         once = project_onto_symmetric(space, n, sigma, probe)
-        twice = project_onto_symmetric(space, n, sigma, once)
-        worst_idem = float(np.max(np.abs(twice - once)))
+        worst_idem = max_abs(project_onto_symmetric(space, n, sigma, once) - once)
         symmetric = symmetrizer_oracle(probe, sigma)
-        worst_fixed = float(np.max(np.abs(
-            project_onto_symmetric(space, n, sigma, symmetric) - symmetric
-        )))
+        worst_fixed = max_abs(project_onto_symmetric(space, n, sigma, symmetric) - symmetric)
         tag = f"sigma={sigma:+d}"
         checks.append((f"projector vs symmetrizer oracle [{tag}]", worst_vs_oracle, tol))
         checks.append((f"projector idempotence [{tag}]", worst_idem, tol))
@@ -571,7 +558,7 @@ def cmd_verify(cfg: RunConfig) -> int:
             reports.append(SUITES[name](cfg, rng))
     all_passed = True
     for report in reports:
-        _dump_json(out / f"{report.suite}.json", report.to_dict())
+        _dump_json(out / f"{report.suite}.json", asdict(report))
         if report.suite == "theorem" and "theorem_report" in report.params:
             _dump_json(out / "theorem_report.json", report.params["theorem_report"])
         _print_report(report)
@@ -649,7 +636,7 @@ def cmd_correlate(cfg: RunConfig) -> int:
         ),
     )
     if space.lattice.kind == "ring":
-        spectrum_l = corr.relative_parity_spectrum(state, twos_ms)
+        spectrum_l = np.fft.fft(profile)  # = relative_parity_spectrum, profile not recomputed
         _write_csv(
             out / "angular.csv",
             ("l", "re", "im"),

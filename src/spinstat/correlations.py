@@ -11,11 +11,9 @@ statistics grade.
 
 from __future__ import annotations
 
-from itertools import product
-
 import numpy as np
 
-from .fockspace import StateVector, bracket_state
+from .fockspace import StateVector, bracket_amplitudes, bracket_state, index_tuples
 from .modes import Mode
 
 
@@ -30,22 +28,34 @@ def wavefunction(state: StateVector, coords) -> complex:
     return bracket_state(basis.space, coords, basis.sigma).dot(state)
 
 
+def _pair_correlations(state: StateVector, pairs) -> np.ndarray:
+    """F(xi1, xi2) for each (xi1, xi2) in ``pairs``, from one batch of bracket
+    states: every pair followed by every tuple of the remaining coordinates."""
+    basis = state.basis
+    n = basis.n_particles
+    if n < 2:
+        raise ValueError("pair correlation needs at least two particles")
+    space = basis.space
+    heads = np.array([[space.index(x), space.index(y)] for x, y in pairs], dtype=np.intp)
+    rest = index_tuples(space.n_modes, n - 2)
+    rows = np.hstack([np.repeat(heads, len(rest), axis=0), np.tile(rest, (len(heads), 1))])
+    _, index, amp = bracket_amplitudes(space, rows, basis.sigma)
+    live = amp != 0
+    terms = np.zeros(len(rows), dtype=np.complex128)
+    terms[live] = amp[live] * state.amplitudes[index[live]]
+    weight = space.lattice.cell_volume ** (n - 2)
+    # summed one term at a time, in coordinate order: np.sum would move the last bits
+    sums = [sum(row, 0j) * weight for row in terms.reshape(len(heads), -1).tolist()]
+    return np.array(sums, dtype=np.complex128)
+
+
 def pair_correlation(state: StateVector, xi1: Mode, xi2: Mode) -> complex:
     """Sum the wave function over all coordinates after the first two.
 
     For N=2 this is the wave function itself; swapping the two arguments
     multiplies the result by the statistics grade.
     """
-    basis = state.basis
-    n = basis.n_particles
-    if n < 2:
-        raise ValueError("pair correlation needs at least two particles")
-    space = basis.space
-    weight = space.lattice.cell_volume ** (n - 2)
-    total = 0j
-    for rest in product(space.modes, repeat=n - 2):
-        total += wavefunction(state, (xi1, xi2) + rest)
-    return total * weight
+    return complex(_pair_correlations(state, [(xi1, xi2)])[0])
 
 
 def pair_distribution(state: StateVector, xi1: Mode, xi2: Mode) -> float:
@@ -59,12 +69,8 @@ def antipodal_profile(state: StateVector, twos_ms: int) -> np.ndarray:
     space = state.basis.space
     if not space.spin.is_allowed_projection(twos_ms):
         raise ValueError(f"projection 2m_s={twos_ms} not allowed")
-    lattice = space.lattice
-    out = np.zeros(lattice.n_sites, dtype=np.complex128)
-    for site in range(lattice.n_sites):
-        inv = lattice.invert_site(site)
-        out[site] = pair_correlation(state, Mode(site, twos_ms), Mode(inv, twos_ms))
-    return out
+    inv, sites = space.lattice.invert_site, range(space.lattice.n_sites)
+    return _pair_correlations(state, [(Mode(r, twos_ms), Mode(inv(r), twos_ms)) for r in sites])
 
 
 def relative_parity_spectrum(state: StateVector, twos_ms: int) -> np.ndarray:

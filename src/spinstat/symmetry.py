@@ -418,20 +418,19 @@ def full_turn_winding(
     lattice = space.lattice
     basis_from = build_basis(space, sector_n, sigma)
     basis_to = build_basis(space, sector_n - 2, sigma)
+    # a full turn brings the orbit back to ``site``: each pair matrix is built once
+    orbit = [lattice.rotate_site_z(site, k) for k in range(per_turn)]
+    mats = [matrix_of(pair_operator(space, twos_ms, s, sigma), basis_from, basis_to) for s in orbit]
     total_angle = 0.0
     worst = 0.0
-    current = site
-    for _ in range(per_turn):
-        nxt = lattice.rotate_site_z(current, 1)
-        f_now = matrix_of(pair_operator(space, twos_ms, current, sigma), basis_from, basis_to)
-        f_next = matrix_of(pair_operator(space, twos_ms, nxt, sigma), basis_from, basis_to).matrix.tocsr()
+    for k, f_now in enumerate(mats):
+        f_next = mats[(k + 1) % per_turn].matrix.tocsr()
         conj = conjugated(rot, f_now).matrix.tocsr()
         phase = _dominant_ratio([conj], [f_next])
         if phase is None:
-            raise ValueError(f"pair operator vanishes at site {current}; winding undefined")
+            raise ValueError(f"pair operator vanishes at site {orbit[k]}; winding undefined")
         worst = max(worst, max_abs(conj - phase * f_next))
         total_angle += cmath.phase(phase)
-        current = nxt
     winding = round(total_angle / (2.0 * math.pi))
     defect = abs(total_angle - 2.0 * math.pi * winding)
     return WindingResult(twos_ms, winding, worst, defect)
@@ -526,12 +525,13 @@ def theorem_report(space: ModeSpace, n_max: int = 3) -> TheoremReport:
                 raise RuntimeError("pair operator unexpectedly vanished at the probe site")
             lam_values.append(pi_res.lambda_measured)
             lam_residual = max(lam_residual, pi_res.residual)
+            vanishes = origin_vanishing_check(space, tm, sigma, n_max)
             if space.lattice.origin_site is not None:
                 pi_origin = pi_eigenvalue_check(space, tm, origin, sigma, n_max)
                 origin_indeterminate &= not pi_origin.determinate
             else:
-                origin_indeterminate &= origin_vanishing_check(space, tm, sigma, n_max)
-            origin_all_vanish &= origin_vanishing_check(space, tm, sigma, n_max)
+                origin_indeterminate &= vanishes
+            origin_all_vanish &= vanishes
             w = full_turn_winding(space, tm, probe, sigma, sector_n=2)
             windings[tm] = w.winding
             winding_residual = max(winding_residual, w.max_step_residual, w.angle_defect)

@@ -2,7 +2,9 @@
 
 Each test prints one summary line so a verbose run reads as a checklist.
 Scales stay at desk size (modes <= 12 before spin, N <= 4, 2s <= 3) and each
-criterion runs in well under a minute.
+criterion runs in well under a minute.  Where a criterion is a shipped
+``spinstat verify`` suite, the gate runs that suite at a fixed config and pins
+its tolerance here, so each check has one implementation.
 """
 
 import json
@@ -11,19 +13,16 @@ from itertools import permutations, product
 import numpy as np
 
 from helpers import random_state, state_coordinate_tensor
-from spinstat.cli import main
+from spinstat import cli
+from spinstat.cli import RunConfig, main
 from spinstat.correlations import pair_correlation, relative_parity_spectrum
 from spinstat.fockspace import (
     bracket_state,
     build_basis,
-    identity_matrix,
-    matrix_of,
     max_abs,
     overlap,
     overlap_oracle,
-    perm_parity,
     project_onto_symmetric,
-    symmetrizer_oracle,
 )
 from spinstat.hamiltonians import (
     OneBodySpec,
@@ -34,46 +33,31 @@ from spinstat.hamiltonians import (
     mode_operator_check,
 )
 from spinstat.modes import Lattice, ModeSpace, SpinQuantum
-from spinstat.opalgebra import create, destroy, sigma_commutator
-from spinstat.symmetry import (
-    origin_vanishing_check,
-    pi_eigenvalue_check,
-    rotation_by_steps,
-    rotation_covariance_check,
-    rotation_element_residual,
-    theorem_report,
-)
+from spinstat.symmetry import permutation_eigencheck
 
 SEED = 42
+TOL = 1e-12  # the gate's tolerance for every criterion that runs a suite
 
 
 def report(line: str) -> None:
     print(f"ACCEPTANCE {line}")
 
 
+def run_suite(name: str, **overrides):
+    """Run the CLI suite ``name`` on ``RunConfig(**overrides)`` with the gate's
+    seed; require it to pass at exactly TOL and return (worst residual, report)."""
+    cfg = RunConfig(**overrides).validate()
+    suite = cli.SUITES[name](cfg, np.random.default_rng(SEED))
+    assert suite.passed, suite.residuals
+    assert all(r["tol"] == TOL for r in suite.residuals), suite.residuals
+    return max(r["value"] for r in suite.residuals), suite
+
+
 def test_criterion_1_commutator_suite():
     """Matrix forms of the graded field-operator relations on ring(4), s=1/2."""
-    tol = 1e-12
-    space = ModeSpace(Lattice.ring(4), SpinQuantum(1))
-    worst = 0.0
-    for sigma in (1, -1):
-        bases = [build_basis(space, n, sigma) for n in range(4)]
-        for a in space.modes:
-            for b in space.modes:
-                mixed = sigma_commutator(destroy(a, sigma), create(b, sigma))
-                ann = sigma_commutator(destroy(a, sigma), destroy(b, sigma))
-                cre = sigma_commutator(create(a, sigma), create(b, sigma))
-                delta = 1.0 if a == b else 0.0
-                for basis in bases:
-                    m = matrix_of(mixed, basis, basis).matrix
-                    worst = max(worst, max_abs(m - delta * identity_matrix(basis).matrix))
-                    if basis.n_particles >= 2:
-                        down = build_basis(space, basis.n_particles - 2, sigma)
-                        worst = max(worst, max_abs(matrix_of(ann, basis, down).matrix))
-                    up = build_basis(space, basis.n_particles + 2, sigma)
-                    worst = max(worst, max_abs(matrix_of(cre, basis, up).matrix))
-    assert worst <= tol
-    report(f"1 commutator suite: residual {worst:.2e} <= {tol} PASS")
+    # CLI defaults: ring:4, 2s=1, both grades, sectors 0..3
+    worst, _ = run_suite("commutators")
+    report(f"1 commutator suite: residual {worst:.2e} <= {TOL} PASS")
 
 
 def test_criterion_2_orthonormality_oracle():
@@ -106,45 +90,35 @@ def test_criterion_2_orthonormality_oracle():
 
 def test_criterion_3_completeness_projector():
     """Bracket-resolution projector == first-quantized symmetrizer, idempotent."""
-    tol = 1e-12
+    # CLI defaults: ring:4, 2s=1, N=2, both grades, 100 random probes each
+    worst, _ = run_suite("completeness")
+    # the suite checks idempotence on one probe; the gate keeps it on 100 per grade
     space = ModeSpace(Lattice.ring(4), SpinQuantum(1))
     rng = np.random.default_rng(SEED)
-    n = 2
-    shape = (space.n_modes,) * n
-    worst = worst_idem = 0.0
+    shape = (space.n_modes,) * 2
+    worst_idem = 0.0
     for sigma in (1, -1):
         for _ in range(100):
             probe = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            projected = project_onto_symmetric(space, n, sigma, probe)
-            worst = max(worst, float(np.max(np.abs(projected - symmetrizer_oracle(probe, sigma)))))
-            again = project_onto_symmetric(space, n, sigma, projected)
-            worst_idem = max(worst_idem, float(np.max(np.abs(again - projected))))
-    assert worst <= tol and worst_idem <= tol
-    report(f"3 completeness: oracle residual {worst:.2e}, idempotence {worst_idem:.2e} <= {tol} PASS")
+            once = project_onto_symmetric(space, 2, sigma, probe)
+            again = project_onto_symmetric(space, 2, sigma, once)
+            worst_idem = max(worst_idem, max_abs(again - once))
+    assert worst_idem <= TOL
+    report(f"3 completeness: oracle residual {worst:.2e}, idempotence {worst_idem:.2e} <= {TOL} PASS")
 
 
 def test_criterion_4_permutation_eigenvalues():
     """Bracket states transform with sigma^P for every permutation, N <= 4."""
-    tol = 1e-12
+    # ring:2, 2s=1 (4 modes), N = 2..4: random and fully degenerate coordinates
+    worst, _ = run_suite("permutations", lattice={"kind": "ring", "M": 2}, n_max=4)
+    # the suite draws no all-distinct pool; the gate keeps the cyclic one
     space = ModeSpace(Lattice.ring(2), SpinQuantum(1))
-    rng = np.random.default_rng(SEED)
-    worst = 0.0
     for sigma in (1, -1):
         for n in (2, 3, 4):
-            pools = [
-                tuple(space.mode_at(int(i)) for i in rng.integers(0, space.n_modes, size=n)),
-                tuple(space.mode_at(i % space.n_modes) for i in range(n)),
-                tuple(space.mode_at(0) for _ in range(n)),
-            ]
-            for coords in pools:
-                base = bracket_state(space, coords, sigma)
-                for perm in permutations(range(n)):
-                    factor = 1.0 if perm_parity(perm) == 1 else float(sigma)
-                    permuted = bracket_state(space, tuple(coords[p] for p in perm), sigma)
-                    dev = permuted.amplitudes - factor * base.amplitudes
-                    worst = max(worst, float(np.max(np.abs(dev))))
-    assert worst <= tol
-    report(f"4 permutation eigenvalues: residual {worst:.2e} <= {tol} PASS")
+            coords = tuple(space.mode_at(i % space.n_modes) for i in range(n))
+            for perm in permutations(range(n)):
+                assert permutation_eigencheck(space, coords, perm, sigma, TOL)
+    report(f"4 permutation eigenvalues: residual {worst:.2e} <= {TOL} PASS")
 
 
 def test_criterion_5_ideal_gas():
@@ -178,57 +152,22 @@ def test_criterion_5_ideal_gas():
 
 def test_criterion_6_rotation_covariance():
     """Field-transform element identity and pair covariance for all steps, 2s <= 3."""
-    tol = 1e-12
-    lattice = Lattice.ring(4)
-    worst_elem = worst_cov = 0.0
-    for twos_s in (0, 1, 2, 3):
-        space = ModeSpace(lattice, SpinQuantum(twos_s))
-        for sigma in (1, -1):
-            for steps in range(lattice.steps_per_turn):
-                rot = rotation_by_steps(space, steps)
-                worst_elem = max(
-                    worst_elem, rotation_element_residual(space, rot, sigma, n_max=2)
-                )
-                for tm in space.spin.projections():
-                    for site in (0, 1):
-                        worst_cov = max(
-                            worst_cov,
-                            rotation_covariance_check(
-                                space, tm, site, rot.turns, sigma, n_max=3
-                            ),
-                        )
-    assert worst_elem <= tol and worst_cov <= tol
-    report(
-        f"6 rotation covariance: element {worst_elem:.2e}, pair {worst_cov:.2e} <= {tol} PASS"
+    # ring:4, both grades, every rotation step, site and projection
+    worst = max(
+        run_suite("rotation", twos_s=twos_s, n_max=3)[0] for twos_s in (0, 1, 2, 3)
     )
+    report(f"6 rotation covariance: element, pair and lift residual {worst:.2e} <= {TOL} PASS")
 
 
 def test_criterion_7_spin_statistics_core():
     """Half-turn eigenvalue, origin vanishing, winding integers, verdicts."""
-    tol = 1e-12
-    lattice = Lattice.ring(8)
+    ring8 = {"kind": "ring", "M": 8}
     verdicts = {}
     for twos_s in (0, 1, 2, 3):
-        space = ModeSpace(lattice, SpinQuantum(twos_s))
-        rep = theorem_report(space, n_max=2)
-        verdicts[twos_s] = rep.verdict_sigma
-        for sigma, verdict in rep.per_sigma.items():
-            expected_lambda = float((-1) ** twos_s * sigma)
-            assert abs(verdict.lambda_measured - expected_lambda) <= tol
-            assert verdict.lambda_residual <= tol
-            assert verdict.origin_vanishes == (sigma == -1)
-            for tm, winding in verdict.winding_by_twos_ms.items():
-                assert winding == tm
-            assert verdict.winding_residual <= 1e-9
-        # determinate origin eigenvalue only for the bosonic grade
-        probe = 0
-        for sigma in (1, -1):
-            res = pi_eigenvalue_check(space, space.spin.projections()[0], probe, sigma, 2)
-            assert res.determinate
-            assert abs(res.lambda_measured - res.lambda_expected) <= tol
-            assert origin_vanishing_check(space, space.spin.projections()[0], sigma, 2) == (
-                sigma == -1
-            )
+        _, theorem = run_suite("theorem", lattice=ring8, twos_s=twos_s, n_max=2)
+        verdicts[twos_s] = theorem.params["theorem_report"]["verdict_sigma"]
+        # determinate half-turn eigenvalue at the probe site, same-point vanishing
+        run_suite("pair-operator", lattice=ring8, twos_s=twos_s, n_max=2)
     assert verdicts == {0: 1, 1: -1, 2: 1, 3: -1}
     report(f"7 spin-statistics core: verdicts {verdicts} PASS")
 

@@ -11,7 +11,7 @@ from spinstat.correlations import (
     relative_parity_spectrum,
     wavefunction,
 )
-from spinstat.fockspace import bracket_state, build_basis, overlap, perm_parity
+from spinstat.fockspace import bracket_state, build_basis, overlap, perm_parity, zero_state
 from spinstat.hamiltonians import OneBodySpec, TwoBodySpec, build_many_body, diagonalize
 from spinstat.modes import Lattice, Mode, ModeSpace, SpinQuantum
 
@@ -107,6 +107,13 @@ def test_pair_correlation_needs_two_particles():
     state = bracket_state(SPACE4, (SPACE4.mode_at(0),), 1)
     with pytest.raises(ValueError):
         pair_correlation(state, SPACE4.mode_at(0), SPACE4.mode_at(1))
+
+
+def test_pair_correlation_on_an_empty_sector_is_zero():
+    space = ModeSpace(Lattice.ring(2), SpinQuantum(0))  # 2 modes hold no 3 fermions
+    state = zero_state(build_basis(space, 3, -1))
+    assert pair_correlation(state, space.mode_at(0), space.mode_at(1)) == 0
+    assert np.array_equal(antipodal_profile(state, 0), np.zeros(2))
 
 
 def test_pair_distribution_exclusion_and_symmetry():

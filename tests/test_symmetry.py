@@ -4,6 +4,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
+from spinstat import symmetry
 from spinstat.fockspace import build_basis, identity_matrix, max_abs
 from spinstat.modes import Lattice, Mode, ModeSpace, SpinQuantum
 from spinstat.opalgebra import normal_order
@@ -235,6 +236,33 @@ def test_full_turn_winding_recovers_projection(sigma):
         assert res.winding == tm
         assert res.max_step_residual <= 1e-12
         assert res.angle_defect <= 1e-9
+
+
+def _count_calls(monkeypatch, name):
+    """Record the positional arguments of every call to ``symmetry.<name>``."""
+    calls = []
+    original = getattr(symmetry, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(symmetry, name, counted)
+    return calls
+
+
+def test_full_turn_winding_builds_each_pair_matrix_once(monkeypatch):
+    space = ModeSpace(Lattice.ring(8), SpinQuantum(3))
+    calls = _count_calls(monkeypatch, "matrix_of")
+    assert full_turn_winding(space, 3, 1, 1).winding == 3
+    assert len(calls) == space.lattice.steps_per_turn
+
+
+def test_theorem_report_checks_origin_once_per_grade_and_projection(monkeypatch):
+    calls = _count_calls(monkeypatch, "origin_vanishing_check")
+    theorem_report(RING4_HALF, n_max=2)
+    pairs = sorted((args[2], args[1]) for args in calls)  # (sigma, 2m_s)
+    assert pairs == sorted((sigma, tm) for sigma in (1, -1) for tm in RING4_HALF.spin.projections())
 
 
 def test_winding_needs_fine_enough_steps():
