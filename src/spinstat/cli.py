@@ -448,7 +448,10 @@ def suite_pair_operator(cfg: RunConfig, rng) -> SuiteReport:
         worst_lambda = 0.0
         origin_ok = True
         for tm in space.spin.projections():
+            # F(r) - sigma F(-r) at inv(site) is -sigma times the one at site: one site per pair
             for site in range(space.lattice.n_sites):
+                if space.lattice.invert_site(site) < site:
+                    continue
                 worst_parity = max(
                     worst_parity,
                     parity_covariance_check(space, tm, site, sigma, n_max=min(cfg.n_max, 3)),

@@ -5,14 +5,17 @@ term, constant diagonal shift dropped) plus an on-site potential, diagonal in
 spin.  The two-body part couples site pairs through a distance-keyed table
 with the literal ordering a+(xi) a+(xi') a(xi') a(xi) and a 1/2 prefactor.
 
-Spectra come from a dense Hermitian eigensolver at desk scale so degenerate
-multiplicities can be compared exactly.  The ideal-gas check replays the same
+Spectra are exact at desk scale so degenerate multiplicities can be compared
+exactly: H is split into blocks of fixed particle count per spin projection,
+which these Hamiltonians conserve, and each block gets one dense Hermitian
+solve, in real arithmetic when H is real.  The ideal-gas check replays the same
 spectrum from nothing but occupancy rules over one-particle levels, which is
 the executable form of the Bose-Einstein / Fermi-Dirac distinction.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 
@@ -20,6 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .fockspace import (
+    DimensionCapError,
     FockBasis,
     OperatorMatrix,
     StateVector,
@@ -215,7 +219,17 @@ def number_operator(space: ModeSpace, sigma: int) -> OperatorExpr:
 
 @dataclass(frozen=True, eq=False)
 class SpectrumResult:
-    """Ascending eigenvalues with orthonormal eigenvectors on one sector."""
+    """Ascending eigenvalues with orthonormal eigenvectors on one sector.
+
+    Every eigenvector lies inside one block of fixed particle count per spin
+    projection (the whole sector when H mixes those counts), so a degenerate
+    level spread over several blocks comes back as its block components, not
+    as an arbitrary mixture of them.  Eigenvalues are merged with a stable
+    sort: equal values keep block order, blocks ascending by count vector
+    (the count at 2m_s = +2s first).  Values of one level that differ in the
+    last bits are ordered by those bits, which a given machine and BLAS
+    reproduce, so reruns return the same states.
+    """
 
     basis: FockBasis
     eigenvalues: np.ndarray
@@ -227,28 +241,88 @@ class SpectrumResult:
         return float(self.eigenvalues[0])
 
 
+_BLOCK_WORK_ARRAYS = 6  # dense block, eigenvectors, LAPACK workspace, residual temporaries
+
+
+def _available_memory() -> int | None:
+    """Free physical memory in bytes, or None where the platform cannot tell."""
+    try:
+        return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def _projection_blocks(ham: OperatorMatrix) -> list[np.ndarray]:
+    """Ascending basis indices of each block of equal particle count per spin
+    projection, blocks in ascending count-vector order.  One block holding the
+    whole sector if any stored entry of H joins two different counts."""
+    basis = ham.domain
+    if basis.dim == 0:
+        return []
+    space = basis.space
+    counts = basis.occupations.reshape(
+        basis.dim, space.lattice.n_sites, space.spin.multiplicity
+    ).sum(axis=1)
+    _, labels = np.unique(counts, axis=0, return_inverse=True)
+    labels = labels.ravel()
+    coo = ham.matrix.tocoo()
+    if np.any(labels[coo.row] != labels[coo.col]):
+        return [np.arange(basis.dim)]
+    order = np.argsort(labels, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(labels))[:-1])
+
+
 def diagonalize(ham: OperatorMatrix) -> SpectrumResult:
-    """Dense Hermitian eigendecomposition with a verified residual contract."""
+    """Exact eigendecomposition with a verified residual contract.
+
+    H is split into blocks of fixed particle count per spin projection, which
+    every Hamiltonian of ``build_many_body`` conserves (hopping is
+    spin-diagonal, the interaction density-density); the split is checked on
+    the stored entries, so any Hermitian matrix is solved exactly.  Each block
+    gets a dense ``eigh``, real when every stored entry of H is real.  Raises
+    ``DimensionCapError`` when the dense storage would not fit in free memory.
+    """
     if (
         ham.domain.n_particles != ham.codomain.n_particles
         or ham.domain.sigma != ham.codomain.sigma
     ):
         raise ValueError("can only diagonalize a square same-sector matrix")
-    dense = ham.matrix.toarray()
-    scale = max(1.0, max_abs(dense))
-    if max_abs(dense - dense.conj().T) > HERMITICITY_TOL * scale:
+    mat = ham.matrix.tocsr()
+    scale = max(1.0, max_abs(mat))
+    if max_abs(mat - mat.conj().T) > HERMITICITY_TOL * scale:
         raise ValueError("matrix is not Hermitian to tolerance")
-    evals, evecs = np.linalg.eigh(dense)
-    residual = 0.0
-    if dense.size:
-        residual = float(
-            np.linalg.norm(dense @ evecs - evecs * evals[None, :], axis=0).max()
+    real = not np.any(mat.data.imag)
+    dim = ham.domain.dim
+    blocks = _projection_blocks(ham)
+    largest = max((len(idx) for idx in blocks), default=0)
+    itemsize = 8 if real else 16
+    needed = 16 * dim * dim + _BLOCK_WORK_ARRAYS * itemsize * largest * largest
+    free = _available_memory()
+    if free is not None and needed > free:
+        raise DimensionCapError(
+            f"diagonalizing {dim} states (largest block {largest}) needs an estimated"
+            f" {needed:,} bytes of dense storage; {free:,} bytes of memory are free"
         )
+    amplitudes = np.zeros((dim, dim), dtype=np.complex128)  # row k: k-th vector in block order
+    values = []
+    residual = 0.0
+    start = 0
+    for idx in blocks:
+        sub = mat[idx][:, idx]
+        block = (sub.real if real else sub).toarray()
+        evals, evecs = np.linalg.eigh(block)
+        block_residual = float(np.linalg.norm(block @ evecs - evecs * evals, axis=0).max())
         gram = evecs.conj().T @ evecs - np.eye(len(evals))
-        if residual > SPECTRUM_TOL * scale or np.max(np.abs(gram)) > SPECTRUM_TOL:
+        if block_residual > SPECTRUM_TOL * scale or np.max(np.abs(gram)) > SPECTRUM_TOL:
             raise RuntimeError("eigensolver failed its residual contract")
-    vectors = tuple(StateVector(ham.domain, evecs[:, k]) for k in range(len(evals)))
-    return SpectrumResult(ham.domain, evals, vectors, residual)
+        residual = max(residual, block_residual)
+        amplitudes[start:start + len(idx), idx] = evecs.T
+        values.append(evals)
+        start += len(idx)
+    evals = np.concatenate(values) if values else np.zeros(0)
+    order = np.argsort(evals, kind="stable")
+    vectors = tuple(StateVector(ham.domain, amplitudes[k]) for k in order)
+    return SpectrumResult(ham.domain, evals[order], vectors, residual)
 
 
 def occupancy_spectrum(

@@ -540,13 +540,11 @@ def theorem_report(space: ModeSpace, n_max: int = 3) -> TheoremReport:
         lam_residual = max(lam_residual, spread)
 
         even_parity_norm = 0.0
+        sites = range(space.lattice.n_sites)
         for tm in spin.projections():
-            for site in range(space.lattice.n_sites):
-                inv = space.lattice.invert_site(site)
-                even = (
-                    pair_matrix(space, tm, site, sigma, 2).matrix
-                    + pair_matrix(space, tm, inv, sigma, 2).matrix
-                )
+            mats = [pair_matrix(space, tm, site, sigma, 2).matrix for site in sites]
+            for site in sites:
+                even = mats[site] + mats[space.lattice.invert_site(site)]
                 even_parity_norm = max(even_parity_norm, max_abs(even))
         even_vanish = even_parity_norm <= PHASE_TOL
 

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from spinstat import cli
+from spinstat import cli, hamiltonians
 from spinstat.cli import load_config, main
 from spinstat.hamiltonians import OneBodySpec, one_particle_spectrum
 from spinstat.modes import Lattice, SpinQuantum
@@ -177,6 +177,65 @@ def test_diagonalize_dimension_cap(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     assert main(["diagonalize", "--config", str(path)]) == 2
+
+
+def test_pair_operator_suite_checks_parity_once_per_inversion_pair(monkeypatch):
+    cfg = load_config(None).validate()  # CLI defaults
+    space = cfg.make_space()
+    n_max = min(cfg.n_max, 3)
+    sites = range(space.lattice.n_sites)
+    invert = space.lattice.invert_site
+    original = cli.parity_covariance_check
+    visited = []
+
+    def counted(space, twos_ms, site, sigma, n_max=3):
+        visited.append((sigma, twos_ms, site))
+        return original(space, twos_ms, site, sigma, n_max=n_max)
+
+    monkeypatch.setattr(cli, "parity_covariance_check", counted)
+    report = cli.suite_pair_operator(cfg, None)
+    projections = space.spin.projections()
+    assert sorted(visited) == sorted(
+        (sigma, tm, site)
+        for sigma in cfg.sigmas() for tm in projections for site in sites if invert(site) >= site
+    )
+    for sigma in cfg.sigmas():
+        every_site = {
+            (tm, site): original(space, tm, site, sigma, n_max=n_max)
+            for tm in projections for site in sites
+        }
+        # a skipped site's residual is bit for bit its partner's
+        assert all(every_site[tm, site] == every_site[tm, invert(site)] for tm, site in every_site)
+        row = next(
+            r for r in report.residuals
+            if r["check"] == f"inversion covariance of the pair [sigma={sigma:+d}]"
+        )
+        assert row["value"] == max(every_site.values())
+
+
+def test_diagonalize_past_free_memory_is_exit_two(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(hamiltonians, "_available_memory", lambda: 1024)
+    assert main([
+        "diagonalize", "--lattice", "ring:4", "--twos-s", "1", "--sigma", "-1",
+        "-N", "2", "--out", str(tmp_path / "o"),
+    ]) == 2
+    assert "bytes of dense storage" in capsys.readouterr().err
+
+
+def test_correlate_degenerate_ground_state_is_reproducible(tmp_path):
+    cfg = {
+        "lattice": {"kind": "ring", "M": 4}, "twos_s": 1, "sigma": -1, "N": 3,
+        "V": {"0": 4.0, "1": 1.0}, "onsite_U": [0.1, -0.5, 0.3, 0.7],
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    spectrum = cli._spectrum_for(load_config(str(path)).validate())[3]
+    assert spectrum.eigenvalues[1] - spectrum.eigenvalues[0] <= 1e-12  # a degenerate ground level
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert main(["correlate", "--config", str(path), "--out", str(out)]) == 0
+    for name in ("profile.csv", "angular.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 def test_correlate_profile_zero_at_origin(tmp_path):

@@ -3,7 +3,9 @@ import pytest
 import scipy.sparse as sp
 
 from helpers import fq_hamiltonian_apply, random_state
+from spinstat import hamiltonians
 from spinstat.fockspace import (
+    DimensionCapError,
     OperatorMatrix,
     bracket_matrix,
     build_basis,
@@ -173,6 +175,114 @@ def test_diagonalize_diagonal_matrix():
     basis = build_basis(space, 1, 1)
     diag = OperatorMatrix(basis, basis, sp.csr_matrix(np.diag([3.0, -1.0, 2.0, 0.0]).astype(complex)))
     assert diagonalize(diag).eigenvalues == pytest.approx([-1.0, 0.0, 2.0, 3.0])
+
+
+def projection_labels(basis) -> list[tuple[int, ...]]:
+    """Each basis state's particle count per spin projection."""
+    space = basis.space
+    twos_ms = np.array([mode.twos_ms for mode in space.modes])
+    return [
+        tuple(int(basis.occupations[i, twos_ms == tm].sum()) for tm in space.spin.projections())
+        for i in range(basis.dim)
+    ]
+
+
+def block_labels_of(vec, labels) -> set:
+    return {labels[i] for i in np.flatnonzero(vec.amplitudes)}
+
+
+def assert_exact_spectrum(ham, result):
+    """Eigenvalues against an unblocked dense complex solve; eigenvectors are
+    orthonormal eigenvectors of the full matrix."""
+    dense = ham.matrix.toarray().astype(np.complex128)
+    scale = max(1.0, max_abs(dense))
+    assert np.max(np.abs(result.eigenvalues - np.linalg.eigvalsh(dense))) <= 1e-12 * scale
+    vecs = np.array([v.amplitudes for v in result.eigenvectors]).T
+    assert np.max(np.abs(dense @ vecs - vecs * result.eigenvalues)) <= 1e-10 * scale
+    assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(ham.domain.dim))) <= 1e-12
+
+
+BLOCKED_CASES = [
+    (lattice, twos_s, sigma, n)
+    for lattice in ("ring:4", "grid2d:3")
+    for twos_s in (0, 1, 2)
+    for sigma in (1, -1)
+    for n in (2, 3)
+    if (lattice, twos_s, n) != ("grid2d:3", 2, 3)  # 2925 / 3654 states: too slow a reference
+]
+
+
+@pytest.mark.parametrize("lattice,twos_s,sigma,n", BLOCKED_CASES)
+def test_blocked_solve_matches_unblocked_reference(lattice, twos_s, sigma, n):
+    kind, size = lattice.split(":")
+    lat = Lattice.ring(int(size)) if kind == "ring" else Lattice.grid2d(int(size))
+    space = ModeSpace(lat, SpinQuantum(twos_s))
+    basis = build_basis(space, n, sigma)
+    potential = tuple(0.1 * ((3 * i) % 7) - 0.3 for i in range(lat.n_sites))
+    ham = build_many_body(
+        OneBodySpec(hop_t=0.8, onsite_u=potential), TwoBodySpec.from_dict({0: 1.3, 1: -0.6}), basis
+    )
+    result = diagonalize(ham)
+    assert_exact_spectrum(ham, result)
+    labels = projection_labels(basis)
+    assert all(len(block_labels_of(v, labels)) == 1 for v in result.eigenvectors)
+    assert all(np.all(v.amplitudes.imag == 0) for v in result.eigenvectors)  # real H, real solve
+
+
+def random_hermitian(dim: int) -> np.ndarray:
+    a = RNG.normal(size=(dim, dim)) + 1j * RNG.normal(size=(dim, dim))
+    return a + a.conj().T
+
+
+def test_complex_hermitian_blocks_solve_in_complex_arithmetic():
+    basis = build_basis(ModeSpace(Lattice.ring(4), SpinQuantum(1)), 2, -1)
+    labels = projection_labels(basis)
+    same_block = np.array([[li == lj for lj in labels] for li in labels])
+    mat = sp.csr_matrix(np.where(same_block, random_hermitian(basis.dim), 0))
+    ham = OperatorMatrix(basis, basis, mat)
+    result = diagonalize(ham)
+    assert_exact_spectrum(ham, result)
+    assert all(len(block_labels_of(v, labels)) == 1 for v in result.eigenvectors)
+    assert any(np.any(v.amplitudes.imag != 0) for v in result.eigenvectors)
+
+
+@pytest.mark.parametrize("coupling", ["random complex", "one real entry"])
+def test_entry_between_blocks_solves_the_sector_as_one_block(coupling):
+    basis = build_basis(ModeSpace(Lattice.ring(4), SpinQuantum(1)), 2, -1)
+    labels = projection_labels(basis)
+    if coupling == "random complex":
+        mat = sp.csr_matrix(random_hermitian(basis.dim))
+    else:
+        i, j = 0, labels.index(next(x for x in labels if x != labels[0]))
+        bump = np.zeros((basis.dim,) * 2)
+        bump[i, j] = bump[j, i] = 0.25
+        hop = build_many_body(OneBodySpec(hop_t=1.0, onsite_u=0.2), None, basis).matrix
+        mat = hop + sp.csr_matrix(bump)
+    ham = OperatorMatrix(basis, basis, mat)
+    result = diagonalize(ham)
+    assert_exact_spectrum(ham, result)
+    assert any(len(block_labels_of(v, labels)) > 1 for v in result.eigenvectors)
+
+
+def test_equal_eigenvalues_keep_block_order():
+    basis = build_basis(ModeSpace(Lattice.ring(4), SpinQuantum(1)), 2, -1)
+    labels = projection_labels(basis)
+    result = diagonalize(OperatorMatrix(basis, basis, sp.csr_matrix((basis.dim, basis.dim))))
+    order = [block_labels_of(v, labels).pop() for v in result.eigenvectors]
+    assert order == [(0, 2)] * 6 + [(1, 1)] * 16 + [(2, 0)] * 6
+
+
+def test_diagonalize_refuses_past_free_memory(monkeypatch):
+    basis = build_basis(ModeSpace(Lattice.ring(4), SpinQuantum(1)), 2, -1)  # blocks 6/16/6
+    ham = build_many_body(OneBodySpec(hop_t=1.0), None, basis)
+    monkeypatch.setattr(hamiltonians, "_available_memory", lambda: 24_831)
+    # 16 * 28^2 bytes of eigenvectors + six real 16 x 16 working arrays
+    with pytest.raises(DimensionCapError, match="28 states .* 24,832 bytes"):
+        diagonalize(ham)
+    monkeypatch.setattr(hamiltonians, "_available_memory", lambda: 24_832)
+    assert diagonalize(ham).basis is basis
+    monkeypatch.setattr(hamiltonians, "_available_memory", lambda: None)
+    assert diagonalize(ham).basis is basis
 
 
 def test_occupancy_spectrum_rules():

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 
@@ -263,6 +264,21 @@ def test_theorem_report_checks_origin_once_per_grade_and_projection(monkeypatch)
     theorem_report(RING4_HALF, n_max=2)
     pairs = sorted((args[2], args[1]) for args in calls)  # (sigma, 2m_s)
     assert pairs == sorted((sigma, tm) for sigma in (1, -1) for tm in RING4_HALF.spin.projections())
+
+
+def test_theorem_report_builds_each_even_inversion_pair_matrix_once(monkeypatch):
+    space = ModeSpace(Lattice.ring(8), SpinQuantum(3))
+    calls = _count_calls(monkeypatch, "pair_matrix")
+    theorem_report(space, n_max=2)
+    probe = theorem_probe_site(space)
+    builds = Counter((args[3], args[1], args[2]) for args in calls)  # (sigma, 2m_s, site)
+    # the even-inversion loop builds each site once; the half-turn check adds the probe
+    assert builds == Counter({
+        (sigma, tm, site): 2 if site == probe else 1
+        for sigma in (1, -1)
+        for tm in space.spin.projections()
+        for site in range(space.lattice.n_sites)
+    })
 
 
 def test_winding_needs_fine_enough_steps():
