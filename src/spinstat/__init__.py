@@ -29,6 +29,7 @@ from .fockspace import (
     build_basis,
     completeness_check,
     determinant,
+    ladder_relation_residuals,
     matrix_of,
     max_abs,
     overlap,
@@ -42,7 +43,6 @@ from .hamiltonians import (
     SpectrumResult,
     TwoBodySpec,
     build_many_body,
-    build_one_particle,
     diagonalize,
     ideal_gas_check,
     mode_operator_check,

@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from fractions import Fraction
 from itertools import permutations as iter_permutations
 from pathlib import Path
@@ -26,12 +26,11 @@ from .fockspace import (
     DEFAULT_DIMENSION_CAP,
     DimensionCapError,
     bracket_amplitudes,
-    bracket_state,
     build_basis,
     completeness_check,
     identity_matrix,
     index_tuples,
-    matrix_of,
+    ladder_relation_residuals,
     max_abs,
     overlap,
     overlap_oracle,
@@ -47,16 +46,16 @@ from .hamiltonians import (
     mode_operator_check,
 )
 from .modes import Lattice, ModeSpace, SpinQuantum
-from .opalgebra import create, destroy, expr_equal, parse_expr, sigma_commutator
+from .opalgebra import destroy, expr_equal, parse_expr
 from .symmetry import (
     IncompatibleRotationError,
     origin_vanishing_check,
     parity_covariance_check,
+    permutation_eigencheck,
     pi_eigenvalue_check,
     rotation_by_steps,
     rotation_covariance_check,
     rotation_element_residual,
-    sigma_to_permutation_power,
     theorem_probe_site,
     theorem_report,
 )
@@ -77,6 +76,28 @@ SUITE_DEFAULT_TOL = {name: 1e-9 if name == "ideal-gas" else 1e-12 for name in SU
 
 class ConfigError(Exception):
     """Bad configuration or violated precondition: exit code 2."""
+
+
+# config-file key -> RunConfig field
+CONFIG_KEYS = {
+    "lattice": "lattice", "twos_s": "twos_s", "sigma": "sigma", "N": "n_particles",
+    "hop_t": "hop_t", "onsite_U": "onsite_u", "V": "v_table", "n_max": "n_max",
+    "seed": "seed", "tol": "tol", "out": "out_dir", "suites": "suites",
+    "state_index": "state_index", "twos_ms": "twos_ms", "dimension_cap": "dimension_cap",
+    "dump_basis": "dump_basis", "dump_matrix": "dump_matrix", "eigenvectors": "eigenvectors",
+}
+
+# declared RunConfig field type -> the JSON values it takes, as named in messages
+_JSON_TYPES = {
+    "dict": (dict, "an object"), "int": (int, "an integer"), "float": ((int, float), "a number"),
+    "str": (str, "a string"), "bool": (bool, "true or false"),
+}
+
+
+def _is_json(value, declared: str) -> bool:
+    """isinstance for JSON values: true/false is no number, an integer is one."""
+    kinds = _JSON_TYPES[declared][0]
+    return isinstance(value, kinds) and (declared == "bool" or not isinstance(value, bool))
 
 
 @dataclass(frozen=True)
@@ -115,16 +136,16 @@ class RunConfig:
         return int(self.sigma)
 
     def make_lattice(self) -> Lattice:
-        spec = dict(self.lattice)
-        kind = spec.get("kind")
+        kind = self.lattice.get("kind")
+        key = {"ring": "M", "grid2d": "L"}.get(kind)
+        if key is None:
+            raise ConfigError(f"unknown lattice kind {kind!r}")
+        if not _is_json(self.lattice.get(key), "int"):
+            raise self._type_error("lattice", f"an object with an integer {key!r}")
         try:
-            if kind == "ring":
-                return Lattice.ring(int(spec["M"]))
-            if kind == "grid2d":
-                return Lattice.grid2d(int(spec["L"]))
-        except (KeyError, ValueError) as exc:
+            return (Lattice.ring if kind == "ring" else Lattice.grid2d)(self.lattice[key])
+        except ValueError as exc:
             raise ConfigError(f"bad lattice spec {self.lattice}: {exc}") from exc
-        raise ConfigError(f"unknown lattice kind {kind!r}")
 
     def make_space(self) -> ModeSpace:
         try:
@@ -147,12 +168,30 @@ class RunConfig:
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad interaction table {self.v_table}: {exc}") from exc
 
+    def _type_error(self, name: str, wanted: str) -> ConfigError:
+        key = next((k for k, attr in CONFIG_KEYS.items() if attr == name), name)
+        return ConfigError(f"config key {key!r} must be {wanted}, got {getattr(self, name)!r}")
+
     def validate(self) -> "RunConfig":
+        for f in fields(self):  # None only where it is the default
+            value, declared = getattr(self, f.name), f.type.removesuffix(" | None")
+            if declared in _JSON_TYPES and not (value is None and f.default is None):
+                if not _is_json(value, declared):
+                    raise self._type_error(f.name, _JSON_TYPES[declared][1])
+        u = self.onsite_u
+        if not _is_json(u, "float") and not (
+            isinstance(u, (list, tuple)) and all(_is_json(x, "float") for x in u)
+        ):
+            raise self._type_error("onsite_u", "a number or a list of numbers")
+        if not all(_is_json(v, "float") for v in self.v_table.values()):
+            raise self._type_error("v_table", "an object of numbers")
+        if not isinstance(self.suites, tuple):
+            raise self._type_error("suites", "a list of suite names")
         if self.n_particles < 0:
             raise ConfigError("N must be >= 0")
         if self.n_max < 0:
             raise ConfigError("n_max must be >= 0")
-        if self.sigma not in ("both", 1, -1):
+        if self.sigma != "both" and not (_is_json(self.sigma, "int") and self.sigma in (1, -1)):
             raise ConfigError(f"sigma must be +1, -1 or 'both', got {self.sigma!r}")
         for name in self.suites:
             if name not in SUITE_NAMES:
@@ -180,22 +219,12 @@ def load_config(path: str | None) -> RunConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config file must hold a JSON object")
-    mapping = {
-        "lattice": "lattice", "twos_s": "twos_s", "sigma": "sigma", "N": "n_particles",
-        "hop_t": "hop_t", "onsite_U": "onsite_u", "V": "v_table", "n_max": "n_max",
-        "seed": "seed", "tol": "tol", "out": "out_dir", "state_index": "state_index",
-        "twos_ms": "twos_ms", "dimension_cap": "dimension_cap", "dump_basis": "dump_basis",
-        "dump_matrix": "dump_matrix", "eigenvectors": "eigenvectors",
-    }
-    unknown = set(raw) - set(mapping) - {"suites"}
+    unknown = set(raw) - set(CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    kwargs = {}
-    for key, attr in mapping.items():
-        if key in raw:
-            kwargs[attr] = raw[key]
-    if "suites" in raw:
-        kwargs["suites"] = tuple(raw["suites"])
+    kwargs = {attr: raw[key] for key, attr in CONFIG_KEYS.items() if key in raw}
+    if isinstance(kwargs.get("suites"), list):
+        kwargs["suites"] = tuple(kwargs["suites"])
     return RunConfig(**kwargs)
 
 
@@ -283,24 +312,9 @@ def suite_commutators(cfg: RunConfig, rng) -> SuiteReport:
     tol = _tol(cfg, "commutators")
     checks = []
     for sigma in cfg.sigmas():
-        bases = [build_basis(space, n, sigma, cfg.dimension_cap) for n in range(cfg.n_max + 1)]
-        worst_mixed = worst_ann = worst_cre = 0.0
-        for a in space.modes:
-            for b in space.modes:
-                mixed = sigma_commutator(destroy(a, sigma), create(b, sigma))
-                ann = sigma_commutator(destroy(a, sigma), destroy(b, sigma))
-                cre = sigma_commutator(create(a, sigma), create(b, sigma))
-                delta = 1.0 if a == b else 0.0
-                for basis in bases:
-                    mat = matrix_of(mixed, basis, basis).matrix
-                    worst_mixed = max(
-                        worst_mixed, max_abs(mat - delta * identity_matrix(basis).matrix)
-                    )
-                    if basis.n_particles >= 2:
-                        lower = build_basis(space, basis.n_particles - 2, sigma)
-                        worst_ann = max(worst_ann, max_abs(matrix_of(ann, basis, lower).matrix))
-                    upper = build_basis(space, basis.n_particles + 2, sigma, cfg.dimension_cap)
-                    worst_cre = max(worst_cre, max_abs(matrix_of(cre, basis, upper).matrix))
+        worst_mixed, worst_ann, worst_cre = ladder_relation_residuals(
+            space, [destroy(m, sigma) for m in space.modes], sigma, cfg.n_max, cfg.dimension_cap
+        )
         tag = f"sigma={sigma:+d}"
         checks.append((f"mixed commutator vs delta [{tag}]", worst_mixed, tol))
         checks.append((f"annihilator commutator vs 0 [{tag}]", worst_ann, tol))
@@ -372,12 +386,8 @@ def suite_permutations(cfg: RunConfig, rng) -> SuiteReport:
             draws.append(tuple([0] * n))  # fully degenerate coordinates
             for idxs in draws:
                 coords = tuple(space.mode_at(int(i)) for i in idxs)
-                original = bracket_state(space, coords, sigma)
-                for perm in iter_permutations(range(n)):
-                    permuted = bracket_state(space, tuple(coords[p] for p in perm), sigma)
-                    factor = sigma_to_permutation_power(perm, sigma)
-                    dev = permuted.amplitudes - factor * original.amplitudes
-                    worst = max(worst, float(np.max(np.abs(dev))) if dev.size else 0.0)
+                perms = iter_permutations(range(n))
+                worst = max(worst, permutation_eigencheck(space, coords, perms, sigma))
         checks.append((f"bracket permutation eigenvalue [sigma={sigma:+d}]", worst, tol))
     return _finish("permutations", cfg, checks)
 

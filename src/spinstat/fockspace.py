@@ -154,10 +154,6 @@ class StateVector:
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
 
-def zero_state(basis: FockBasis) -> StateVector:
-    return StateVector(basis, np.zeros(basis.dim, dtype=np.complex128))
-
-
 def _apply_strings(occ: np.ndarray, modes, daggers, sigma: int):
     """Apply one ladder string to each occupation row, rightmost factor first.
 
@@ -219,9 +215,6 @@ class OperatorMatrix:
     def shape(self) -> tuple[int, int]:
         return self.matrix.shape
 
-    def adjoint(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.codomain, self.domain, self.matrix.conj().T.tocsr())
-
 
 def max_abs(matrix: sp.spmatrix | np.ndarray) -> float:
     """Largest absolute entry; 0.0 for an empty matrix."""
@@ -280,6 +273,43 @@ def matrix_of(expr: OperatorExpr, domain: FockBasis, codomain: FockBasis) -> Ope
     entries = (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols)))
     coo = sp.coo_matrix(entries, shape=shape, dtype=np.complex128)
     return OperatorMatrix(domain, codomain, coo.tocsr())
+
+
+def ladder_relation_residuals(
+    space: ModeSpace, annihilators, sigma: int, n_max: int, cap: int = DEFAULT_DIMENSION_CAP
+) -> tuple[float, float, float]:
+    """Worst entries of the graded ladder relations of annihilators c_p:
+    [c_p, c+_q]_sigma = delta_pq on sectors N = 0..n_max, [c_p, c_q]_sigma = 0
+    from those with N >= 2, and [c+_p, c+_q]_sigma = 0 from each to N + 2.
+
+    Each c_p and c+_p (from the adjoint expression, not a transpose) is built
+    once per sector by ``matrix_of``; the relations are sparse products.
+    """
+    bases = [build_basis(space, n, sigma, cap) for n in range(n_max + 3)]
+    down = [
+        {n: matrix_of(c, bases[n], bases[n - 1]).matrix for n in range(1, n_max + 2)}
+        for c in annihilators
+    ]
+    up = [
+        {n: matrix_of(c.dagger(), bases[n], bases[n + 1]).matrix for n in range(n_max + 2)}
+        for c in annihilators
+    ]
+    mixed = ann = cre = 0.0
+    for p, (down_p, up_p) in enumerate(zip(down, up)):
+        for q, (down_q, up_q) in enumerate(zip(down, up)):
+            for n in range(n_max + 1):
+                rel = down_p[n + 1] @ up_q[n]
+                if n:  # c+_q c_p kills the vacuum
+                    rel = rel - sigma * (up_q[n - 1] @ down_p[n])
+                if p == q:
+                    rel = rel - identity_matrix(bases[n]).matrix
+                mixed = max(mixed, max_abs(rel))
+                if n >= 2:
+                    rel = down_p[n - 1] @ down_q[n] - sigma * (down_q[n - 1] @ down_p[n])
+                    ann = max(ann, max_abs(rel))
+                rel = up_p[n + 1] @ up_q[n] - sigma * (up_q[n + 1] @ up_p[n])
+                cre = max(cre, max_abs(rel))
+    return mixed, ann, cre
 
 
 # -- bracket states and overlaps --------------------------------------------

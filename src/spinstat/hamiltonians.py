@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 
 import numpy as np
-import scipy.sparse as sp
 
 from .fockspace import (
     DimensionCapError,
@@ -28,11 +27,12 @@ from .fockspace import (
     OperatorMatrix,
     StateVector,
     build_basis,
+    ladder_relation_residuals,
     matrix_of,
     max_abs,
 )
 from .modes import Lattice, ModeSpace, SpinQuantum
-from .opalgebra import OperatorExpr, create, destroy, normal_order, sigma_commutator
+from .opalgebra import OperatorExpr, create, destroy
 
 HERMITICITY_TOL = 1e-12
 SPECTRUM_TOL = 1e-9
@@ -96,20 +96,6 @@ def one_body_matrix(spec: OneBodySpec, lattice: Lattice, spin: SpinQuantum) -> n
     return np.kron(h_site, np.eye(spin.multiplicity, dtype=np.complex128))
 
 
-def build_one_particle(
-    spec: OneBodySpec, lattice: Lattice, spin: SpinQuantum, sigma: int
-) -> OperatorMatrix:
-    """The one-body Hamiltonian as an operator matrix on the N=1 sector.
-
-    The N=1 basis ordering coincides with the mode ordering, so the matrix
-    entries are exactly the mode-space matrix elements.
-    """
-    space = ModeSpace(lattice, spin)
-    basis = build_basis(space, 1, sigma)
-    mat = sp.csr_matrix(one_body_matrix(spec, lattice, spin))
-    return OperatorMatrix(basis, basis, mat)
-
-
 def one_particle_spectrum(
     spec: OneBodySpec, lattice: Lattice, spin: SpinQuantum
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -145,32 +131,10 @@ def mode_operator_check(
     """Worst matrix residual of the eigenmode ladder relations on sectors <= n_max.
 
     Checks [c_q, c+_q'] = delta_qq' and [c_q, c_q'] = [c+_q, c+_q'] = 0 in the
-    graded sense, with every commutator represented on each particle sector.
+    graded sense, as products of the eigenmode ladder matrices on each sector.
     """
-    space = ModeSpace(lattice, spin)
     cs = mode_operators(spec, lattice, spin, sigma)
-    bases = [build_basis(space, n, sigma) for n in range(n_max + 1)]
-    worst = 0.0
-    for q, cq in enumerate(cs):
-        for qp, cqp in enumerate(cs):
-            pairs = [
-                (normal_order(sigma_commutator(cq, cqp.dagger())), 1.0 if q == qp else 0.0, 0),
-                (normal_order(sigma_commutator(cq, cqp)), 0.0, -2),
-                (normal_order(sigma_commutator(cq.dagger(), cqp.dagger())), 0.0, +2),
-            ]
-            for expr, ident_coeff, shift in pairs:
-                for basis in bases:
-                    n_to = basis.n_particles + shift
-                    if n_to < 0:
-                        continue
-                    target = bases[n_to] if n_to <= n_max else build_basis(space, n_to, sigma)
-                    mat = matrix_of(expr, basis, target).matrix
-                    if ident_coeff:
-                        mat = mat - ident_coeff * sp.identity(
-                            basis.dim, dtype=np.complex128, format="csr"
-                        )
-                    worst = max(worst, max_abs(mat))
-    return worst
+    return max(ladder_relation_residuals(ModeSpace(lattice, spin), cs, sigma, n_max))
 
 
 def one_body_expr(space: ModeSpace, h: np.ndarray, sigma: int) -> OperatorExpr:
@@ -227,8 +191,10 @@ class SpectrumResult:
     as an arbitrary mixture of them.  Eigenvalues are merged with a stable
     sort: equal values keep block order, blocks ascending by count vector
     (the count at 2m_s = +2s first).  Values of one level that differ in the
-    last bits are ordered by those bits, which a given machine and BLAS
-    reproduce, so reruns return the same states.
+    last bits are ordered by those bits, so reruns return the same states on
+    the same machine with the same BLAS and BLAS thread count; another thread
+    count can change the state picked inside a level that spans several
+    blocks.
     """
 
     basis: FockBasis
@@ -362,12 +328,12 @@ def ideal_gas_check(
     basis = build_basis(space, n_particles, sigma)
     ham = build_many_body(spec1, None, basis)
     spectrum = diagonalize(ham)
-    expected = occupancy_spectrum(one_particle_spectrum(spec1, lattice, spin)[0], n_particles, sigma)
+    eps, _ = one_particle_spectrum(spec1, lattice, spin)
+    expected = occupancy_spectrum(eps, n_particles, sigma)
     if expected.shape != spectrum.eigenvalues.shape:
         raise RuntimeError("occupancy multiset size differs from the sector dimension")
     deviation = float(np.max(np.abs(expected - spectrum.eigenvalues))) if expected.size else 0.0
 
-    eps, _ = one_particle_spectrum(spec1, lattice, spin)
     cs = mode_operators(spec1, lattice, spin, sigma)
     diag_expr = OperatorExpr.sum_of(
         sigma, (complex(eps[q]) * (cq.dagger() * cq) for q, cq in enumerate(cs))

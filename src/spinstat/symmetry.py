@@ -104,15 +104,6 @@ class SpinorRotation:
             cis_turns(Fraction(m.twos_ms, 2) * self.turns) for m in self.space.modes
         )
 
-    @cached_property
-    def single_particle_matrix(self) -> np.ndarray:
-        """Site permutation composed with the diagonal phases e^{i m_s theta}."""
-        n = self.space.n_modes
-        mat = np.zeros((n, n), dtype=np.complex128)
-        for i, (target, phase) in enumerate(zip(self.mode_permutation, self.field_phases)):
-            mat[target, i] = phase
-        return mat
-
     def fock_lift(self, basis: FockBasis) -> OperatorMatrix:
         """The sector unitary implementing this rotation on Fock states."""
         mat = _sector_unitary(self, basis.n_particles, basis.sigma)
@@ -188,19 +179,20 @@ def sigma_to_permutation_power(perm, sigma: int) -> float:
     return 1.0 if perm_parity(perm) == 1 else float(sigma)
 
 
-def permutation_eigencheck(
-    space: ModeSpace, coords, perm, sigma: int, tol: float = PHASE_TOL
-) -> bool:
-    """Does permuting the bracket-state coordinates multiply it by sigma^P?"""
+def permutation_eigencheck(space: ModeSpace, coords, perms, sigma: int) -> float:
+    """Worst max-norm of psi_P - sigma^P psi over the permutations P of the
+    bracket-state coordinates, psi the unpermuted bracket state."""
     coords = tuple(coords)
-    perm = tuple(perm)
-    if sorted(perm) != list(range(len(coords))):
-        raise ValueError(f"{perm} is not a permutation of 0..{len(coords) - 1}")
-    original = bracket_state(space, coords, sigma)
-    permuted = bracket_state(space, tuple(coords[p] for p in perm), sigma)
-    factor = sigma_to_permutation_power(perm, sigma)
-    diff = permuted.amplitudes - factor * original.amplitudes
-    return bool(np.max(np.abs(diff)) <= tol) if diff.size else True
+    original = bracket_state(space, coords, sigma).amplitudes
+    worst = 0.0
+    for perm in perms:
+        perm = tuple(perm)
+        if sorted(perm) != list(range(len(coords))):
+            raise ValueError(f"{perm} is not a permutation of 0..{len(coords) - 1}")
+        permuted = bracket_state(space, tuple(coords[p] for p in perm), sigma).amplitudes
+        dev = permuted - sigma_to_permutation_power(perm, sigma) * original
+        worst = max(worst, float(np.max(np.abs(dev))) if dev.size else 0.0)
+    return worst
 
 
 # -- the pair operator and its symmetries ------------------------------------

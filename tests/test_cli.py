@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from spinstat import cli, hamiltonians
+from spinstat import cli, correlations, fockspace, hamiltonians, opalgebra, symmetry
 from spinstat.cli import load_config, main
 from spinstat.hamiltonians import OneBodySpec, one_particle_spectrum
 from spinstat.modes import Lattice, SpinQuantum
@@ -127,6 +127,18 @@ def test_theorem_winding_too_coarse_is_config_error(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("raw", [
+    {"N": "2"}, {"twos_s": "1"}, {"tol": "1e-9"}, {"seed": 1.5}, {"lattice": "ring:4"},
+    {"n_max": True}, {"lattice": {"kind": "ring", "M": 4.7}}, {"V": {"1": True}},
+])
+def test_bad_config_type_is_config_error(tmp_path, capsys, raw):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    code = main(["verify", "--suite", "theorem", "--config", str(path), "--out", str(tmp_path)])
+    assert code == 2
+    assert f"config key {next(iter(raw))!r}" in capsys.readouterr().err
+
+
 def test_diagonalize_minimum_matches_filling_oracle(tmp_path):
     out = tmp_path / "out"
     code = main([
@@ -211,6 +223,32 @@ def test_pair_operator_suite_checks_parity_once_per_inversion_pair(monkeypatch):
             if r["check"] == f"inversion covariance of the pair [sigma={sigma:+d}]"
         )
         assert row["value"] == max(every_site.values())
+
+
+def _count_calls(monkeypatch, home, name) -> list:
+    """Record each call of ``home.name`` through every spinstat module binding it."""
+    original = getattr(home, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for module in (opalgebra, fockspace, hamiltonians, symmetry, correlations, cli):
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_ladder_relations_build_each_ladder_matrix_once(monkeypatch):
+    cfg = load_config(None).validate()  # CLI defaults: ring:4, 2s=1 (8 modes), both grades, n_max=3
+    matrices = _count_calls(monkeypatch, fockspace, "matrix_of")
+    cli.suite_commutators(cfg, None)
+    # per grade and mode: annihilators from N = 1..4, creators from N = 0..4
+    assert len(matrices) == 2 * 8 * (4 + 5)
+    orderings = _count_calls(monkeypatch, opalgebra, "normal_order")
+    cli.suite_ideal_gas(cfg, None)
+    assert orderings == []
 
 
 def test_diagonalize_past_free_memory_is_exit_two(tmp_path, monkeypatch, capsys):

@@ -11,7 +11,7 @@ from spinstat.correlations import (
     relative_parity_spectrum,
     wavefunction,
 )
-from spinstat.fockspace import bracket_state, build_basis, overlap, perm_parity, zero_state
+from spinstat.fockspace import StateVector, bracket_state, build_basis, overlap, perm_parity
 from spinstat.hamiltonians import OneBodySpec, TwoBodySpec, build_many_body, diagonalize
 from spinstat.modes import Lattice, Mode, ModeSpace, SpinQuantum
 
@@ -111,7 +111,8 @@ def test_pair_correlation_needs_two_particles():
 
 def test_pair_correlation_on_an_empty_sector_is_zero():
     space = ModeSpace(Lattice.ring(2), SpinQuantum(0))  # 2 modes hold no 3 fermions
-    state = zero_state(build_basis(space, 3, -1))
+    basis = build_basis(space, 3, -1)
+    state = StateVector(basis, np.zeros(basis.dim))
     assert pair_correlation(state, space.mode_at(0), space.mode_at(1)) == 0
     assert np.array_equal(antipodal_profile(state, 0), np.zeros(2))
 
@@ -188,8 +189,6 @@ def test_relative_parity_uniform_pair_state():
             space, (Mode(site, 0), Mode(space.lattice.invert_site(site), 0)), 1
         )
         amps += contrib.amplitudes
-    from spinstat.fockspace import StateVector
-
     state = StateVector(basis, amps / np.linalg.norm(amps))
     spectrum = relative_parity_spectrum(state, 0)
     assert abs(spectrum[0]) > 0.1

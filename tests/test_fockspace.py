@@ -17,6 +17,7 @@ from spinstat.fockspace import (
     completeness_check,
     determinant,
     identity_matrix,
+    ladder_relation_residuals,
     matrix_of,
     max_abs,
     overlap,
@@ -26,7 +27,6 @@ from spinstat.fockspace import (
     project_onto_symmetric,
     sector_dimension,
     symmetrizer_oracle,
-    zero_state,
 )
 from spinstat.modes import Lattice, ModeSpace, SpinQuantum
 from spinstat.opalgebra import (
@@ -139,7 +139,7 @@ def test_state_vector_validation():
 
 def test_fermion_double_creation_is_zero():
     x = SPACE4.mode_at(0)
-    vac = zero_state(build_basis(SPACE4, 0, -1))
+    vac = StateVector(build_basis(SPACE4, 0, -1), np.zeros(1))
     vac.amplitudes[0] = 1.0
     once = apply_ladder(vac, LadderOp(x, True))
     twice = apply_ladder(once, LadderOp(x, True))
@@ -153,7 +153,7 @@ def test_fermion_annihilate_empty_mode_is_zero():
 
 
 def test_annihilating_vacuum_sector_rejected():
-    vac = zero_state(build_basis(SPACE4, 0, 1))
+    vac = StateVector(build_basis(SPACE4, 0, 1), np.zeros(1))
     with pytest.raises(ValueError):
         apply_ladder(vac, LadderOp(SPACE4.mode_at(0), False))
 
@@ -202,6 +202,20 @@ def test_matrix_commutation_relations(sigma):
                 assert max_abs(mat - delta * eye) <= 1e-12
 
 
+@pytest.mark.parametrize("sigma", [1, -1])
+def test_ladder_relation_residuals_of_broken_sets(sigma):
+    # [2 a0, (2 a0)+]_sigma = 4 misses delta = 1 by 3; a mode listed twice
+    # gives [a0, a0+]_sigma = 1 where the two entries' delta wants 0
+    a0 = destroy(SPACE4.mode_at(0), sigma)
+    scaled = ladder_relation_residuals(SPACE4, [2 * a0], sigma, 3)
+    repeated = ladder_relation_residuals(SPACE4, [a0, a0], sigma, 3)
+    assert scaled == pytest.approx((3.0, 0.0, 0.0), abs=1e-12)
+    assert repeated == pytest.approx((1.0, 0.0, 0.0), abs=1e-12)
+    if sigma == -1:  # no sqrt factors: every entry is exact
+        assert scaled == (3.0, 0.0, 0.0)
+        assert repeated == (1.0, 0.0, 0.0)
+
+
 def test_matrix_of_identity_and_number():
     basis = build_basis(SPACE4, 2, 1)
     assert max_abs(matrix_of(OperatorExpr.identity(1), basis, basis).matrix
@@ -233,7 +247,7 @@ def test_matrix_adjoint_matches_formal_adjoint():
     e = (1 + 2j) * (create(x, -1) * create(y, -1) * destroy(y, -1))
     m = matrix_of(e, basis1, basis2)
     m_dag = matrix_of(e.dagger(), basis2, basis1)
-    assert max_abs(m.adjoint().matrix - m_dag.matrix) <= 1e-14
+    assert max_abs(m.matrix.conj().T - m_dag.matrix) <= 1e-14
 
 
 @pytest.mark.parametrize("sigma", [1, -1])

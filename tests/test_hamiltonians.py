@@ -16,7 +16,6 @@ from spinstat.hamiltonians import (
     OneBodySpec,
     TwoBodySpec,
     build_many_body,
-    build_one_particle,
     diagonalize,
     ideal_gas_check,
     mode_operator_check,
@@ -72,15 +71,6 @@ def test_one_particle_matrix_is_spin_diagonal_and_hermitian():
     # opposite projections never mix: odd/even interleave within site blocks
     for i in range(0, h.shape[0], 2):
         assert h[i, i + 1] == 0.0
-
-
-@pytest.mark.parametrize("sigma", [1, -1])
-def test_build_one_particle_equals_mode_matrix(sigma):
-    lattice, spin = Lattice.ring(4), SpinQuantum(0)
-    got = build_one_particle(OneBodySpec(hop_t=0.9, onsite_u=0.1), lattice, spin, sigma)
-    want = one_body_matrix(OneBodySpec(hop_t=0.9, onsite_u=0.1), lattice, spin)
-    assert max_abs(got.matrix - sp.csr_matrix(want)) == 0.0
-    assert got.domain.n_particles == 1
 
 
 @pytest.mark.parametrize("sigma", [1, -1])
