@@ -38,6 +38,8 @@ from .fockspace import (
     project_onto_symmetric,
 )
 from .hamiltonians import (
+    MODE_COMMUTATOR_TOL,
+    SPECTRUM_TOL,
     OneBodySpec,
     TwoBodySpec,
     build_many_body,
@@ -46,7 +48,7 @@ from .hamiltonians import (
     mode_operator_check,
 )
 from .modes import Lattice, ModeSpace, SpinQuantum
-from .opalgebra import destroy, expr_equal, parse_expr
+from .opalgebra import COEFF_TOL, destroy, expr_residual, parse_expr
 from .symmetry import (
     IncompatibleRotationError,
     origin_vanishing_check,
@@ -71,7 +73,7 @@ SUITE_NAMES = (
     "theorem",
 )
 
-SUITE_DEFAULT_TOL = {name: 1e-9 if name == "ideal-gas" else 1e-12 for name in SUITE_NAMES}
+SUITE_DEFAULT_TOL = {name: SPECTRUM_TOL if name == "ideal-gas" else 1e-12 for name in SUITE_NAMES}
 
 
 class ConfigError(Exception):
@@ -397,7 +399,7 @@ def suite_ideal_gas(cfg: RunConfig, rng) -> SuiteReport:
     spin = SpinQuantum(cfg.twos_s)
     spec1 = cfg.one_body()
     spectral_tol = _tol(cfg, "ideal-gas")
-    mode_tol = cfg.tol if cfg.tol is not None else 1e-10
+    mode_tol = cfg.tol if cfg.tol is not None else MODE_COMMUTATOR_TOL
     checks = []
     for sigma in cfg.sigmas():
         report = ideal_gas_check(spec1, lattice, spin, cfg.n_particles, sigma, tol=spectral_tol)
@@ -418,7 +420,7 @@ def suite_rotation(cfg: RunConfig, rng) -> SuiteReport:
     per_turn = space.lattice.steps_per_turn
     checks = []
     for sigma in cfg.sigmas():
-        worst_elem = worst_cov = worst_unitary = 0.0
+        worst_elem = worst_cov = worst_unitary = worst_square = 0.0
         for steps in range(per_turn):
             rot = rotation_by_steps(space, steps)
             worst_elem = max(
@@ -428,10 +430,11 @@ def suite_rotation(cfg: RunConfig, rng) -> SuiteReport:
             for n in range(min(cfg.n_max, 2) + 1):
                 basis = build_basis(space, n, sigma, cfg.dimension_cap)
                 u = rot.fock_lift(basis).matrix
-                worst_unitary = max(
-                    worst_unitary,
-                    max_abs(u @ u.conj().T - identity_matrix(basis).matrix),
-                )
+                eye = identity_matrix(basis).matrix
+                worst_unitary = max(worst_unitary, max_abs(u @ u.conj().T - eye))
+                if 2 * steps == per_turn:  # the half turn squares to the 2*pi sign
+                    sign = (-1) ** (space.spin.twos_s * n)
+                    worst_square = max(worst_square, max_abs(u @ u - sign * eye))
             for tm in space.spin.projections():
                 for site in range(space.lattice.n_sites):
                     worst_cov = max(
@@ -445,6 +448,7 @@ def suite_rotation(cfg: RunConfig, rng) -> SuiteReport:
         checks.append((f"field transform element identity [{tag}]", worst_elem, tol))
         checks.append((f"pair rotation covariance [{tag}]", worst_cov, tol))
         checks.append((f"sector lift unitarity [{tag}]", worst_unitary, tol))
+        checks.append((f"half-turn lift squared vs (-1)^(2sN) [{tag}]", worst_square, tol))
     return _finish("rotation", cfg, checks)
 
 
@@ -543,9 +547,8 @@ def check_expression(cfg: RunConfig) -> SuiteReport:
                 for factor in term.factors:
                     if not space.contains(factor.mode):
                         raise ConfigError(f"mode {factor.mode} is outside the configured space")
-        tol = cfg.tol if cfg.tol is not None else 1e-12
-        equal = expr_equal(lhs, rhs, tol)
-        checks.append((f"expression equality [sigma={sigma:+d}]", 0.0 if equal else 1.0, tol))
+        tol = cfg.tol if cfg.tol is not None else COEFF_TOL
+        checks.append((f"expression equality [sigma={sigma:+d}]", expr_residual(lhs, rhs), tol))
     return _finish("expression", cfg, checks)
 
 

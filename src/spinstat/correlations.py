@@ -1,4 +1,4 @@
-"""First-quantized wave functions extracted from kets, and two-body probes.
+"""Two-body correlations of kets in first-quantized form.
 
 The wave function of a ket is its coordinate representation against the
 product-of-creation bracket states; integrating out all but two coordinates
@@ -13,19 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fockspace import StateVector, bracket_amplitudes, bracket_state, index_tuples
+from .fockspace import StateVector, bracket_amplitudes, index_tuples
 from .modes import Mode
-
-
-def wavefunction(state: StateVector, coords) -> complex:
-    """<xi_1 ... xi_N | state>: sigma-(anti)symmetric in the coordinates."""
-    coords = tuple(coords)
-    basis = state.basis
-    if len(coords) != basis.n_particles:
-        raise ValueError(
-            f"{len(coords)} coordinates against an N={basis.n_particles} state"
-        )
-    return bracket_state(basis.space, coords, basis.sigma).dot(state)
 
 
 def _pair_correlations(state: StateVector, pairs) -> np.ndarray:
@@ -56,11 +45,6 @@ def pair_correlation(state: StateVector, xi1: Mode, xi2: Mode) -> complex:
     multiplies the result by the statistics grade.
     """
     return complex(_pair_correlations(state, [(xi1, xi2)])[0])
-
-
-def pair_distribution(state: StateVector, xi1: Mode, xi2: Mode) -> float:
-    """Squared magnitude of the two-body correlation."""
-    return abs(pair_correlation(state, xi1, xi2)) ** 2
 
 
 def antipodal_profile(state: StateVector, twos_ms: int) -> np.ndarray:

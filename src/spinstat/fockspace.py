@@ -8,8 +8,8 @@ everything else is verified against.
 
 All ladder action goes through one kernel, ``_apply_strings``, which
 applies ladder strings to a batch of occupation rows at once; operator
-matrices, single ladder steps, rotation lifts and bracket states are built on
-it.  ``FockBasis.rank`` inverts the basis order (combinations for sigma=-1,
+matrices, rotation lifts and bracket states are built on it.
+``FockBasis.rank`` inverts the basis order (combinations for sigma=-1,
 multisets for sigma=+1, in lexicographic order) with the combinatorial number
 system, the usual exact-diagonalization indexing.  The permanent, determinant
 and symmetrizer oracles stay brute force and separate on purpose: they check
@@ -30,7 +30,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .modes import ModeSpace, kron_delta
-from .opalgebra import LadderOp, OperatorExpr, check_sigma
+from .opalgebra import OperatorExpr, check_sigma
 
 DEFAULT_DIMENSION_CAP = 2_000_000
 _KERNEL_ROWS = 4096  # rows per kernel call in matrix_of, which bounds its working arrays
@@ -187,22 +187,6 @@ def _apply_strings(occ: np.ndarray, modes, daggers, sigma: int):
     return work, amp, alive
 
 
-def apply_ladder(state: StateVector, op: LadderOp) -> StateVector:
-    """Exact ladder action, landing in the N+1 or N-1 sector."""
-    basis = state.basis
-    n = basis.n_particles
-    if not op.dagger and n == 0:
-        raise ValueError("cannot annihilate on the vacuum sector")
-    target = build_basis(basis.space, n + (1 if op.dagger else -1), basis.sigma)
-    source = np.nonzero(state.amplitudes)[0]
-    occ, amp, alive = _apply_strings(
-        basis.occupations[source], [basis.space.index(op.mode)], [op.dagger], basis.sigma
-    )
-    out = np.zeros(target.dim, dtype=np.complex128)
-    out[target.rank(occ[alive])] = (state.amplitudes[source] * amp)[alive]
-    return StateVector(target, out)
-
-
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
     """Sparse matrix of an operator expression between two sectors."""
@@ -283,7 +267,8 @@ def ladder_relation_residuals(
     from those with N >= 2, and [c+_p, c+_q]_sigma = 0 from each to N + 2.
 
     Each c_p and c+_p (from the adjoint expression, not a transpose) is built
-    once per sector by ``matrix_of``; the relations are sparse products.
+    once per sector by ``matrix_of``; the relations are sparse products, the
+    like-ladder ones for q >= p only.
     """
     bases = [build_basis(space, n, sigma, cap) for n in range(n_max + 3)]
     down = [
@@ -304,6 +289,8 @@ def ladder_relation_residuals(
                 if p == q:
                     rel = rel - identity_matrix(bases[n]).matrix
                 mixed = max(mixed, max_abs(rel))
+                if q < p:  # the like-ladder relations obey R_qp = -sigma R_pq entry by entry
+                    continue
                 if n >= 2:
                     rel = down_p[n - 1] @ down_q[n] - sigma * (down_q[n - 1] @ down_p[n])
                     ann = max(ann, max_abs(rel))

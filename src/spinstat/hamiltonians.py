@@ -175,12 +175,6 @@ def build_many_body(
     return matrix_of(expr, basis, basis)
 
 
-def number_operator(space: ModeSpace, sigma: int) -> OperatorExpr:
-    return OperatorExpr.sum_of(
-        sigma, (create(mode, sigma) * destroy(mode, sigma) for mode in space.modes)
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class SpectrumResult:
     """Ascending eigenvalues with orthonormal eigenvectors on one sector.
@@ -350,12 +344,3 @@ def ideal_gas_check(
         occupancy_ground_energy=float(expected[0]) if expected.size else 0.0,
         tolerance=tol,
     )
-
-
-def number_conservation_residual(ham: OperatorMatrix) -> float:
-    """Max entry of [H, N_total] on the Hamiltonian's sector (zero when H
-    conserves particle number)."""
-    basis = ham.domain
-    n_mat = matrix_of(number_operator(basis.space, basis.sigma), basis, basis).matrix
-    comm = ham.matrix @ n_mat - n_mat @ ham.matrix
-    return max_abs(comm)

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 
 @dataclass(frozen=True)
@@ -245,10 +244,3 @@ class ModeSpace:
 
     def rotate_mode(self, mode: Mode, steps: int) -> Mode:
         return Mode(self.lattice.rotate_site_z(mode.site, steps), mode.twos_ms)
-
-    def measure_sum(self, f: Callable[[Mode], complex]) -> complex:
-        """Sum of f over all modes weighted by the cell volume.
-
-        This is the lattice realization of sum_{m_s} integral d^3r.
-        """
-        return self.lattice.cell_volume * sum(f(m) for m in self.modes)

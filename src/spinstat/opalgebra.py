@@ -12,8 +12,9 @@ rewrite terminates because each step strictly reduces the number of
 (annihilator, creator) inversions, and block sorting is a finite bubble sort.
 
 Expressions are immutable values; every function returns a new expression.
-Coefficients are complex floats compared with a small tolerance, since
-rotation phases are generally irrational.
+Coefficients are complex floats, since rotation phases are generally
+irrational, so two expressions are compared through ``expr_residual``, the
+largest coefficient of their canonical difference, against a tolerance.
 """
 
 from __future__ import annotations
@@ -244,30 +245,10 @@ def normal_order(expr: OperatorExpr) -> OperatorExpr:
     return OperatorExpr(expr.sigma, terms)
 
 
-def sigma_commutator(a: OperatorExpr, b: OperatorExpr) -> OperatorExpr:
-    """[A, B]_sigma = A B - sigma B A, returned without canonicalization."""
-    a._require_same_grade(b)
-    return a * b - float(a.sigma) * (b * a)
-
-
-def vacuum_expectation(expr: OperatorExpr) -> complex:
-    """<0| expr |0>: the identity coefficient of the canonical form.
-
-    Every normal-ordered term with any ladder factor kills the vacuum from
-    one side, so only the pure-identity term survives.
-    """
-    for term in normal_order(expr).terms:
-        if not term.factors:
-            return term.coeff
-    return 0j
-
-
-def expr_equal(a: OperatorExpr, b: OperatorExpr, tol: float = COEFF_TOL) -> bool:
-    """Term-by-term comparison of canonical forms with coefficient tolerance."""
-    a._require_same_grade(b)
-    ca = {t.factors: t.coeff for t in normal_order(a).terms}
-    cb = {t.factors: t.coeff for t in normal_order(b).terms}
-    return all(abs(ca.get(k, 0j) - cb.get(k, 0j)) <= tol for k in set(ca) | set(cb))
+def expr_residual(a: OperatorExpr, b: OperatorExpr) -> float:
+    """Largest coefficient magnitude of the canonical form of a - b; 0.0 when
+    the two expressions are the same operator."""
+    return max((abs(t.coeff) for t in normal_order(a - b).terms), default=0.0)
 
 
 # -- plain-text expression syntax ------------------------------------------

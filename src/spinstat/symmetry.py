@@ -75,10 +75,6 @@ class SpinorRotation:
     def turns(self) -> Fraction:
         return Fraction(self.turn_num, self.turn_den)
 
-    @property
-    def theta(self) -> float:
-        return 2.0 * math.pi * float(self.turns)
-
     @cached_property
     def steps(self) -> int:
         per_turn = self.space.lattice.steps_per_turn
@@ -326,58 +322,6 @@ def origin_vanishing_check(
         mat = matrix_of(expr, build_basis(space, n, sigma), build_basis(space, n - 2, sigma))
         worst = max(worst, max_abs(mat.matrix))
     return worst <= PHASE_TOL
-
-
-@dataclass(frozen=True)
-class PiSquareReport:
-    """What squaring the half-turn rotation does, sector by sector.
-
-    The lift squares to the scalar (-1)^(2s N) on the N-particle sector
-    (so it is -1 per particle for half-integral spin), while conjugation by
-    it is involutive on every operator; both facts are recorded because only
-    the second one feeds the eigenvalue argument (lambda^2 = 1).
-    """
-
-    sigma: int
-    lift_square_phases: tuple[complex, ...]
-    lift_square_expected: tuple[float, ...]
-    lift_square_scalar_residual: float
-    conjugation_involution_residual: float
-
-    @property
-    def involutive(self) -> bool:
-        return self.conjugation_involution_residual <= PHASE_TOL
-
-
-def rotation_squared_pi_check(space: ModeSpace, sigma: int, n_max: int = 3) -> PiSquareReport:
-    rot = rotation(space, Fraction(1, 2))
-    phases, expected = [], []
-    scalar_residual = 0.0
-    for n in range(n_max + 1):
-        basis = build_basis(space, n, sigma)
-        if basis.dim == 0:
-            continue
-        u = rot.fock_lift(basis).matrix
-        u2 = (u @ u).tocsr()
-        phase = complex(u2[0, 0])
-        phases.append(phase)
-        expected.append(float((-1) ** (space.spin.twos_s * n)))
-        eye = sp.identity(basis.dim, dtype=np.complex128, format="csr")
-        scalar_residual = max(scalar_residual, max_abs(u2 - phase * eye))
-    conj_residual = 0.0
-    probe_site = 0
-    for tm in space.spin.projections():
-        for n in range(2, n_max + 1):
-            f = pair_matrix(space, tm, probe_site, sigma, n)
-            twice = conjugated(rot, conjugated(rot, f))
-            conj_residual = max(conj_residual, max_abs(twice.matrix - f.matrix))
-    return PiSquareReport(
-        sigma=sigma,
-        lift_square_phases=tuple(phases),
-        lift_square_expected=tuple(expected),
-        lift_square_scalar_residual=scalar_residual,
-        conjugation_involution_residual=conj_residual,
-    )
 
 
 # -- winding of the pair operator under a full turn ---------------------------

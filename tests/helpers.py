@@ -53,7 +53,7 @@ def random_state(basis, rng) -> StateVector:
 def state_coordinate_tensor(state: StateVector) -> np.ndarray:
     """Coordinate representation <xi_1..xi_N|state>, built the first-quantized
     way: each occupation state contributes a symmetrized one-hot product
-    tensor with the multinomial normalization.  Never touches apply_ladder."""
+    tensor with the multinomial normalization.  Never touches the ladder kernel."""
     basis = state.basis
     m = basis.space.n_modes
     n = basis.n_particles

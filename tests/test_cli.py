@@ -1,6 +1,8 @@
 import json
+import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from spinstat import cli, correlations, fockspace, hamiltonians, opalgebra, symmetry
@@ -11,6 +13,54 @@ from spinstat.modes import Lattice, SpinQuantum
 
 def read_json(path: Path) -> dict:
     return json.loads(path.read_text())
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def claim_map() -> str:
+    """The README's claim-map section."""
+    return README.read_text().split("## Claim map", 1)[1].split("\n## ", 1)[0]
+
+
+def claim_map_rows(text: str) -> set[tuple[str, str]]:
+    """(suite, check) for every check named in the claim-map table."""
+    rows = set()
+    for line in text.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) == 4 and cells[1].startswith("`"):
+            suite = cells[1].strip("`")
+            rows |= {(suite, check) for check in re.findall(r"`([^`]+)`", cells[2])}
+    return rows
+
+
+@pytest.fixture(scope="module")
+def small_suite_reports():
+    """Every suite once on ring:4, 2s=1, both grades, sectors up to 2."""
+    cfg = cli.RunConfig(n_max=2).validate()
+    return {name: suite(cfg, np.random.default_rng(cfg.seed)) for name, suite in cli.SUITES.items()}
+
+
+def test_claim_map_lists_exactly_the_suite_checks(small_suite_reports):
+    reported = {
+        (name, re.sub(r" \[sigma=[+-]1\]$", "", r["check"]))
+        for name, report in small_suite_reports.items() for r in report.residuals
+    }
+    text = claim_map()
+    listed = claim_map_rows(text)
+    assert reported - listed == set(), "suite checks missing from the README claim map"
+    assert listed - reported == set(), "claim-map checks no suite reports"
+    for step in "abcde":
+        assert f"\n| ({step}) " in text, f"step ({step}) has no row"
+
+
+def test_rotation_suite_squares_the_half_turn(small_suite_reports):
+    report = small_suite_reports["rotation"]
+    squares = {
+        r["check"]: r["value"] for r in report.residuals if r["check"].startswith("half-turn lift squared")
+    }
+    assert set(squares) == {f"half-turn lift squared vs (-1)^(2sN) [sigma={s:+d}]" for s in (1, -1)}
+    assert max(squares.values()) <= 1e-12
 
 
 def test_verify_theorem_exit_zero(tmp_path):
@@ -345,6 +395,13 @@ def test_expression_check(tmp_path):
         "--expr", "a+(9,1)", "--equals", "1", "--out", str(tmp_path / "d"),
     ])
     assert outside == 2
+
+
+def test_expression_reports_the_residual(tmp_path):
+    out = tmp_path / "half"
+    assert main(["verify", "--expr", "1.5", "--equals", "1", "--tol", "1", "--out", str(out)]) == 0
+    residuals = read_json(out / "expression.json")["residuals"]
+    assert [r["value"] for r in residuals] == [0.5, 0.5]
 
 
 def test_byte_identical_reruns(tmp_path):

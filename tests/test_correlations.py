@@ -4,14 +4,8 @@ import numpy as np
 import pytest
 
 from helpers import dft_oracle, random_state, state_coordinate_tensor
-from spinstat.correlations import (
-    antipodal_profile,
-    pair_correlation,
-    pair_distribution,
-    relative_parity_spectrum,
-    wavefunction,
-)
-from spinstat.fockspace import StateVector, bracket_state, build_basis, overlap, perm_parity
+from spinstat.correlations import antipodal_profile, pair_correlation, relative_parity_spectrum
+from spinstat.fockspace import StateVector, bracket_state, build_basis, overlap_oracle, perm_parity
 from spinstat.hamiltonians import OneBodySpec, TwoBodySpec, build_many_body, diagonalize
 from spinstat.modes import Lattice, Mode, ModeSpace, SpinQuantum
 
@@ -20,20 +14,22 @@ SPACE4 = ModeSpace(Lattice.ring(2), SpinQuantum(1))  # 4 modes
 GRID = ModeSpace(Lattice.grid2d(3), SpinQuantum(0))
 
 
+
 @pytest.mark.parametrize("sigma", [1, -1])
 def test_wavefunction_equals_overlap_for_bracket_states(sigma):
+    # for N=2 the pair correlation is the wave function: against the oracle overlap
     kets = (SPACE4.mode_at(0), SPACE4.mode_at(2))
     state = bracket_state(SPACE4, kets, sigma)
     for bras in product(SPACE4.modes, repeat=2):
-        assert wavefunction(state, bras) == pytest.approx(
-            overlap(SPACE4, bras, kets, sigma), abs=1e-14
+        assert pair_correlation(state, *bras) == pytest.approx(
+            overlap_oracle(bras, kets, sigma), abs=1e-14
         )
 
 
 def test_wavefunction_sector_mismatch():
     state = bracket_state(SPACE4, (SPACE4.mode_at(0),), 1)
     with pytest.raises(ValueError):
-        wavefunction(state, (SPACE4.mode_at(0), SPACE4.mode_at(1)))
+        bracket_state(SPACE4, (SPACE4.mode_at(0), SPACE4.mode_at(1)), 1).dot(state)
 
 
 @pytest.mark.parametrize("sigma", [1, -1])
@@ -41,10 +37,10 @@ def test_wavefunction_permutation_symmetry(sigma):
     basis = build_basis(SPACE4, 3, sigma)
     state = random_state(basis, RNG)
     coords = (SPACE4.mode_at(0), SPACE4.mode_at(1), SPACE4.mode_at(3))
-    base = wavefunction(state, coords)
+    base = bracket_state(SPACE4, coords, sigma).dot(state)
     for perm in permutations(range(3)):
         factor = 1.0 if sigma == 1 or perm_parity(perm) == 1 else -1.0
-        got = wavefunction(state, tuple(coords[p] for p in perm))
+        got = bracket_state(SPACE4, tuple(coords[p] for p in perm), sigma).dot(state)
         assert got == pytest.approx(factor * base, abs=1e-12)
 
 
@@ -52,7 +48,7 @@ def test_wavefunction_fermion_repeated_coordinate():
     basis = build_basis(SPACE4, 2, -1)
     state = random_state(basis, RNG)
     x = SPACE4.mode_at(1)
-    assert wavefunction(state, (x, x)) == 0
+    assert bracket_state(SPACE4, (x, x), -1).dot(state) == 0
 
 
 @pytest.mark.parametrize("sigma", [1, -1])
@@ -61,7 +57,7 @@ def test_pair_correlation_equals_wavefunction_for_two_particles(sigma):
     state = random_state(basis, RNG)
     for x, y in product(SPACE4.modes, repeat=2):
         assert pair_correlation(state, x, y) == pytest.approx(
-            wavefunction(state, (x, y)), abs=1e-14
+            bracket_state(SPACE4, (x, y), sigma).dot(state), abs=1e-14
         )
 
 
@@ -97,7 +93,7 @@ def test_pair_correlation_uniform_bosonic_product_state():
     tensor = state_coordinate_tensor(state)
     x, y = SPACE4.mode_at(0), SPACE4.mode_at(1)
     direct = sum(
-        wavefunction(state, (x, y, SPACE4.mode_at(k))) for k in range(4)
+        bracket_state(SPACE4, (x, y, SPACE4.mode_at(k)), 1).dot(state) for k in range(4)
     )
     assert pair_correlation(state, x, y) == pytest.approx(direct, abs=1e-13)
     assert direct == pytest.approx(tensor[0, 1, :].sum(), abs=1e-12)
@@ -121,8 +117,8 @@ def test_pair_distribution_exclusion_and_symmetry():
     basis = build_basis(SPACE4, 2, -1)
     state = random_state(basis, RNG)
     x, y = SPACE4.mode_at(0), SPACE4.mode_at(2)
-    assert pair_distribution(state, x, x) <= 1e-24
-    assert pair_distribution(state, x, y) == pytest.approx(pair_distribution(state, y, x))
+    assert abs(pair_correlation(state, x, x)) ** 2 <= 1e-24
+    assert abs(pair_correlation(state, x, y)) == pytest.approx(abs(pair_correlation(state, y, x)))
 
 
 @pytest.mark.parametrize("sigma", [1, -1])
@@ -130,7 +126,7 @@ def test_pair_distribution_normalization(sigma):
     basis = build_basis(SPACE4, 2, sigma)
     state = random_state(basis, RNG)
     total = sum(
-        pair_distribution(state, x, y) for x, y in product(SPACE4.modes, repeat=2)
+        abs(pair_correlation(state, x, y)) ** 2 for x, y in product(SPACE4.modes, repeat=2)
     )
     assert total == pytest.approx(1.0)
 

@@ -18,14 +18,14 @@ from spinstat.hamiltonians import (
     build_many_body,
     diagonalize,
     ideal_gas_check,
+    many_body_expr,
     mode_operator_check,
-    number_conservation_residual,
-    number_operator,
     occupancy_spectrum,
     one_body_matrix,
     one_particle_spectrum,
 )
 from spinstat.modes import Lattice, ModeSpace, SpinQuantum
+from spinstat.opalgebra import OperatorExpr, create, destroy
 
 RNG = np.random.default_rng(11)
 
@@ -59,7 +59,7 @@ def test_eigenvectors_orthonormal_under_measure():
     space = ModeSpace(lattice, spin)
     _, phi = one_particle_spectrum(OneBodySpec(hop_t=1.0, onsite_u=0.2), lattice, spin)
     for q in range(space.n_modes):
-        norm = space.measure_sum(lambda m, q=q: abs(phi[space.index(m), q]) ** 2)
+        norm = space.lattice.cell_volume * sum(abs(phi[i, q]) ** 2 for i in range(space.n_modes))
         assert norm == pytest.approx(1.0)
     gram = phi.conj().T @ phi
     assert np.max(np.abs(gram - np.eye(space.n_modes))) <= 1e-12
@@ -132,13 +132,12 @@ def test_contact_couples_opposite_spins():
 def test_hermiticity_and_number_conservation(sigma):
     space = ModeSpace(Lattice.ring(4), SpinQuantum(0))
     basis = build_basis(space, 2, sigma)
-    ham = build_many_body(
-        OneBodySpec(hop_t=0.8, onsite_u=(0.1, -0.2, 0.3, 0.0)),
-        TwoBodySpec.from_dict({0: 1.0, 1: -0.4}),
-        basis,
-    )
+    spec1 = OneBodySpec(hop_t=0.8, onsite_u=(0.1, -0.2, 0.3, 0.0))
+    spec2 = TwoBodySpec.from_dict({0: 1.0, 1: -0.4})
+    ham = build_many_body(spec1, spec2, basis)
     assert max_abs(ham.matrix - ham.matrix.conj().T) <= 1e-12
-    assert number_conservation_residual(ham) <= 1e-12
+    # every term creates as many particles as it annihilates
+    assert many_body_expr(spec1, spec2, space, sigma).particle_shift() == 0
 
 
 def test_diagonalize_contracts():
@@ -331,7 +330,8 @@ def test_bracket_action_reproduces_first_quantized_hamiltonian(sigma):
 def test_number_operator_diagonal():
     space = ModeSpace(Lattice.ring(2), SpinQuantum(1))
     basis = build_basis(space, 3, 1)
-    num = matrix_of(number_operator(space, 1), basis, basis).matrix.toarray()
+    number = OperatorExpr.sum_of(1, (create(m, 1) * destroy(m, 1) for m in space.modes))
+    num = matrix_of(number, basis, basis).matrix.toarray()
     assert np.max(np.abs(num - 3 * np.eye(basis.dim))) <= 1e-12
 
 

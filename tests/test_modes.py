@@ -131,13 +131,6 @@ def test_kron_delta_diagonal_only():
             assert kron_delta(a, b) == (1 if i == j else 0)
 
 
-def test_measure_sum():
-    space = ModeSpace(Lattice.ring(2), SpinQuantum(1))
-    assert space.measure_sum(lambda m: 1) == 4
-    fixed = space.mode_at(2)
-    assert space.measure_sum(lambda m: kron_delta(m, fixed)) == 1
-
-
 def test_mode_space_indexing():
     space = ModeSpace(Lattice.ring(2), SpinQuantum(1))
     for i, mode in enumerate(space.modes):

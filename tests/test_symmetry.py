@@ -24,7 +24,6 @@ from spinstat.symmetry import (
     rotation_by_steps,
     rotation_covariance_check,
     rotation_element_residual,
-    rotation_squared_pi_check,
     theorem_probe_site,
     theorem_report,
 )
@@ -95,17 +94,18 @@ def test_incompatible_angle_rejected():
 
 @pytest.mark.parametrize("sigma", [1, -1])
 def test_half_turn_square_report(sigma):
-    rep0 = rotation_squared_pi_check(GRID_SCALAR, sigma, n_max=2)
-    assert all(p == pytest.approx(1.0) for p in rep0.lift_square_phases)
-    assert rep0.lift_square_scalar_residual <= 1e-12
-    assert rep0.involutive
-
-    rep_half = rotation_squared_pi_check(RING4_HALF, sigma, n_max=2)
-    # (-1)^(2s N): -1 on odd sectors for half-integral spin
-    assert rep_half.lift_square_phases[1] == pytest.approx(rep_half.lift_square_expected[1])
-    assert rep_half.lift_square_expected[1] == -1.0
-    assert rep_half.lift_square_scalar_residual <= 1e-12
-    assert rep_half.involutive
+    # the half-turn lift squares to (-1)^(2s N): -1 on odd sectors for half-integral spin
+    for space in (GRID_SCALAR, RING4_HALF):
+        half = rotation(space, Fraction(1, 2))
+        for n in range(3):
+            basis = build_basis(space, n, sigma)
+            u = half.fock_lift(basis).matrix
+            sign = (-1) ** (space.spin.twos_s * n)
+            assert max_abs(u @ u - sign * identity_matrix(basis).matrix) <= 1e-12
+    # the sign +1 on a half-integral one-particle sector misses by 2
+    basis = build_basis(RING4_HALF, 1, sigma)
+    u = rotation(RING4_HALF, Fraction(1, 2)).fock_lift(basis).matrix
+    assert max_abs(u @ u - identity_matrix(basis).matrix) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_permutation_eigencheck_examples():
