@@ -115,14 +115,14 @@ def _build_basis_cached(space: ModeSpace, n_particles: int, sigma: int) -> FockB
     return FockBasis(space, sigma, n_particles, occs, _rank_table(m, n_particles, sigma))
 
 
-def build_basis(
-    space: ModeSpace, n_particles: int, sigma: int, cap: int = DEFAULT_DIMENSION_CAP
-) -> FockBasis:
-    """Enumerate the (N, sigma) sector; refuses to build past ``cap`` states."""
+def build_basis(space: ModeSpace, n_particles: int, sigma: int) -> FockBasis:
+    """Enumerate the (N, sigma) sector; refuses to build past
+    ``DEFAULT_DIMENSION_CAP`` states, read at each call."""
     dim = sector_dimension(space.n_modes, n_particles, check_sigma(sigma))
-    if dim > cap:
+    if dim > DEFAULT_DIMENSION_CAP:
         raise DimensionCapError(
-            f"sector N={n_particles}, sigma={sigma:+d} has {dim} states, over the cap {cap}"
+            f"sector N={n_particles}, sigma={sigma:+d} has {dim} states,"
+            f" over the cap {DEFAULT_DIMENSION_CAP}"
         )
     return _build_basis_cached(space, n_particles, sigma)
 
@@ -260,7 +260,7 @@ def matrix_of(expr: OperatorExpr, domain: FockBasis, codomain: FockBasis) -> Ope
 
 
 def ladder_relation_residuals(
-    space: ModeSpace, annihilators, sigma: int, n_max: int, cap: int = DEFAULT_DIMENSION_CAP
+    space: ModeSpace, annihilators, sigma: int, n_max: int
 ) -> tuple[float, float, float]:
     """Worst entries of the graded ladder relations of annihilators c_p:
     [c_p, c+_q]_sigma = delta_pq on sectors N = 0..n_max, [c_p, c_q]_sigma = 0
@@ -270,7 +270,7 @@ def ladder_relation_residuals(
     once per sector by ``matrix_of``; the relations are sparse products, the
     like-ladder ones for q >= p only.
     """
-    bases = [build_basis(space, n, sigma, cap) for n in range(n_max + 3)]
+    bases = [build_basis(space, n, sigma) for n in range(n_max + 3)]
     down = [
         {n: matrix_of(c, bases[n], bases[n - 1]).matrix for n in range(1, n_max + 2)}
         for c in annihilators

@@ -9,9 +9,11 @@ conjugating with the half-turn rotation turns it into an eigenvalue problem
 whose eigenvalue is (-1)^(2s) * sigma.  The theorem report assembles those
 measured ingredients into a verdict for each statistics grade.
 
-Angles are exact rational fractions of a full turn; phases at quarter turns
-are produced exactly (1, i, -1, -i) so half-integral spinor phases at a half
-turn are exact +-i.
+Rotations are counted in whole lattice steps, so every angle is an exact
+rational fraction of a full turn; phases at quarter turns are produced
+exactly (1, i, -1, -i) so half-integral spinor phases at a half turn are
+exact +-i.  The covariance checks cover every lattice rotation, projection
+and site in one call, building each operator matrix once per sector.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .fockspace import (
     _particle_modes,
     bracket_state,
     build_basis,
+    identity_matrix,
     matrix_of,
     max_abs,
     perm_parity,
@@ -43,7 +46,7 @@ PHASE_TOL = 1e-12
 
 
 class IncompatibleRotationError(ValueError):
-    """The requested angle is not a symmetry of the lattice."""
+    """The lattice has too few rotation steps per turn to resolve a winding."""
 
 
 def cis_turns(turns: Fraction) -> complex:
@@ -60,30 +63,20 @@ def cis_turns(turns: Fraction) -> complex:
 
 @dataclass(frozen=True)
 class SpinorRotation:
-    """A lattice-compatible z-rotation by theta = 2*pi*turn_num/turn_den.
+    """The z-rotation by ``steps`` elementary lattice steps: theta =
+    2*pi*steps/S, with S = M on ring:M and S = 4 quarter turns on grid2d.
 
-    Fractions beyond one full turn are kept as given: the spinor phases of
+    Steps beyond one full turn are kept as given: the spinor phases of
     half-integral projections distinguish theta from theta + 2*pi even though
     the site map does not.
     """
 
     space: ModeSpace
-    turn_num: int
-    turn_den: int
+    steps: int
 
     @property
     def turns(self) -> Fraction:
-        return Fraction(self.turn_num, self.turn_den)
-
-    @cached_property
-    def steps(self) -> int:
-        per_turn = self.space.lattice.steps_per_turn
-        steps = self.turns * per_turn
-        if steps.denominator != 1:
-            raise IncompatibleRotationError(
-                f"angle {self.turns} turns is not a multiple of 1/{per_turn} of a turn"
-            )
-        return int(steps)
+        return Fraction(self.steps, self.space.lattice.steps_per_turn)
 
     @cached_property
     def mode_permutation(self) -> tuple[int, ...]:
@@ -104,20 +97,6 @@ class SpinorRotation:
         """The sector unitary implementing this rotation on Fock states."""
         mat = _sector_unitary(self, basis.n_particles, basis.sigma)
         return OperatorMatrix(basis, basis, mat)
-
-
-def rotation(space: ModeSpace, turns: Fraction | tuple[int, int]) -> SpinorRotation:
-    """Rotation by a rational fraction of a full turn about the z axis."""
-    if isinstance(turns, tuple):
-        turns = Fraction(*turns)
-    rot = SpinorRotation(space, turns.numerator, turns.denominator)
-    rot.steps  # validate lattice compatibility eagerly
-    return rot
-
-
-def rotation_by_steps(space: ModeSpace, steps: int) -> SpinorRotation:
-    """Rotation by ``steps`` elementary lattice steps (2*pi/M or quarter turns)."""
-    return rotation(space, Fraction(steps, space.lattice.steps_per_turn))
 
 
 @lru_cache(maxsize=None)
@@ -150,20 +129,38 @@ def conjugated(rot: SpinorRotation, op: OperatorMatrix) -> OperatorMatrix:
     return OperatorMatrix(op.domain, op.codomain, (u_co @ op.matrix @ u_dom.conj().T).tocsr())
 
 
-def rotation_element_residual(
-    space: ModeSpace, rot: SpinorRotation, sigma: int, n_max: int = 3
-) -> float:
-    """Worst residual of U a(r, m) U+ = e^{i m theta} a(R^{-1} r, m) over all
-    modes and sectors 1..n_max."""
+def sector_lift_residuals(space: ModeSpace, sigma: int, n_max: int) -> tuple[float, float]:
+    """Worst residuals of U U+ = 1 for every lattice rotation's lift and of
+    U_pi U_pi = (-1)^(2sN) for the half-turn lift, on sectors 0..n_max."""
+    per_turn = space.lattice.steps_per_turn
+    unitary = square = 0.0
+    for n in range(n_max + 1):
+        basis = build_basis(space, n, sigma)
+        eye = identity_matrix(basis).matrix
+        for steps in range(per_turn):
+            u = SpinorRotation(space, steps).fock_lift(basis).matrix
+            unitary = max(unitary, max_abs(u @ u.conj().T - eye))
+            if 2 * steps == per_turn:  # the half turn squares to the 2*pi sign
+                square = max(square, max_abs(u @ u - (-1) ** (space.spin.twos_s * n) * eye))
+    return unitary, square
+
+
+def rotation_element_residual(space: ModeSpace, sigma: int, n_max: int = 3) -> float:
+    """Worst residual of U a(xi) U+ = e^{i m_s theta} a(R^{-1} xi) over every
+    lattice rotation, every mode xi = (r, m_s) and sectors 1..n_max.
+
+    Each a(xi) is built once per sector; the rotated side reuses the
+    matrix of the image mode.
+    """
     worst = 0.0
     for n in range(1, n_max + 1):
-        domain = build_basis(space, n, sigma)
-        codomain = build_basis(space, n - 1, sigma)
-        for i, mode in enumerate(space.modes):
-            lhs = conjugated(rot, matrix_of(destroy(mode, sigma), domain, codomain))
-            target = space.mode_at(rot.mode_permutation[i])
-            rhs = rot.field_phases[i] * matrix_of(destroy(target, sigma), domain, codomain).matrix
-            worst = max(worst, max_abs(lhs.matrix - rhs))
+        domain, codomain = build_basis(space, n, sigma), build_basis(space, n - 1, sigma)
+        mats = [matrix_of(destroy(mode, sigma), domain, codomain) for mode in space.modes]
+        for steps in range(space.lattice.steps_per_turn):
+            rot = SpinorRotation(space, steps)
+            for i, mat in enumerate(mats):
+                rhs = rot.field_phases[i] * mats[rot.mode_permutation[i]].matrix
+                worst = max(worst, max_abs(conjugated(rot, mat).matrix - rhs))
     return worst
 
 
@@ -213,36 +210,38 @@ def pair_matrix(
     )
 
 
-def parity_covariance_check(
-    space: ModeSpace, twos_ms: int, site: int, sigma: int, n_max: int = 3
-) -> float:
-    """Max residual of F(-r) = sigma F(r) on sectors 2..n_max."""
+def _pair_sectors(space: ModeSpace, sigma: int, n_max: int):
+    """(2m_s, F(r) of every site r) per projection and sector N = 2..n_max:
+    each F(r) is built once per sector."""
+    sites = range(space.lattice.n_sites)
+    for twos_ms in space.spin.projections():
+        for n in range(2, n_max + 1):
+            yield twos_ms, [pair_matrix(space, twos_ms, site, sigma, n) for site in sites]
+
+
+def parity_covariance_check(space: ModeSpace, sigma: int, n_max: int = 3) -> float:
+    """Max residual of F(-r) = sigma F(r) over every projection, every site r
+    and sectors 2..n_max."""
+    invert = space.lattice.invert_site
     worst = 0.0
-    inv = space.lattice.invert_site(site)
-    for n in range(2, n_max + 1):
-        lhs = pair_matrix(space, twos_ms, inv, sigma, n).matrix
-        rhs = float(sigma) * pair_matrix(space, twos_ms, site, sigma, n).matrix
-        worst = max(worst, max_abs(lhs - rhs))
+    for _, mats in _pair_sectors(space, sigma, n_max):
+        for site, f in enumerate(mats):
+            worst = max(worst, max_abs(mats[invert(site)].matrix - float(sigma) * f.matrix))
     return worst
 
 
-def rotation_covariance_check(
-    space: ModeSpace,
-    twos_ms: int,
-    site: int,
-    turns: Fraction | tuple[int, int],
-    sigma: int,
-    n_max: int = 3,
-) -> float:
-    """Max residual of U F(r) U+ = e^{2 i m_s theta} F(R^{-1} r) on sectors 2..n_max."""
-    rot = rotation(space, turns)
-    phase = cis_turns(Fraction(twos_ms, 1) * rot.turns)  # e^{2 i m_s theta}
-    rotated_site = space.lattice.rotate_site_z(site, rot.steps)
+def rotation_covariance_check(space: ModeSpace, sigma: int, n_max: int = 3) -> float:
+    """Max residual of U F(r) U+ = e^{2 i m_s theta} F(R^{-1} r) over every lattice
+    rotation, every projection, every site r and sectors 2..n_max."""
+    lattice = space.lattice
     worst = 0.0
-    for n in range(2, n_max + 1):
-        lhs = conjugated(rot, pair_matrix(space, twos_ms, site, sigma, n)).matrix
-        rhs = phase * pair_matrix(space, twos_ms, rotated_site, sigma, n).matrix
-        worst = max(worst, max_abs(lhs - rhs))
+    for twos_ms, mats in _pair_sectors(space, sigma, n_max):
+        for steps in range(lattice.steps_per_turn):
+            rot = SpinorRotation(space, steps)
+            phase = cis_turns(twos_ms * rot.turns)  # e^{2 i m_s theta}
+            for site, f in enumerate(mats):
+                rhs = phase * mats[lattice.rotate_site_z(site, steps)].matrix
+                worst = max(worst, max_abs(conjugated(rot, f).matrix - rhs))
     return worst
 
 
@@ -286,7 +285,7 @@ def pi_eigenvalue_check(
     sector the result is reported indeterminate instead of being skipped:
     that vanishing (sigma=-1 at the origin) is itself part of the argument.
     """
-    rot = rotation(space, Fraction(1, 2))
+    rot = SpinorRotation(space, space.lattice.steps_per_turn // 2)
     a_mats, b_mats = [], []
     for n in range(2, n_max + 1):
         f = pair_matrix(space, twos_ms, site, sigma, n)
@@ -350,7 +349,7 @@ def full_turn_winding(
         raise IncompatibleRotationError(
             f"{per_turn} steps per turn cannot resolve winding for 2m_s={twos_ms}"
         )
-    rot = rotation_by_steps(space, 1)
+    rot = SpinorRotation(space, 1)
     lattice = space.lattice
     basis_from = build_basis(space, sector_n, sigma)
     basis_to = build_basis(space, sector_n - 2, sigma)
@@ -476,11 +475,9 @@ def theorem_report(space: ModeSpace, n_max: int = 3) -> TheoremReport:
         lam_residual = max(lam_residual, spread)
 
         even_parity_norm = 0.0
-        sites = range(space.lattice.n_sites)
-        for tm in spin.projections():
-            mats = [pair_matrix(space, tm, site, sigma, 2).matrix for site in sites]
-            for site in sites:
-                even = mats[site] + mats[space.lattice.invert_site(site)]
+        for _, mats in _pair_sectors(space, sigma, 2):
+            for site, f in enumerate(mats):
+                even = f.matrix + mats[space.lattice.invert_site(site)].matrix
                 even_parity_norm = max(even_parity_norm, max_abs(even))
         even_vanish = even_parity_norm <= PHASE_TOL
 

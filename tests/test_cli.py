@@ -233,46 +233,26 @@ def test_diagonalize_requires_single_sigma(tmp_path):
     ]) == 2
 
 
-def test_diagonalize_dimension_cap(tmp_path):
-    cfg = {"lattice": {"kind": "ring", "M": 8}, "twos_s": 0, "sigma": 1, "N": 3,
-           "dimension_cap": 10, "out": str(tmp_path / "o")}
+def test_diagonalize_dimension_cap(tmp_path, monkeypatch, capsys):
+    cfg = {"lattice": {"kind": "ring", "M": 8}, "twos_s": 0, "sigma": 1, "N": 3, "out": str(tmp_path / "o")}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
+    monkeypatch.setattr(fockspace, "DEFAULT_DIMENSION_CAP", 10)
     assert main(["diagonalize", "--config", str(path)]) == 2
+    assert "120 states, over the cap 10" in capsys.readouterr().err
+    # the cap is no config key
+    path.write_text(json.dumps(dict(cfg, dimension_cap=10)))
+    assert main(["diagonalize", "--config", str(path)]) == 2
+    assert "unknown config keys: ['dimension_cap']" in capsys.readouterr().err
 
 
-def test_pair_operator_suite_checks_parity_once_per_inversion_pair(monkeypatch):
-    cfg = load_config(None).validate()  # CLI defaults
-    space = cfg.make_space()
-    n_max = min(cfg.n_max, 3)
-    sites = range(space.lattice.n_sites)
-    invert = space.lattice.invert_site
-    original = cli.parity_covariance_check
-    visited = []
-
-    def counted(space, twos_ms, site, sigma, n_max=3):
-        visited.append((sigma, twos_ms, site))
-        return original(space, twos_ms, site, sigma, n_max=n_max)
-
-    monkeypatch.setattr(cli, "parity_covariance_check", counted)
-    report = cli.suite_pair_operator(cfg, None)
-    projections = space.spin.projections()
-    assert sorted(visited) == sorted(
-        (sigma, tm, site)
-        for sigma in cfg.sigmas() for tm in projections for site in sites if invert(site) >= site
-    )
-    for sigma in cfg.sigmas():
-        every_site = {
-            (tm, site): original(space, tm, site, sigma, n_max=n_max)
-            for tm in projections for site in sites
-        }
-        # a skipped site's residual is bit for bit its partner's
-        assert all(every_site[tm, site] == every_site[tm, invert(site)] for tm, site in every_site)
-        row = next(
-            r for r in report.residuals
-            if r["check"] == f"inversion covariance of the pair [sigma={sigma:+d}]"
-        )
-        assert row["value"] == max(every_site.values())
+@pytest.mark.parametrize("suite", ["pair-operator", "theorem"])
+def test_pair_suites_below_two_particles_are_config_errors(tmp_path, capsys, suite):
+    # the pair operator maps N to N - 2: with n_max = 1 there is no sector to check
+    assert main(["verify", "--suite", suite, "--n-max", "1", "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"the {suite} suite needs n_max >= 2" in err
+    assert not (tmp_path / "o" / f"{suite}.json").exists()
 
 
 def _count_calls(monkeypatch, home, name) -> list:
@@ -281,13 +261,23 @@ def _count_calls(monkeypatch, home, name) -> list:
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(name)
+        calls.append(args)
         return original(*args, **kwargs)
 
     for module in (opalgebra, fockspace, hamiltonians, symmetry, correlations, cli):
         if getattr(module, name, None) is original:
             monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def test_rotation_suite_builds_each_matrix_once(monkeypatch):
+    cfg = load_config(None).validate()  # CLI defaults: ring:4, 2s=1 (8 modes), both grades, n_max=3
+    builds = _count_calls(monkeypatch, fockspace, "matrix_of")
+    report = cli.suite_rotation(cfg, None)
+    assert report.passed
+    # per grade: a(xi) of the 8 modes on N = 1, 2 and F(r) of 2 projections x 4 sites on N = 2, 3
+    assert len(builds) == 2 * (8 * 2 + 2 * 4 * 2) == 64
+    assert len(set(builds)) == len(builds)  # no (expression, domain, codomain) twice
 
 
 def test_ladder_relations_build_each_ladder_matrix_once(monkeypatch):

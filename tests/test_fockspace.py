@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import occ_apply, random_state, state_coordinate_tensor
+from spinstat import fockspace
 from spinstat.fockspace import (
     DimensionCapError,
     StateVector,
@@ -118,9 +119,10 @@ def test_kernel_matches_scalar_reference(batch):
             assert tuple(occ[row].tolist()) == want
 
 
-def test_dimension_cap():
-    with pytest.raises(DimensionCapError):
-        build_basis(SPACE4, 2, 1, cap=5)
+def test_dimension_cap(monkeypatch):
+    monkeypatch.setattr(fockspace, "DEFAULT_DIMENSION_CAP", 5)
+    with pytest.raises(DimensionCapError, match="over the cap 5"):
+        build_basis(SPACE4, 2, 1)
 
 
 def test_state_vector_validation():

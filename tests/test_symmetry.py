@@ -11,6 +11,7 @@ from spinstat.modes import Lattice, Mode, ModeSpace, SpinQuantum
 from spinstat.opalgebra import normal_order
 from spinstat.symmetry import (
     IncompatibleRotationError,
+    SpinorRotation,
     cis_turns,
     conjugated,
     full_turn_winding,
@@ -20,10 +21,9 @@ from spinstat.symmetry import (
     parity_covariance_check,
     permutation_eigencheck,
     pi_eigenvalue_check,
-    rotation,
-    rotation_by_steps,
     rotation_covariance_check,
     rotation_element_residual,
+    sector_lift_residuals,
     theorem_probe_site,
     theorem_report,
 )
@@ -42,7 +42,7 @@ def test_cis_turns_exact_quarters():
 
 
 def test_zero_rotation_is_identity():
-    rot = rotation_by_steps(RING4_HALF, 0)
+    rot = SpinorRotation(RING4_HALF, 0)
     assert all(p == 1 for p in rot.field_phases)
     for sigma in (1, -1):
         basis = build_basis(RING4_HALF, 2, sigma)
@@ -50,11 +50,11 @@ def test_zero_rotation_is_identity():
 
 
 def test_half_turn_spinor_phases_are_exact():
-    rot = rotation(RING4_HALF, Fraction(1, 2))
+    rot = SpinorRotation(RING4_HALF, 2)
     for mode, phase in zip(RING4_HALF.modes, rot.field_phases):
         assert phase == (1j if mode.twos_ms == 1 else -1j)
     spin1 = ModeSpace(Lattice.ring(4), SpinQuantum(2))
-    rot1 = rotation(spin1, Fraction(1, 2))
+    rot1 = SpinorRotation(spin1, 2)
     for mode, phase in zip(spin1.modes, rot1.field_phases):
         assert phase == {2: -1, 0: 1, -2: -1}[mode.twos_ms]
 
@@ -63,16 +63,14 @@ def test_half_turn_spinor_phases_are_exact():
 @pytest.mark.parametrize("twos_s", [0, 1, 2])
 def test_field_transform_element_identity(sigma, twos_s):
     space = ModeSpace(Lattice.ring(4), SpinQuantum(twos_s))
-    for steps in (1, 2):
-        rot = rotation_by_steps(space, steps)
-        assert rotation_element_residual(space, rot, sigma, n_max=2) <= 1e-12
+    assert rotation_element_residual(space, sigma, n_max=2) <= 1e-12
 
 
 @pytest.mark.parametrize("sigma", [1, -1])
 def test_lift_is_homomorphism(sigma):
     basis = build_basis(RING4_HALF, 2, sigma)
-    u1 = rotation_by_steps(RING4_HALF, 1).fock_lift(basis).matrix
-    u2 = rotation_by_steps(RING4_HALF, 2).fock_lift(basis).matrix
+    u1 = SpinorRotation(RING4_HALF, 1).fock_lift(basis).matrix
+    u2 = SpinorRotation(RING4_HALF, 2).fock_lift(basis).matrix
     assert max_abs(u1 @ u1 - u2) <= 1e-12
 
 
@@ -80,31 +78,20 @@ def test_full_turn_lift_is_spinor_sign():
     # one full turn is the identity on sites but -1 per half-integral particle
     basis1 = build_basis(RING4_HALF, 1, -1)
     basis2 = build_basis(RING4_HALF, 2, -1)
-    full = rotation(RING4_HALF, Fraction(1, 1))
+    full = SpinorRotation(RING4_HALF, 4)
     assert max_abs(full.fock_lift(basis1).matrix + identity_matrix(basis1).matrix) <= 1e-12
     assert max_abs(full.fock_lift(basis2).matrix - identity_matrix(basis2).matrix) <= 1e-12
-
-
-def test_incompatible_angle_rejected():
-    with pytest.raises(IncompatibleRotationError):
-        rotation(RING4_HALF, Fraction(1, 3))
-    with pytest.raises(IncompatibleRotationError):
-        rotation(GRID_SCALAR, Fraction(1, 8))
 
 
 @pytest.mark.parametrize("sigma", [1, -1])
 def test_half_turn_square_report(sigma):
     # the half-turn lift squares to (-1)^(2s N): -1 on odd sectors for half-integral spin
     for space in (GRID_SCALAR, RING4_HALF):
-        half = rotation(space, Fraction(1, 2))
-        for n in range(3):
-            basis = build_basis(space, n, sigma)
-            u = half.fock_lift(basis).matrix
-            sign = (-1) ** (space.spin.twos_s * n)
-            assert max_abs(u @ u - sign * identity_matrix(basis).matrix) <= 1e-12
+        unitary, square = sector_lift_residuals(space, sigma, 2)
+        assert unitary <= 1e-12 and square <= 1e-12
     # the sign +1 on a half-integral one-particle sector misses by 2
     basis = build_basis(RING4_HALF, 1, sigma)
-    u = rotation(RING4_HALF, Fraction(1, 2)).fock_lift(basis).matrix
+    u = SpinorRotation(RING4_HALF, 2).fock_lift(basis).matrix
     assert max_abs(u @ u - identity_matrix(basis).matrix) == pytest.approx(2.0, abs=1e-12)
 
 
@@ -151,19 +138,16 @@ def test_pair_matrix_dimension_bookkeeping(sigma):
 
 @pytest.mark.parametrize("sigma", [1, -1])
 def test_parity_covariance(sigma):
-    for tm in (1, -1):
-        for site in range(4):
-            assert parity_covariance_check(RING4_HALF, tm, site, sigma, n_max=3) <= 1e-12
-    assert parity_covariance_check(GRID_SCALAR, 0, GRID_SCALAR.lattice.origin_site, sigma, 2) <= 1e-12
+    assert parity_covariance_check(RING4_HALF, sigma, n_max=3) <= 1e-12
+    assert parity_covariance_check(GRID_SCALAR, sigma, n_max=2) <= 1e-12
 
 
 @pytest.mark.parametrize("sigma", [1, -1])
 def test_rotation_covariance_quarter_turn(sigma):
-    # m_s = +1/2, quarter turn: the covariance phase is exactly +i
-    res = rotation_covariance_check(RING4_HALF, 1, 0, Fraction(1, 4), sigma, n_max=3)
-    assert res <= 1e-12
+    # every rotation of ring:4; for m_s = +1/2 and a quarter turn the phase is exactly +i
+    assert rotation_covariance_check(RING4_HALF, sigma, n_max=3) <= 1e-12
     # using the wrong phase (+1) must fail by an O(1) margin
-    rot = rotation(RING4_HALF, Fraction(1, 4))
+    rot = SpinorRotation(RING4_HALF, 1)
     f = pair_matrix(RING4_HALF, 1, 0, sigma, 2)
     rotated = pair_matrix(RING4_HALF, 1, rot.space.lattice.rotate_site_z(0, 1), sigma, 2)
     wrong = max_abs(conjugated(rot, f).matrix - rotated.matrix)
@@ -172,14 +156,14 @@ def test_rotation_covariance_quarter_turn(sigma):
 
 @pytest.mark.parametrize("sigma", [1, -1])
 def test_covariance_holds_up_to_sector_four(sigma):
-    assert parity_covariance_check(RING4_HALF, 1, 1, sigma, n_max=4) <= 1e-12
-    assert rotation_covariance_check(RING4_HALF, -1, 1, Fraction(1, 4), sigma, n_max=4) <= 1e-12
+    assert parity_covariance_check(RING4_HALF, sigma, n_max=4) <= 1e-12
+    assert rotation_covariance_check(RING4_HALF, sigma, n_max=4) <= 1e-12
 
 
 def test_rotation_covariance_integral_spin_full_phase():
     space = ModeSpace(Lattice.ring(4), SpinQuantum(2))
     # m_s = 1 at theta = pi: phase e^{2 i pi} = 1
-    assert rotation_covariance_check(space, 2, 0, Fraction(1, 2), 1, n_max=2) <= 1e-12
+    assert rotation_covariance_check(space, 1, n_max=2) <= 1e-12
     assert cis_turns(Fraction(2, 1) * Fraction(1, 2)) == 1
 
 
@@ -240,6 +224,13 @@ def _count_calls(monkeypatch, name):
 
     monkeypatch.setattr(symmetry, name, counted)
     return calls
+
+
+def test_parity_covariance_builds_each_pair_matrix_once(monkeypatch):
+    calls = _count_calls(monkeypatch, "pair_matrix")
+    assert parity_covariance_check(RING4_HALF, -1, n_max=3) <= 1e-12
+    builds = Counter((args[1], args[2], args[4]) for args in calls)  # (2m_s, site, N)
+    assert builds == Counter({(tm, site, n): 1 for tm in (1, -1) for site in range(4) for n in (2, 3)})
 
 
 def test_full_turn_winding_builds_each_pair_matrix_once(monkeypatch):
