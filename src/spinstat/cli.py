@@ -398,11 +398,12 @@ def suite_ideal_gas(cfg: RunConfig, rng) -> SuiteReport:
 def suite_rotation(cfg: RunConfig, rng) -> SuiteReport:
     space = cfg.make_space()
     tol = _tol(cfg, "rotation")
-    n_top = min(cfg.n_max, 2)
+    n_pair = _pair_n_max(cfg, "rotation")
+    n_top = min(n_pair, 2)
     checks = []
     for sigma in cfg.sigmas():
         elem = rotation_element_residual(space, sigma, n_top)
-        cov = rotation_covariance_check(space, sigma, min(cfg.n_max, 3))
+        cov = rotation_covariance_check(space, sigma, n_pair)
         unitary, square = sector_lift_residuals(space, sigma, n_top)
         tag = f"sigma={sigma:+d}"
         checks.append((f"field transform element identity [{tag}]", elem, tol))

@@ -34,6 +34,7 @@ from .opalgebra import OperatorExpr, check_sigma
 
 DEFAULT_DIMENSION_CAP = 2_000_000
 _KERNEL_ROWS = 4096  # rows per kernel call in matrix_of, which bounds its working arrays
+_PRODUCT_ENTRIES = 1 << 13  # structural nnz bound per stacked product in _worst_relation
 
 
 class DimensionCapError(ValueError):
@@ -267,36 +268,63 @@ def ladder_relation_residuals(
     from those with N >= 2, and [c+_p, c+_q]_sigma = 0 from each to N + 2.
 
     Each c_p and c+_p (from the adjoint expression, not a transpose) is built
-    once per sector by ``matrix_of``; the relations are sparse products, the
-    like-ladder ones for q >= p only.
+    once per sector by ``matrix_of``; each relation on each sector is a few
+    stacked sparse products (``_worst_relation``).
     """
     bases = [build_basis(space, n, sigma) for n in range(n_max + 3)]
-    down = [
-        {n: matrix_of(c, bases[n], bases[n - 1]).matrix for n in range(1, n_max + 2)}
-        for c in annihilators
-    ]
-    up = [
-        {n: matrix_of(c.dagger(), bases[n], bases[n + 1]).matrix for n in range(n_max + 2)}
-        for c in annihilators
-    ]
+    down = {
+        n: [matrix_of(c, bases[n], bases[n - 1]).matrix for c in annihilators]
+        for n in range(1, n_max + 2)
+    }
+    up = {
+        n: [matrix_of(c.dagger(), bases[n], bases[n + 1]).matrix for c in annihilators]
+        for n in range(n_max + 2)
+    }
     mixed = ann = cre = 0.0
-    for p, (down_p, up_p) in enumerate(zip(down, up)):
-        for q, (down_q, up_q) in enumerate(zip(down, up)):
-            for n in range(n_max + 1):
-                rel = down_p[n + 1] @ up_q[n]
-                if n:  # c+_q c_p kills the vacuum
-                    rel = rel - sigma * (up_q[n - 1] @ down_p[n])
-                if p == q:
-                    rel = rel - identity_matrix(bases[n]).matrix
-                mixed = max(mixed, max_abs(rel))
-                if q < p:  # the like-ladder relations obey R_qp = -sigma R_pq entry by entry
-                    continue
-                if n >= 2:
-                    rel = down_p[n - 1] @ down_q[n] - sigma * (down_q[n - 1] @ down_p[n])
-                    ann = max(ann, max_abs(rel))
-                rel = up_p[n + 1] @ up_q[n] - sigma * (up_q[n + 1] @ up_p[n])
-                cre = max(cre, max_abs(rel))
+    for n in range(n_max + 1):
+        mirror = (up[n - 1], down[n]) if n else None  # c+_q c_p kills the vacuum
+        mixed = max(mixed, _worst_relation(down[n + 1], up[n], sigma, mirror, eye=True))
+        if n >= 2:
+            ann = max(ann, _worst_relation(down[n - 1], down[n], sigma, like=True))
+        cre = max(cre, _worst_relation(up[n + 1], up[n], sigma, like=True))
     return mixed, ann, cre
+
+
+def _worst_relation(lefts, rights, sigma: int, mirror=None, like=False, eye=False) -> float:
+    """Worst entry, over all p and q, of lefts[p] @ rights[q] - sigma * m[q] @ m'[p],
+    less delta_pq times the identity when ``eye``; (m, m') is ``mirror``, or
+    (lefts, rights) when ``like``, and then R_qp = -sigma R_pq, so only q >= p runs.
+    Each square tile of consecutive p and q is one product vstack(lefts[P]) @
+    hstack(rights[Q]) and one mirror product in (q, p) block layout; its
+    structural nnz bound stays under ``_PRODUCT_ENTRIES`` unless it is one pair.
+    """
+    families = [f for f in ((lefts, rights), None if like else mirror) if f]
+    pair = 1  # per stored entry of ls[p] in column k, the stored entries of row k of rs[q]
+    for ls, rs in families:
+        hits = np.array([np.bincount(m.indices, minlength=m.shape[1]) for m in ls], dtype=float)
+        pair = max(pair, int((hits @ np.array([np.diff(m.indptr) for m in rs], dtype=float).T).max()))
+    side = max(1, math.isqrt(_PRODUCT_ENTRIES // pair))
+    tiles = [slice(i, i + side) for i in range(0, len(lefts), side)]
+    stacks = [(ls, rs) if side == 1 else (
+        [sp.vstack(ls[t], format="csr") for t in tiles], [sp.hstack(rs[t], format="csr") for t in tiles]
+    ) for ls, rs in families]
+    (left, right), (back_left, back_right) = stacks[0], stacks[-1]
+    rows, cols = lefts[0].shape[0], rights[0].shape[1]
+    worst = 0.0
+    for i in range(len(tiles)):
+        for j in range(i if like else 0, len(tiles)):
+            rel = left[i] @ right[j]
+            if like or mirror:
+                back = rel if like and i == j else back_left[j] @ back_right[i]
+                if side > 1:  # move block (q, p) to (p, q)
+                    back = back.tocoo()
+                    (qb, r), (pb, c) = np.divmod(back.row, rows), np.divmod(back.col, cols)
+                    back = sp.csr_matrix((back.data, (pb * rows + r, qb * cols + c)), shape=rel.shape)
+                rel = rel - sigma * back
+            if eye and i == j:  # p == q only on diagonal tiles
+                rel = rel - sp.identity(rel.shape[0], dtype=np.complex128, format="csr")
+            worst = max(worst, max_abs(rel))
+    return worst
 
 
 # -- bracket states and overlaps --------------------------------------------

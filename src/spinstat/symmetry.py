@@ -46,7 +46,8 @@ PHASE_TOL = 1e-12
 
 
 class IncompatibleRotationError(ValueError):
-    """The lattice has too few rotation steps per turn to resolve a winding."""
+    """The lattice cannot carry a rotation a check needs: too few steps per
+    turn to resolve a winding, or no site pair related by inversion."""
 
 
 def cis_turns(turns: Fraction) -> complex:
@@ -422,7 +423,7 @@ def theorem_probe_site(space: ModeSpace) -> int:
     for i in range(lattice.n_sites):
         if lattice.invert_site(i) != i:
             return i
-    raise ValueError("lattice has no site pair related by inversion")
+    raise IncompatibleRotationError("lattice has no site pair related by inversion")
 
 
 def theorem_report(space: ModeSpace, n_max: int = 3) -> TheoremReport:

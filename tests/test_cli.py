@@ -246,13 +246,36 @@ def test_diagonalize_dimension_cap(tmp_path, monkeypatch, capsys):
     assert "unknown config keys: ['dimension_cap']" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("suite", ["pair-operator", "theorem"])
+@pytest.mark.parametrize("suite", ["pair-operator", "theorem", "rotation"])
 def test_pair_suites_below_two_particles_are_config_errors(tmp_path, capsys, suite):
     # the pair operator maps N to N - 2: with n_max = 1 there is no sector to check
     assert main(["verify", "--suite", suite, "--n-max", "1", "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert f"the {suite} suite needs n_max >= 2" in err
     assert not (tmp_path / "o" / f"{suite}.json").exists()
+
+
+@pytest.mark.parametrize("suite", ["pair-operator", "theorem"])
+def test_lattice_without_inversion_pair_is_config_error(tmp_path, capsys, suite):
+    # grid2d:1 is a single site, its own inversion image
+    assert main([
+        "verify", "--suite", suite, "--lattice", "grid2d:1", "--twos-s", "0",
+        "--out", str(tmp_path / "o"),
+    ]) == 2
+    assert "no site pair related by inversion" in capsys.readouterr().err
+    assert not (tmp_path / "o" / f"{suite}.json").exists()
+
+
+@pytest.mark.parametrize("lattice, twos_s, n_max, site_values", [
+    ({"kind": "ring", "M": 4}, 2, 3, [8.881784197001252e-16, 0.0, 0.0, 0.0, 0.0, 0.0]),
+    ({"kind": "grid2d", "L": 3}, 1, 2, [8.881784197001252e-16, 0.0, 0.0, 0.0, 0.0, 0.0]),
+])
+def test_commutator_residuals_are_pinned(lattice, twos_s, n_max, site_values):
+    # exact floats of the pair-by-pair products: any change to the ladder
+    # kernel or the relation products that moves a bit shows here
+    cfg = cli.RunConfig(lattice=lattice, twos_s=twos_s, n_max=n_max).validate()
+    report = cli.suite_commutators(cfg, None)
+    assert [r["value"] for r in report.residuals] == site_values
 
 
 def _count_calls(monkeypatch, home, name) -> list:

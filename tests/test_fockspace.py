@@ -28,6 +28,7 @@ from spinstat.fockspace import (
     sector_dimension,
     symmetrizer_oracle,
 )
+from spinstat.hamiltonians import OneBodySpec, mode_operators
 from spinstat.modes import Lattice, ModeSpace, SpinQuantum
 from spinstat.opalgebra import OperatorExpr, create, destroy, normal_order
 
@@ -206,6 +207,71 @@ def test_ladder_relation_residuals_of_broken_sets(sigma):
     if sigma == -1:  # no sqrt factors: every entry is exact
         assert scaled == (3.0, 0.0, 0.0)
         assert repeated == (1.0, 0.0, 0.0)
+
+
+RING4 = ModeSpace(Lattice.ring(4), SpinQuantum(1))  # 8 modes
+
+
+def naive_ladder_residuals(space, annihilators, sigma, n_max):
+    """The three graded relations pair by pair: every (p, q) and sector gets
+    products of its own, with no stacking and no mirror skip."""
+    bases = [build_basis(space, n, sigma) for n in range(n_max + 3)]
+    down = [{n: matrix_of(c, bases[n], bases[n - 1]).matrix for n in range(1, n_max + 2)}
+            for c in annihilators]
+    up = [{n: matrix_of(c.dagger(), bases[n], bases[n + 1]).matrix for n in range(n_max + 2)}
+          for c in annihilators]
+    mixed = ann = cre = 0.0
+    for p, q in product(range(len(annihilators)), repeat=2):
+        for n in range(n_max + 1):
+            rel = down[p][n + 1] @ up[q][n]
+            if n:
+                rel = rel - sigma * (up[q][n - 1] @ down[p][n])
+            if p == q:
+                rel = rel - identity_matrix(bases[n]).matrix
+            mixed = max(mixed, max_abs(rel))
+            if n >= 2:
+                rel = down[p][n - 1] @ down[q][n] - sigma * (down[q][n - 1] @ down[p][n])
+                ann = max(ann, max_abs(rel))
+            rel = up[p][n + 1] @ up[q][n] - sigma * (up[q][n + 1] @ up[p][n])
+            cre = max(cre, max_abs(rel))
+    return mixed, ann, cre
+
+
+def ladder_set(kind, sigma):
+    """Site modes, eigenmodes, or site modes whose c_0 is replaced by
+    c_0 + c+_1 c_1 c_2, which sigma-commutes with neither c_1 nor c+_1."""
+    site = [destroy(m, sigma) for m in RING4.modes]
+    if kind == "eigen":
+        return mode_operators(OneBodySpec(hop_t=1.0, onsite_u=0.0), RING4.lattice, RING4.spin, sigma)
+    if kind == "broken":
+        return [site[0] + create(RING4.mode_at(1), sigma) * site[1] * site[2]] + site[1:]
+    return site
+
+
+# budget 1: one-pair tiles; 1000: uneven tiles (8 = 5 + 3 or 3 + 3 + 2 on
+# some sectors); 2**62: one tile per relation and sector
+BUDGETS = [1, 1000, 1 << 62]
+
+
+@pytest.mark.parametrize("kind", ["site", "eigen", "broken"])
+@pytest.mark.parametrize("sigma", [1, -1])
+def test_ladder_relation_tiles_match_pair_products(monkeypatch, kind, sigma):
+    ops = ladder_set(kind, sigma)
+    want = naive_ladder_residuals(RING4, ops, sigma, 3)
+    for budget in BUDGETS:
+        monkeypatch.setattr(fockspace, "_PRODUCT_ENTRIES", budget)
+        assert ladder_relation_residuals(RING4, ops, sigma, 3) == want  # bit for bit
+
+
+@pytest.mark.parametrize("budget", [1, 1 << 62], ids=["pair-tiles", "one-tile"])
+@pytest.mark.parametrize("sigma", [1, -1])
+def test_like_relation_failures_are_caught(monkeypatch, budget, sigma):
+    # a mirror term taken from the block itself instead of its (q, p) image
+    # would read 0 here for bosons
+    monkeypatch.setattr(fockspace, "_PRODUCT_ENTRIES", budget)
+    _, ann, cre = ladder_relation_residuals(RING4, ladder_set("broken", sigma), sigma, 3)
+    assert ann >= 1.0
+    assert cre >= 1.0
 
 
 def test_matrix_of_identity_and_number():
