@@ -327,9 +327,8 @@ def suite_orthonormality(cfg: RunConfig, rng) -> SuiteReport:
                 bras, kets = np.arange(0, 4000, 2), np.arange(1, 4000, 2)
             _, index, amp = bracket_amplitudes(space, tuples, sigma)
             overlaps = np.where(index[bras] == index[kets], amp[bras] * amp[kets], 0.0)
-            for b, k, got in zip(bras.tolist(), kets.tolist(), overlaps.tolist()):
-                bra, ket = (tuple(space.mode_at(i) for i in tuples[r]) for r in (b, k))
-                worst = max(worst, abs(got - overlap_oracle(bra, ket, sigma)))
+            oracle = overlap_oracle(tuples[bras], tuples[kets], sigma)
+            worst = max(worst, max_abs(overlaps - oracle))
         checks.append((f"overlap vs permutation oracle [sigma={sigma:+d}]", worst, tol))
     return _finish("orthonormality", cfg, checks)
 
@@ -516,9 +515,14 @@ def _print_report(report: SuiteReport) -> None:
     print(f"[{report.suite}] suite {'PASS' if report.passed else 'FAIL'}")
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def _out_dir(cfg: RunConfig) -> Path:
+    """The output directory, created once a command has output to write."""
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def cmd_verify(cfg: RunConfig) -> int:
     rng = np.random.default_rng(cfg.seed)
     reports = []
     if cfg.expr is not None:
@@ -526,6 +530,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     else:
         for name in cfg.suites:
             reports.append(SUITES[name](cfg, rng))
+    out = _out_dir(cfg)
     all_passed = True
     for report in reports:
         _dump_json(out / f"{report.suite}.json", asdict(report))
@@ -552,9 +557,8 @@ def _spectrum_for(cfg: RunConfig):
 
 
 def cmd_diagonalize(cfg: RunConfig) -> int:
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     space, basis, ham, spectrum = _spectrum_for(cfg)
+    out = _out_dir(cfg)
     _write_csv(
         out / "spectrum.csv",
         ("index", "eigenvalue"),
@@ -585,8 +589,6 @@ def cmd_diagonalize(cfg: RunConfig) -> int:
 
 
 def cmd_correlate(cfg: RunConfig) -> int:
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     if cfg.n_particles < 2:
         raise ConfigError("correlations need N >= 2")
     space, basis, ham, spectrum = _spectrum_for(cfg)
@@ -596,6 +598,7 @@ def cmd_correlate(cfg: RunConfig) -> int:
     twos_ms = cfg.twos_ms if cfg.twos_ms is not None else space.spin.projections()[0]
     if not space.spin.is_allowed_projection(twos_ms):
         raise ConfigError(f"projection 2m_s={twos_ms} not allowed for 2s={space.spin.twos_s}")
+    out = _out_dir(cfg)
     profile = corr.antipodal_profile(state, twos_ms)
     _write_csv(
         out / "profile.csv",

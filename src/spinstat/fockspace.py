@@ -3,7 +3,7 @@
 Occupation bases per statistics grade, exact ladder-operator action with
 bosonic sqrt factors or fermionic parity signs, sparse matrices of symbolic
 operator expressions, product-of-creation bracket states, and the
-first-quantized cross-checks (permanents, determinants, symmetrizers) that
+first-quantized cross-checks (the overlap and symmetrizer oracles) that
 everything else is verified against.
 
 All ladder action goes through one kernel, ``_apply_strings``, which
@@ -11,9 +11,11 @@ applies ladder strings to a batch of occupation rows at once; operator
 matrices, rotation lifts and bracket states are built on it.
 ``FockBasis.rank`` inverts the basis order (combinations for sigma=-1,
 multisets for sigma=+1, in lexicographic order) with the combinatorial number
-system, the usual exact-diagonalization indexing.  The permanent, determinant
-and symmetrizer oracles stay brute force and separate on purpose: they check
-the kernel instead of repeating it.
+system, the usual exact-diagonalization indexing.  The overlap and
+symmetrizer oracles stay brute force and separate on purpose: they check the
+kernel instead of repeating it.  ``overlap_oracle`` takes the coordinate
+labels of many tuple pairs at once and expands each pair's delta matrix over
+every permutation (a permanent or determinant), with no call into the kernel.
 
 Bases and matrices are immutable once built; functions are pure, so matrix
 assembly can be partitioned by column with no shared state.
@@ -29,7 +31,7 @@ from itertools import chain, combinations, combinations_with_replacement, permut
 import numpy as np
 import scipy.sparse as sp
 
-from .modes import ModeSpace, kron_delta
+from .modes import ModeSpace
 from .opalgebra import OperatorExpr, check_sigma
 
 DEFAULT_DIMENSION_CAP = 2_000_000
@@ -392,51 +394,33 @@ def perm_parity(perm) -> int:
     return parity
 
 
-def permanent(mat: np.ndarray) -> complex:
-    """Permanent by direct permutation sum (deliberately brute force)."""
-    n = mat.shape[0]
-    if mat.shape != (n, n):
-        raise ValueError("permanent needs a square matrix")
-    total = 0j
+def _permutation_sum(stack: np.ndarray, sigma: int) -> np.ndarray:
+    """Per matrix of a (K, n, n) stack, the sum over permutations P of sigma^P
+    times prod_i stack[:, i, P(i)]: its permanent (sigma=+1) or determinant
+    (sigma=-1), by direct permutation expansion (deliberately brute force)."""
+    k, n, _ = stack.shape
+    rows = np.arange(n)
+    total = np.zeros(k, dtype=np.result_type(stack, np.int64))
     for perm in permutations(range(n)):
-        prod = 1.0 + 0j
-        for row, col in enumerate(perm):
-            prod *= mat[row, col]
-        total += prod
+        sign = 1 if sigma == 1 else perm_parity(perm)
+        total += sign * stack[:, rows, list(perm)].prod(axis=1)
     return total
 
 
-def determinant(mat: np.ndarray) -> complex:
-    """Determinant by direct permutation expansion (deliberately brute force)."""
-    n = mat.shape[0]
-    if mat.shape != (n, n):
-        raise ValueError("determinant needs a square matrix")
-    total = 0j
-    for perm in permutations(range(n)):
-        prod = complex(perm_parity(perm))
-        for row, col in enumerate(perm):
-            prod *= mat[row, col]
-        total += prod
-    return total
-
-
-def overlap_oracle(bra_coords, ket_coords, sigma: int) -> complex:
-    """First-quantized overlap: delta_{N'N}/N! times the sigma-weighted
-    permutation sum, i.e. a permanent (sigma=+1) or determinant (sigma=-1)
-    of the coordinate delta matrix."""
+def overlap_oracle(bras, kets, sigma: int) -> np.ndarray:
+    """First-quantized overlaps of K coordinate-tuple pairs, given as (K, N)
+    and (K, N') arrays of coordinate labels (mode indices): delta_{N'N}/N!
+    times the sigma-weighted permutation sum of each pair's coordinate delta
+    matrix, i.e. a permanent (sigma=+1) or determinant (sigma=-1)."""
     check_sigma(sigma)
-    bra_coords, ket_coords = tuple(bra_coords), tuple(ket_coords)
-    if len(bra_coords) != len(ket_coords):
-        return 0j
-    n = len(bra_coords)
-    if n == 0:
-        return 1.0 + 0j
-    deltas = np.array(
-        [[kron_delta(b, k) for k in ket_coords] for b in bra_coords],
-        dtype=np.complex128,
-    )
-    summed = permanent(deltas) if sigma == 1 else determinant(deltas)
-    return summed / math.factorial(n)
+    bras, kets = np.asarray(bras, dtype=np.intp), np.asarray(kets, dtype=np.intp)
+    if bras.ndim != 2 or kets.ndim != 2 or len(bras) != len(kets):
+        raise ValueError(f"need two (K, N) label arrays, got shapes {bras.shape} and {kets.shape}")
+    n = bras.shape[1]
+    if kets.shape[1] != n:
+        return np.zeros(len(bras))
+    deltas = bras[:, :, None] == kets[:, None, :]  # (K, N, N) bools
+    return _permutation_sum(deltas, sigma) / math.factorial(n)
 
 
 # -- first-quantized symmetrizer and completeness ----------------------------

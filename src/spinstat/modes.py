@@ -206,11 +206,6 @@ def enumerate_modes(lattice: Lattice, spin: SpinQuantum) -> tuple[Mode, ...]:
     )
 
 
-def kron_delta(a: Mode, b: Mode) -> int:
-    """Lattice realization of delta(r - r') * delta_{ms ms'} at unit cell volume."""
-    return int(a == b)
-
-
 @dataclass(frozen=True)
 class ModeSpace:
     """A lattice plus a spin: the index space every operator acts on."""

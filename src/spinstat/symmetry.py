@@ -13,7 +13,8 @@ Rotations are counted in whole lattice steps, so every angle is an exact
 rational fraction of a full turn; phases at quarter turns are produced
 exactly (1, i, -1, -i) so half-integral spinor phases at a half turn are
 exact +-i.  The covariance checks cover every lattice rotation, projection
-and site in one call, building each operator matrix once per sector.
+and site in one call, building each operator matrix once per sector; each
+rotation of a sector is one stacked conjugation of all its matrices.
 """
 
 from __future__ import annotations
@@ -130,6 +131,30 @@ def conjugated(rot: SpinorRotation, op: OperatorMatrix) -> OperatorMatrix:
     return OperatorMatrix(op.domain, op.codomain, (u_co @ op.matrix @ u_dom.conj().T).tocsr())
 
 
+def _covariance_residual(rot: SpinorRotation, mats, images, phases) -> float:
+    """Worst entry of U M_i U+ - phases[i] M_images[i] over operator matrices M_i
+    between one pair of sectors, as one stacked conjugation
+    kron(1, U_codomain) @ vstack(M) @ U_domain^dagger.  The lifts are monomial,
+    so every entry is the same single product as in ``conjugated``."""
+    u_co = rot.fock_lift(mats[0].codomain).matrix
+    u_dom = rot.fock_lift(mats[0].domain).matrix
+    stacked = sp.vstack([m.matrix for m in mats], format="csr")
+    left = _repeat_diagonal(u_co, len(mats)) @ stacked @ u_dom.conj().T
+    right = sp.vstack([phase * mats[j].matrix for j, phase in zip(images, phases)], format="csr")
+    return max_abs(left - right)
+
+
+def _repeat_diagonal(u: sp.csr_matrix, k: int) -> sp.csr_matrix:
+    """kron(1_k, u) for a canonical CSR u: k copies of u down the diagonal,
+    its entries copied, not multiplied."""
+    rows, cols = u.shape
+    nnz = u.indptr[-1]
+    shifts = np.arange(k)[:, None]
+    indptr = np.append((u.indptr[:-1] + nnz * shifts).ravel(), k * nnz)
+    indices = (u.indices[:nnz] + cols * shifts).ravel()
+    return sp.csr_matrix((np.tile(u.data[:nnz], k), indices, indptr), shape=(k * rows, k * cols))
+
+
 def sector_lift_residuals(space: ModeSpace, sigma: int, n_max: int) -> tuple[float, float]:
     """Worst residuals of U U+ = 1 for every lattice rotation's lift and of
     U_pi U_pi = (-1)^(2sN) for the half-turn lift, on sectors 0..n_max."""
@@ -151,7 +176,8 @@ def rotation_element_residual(space: ModeSpace, sigma: int, n_max: int = 3) -> f
     lattice rotation, every mode xi = (r, m_s) and sectors 1..n_max.
 
     Each a(xi) is built once per sector; the rotated side reuses the
-    matrix of the image mode.
+    matrix of the image mode, and each rotation is one stacked conjugation
+    per sector.
     """
     worst = 0.0
     for n in range(1, n_max + 1):
@@ -159,9 +185,7 @@ def rotation_element_residual(space: ModeSpace, sigma: int, n_max: int = 3) -> f
         mats = [matrix_of(destroy(mode, sigma), domain, codomain) for mode in space.modes]
         for steps in range(space.lattice.steps_per_turn):
             rot = SpinorRotation(space, steps)
-            for i, mat in enumerate(mats):
-                rhs = rot.field_phases[i] * mats[rot.mode_permutation[i]].matrix
-                worst = max(worst, max_abs(conjugated(rot, mat).matrix - rhs))
+            worst = max(worst, _covariance_residual(rot, mats, rot.mode_permutation, rot.field_phases))
     return worst
 
 
@@ -240,9 +264,8 @@ def rotation_covariance_check(space: ModeSpace, sigma: int, n_max: int = 3) -> f
         for steps in range(lattice.steps_per_turn):
             rot = SpinorRotation(space, steps)
             phase = cis_turns(twos_ms * rot.turns)  # e^{2 i m_s theta}
-            for site, f in enumerate(mats):
-                rhs = phase * mats[lattice.rotate_site_z(site, steps)].matrix
-                worst = max(worst, max_abs(conjugated(rot, f).matrix - rhs))
+            images = [lattice.rotate_site_z(site, steps) for site in range(len(mats))]
+            worst = max(worst, _covariance_residual(rot, mats, images, [phase] * len(mats)))
     return worst
 
 

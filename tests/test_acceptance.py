@@ -66,24 +66,23 @@ def test_criterion_2_orthonormality_oracle():
     space = ModeSpace(Lattice.ring(6), SpinQuantum(0))
     worst = 0.0
     for sigma in (1, -1):
-        vectors = {}
+        vectors = {}  # bracket states keyed by mode-index tuples
         for n in range(4):
-            for coords in product(space.modes, repeat=n):
-                vectors[coords] = bracket_state(space, coords, sigma).amplitudes
+            for coords in product(range(space.n_modes), repeat=n):
+                vectors[coords] = bracket_state(space, [space.mode_at(i) for i in coords], sigma).amplitudes
         for n in range(4):
-            tuples = list(product(space.modes, repeat=n))
-            for bra in tuples:
-                vb = vectors[bra]
-                for ket in tuples:
-                    got = complex(np.vdot(vb, vectors[ket]))
-                    want = overlap_oracle(bra, ket, sigma)
-                    worst = max(worst, abs(got - want))
+            tuples = list(product(range(space.n_modes), repeat=n))
+            bras, kets = zip(*product(tuples, repeat=2))
+            for bra, ket, want in zip(bras, kets, overlap_oracle(bras, kets, sigma)):
+                got = complex(np.vdot(vectors[bra], vectors[ket]))
+                worst = max(worst, abs(got - want))
         # mixed particle numbers: the delta_{N'N} factor forces exact zero
         for n_bra, n_ket in ((0, 1), (1, 2), (2, 3), (3, 1)):
             bra = tuple(space.modes[:n_bra])
             ket = tuple(space.modes[:n_ket])
             got = overlap(space, bra, ket, sigma)
-            assert got == overlap_oracle(bra, ket, sigma) == 0
+            want = overlap_oracle([range(n_bra)], [range(n_ket)], sigma)
+            assert got == want[0] == 0
     assert worst <= tol
     report(f"2 orthonormality: residual {worst:.2e} <= {tol} PASS")
 

@@ -314,6 +314,48 @@ def test_ladder_relations_build_each_ladder_matrix_once(monkeypatch):
     assert orderings == []
 
 
+def test_orthonormality_suite_makes_one_oracle_call_per_sector(monkeypatch):
+    cfg = load_config(None).validate()  # CLI defaults: ring:4, 2s=1 (8 modes), both grades, n_max=3
+    calls = _count_calls(monkeypatch, fockspace, "overlap_oracle")
+    report = cli.suite_orthonormality(cfg, np.random.default_rng(cfg.seed))
+    assert report.passed
+    # per grade, N = 0..3: every pair of 8**N tuples up to N = 2, then 2,000 drawn pairs
+    assert [(len(bras), sigma) for bras, _, sigma in calls] == [
+        (pairs, sigma) for sigma in (1, -1) for pairs in (1, 64, 4096, 2000)
+    ]
+    assert [bras.shape[1] for bras, _, _ in calls] == [0, 1, 2, 3] * 2
+
+
+def test_default_verify_reports_are_pinned(tmp_path):
+    # exact floats of kernel-exact suites at the CLI defaults; the completeness
+    # probes follow the orthonormality draws in one seeded stream, so a moved
+    # or reordered draw shows here (ideal-gas is left out: eigh bits depend on
+    # the BLAS thread count)
+    assert main(["verify", "--out", str(tmp_path)]) == 0
+    pinned = {
+        "orthonormality": [1.1102230246251565e-16, 1.1102230246251565e-16],
+        "completeness": [
+            8.95090418262362e-16, 3.1401849173675503e-16, 2.482534153247273e-16,
+            9.930136612989092e-16, 3.1401849173675503e-16, 3.1401849173675503e-16,
+        ],
+        "permutations": [0.0, 0.0],
+        "rotation": [0.0, 4.0029660424867215e-16, 0.0, 0.0, 0.0, 2.220446049250313e-16, 0.0, 0.0],
+    }
+    for suite, values in pinned.items():
+        assert [r["value"] for r in read_json(tmp_path / f"{suite}.json")["residuals"]] == values, suite
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "rotation", "--n-max", "1"],
+    ["correlate", "--lattice", "ring:4", "--twos-s", "0", "--sigma", "-1", "-N", "1"],
+    ["diagonalize", "--lattice", "ring:4", "--twos-s", "1", "--sigma", "-1", "-N", "2"],
+], ids=["verify", "correlate", "diagonalize"])
+def test_refused_command_leaves_no_output_directory(tmp_path, monkeypatch, argv):
+    monkeypatch.setattr(hamiltonians, "_available_memory", lambda: 1024)  # the memory guard refuses
+    assert main([*argv, "--out", str(tmp_path / "d")]) == 2
+    assert not (tmp_path / "d").exists()
+
+
 def test_diagonalize_past_free_memory_is_exit_two(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(hamiltonians, "_available_memory", lambda: 1024)
     assert main([

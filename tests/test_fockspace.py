@@ -1,5 +1,5 @@
 import math
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -15,14 +15,12 @@ from spinstat.fockspace import (
     bracket_state,
     build_basis,
     completeness_check,
-    determinant,
     identity_matrix,
     ladder_relation_residuals,
     matrix_of,
     max_abs,
     overlap,
     overlap_oracle,
-    permanent,
     perm_parity,
     project_onto_symmetric,
     sector_dimension,
@@ -340,20 +338,49 @@ def test_overlap_frozen_examples(sigma):
 @pytest.mark.parametrize("sigma", [1, -1])
 def test_overlap_matches_oracle_exhaustively(sigma):
     for n in range(3):
-        tuples = list(product(SPACE4.modes, repeat=n))
-        for bra in tuples:
-            for ket in tuples:
-                got = overlap(SPACE4, bra, ket, sigma)
-                want = overlap_oracle(bra, ket, sigma)
-                assert abs(got - want) <= 1e-12
+        tuples = list(product(range(SPACE4.n_modes), repeat=n))
+        bras, kets = zip(*product(tuples, repeat=2))
+        want = overlap_oracle(bras, kets, sigma)
+        for bra, ket, w in zip(bras, kets, want):
+            got = overlap(SPACE4, [SPACE4.mode_at(i) for i in bra], [SPACE4.mode_at(i) for i in ket], sigma)
+            assert abs(got - w) <= 1e-12
+
+
+def _expanded_overlap(bra, ket, sigma):
+    """One pair's first-quantized overlap, the permutation sum written out."""
+    if len(bra) != len(ket):
+        return 0.0
+    n = len(bra)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        sign = sigma**inversions
+        total += sign * math.prod(int(bra[i] == ket[p]) for i, p in enumerate(perm))
+    return total / math.factorial(n)
+
+
+@pytest.mark.parametrize("sigma", [1, -1])
+def test_batched_overlap_oracle_matches_per_pair_expansion(sigma):
+    m = ModeSpace(Lattice.ring(4), SpinQuantum(0)).n_modes
+    for n in range(4):  # every pair of coordinate tuples with N <= 3
+        tuples = list(product(range(m), repeat=n))
+        bras, kets = zip(*product(tuples, repeat=2))
+        got = overlap_oracle(bras, kets, sigma)
+        assert got.shape == (m ** (2 * n),)
+        assert got.tolist() == [_expanded_overlap(b, k, sigma) for b, k in zip(bras, kets)]
+    for n_bra, n_ket in ((0, 1), (1, 0), (2, 1), (1, 3), (3, 2)):  # N' != N: exact zeros
+        bras = list(product(range(m), repeat=n_bra))
+        got = overlap_oracle(bras, [tuple(range(n_ket))] * len(bras), sigma)
+        assert got.tolist() == [0.0] * len(bras)
 
 
 def test_permanent_and_determinant_small():
+    # the oracle's permutation sum is the permanent (sigma=+1) or determinant (sigma=-1)
     m = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex)
-    assert permanent(m) == pytest.approx(10.0)
-    assert determinant(m) == pytest.approx(-2.0)
+    assert fockspace._permutation_sum(m[None], 1)[0] == pytest.approx(10.0)
+    assert fockspace._permutation_sum(m[None], -1)[0] == pytest.approx(-2.0)
     r = RNG.standard_normal((4, 4)) + 1j * RNG.standard_normal((4, 4))
-    assert determinant(r) == pytest.approx(np.linalg.det(r))
+    assert fockspace._permutation_sum(r[None], -1)[0] == pytest.approx(np.linalg.det(r))
 
 
 def test_perm_parity():
@@ -364,8 +391,6 @@ def test_perm_parity():
 
 @pytest.mark.parametrize("sigma", [1, -1])
 def test_symmetrizer_is_projector_with_eigenproperty(sigma):
-    from itertools import permutations
-
     shape = (4, 4, 4)
     t = RNG.standard_normal(shape) + 1j * RNG.standard_normal(shape)
     s = symmetrizer_oracle(t, sigma)

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from spinstat.modes import Lattice, Mode, ModeSpace, SpinQuantum, enumerate_modes, kron_delta
+from spinstat.modes import Lattice, Mode, ModeSpace, SpinQuantum, enumerate_modes
 
 
 def test_spin_projections_descending():
@@ -114,21 +114,6 @@ def test_site_distance():
     grid = Lattice.grid2d(3)
     a, b = grid.site_index((1, 1)), grid.site_index((-1, -1))
     assert grid.site_distance(a, b) == pytest.approx(8**0.5)
-
-
-def test_kron_delta():
-    a, b = Mode(0, 1), Mode(0, -1)
-    assert kron_delta(a, a) == 1
-    assert kron_delta(a, b) == 0
-    assert kron_delta(a, Mode(1, 1)) == 0
-    assert kron_delta(a, b) == kron_delta(b, a)
-
-
-def test_kron_delta_diagonal_only():
-    space = ModeSpace(Lattice.ring(2), SpinQuantum(1))
-    for i, a in enumerate(space.modes):
-        for j, b in enumerate(space.modes):
-            assert kron_delta(a, b) == (1 if i == j else 0)
 
 
 def test_mode_space_indexing():

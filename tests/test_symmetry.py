@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from spinstat import symmetry
-from spinstat.fockspace import build_basis, identity_matrix, max_abs
+from spinstat.fockspace import build_basis, identity_matrix, matrix_of, max_abs
 from spinstat.modes import Lattice, Mode, ModeSpace, SpinQuantum
-from spinstat.opalgebra import normal_order
+from spinstat.opalgebra import destroy, normal_order
 from spinstat.symmetry import (
     IncompatibleRotationError,
     SpinorRotation,
@@ -152,6 +152,21 @@ def test_rotation_covariance_quarter_turn(sigma):
     rotated = pair_matrix(RING4_HALF, 1, rot.space.lattice.rotate_site_z(0, 1), sigma, 2)
     wrong = max_abs(conjugated(rot, f).matrix - rotated.matrix)
     assert wrong > 0.5
+
+
+@pytest.mark.parametrize("sigma", [1, -1])
+def test_stacked_covariance_residual_catches_wrong_images_and_phases(sigma):
+    # a(xi) on N = 2 -> 1 under a quarter turn of ring:4, all modes in one stacked conjugation
+    domain, codomain = build_basis(RING4_HALF, 2, sigma), build_basis(RING4_HALF, 1, sigma)
+    mats = [matrix_of(destroy(mode, sigma), domain, codomain) for mode in RING4_HALF.modes]
+    rot = SpinorRotation(RING4_HALF, 1)
+    images, phases = list(rot.mode_permutation), list(rot.field_phases)
+    assert symmetry._covariance_residual(rot, mats, images, phases) <= 1e-12
+    # distinct modes' a(xi) have disjoint supports with entries of magnitude >= 1
+    shifted = images[1:] + images[:1]
+    assert symmetry._covariance_residual(rot, mats, shifted, phases) >= 1
+    flipped = phases[:-1] + [-phases[-1]]
+    assert symmetry._covariance_residual(rot, mats, images, flipped) >= 1
 
 
 @pytest.mark.parametrize("sigma", [1, -1])
