@@ -6,13 +6,15 @@ report), reports are JSON with sorted keys, and numeric tables are CSV, so
 repeated runs with the same configuration are byte-identical.
 
 Exit codes: 0 all checks passed, 1 a verification failed, 2 configuration
-or precondition error.
+or precondition error (among them a negative seed, a tolerance that is not a
+finite positive number, and a sector with no states).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import permutations as iter_permutations
@@ -32,6 +34,7 @@ from .fockspace import (
     overlap_oracle,
     symmetrizer_oracle,
     project_onto_symmetric,
+    sector_dimension,
 )
 from .hamiltonians import (
     MODE_COMMUTATOR_TOL,
@@ -193,8 +196,10 @@ class RunConfig:
         for name in self.suites:
             if name not in SUITE_NAMES:
                 raise ConfigError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
-        if self.tol is not None and self.tol <= 0:
-            raise ConfigError("tol must be positive")
+        if self.tol is not None and not (math.isfinite(self.tol) and self.tol > 0):
+            raise ConfigError(f"tol must be a finite positive number, got {self.tol!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         lattice = self.make_space().lattice  # validates lattice and spin together
         try:
             self.one_body().site_potential(lattice)
@@ -283,6 +288,12 @@ def _finish(suite: str, cfg: RunConfig, checks: list[tuple[str, float, float]]) 
 
 def _tol(cfg: RunConfig, suite: str) -> float:
     return cfg.tol if cfg.tol is not None else SUITE_DEFAULT_TOL[suite]
+
+
+def _require_states(space: ModeSpace, n_particles: int, sigma: int) -> None:
+    """Refuse a sector with no states: nothing computed on it would be checked."""
+    if sector_dimension(space.n_modes, n_particles, sigma) == 0:
+        raise ConfigError(f"sector N={n_particles}, sigma={sigma:+d} has no states")
 
 
 def _pair_n_max(cfg: RunConfig, suite: str) -> int:
@@ -375,8 +386,10 @@ def suite_permutations(cfg: RunConfig, rng) -> SuiteReport:
 
 
 def suite_ideal_gas(cfg: RunConfig, rng) -> SuiteReport:
-    lattice = cfg.make_lattice()
-    spin = SpinQuantum(cfg.twos_s)
+    space = cfg.make_space()
+    lattice, spin = space.lattice, space.spin
+    for sigma in cfg.sigmas():
+        _require_states(space, cfg.n_particles, sigma)
     spec1 = cfg.one_body()
     spectral_tol = _tol(cfg, "ideal-gas")
     mode_tol = cfg.tol if cfg.tol is not None else MODE_COMMUTATOR_TOL
@@ -551,6 +564,7 @@ def _write_csv(path: Path, header: tuple[str, ...], rows) -> None:
 def _spectrum_for(cfg: RunConfig):
     space = cfg.make_space()
     sigma = cfg.single_sigma()
+    _require_states(space, cfg.n_particles, sigma)
     basis = build_basis(space, cfg.n_particles, sigma)
     ham = build_many_body(cfg.one_body(), cfg.two_body(), basis)
     return space, basis, ham, diagonalize(ham)

@@ -8,7 +8,18 @@ everything else is verified against.
 
 All ladder action goes through one kernel, ``_apply_strings``, which
 applies ladder strings to a batch of occupation rows at once; operator
-matrices, rotation lifts and bracket states are built on it.
+matrices, rotation lifts and bracket states are built on it.  Operator
+matrices come in families: ``matrix_family`` builds the matrices M_p of a
+list of expressions between one pair of sectors in one kernel pass, with
+the expression index as a block-row offset, into one stacked CSR
+vstack_p(M_p) (an ``OperatorFamily``).  A run of consecutive members is a
+row range of the stack that shares its arrays, and ``matrix_of`` is the
+one-expression family.  The graded ladder relations are checked on such
+families in lean tiles: each tile is one product of a row range with the
+right members side by side, the mirror product's blocks are moved into
+place by index arithmetic, the sigma term is added or subtracted, and the
+identity comes off the diagonal where the maximum is read, so every
+residual stays bit-identical to pair-by-pair products.
 ``FockBasis.rank`` inverts the basis order (combinations for sigma=-1,
 multisets for sigma=+1, in lexicographic order) with the combinatorial number
 system, the usual exact-diagonalization indexing.  The overlap and
@@ -35,7 +46,8 @@ from .modes import ModeSpace
 from .opalgebra import OperatorExpr, check_sigma
 
 DEFAULT_DIMENSION_CAP = 2_000_000
-_KERNEL_ROWS = 4096  # rows per kernel call in matrix_of, which bounds its working arrays
+_KERNEL_ROWS = 4096  # rows per kernel call in matrix_family, which bounds its working arrays
+_FAMILY_ROWS = 1 << 16  # kernel rows per sparse conversion in matrix_family, which bounds its entry lists
 _PRODUCT_ENTRIES = 1 << 13  # structural nnz bound per stacked product in _worst_relation
 
 
@@ -203,10 +215,54 @@ class OperatorMatrix:
         return self.matrix.shape
 
 
+@dataclass(frozen=True, eq=False)
+class OperatorFamily:
+    """The matrices M_p of a list of operator expressions between one pair of
+    sectors, held once as the stacked CSR vstack_p(M_p): M_p is rows
+    p * codomain.dim to (p + 1) * codomain.dim of ``stack``."""
+
+    domain: FockBasis
+    codomain: FockBasis
+    size: int
+    stack: sp.csr_matrix
+
+    def __len__(self) -> int:
+        return self.size
+
+    def rows(self, start: int, stop: int) -> sp.csr_matrix:
+        """vstack(M_start, ..., M_stop-1), sharing the stack's arrays."""
+        if (start, stop) == (0, self.size):
+            return self.stack
+        d, m = self.codomain.dim, self.stack
+        ptr = m.indptr[start * d:stop * d + 1]
+        view = sp.csr_matrix(((stop - start) * d, self.domain.dim), dtype=m.dtype)
+        # assigned after construction: the constructor copies a slice of a much larger array
+        view.indptr, view.indices, view.data = ptr - ptr[0], m.indices[ptr[0]:ptr[-1]], m.data[ptr[0]:ptr[-1]]
+        return view
+
+    def blocks(self, order, phases=None) -> sp.csr_matrix:
+        """vstack(phases[k] * M_order[k] over k), gathered from the stack.  Each
+        block is multiplied by its phase as a scalar, as ``phase * M`` is: numpy
+        multiplies complex arrays elementwise in other last bits."""
+        d, m = self.codomain.dim, self.stack
+        order = np.asarray(order, dtype=np.intp).reshape(-1, 1)
+        starts = m.indptr[order * d]
+        counts = (m.indptr[order * d + d] - starts).ravel()
+        ends = np.cumsum(counts)
+        take = np.repeat(starts.ravel() - ends + counts, counts) + np.arange(counts.sum())
+        row_ends = m.indptr[order * d + np.arange(1, d + 1)] - starts + (ends - counts)[:, None]
+        data = m.data[take]
+        for phase, start, end in zip(() if phases is None else phases, ends - counts, ends):
+            data[start:end] *= phase
+        indptr = np.append(0, row_ends.ravel()).astype(m.indptr.dtype)
+        return sp.csr_matrix((data, m.indices[take], indptr), shape=(len(order) * d, m.shape[1]))
+
+
 def max_abs(matrix: sp.spmatrix | np.ndarray) -> float:
     """Largest absolute entry; 0.0 for an empty matrix."""
     if sp.issparse(matrix):
-        data = matrix.tocoo().data
+        compressed = matrix.format in ("csr", "csc")
+        data = matrix.data[:matrix.nnz] if compressed else matrix.tocoo().data
         return float(np.abs(data).max()) if data.size else 0.0
     arr = np.asarray(matrix)
     return float(np.abs(arr).max()) if arr.size else 0.0
@@ -217,49 +273,103 @@ def identity_matrix(basis: FockBasis) -> OperatorMatrix:
 
 
 def matrix_of(expr: OperatorExpr, domain: FockBasis, codomain: FockBasis) -> OperatorMatrix:
-    """Column j = expr applied to basis state j of the domain sector.
+    """Column j = expr applied to basis state j of the domain sector: the
+    one-expression ``matrix_family``."""
+    return OperatorMatrix(domain, codomain, matrix_family([expr], domain, codomain).stack)
 
-    The expression must change particle number uniformly across terms by
-    exactly codomain.N - domain.N.
+
+def matrix_family(exprs, domain: FockBasis, codomain: FockBasis) -> OperatorFamily:
+    """Block p, column j = exprs[p] applied to basis state j of the domain sector.
+
+    Every expression must change particle number uniformly across terms by
+    exactly codomain.N - domain.N.  The terms of all expressions go through
+    the kernel together (``_kernel_batches``); the expression index is a
+    block-row offset.  Each row of the stack so receives its entries in the
+    order of its own expression's terms, and duplicates are summed in that
+    order, so every block is bitwise the ``matrix_of`` of its expression.
+
+    A family of more than ``_FAMILY_ROWS`` kernel rows is converted in chunks
+    of consecutive expressions, written into one stack whose size a first
+    kernel pass counts, so its entry lists never hold the whole family.
     """
+    exprs = list(exprs)
     if domain.space != codomain.space:
         raise ValueError("domain and codomain live on different mode spaces")
-    if expr.sigma != domain.sigma or domain.sigma != codomain.sigma:
-        raise ValueError("statistics grade mismatch between expression and bases")
-    shape = (codomain.dim, domain.dim)
-    if not expr.terms:
-        return OperatorMatrix(domain, codomain, sp.csr_matrix(shape, dtype=np.complex128))
     required = codomain.n_particles - domain.n_particles
-    shift = expr.particle_shift()
-    if shift is None:
-        raise ValueError("expression changes particle number non-uniformly")
-    if shift != required:
-        raise ValueError(
-            f"expression shifts particle number by {shift}, sectors differ by {required}"
-        )
-    dim = domain.dim
+    for expr in exprs:
+        if expr.sigma != domain.sigma or domain.sigma != codomain.sigma:
+            raise ValueError("statistics grade mismatch between expression and bases")
+        shift = expr.particle_shift() if expr.terms else required
+        if shift is None:
+            raise ValueError("expression changes particle number non-uniformly")
+        if shift != required:
+            raise ValueError(
+                f"expression shifts particle number by {shift}, sectors differ by {required}"
+            )
+    chunks, start, rows = [], 0, 0
+    for p, expr in enumerate(exprs):
+        if p > start and rows + len(expr.terms) * domain.dim > _FAMILY_ROWS:
+            chunks.append((start, p))
+            start, rows = p, 0
+        rows += len(expr.terms) * domain.dim
+    if not chunks:
+        return OperatorFamily(domain, codomain, len(exprs), _stacked_entries(exprs, domain, codomain))
+    chunks.append((start, len(exprs)))
+    bound = sum(np.count_nonzero(alive) for *_, alive in _kernel_batches(exprs, domain))
+    shape = (len(exprs) * codomain.dim, domain.dim)
+    index = np.int32 if max(*shape, bound) < 2**31 else np.int64
+    data, indices = np.empty(bound, dtype=np.complex128), np.empty(bound, dtype=index)
+    indptr, nnz = [np.zeros(1, dtype=index)], 0
+    for start, stop in chunks:
+        part = _stacked_entries(exprs[start:stop], domain, codomain)
+        data[nnz:nnz + part.nnz], indices[nnz:nnz + part.nnz] = part.data, part.indices
+        indptr.append(part.indptr[1:] + nnz)
+        nnz += part.nnz
+    stack = sp.csr_matrix((data[:nnz], indices[:nnz], np.concatenate(indptr)), shape=shape)
+    return OperatorFamily(domain, codomain, len(exprs), stack)
+
+
+def _kernel_batches(exprs, domain: FockBasis):
+    """Every kernel call of a family build, as (expression of each term, terms,
+    new rows, amplitudes, alive): one kernel row per (term, column),
+    term-major, terms ascending by length and then in expression order, at
+    most ``_KERNEL_ROWS`` rows a call unless one term has more."""
     by_length: dict[int, list] = {}
-    for term in expr.terms:
-        by_length.setdefault(len(term.factors), []).append(term)
+    for p, expr in enumerate(exprs):
+        for term in expr.terms:
+            by_length.setdefault(len(term.factors), []).append((p, term))
+    dim = domain.dim
     per_call = max(1, _KERNEL_ROWS // max(dim, 1))
-    batches = [(n, ts[i:i + per_call]) for n, ts in by_length.items() for i in range(0, len(ts), per_call)]
+    for length, items in sorted(by_length.items()):
+        for i in range(0, len(items), per_call):
+            owners, terms = zip(*items[i:i + per_call])
+            factors = [f for t in terms for f in t.factors]
+            modes = np.array([domain.space.index(f.mode) for f in factors], dtype=np.intp)
+            daggers = np.array([f.dagger for f in factors], dtype=bool)
+            occ, amp, alive = _apply_strings(
+                np.tile(domain.occupations, (len(terms), 1)),
+                np.repeat(modes.reshape(len(terms), length), dim, axis=0),
+                np.repeat(daggers.reshape(len(terms), length), dim, axis=0),
+                domain.sigma,
+            )
+            yield owners, terms, occ, amp, alive
+
+
+def _stacked_entries(exprs, domain: FockBasis, codomain: FockBasis) -> sp.csr_matrix:
+    """vstack of the matrices of ``exprs``, from one COO of all their entries."""
+    dim, co = domain.dim, codomain.dim
+    shape = (len(exprs) * co, dim)
+    index = np.int32 if max(shape) < 2**31 else np.int64  # as scipy would pick, so no entry is copied to convert
     rows, cols, vals = [], [], []
-    for length, terms in batches:  # one kernel row per (term, column), term-major
-        factors = [f for t in terms for f in t.factors]
-        modes = np.array([domain.space.index(f.mode) for f in factors], dtype=np.intp)
-        daggers = np.array([f.dagger for f in factors], dtype=bool)
-        occ, amp, alive = _apply_strings(
-            np.tile(domain.occupations, (len(terms), 1)),
-            np.repeat(modes.reshape(len(terms), length), dim, axis=0),
-            np.repeat(daggers.reshape(len(terms), length), dim, axis=0),
-            domain.sigma,
-        )
-        rows.append(codomain.rank(occ[alive]))
-        cols.append(np.tile(np.arange(dim), len(terms))[alive])
+    for owners, terms, occ, amp, alive in _kernel_batches(exprs, domain):
+        rows.append((codomain.rank(occ[alive]) + np.repeat(np.multiply(owners, co), dim)[alive]).astype(index))
+        cols.append(np.tile(np.arange(dim, dtype=index), len(terms))[alive])
         vals.append((np.repeat([t.coeff for t in terms], dim) * amp)[alive])
-    entries = (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols)))
-    coo = sp.coo_matrix(entries, shape=shape, dtype=np.complex128)
-    return OperatorMatrix(domain, codomain, coo.tocsr())
+    if not vals:
+        return sp.csr_matrix(shape, dtype=np.complex128)
+    # each list is dropped as soon as it is joined, so the pieces and the joins do not all coexist
+    vals, rows, cols = np.concatenate(vals), np.concatenate(rows), np.concatenate(cols)
+    return sp.coo_matrix((vals, (rows, cols)), shape=shape, dtype=np.complex128).tocsr()
 
 
 def ladder_relation_residuals(
@@ -269,19 +379,18 @@ def ladder_relation_residuals(
     [c_p, c+_q]_sigma = delta_pq on sectors N = 0..n_max, [c_p, c_q]_sigma = 0
     from those with N >= 2, and [c+_p, c+_q]_sigma = 0 from each to N + 2.
 
-    Each c_p and c+_p (from the adjoint expression, not a transpose) is built
-    once per sector by ``matrix_of``; each relation on each sector is a few
-    stacked sparse products (``_worst_relation``).
+    The c_p and the c+_p (from the adjoint expressions, not transposes) are
+    one family each per sector, built in one ``matrix_family`` pass; each
+    relation on each sector is a few stacked sparse products
+    (``_worst_relation``).
     """
     bases = [build_basis(space, n, sigma) for n in range(n_max + 3)]
-    down = {
-        n: [matrix_of(c, bases[n], bases[n - 1]).matrix for c in annihilators]
-        for n in range(1, n_max + 2)
-    }
-    up = {
-        n: [matrix_of(c.dagger(), bases[n], bases[n + 1]).matrix for c in annihilators]
-        for n in range(n_max + 2)
-    }
+    creators = [c.dagger() for c in annihilators]
+    up, down = {}, {}
+    for n in reversed(range(n_max + 2)):  # largest first: its build peak meets the fewest held families
+        up[n] = matrix_family(creators, bases[n], bases[n + 1])
+        if n:
+            down[n] = matrix_family(annihilators, bases[n], bases[n - 1])
     mixed = ann = cre = 0.0
     for n in range(n_max + 1):
         mirror = (up[n - 1], down[n]) if n else None  # c+_q c_p kills the vacuum
@@ -296,37 +405,88 @@ def _worst_relation(lefts, rights, sigma: int, mirror=None, like=False, eye=Fals
     """Worst entry, over all p and q, of lefts[p] @ rights[q] - sigma * m[q] @ m'[p],
     less delta_pq times the identity when ``eye``; (m, m') is ``mirror``, or
     (lefts, rights) when ``like``, and then R_qp = -sigma R_pq, so only q >= p runs.
-    Each square tile of consecutive p and q is one product vstack(lefts[P]) @
-    hstack(rights[Q]) and one mirror product in (q, p) block layout; its
-    structural nnz bound stays under ``_PRODUCT_ENTRIES`` unless it is one pair.
+    Every argument is an ``OperatorFamily``.
+
+    Each square tile of consecutive p and q is one product of a row range of
+    the left stack with the right members side by side, in (p, q) block
+    layout; its structural nnz bound stays under ``_PRODUCT_ENTRIES`` unless
+    it is one pair.  The mirror term is one product the same way, in (q, p)
+    block layout, whose blocks ``_swap_blocks`` moves to (p, q).  The sigma
+    term is added or subtracted, not multiplied, and the identity comes off
+    the diagonal where the maximum is read.
     """
     families = [f for f in ((lefts, rights), None if like else mirror) if f]
     pair = 1  # per stored entry of ls[p] in column k, the stored entries of row k of rs[q]
     for ls, rs in families:
-        hits = np.array([np.bincount(m.indices, minlength=m.shape[1]) for m in ls], dtype=float)
-        pair = max(pair, int((hits @ np.array([np.diff(m.indptr) for m in rs], dtype=float).T).max()))
+        lengths = np.diff(rs.stack.indptr).reshape(len(rs), rs.codomain.dim).astype(float)
+        pair = max(pair, int((_column_hits(ls) @ lengths.T).max(initial=0)))
     side = max(1, math.isqrt(_PRODUCT_ENTRIES // pair))
-    tiles = [slice(i, i + side) for i in range(0, len(lefts), side)]
-    stacks = [(ls, rs) if side == 1 else (
-        [sp.vstack(ls[t], format="csr") for t in tiles], [sp.hstack(rs[t], format="csr") for t in tiles]
-    ) for ls, rs in families]
-    (left, right), (back_left, back_right) = stacks[0], stacks[-1]
-    rows, cols = lefts[0].shape[0], rights[0].shape[1]
+    tiles = [(i, min(i + side, len(lefts))) for i in range(0, len(lefts), side)]
+    right = [_side_by_side(rights, tile) for tile in tiles]
+    back_left, back_family = mirror or (lefts, rights)
+    back_right = [_side_by_side(back_family, tile) for tile in tiles] if mirror else right
     worst = 0.0
-    for i in range(len(tiles)):
+    for i, (p0, p1) in enumerate(tiles):
         for j in range(i if like else 0, len(tiles)):
-            rel = left[i] @ right[j]
+            q0, q1 = tiles[j]
+            rel = lefts.rows(p0, p1) @ right[j]
             if like or mirror:
-                back = rel if like and i == j else back_left[j] @ back_right[i]
-                if side > 1:  # move block (q, p) to (p, q)
-                    back = back.tocoo()
-                    (qb, r), (pb, c) = np.divmod(back.row, rows), np.divmod(back.col, cols)
-                    back = sp.csr_matrix((back.data, (pb * rows + r, qb * cols + c)), shape=rel.shape)
-                rel = rel - sigma * back
-            if eye and i == j:  # p == q only on diagonal tiles
-                rel = rel - sp.identity(rel.shape[0], dtype=np.complex128, format="csr")
-            worst = max(worst, max_abs(rel))
+                back = rel if like and i == j else back_left.rows(q0, q1) @ back_right[i]
+                back = _swap_blocks(back, (q1 - q0, p1 - p0))
+                rel = rel - back if sigma == 1 else rel + back
+            worst = max(worst, _max_abs_less_identity(rel) if eye and i == j else max_abs(rel))
     return worst
+
+
+def _side_by_side(family: OperatorFamily, tile: tuple[int, int]) -> sp.csr_matrix:
+    """hstack(M_p over p in range(*tile)), moved out of the stack."""
+    return _swap_blocks(family.rows(*tile), (tile[1] - tile[0], 1))
+
+
+def _column_hits(family: OperatorFamily) -> np.ndarray:
+    """Entry [p, k]: the stored entries of member p in column k, as floats."""
+    m, d = family.stack, family.codomain.dim
+    bounds = m.indptr[np.arange(len(family) + 1) * d]
+    return np.array(
+        [np.bincount(m.indices[a:b], minlength=m.shape[1]) for a, b in zip(bounds[:-1], bounds[1:])],
+        dtype=float,
+    ).reshape(len(family), m.shape[1])
+
+
+def _swap_blocks(m: sp.csr_matrix, grid: tuple[int, int]) -> sp.csr_matrix:
+    """Move block (i, j) of ``m``, a grid[0] x grid[1] grid of equal blocks, to
+    (j, i), each block unchanged: hstack(M_i) from vstack(M_i) for a (k, 1)
+    grid, or a product's (q, p) block layout to (p, q).  Entries are moved,
+    not recomputed, and each row keeps its entries' relative order."""
+    (gr, gc), (rows, cols) = grid, m.shape
+    if gr == gc == 1:
+        return m
+    a, c = rows // gr, cols // gc
+    shape = (gc * a, gr * c)
+    if m.nnz == 0:
+        return sp.csr_matrix(shape, dtype=m.dtype)
+    i, r = np.divmod(_entry_rows(m), a)
+    j, col = np.divmod(m.indices[:m.nnz], c)
+    target = j * a + r  # the new row of each entry; a stable sort keeps each row's order
+    order = np.argsort(target, kind="stable")
+    indptr = np.zeros(shape[0] + 1, dtype=m.indptr.dtype)
+    np.cumsum(np.bincount(target, minlength=shape[0]), out=indptr[1:])
+    return sp.csr_matrix((m.data[order], (i * c + col)[order], indptr), shape=shape)
+
+
+def _entry_rows(m: sp.csr_matrix) -> np.ndarray:
+    """The row of each stored entry of a CSR, in the index dtype."""
+    return np.repeat(np.arange(m.shape[0], dtype=m.indices.dtype), np.diff(m.indptr))
+
+
+def _max_abs_less_identity(m: sp.csr_matrix) -> float:
+    """max_abs(m - identity) for a square CSR without duplicate entries, read
+    from its stored entries; a diagonal entry it does not store reads 1."""
+    diagonal = np.flatnonzero(m.indices[:m.nnz] == _entry_rows(m))
+    size = np.abs(m.data[:m.nnz])
+    size[diagonal] = np.abs(m.data[diagonal] - 1)
+    worst = float(size.max()) if size.size else 0.0
+    return max(worst, 1.0) if len(diagonal) < m.shape[0] else worst
 
 
 # -- bracket states and overlaps --------------------------------------------

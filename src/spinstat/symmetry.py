@@ -13,8 +13,12 @@ Rotations are counted in whole lattice steps, so every angle is an exact
 rational fraction of a full turn; phases at quarter turns are produced
 exactly (1, i, -1, -i) so half-integral spinor phases at a half turn are
 exact +-i.  The covariance checks cover every lattice rotation, projection
-and site in one call, building each operator matrix once per sector; each
-rotation of a sector is one stacked conjugation of all its matrices.
+and site in one call.  Their operators are families (``matrix_family``):
+a(xi) over every mode, or F(r) over every site for one projection, each
+built in one kernel pass per sector into one stacked CSR.  Each rotation of
+a sector is one stacked conjugation of that stack, compared with a phased
+gather of its blocks; inversion compares the stack with its blocks gathered
+in inverted site order.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from .fockspace import (
     bracket_state,
     build_basis,
     identity_matrix,
+    matrix_family,
     matrix_of,
     max_abs,
     perm_parity,
@@ -131,17 +136,16 @@ def conjugated(rot: SpinorRotation, op: OperatorMatrix) -> OperatorMatrix:
     return OperatorMatrix(op.domain, op.codomain, (u_co @ op.matrix @ u_dom.conj().T).tocsr())
 
 
-def _covariance_residual(rot: SpinorRotation, mats, images, phases) -> float:
-    """Worst entry of U M_i U+ - phases[i] M_images[i] over operator matrices M_i
-    between one pair of sectors, as one stacked conjugation
-    kron(1, U_codomain) @ vstack(M) @ U_domain^dagger.  The lifts are monomial,
-    so every entry is the same single product as in ``conjugated``."""
-    u_co = rot.fock_lift(mats[0].codomain).matrix
-    u_dom = rot.fock_lift(mats[0].domain).matrix
-    stacked = sp.vstack([m.matrix for m in mats], format="csr")
-    left = _repeat_diagonal(u_co, len(mats)) @ stacked @ u_dom.conj().T
-    right = sp.vstack([phase * mats[j].matrix for j, phase in zip(images, phases)], format="csr")
-    return max_abs(left - right)
+def _covariance_residual(rot: SpinorRotation, family, images, phases) -> float:
+    """Worst entry of U M_i U+ - phases[i] M_images[i] over the members M_i of an
+    ``OperatorFamily``, as one stacked conjugation
+    kron(1, U_codomain) @ stack @ U_domain^dagger against a phased block-row
+    gather of the same stack.  The lifts are monomial, so every entry is the
+    same single product as in ``conjugated``."""
+    u_co = rot.fock_lift(family.codomain).matrix
+    u_dom = rot.fock_lift(family.domain).matrix
+    left = _repeat_diagonal(u_co, len(family)) @ family.stack @ u_dom.conj().T
+    return max_abs(left - family.blocks(images, phases))
 
 
 def _repeat_diagonal(u: sp.csr_matrix, k: int) -> sp.csr_matrix:
@@ -175,17 +179,17 @@ def rotation_element_residual(space: ModeSpace, sigma: int, n_max: int = 3) -> f
     """Worst residual of U a(xi) U+ = e^{i m_s theta} a(R^{-1} xi) over every
     lattice rotation, every mode xi = (r, m_s) and sectors 1..n_max.
 
-    Each a(xi) is built once per sector; the rotated side reuses the
-    matrix of the image mode, and each rotation is one stacked conjugation
-    per sector.
+    The a(xi) of all modes are one family per sector; the rotated side
+    gathers the blocks of the image modes, and each rotation is one stacked
+    conjugation per sector.
     """
+    annihilators = [destroy(mode, sigma) for mode in space.modes]
     worst = 0.0
     for n in range(1, n_max + 1):
-        domain, codomain = build_basis(space, n, sigma), build_basis(space, n - 1, sigma)
-        mats = [matrix_of(destroy(mode, sigma), domain, codomain) for mode in space.modes]
+        family = matrix_family(annihilators, build_basis(space, n, sigma), build_basis(space, n - 1, sigma))
         for steps in range(space.lattice.steps_per_turn):
             rot = SpinorRotation(space, steps)
-            worst = max(worst, _covariance_residual(rot, mats, rot.mode_permutation, rot.field_phases))
+            worst = max(worst, _covariance_residual(rot, family, rot.mode_permutation, rot.field_phases))
     return worst
 
 
@@ -236,22 +240,27 @@ def pair_matrix(
 
 
 def _pair_sectors(space: ModeSpace, sigma: int, n_max: int):
-    """(2m_s, F(r) of every site r) per projection and sector N = 2..n_max:
-    each F(r) is built once per sector."""
+    """(2m_s, the family of F(r) over every site r) per projection and sector
+    N = 2..n_max, each built in one ``matrix_family`` pass."""
     sites = range(space.lattice.n_sites)
     for twos_ms in space.spin.projections():
+        pairs = [pair_operator(space, twos_ms, site, sigma) for site in sites]
         for n in range(2, n_max + 1):
-            yield twos_ms, [pair_matrix(space, twos_ms, site, sigma, n) for site in sites]
+            yield twos_ms, matrix_family(pairs, build_basis(space, n, sigma), build_basis(space, n - 2, sigma))
+
+
+def _inverted_sites(space: ModeSpace) -> list[int]:
+    return [space.lattice.invert_site(site) for site in range(space.lattice.n_sites)]
 
 
 def parity_covariance_check(space: ModeSpace, sigma: int, n_max: int = 3) -> float:
     """Max residual of F(-r) = sigma F(r) over every projection, every site r
     and sectors 2..n_max."""
-    invert = space.lattice.invert_site
+    inverted = _inverted_sites(space)
     worst = 0.0
-    for _, mats in _pair_sectors(space, sigma, n_max):
-        for site, f in enumerate(mats):
-            worst = max(worst, max_abs(mats[invert(site)].matrix - float(sigma) * f.matrix))
+    for _, family in _pair_sectors(space, sigma, n_max):
+        mirrored = family.blocks(inverted)
+        worst = max(worst, max_abs(mirrored - family.stack if sigma == 1 else mirrored + family.stack))
     return worst
 
 
@@ -260,12 +269,12 @@ def rotation_covariance_check(space: ModeSpace, sigma: int, n_max: int = 3) -> f
     rotation, every projection, every site r and sectors 2..n_max."""
     lattice = space.lattice
     worst = 0.0
-    for twos_ms, mats in _pair_sectors(space, sigma, n_max):
+    for twos_ms, family in _pair_sectors(space, sigma, n_max):
         for steps in range(lattice.steps_per_turn):
             rot = SpinorRotation(space, steps)
             phase = cis_turns(twos_ms * rot.turns)  # e^{2 i m_s theta}
-            images = [lattice.rotate_site_z(site, steps) for site in range(len(mats))]
-            worst = max(worst, _covariance_residual(rot, mats, images, [phase] * len(mats)))
+            images = [lattice.rotate_site_z(site, steps) for site in range(len(family))]
+            worst = max(worst, _covariance_residual(rot, family, images, [phase] * len(family)))
     return worst
 
 
@@ -499,10 +508,9 @@ def theorem_report(space: ModeSpace, n_max: int = 3) -> TheoremReport:
         lam_residual = max(lam_residual, spread)
 
         even_parity_norm = 0.0
-        for _, mats in _pair_sectors(space, sigma, 2):
-            for site, f in enumerate(mats):
-                even = f.matrix + mats[space.lattice.invert_site(site)].matrix
-                even_parity_norm = max(even_parity_norm, max_abs(even))
+        for _, family in _pair_sectors(space, sigma, 2):
+            even = family.stack + family.blocks(_inverted_sites(space))
+            even_parity_norm = max(even_parity_norm, max_abs(even))
         even_vanish = even_parity_norm <= PHASE_TOL
 
         conflict = any(w != 0 for w in windings.values()) and not origin_all_vanish

@@ -295,20 +295,28 @@ def _count_calls(monkeypatch, home, name) -> list:
 
 def test_rotation_suite_builds_each_matrix_once(monkeypatch):
     cfg = load_config(None).validate()  # CLI defaults: ring:4, 2s=1 (8 modes), both grades, n_max=3
-    builds = _count_calls(monkeypatch, fockspace, "matrix_of")
+    builds = _count_calls(monkeypatch, fockspace, "matrix_family")
     report = cli.suite_rotation(cfg, None)
     assert report.passed
-    # per grade: a(xi) of the 8 modes on N = 1, 2 and F(r) of 2 projections x 4 sites on N = 2, 3
-    assert len(builds) == 2 * (8 * 2 + 2 * 4 * 2) == 64
-    assert len(set(builds)) == len(builds)  # no (expression, domain, codomain) twice
+    # per grade: one family of a(xi) over the 8 modes on N = 1, 2 and one of
+    # F(r) over the 4 sites per projection on N = 2, 3
+    assert len(builds) == 2 * (2 + 2 * 2) == 12
+    assert sorted(len(exprs) for exprs, _, _ in builds) == [4] * 8 + [8] * 4
+    assert sum(len(exprs) for exprs, _, _ in builds) == 64  # the matrices, one each
+    families = {(tuple(exprs), domain, codomain) for exprs, domain, codomain in builds}
+    assert len(families) == len(builds)  # no (family, sector) twice
 
 
 def test_ladder_relations_build_each_ladder_matrix_once(monkeypatch):
     cfg = load_config(None).validate()  # CLI defaults: ring:4, 2s=1 (8 modes), both grades, n_max=3
-    matrices = _count_calls(monkeypatch, fockspace, "matrix_of")
+    builds = _count_calls(monkeypatch, fockspace, "matrix_family")
     cli.suite_commutators(cfg, None)
-    # per grade and mode: annihilators from N = 1..4, creators from N = 0..4
-    assert len(matrices) == 2 * 8 * (4 + 5)
+    # per grade: one family of the 8 annihilators on each of N = 1..4 and
+    # one of the 8 creators on each of N = 0..4
+    assert len(builds) == 2 * (4 + 5)
+    assert [len(exprs) for exprs, _, _ in builds] == [8] * 18
+    families = {(tuple(exprs), domain, codomain) for exprs, domain, codomain in builds}
+    assert len(families) == len(builds)  # no (family, sector) twice
     orderings = _count_calls(monkeypatch, opalgebra, "normal_order")
     cli.suite_ideal_gas(cfg, None)
     assert orderings == []
@@ -409,6 +417,35 @@ def test_correlate_ring_angular_selection_rule(tmp_path):
         l, re, im = row.split(",")
         if int(l) % 2 == 1:
             assert abs(complex(float(re), float(im))) <= 1e-12
+
+
+def test_negative_seed_is_exit_two(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["verify", "--suite", "orthonormality", "--seed", "-5", "--out", str(out)]) == 2
+    assert "seed must be >= 0, got -5" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+def test_non_finite_tol_is_exit_two(tmp_path, capsys, tol):
+    out = tmp_path / "o"
+    assert main(["verify", "--suite", "permutations", f"--tol={tol}", "--out", str(out)]) == 2
+    assert "tol must be a finite positive number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["diagonalize", "-N", "9"],
+    ["correlate", "-N", "9"],
+    ["verify", "--suite", "ideal-gas", "-N", "9"],
+], ids=["diagonalize", "correlate", "verify"])
+def test_empty_sector_is_exit_two(tmp_path, capsys, argv):
+    # ring:4 with 2s = 0 has 4 modes, so no fermion state holds 9 particles
+    out = tmp_path / "o"
+    common = ["--lattice", "ring:4", "--twos-s", "0", "--sigma", "-1", "--out", str(out)]
+    assert main([*argv, *common]) == 2
+    assert "sector N=9, sigma=-1 has no states" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_correlate_bad_state_index(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import permutations, product
 
 import numpy as np
@@ -17,6 +18,7 @@ from spinstat.fockspace import (
     completeness_check,
     identity_matrix,
     ladder_relation_residuals,
+    matrix_family,
     matrix_of,
     max_abs,
     overlap,
@@ -270,6 +272,67 @@ def test_like_relation_failures_are_caught(monkeypatch, budget, sigma):
     _, ann, cre = ladder_relation_residuals(RING4, ladder_set("broken", sigma), sigma, 3)
     assert ann >= 1.0
     assert cre >= 1.0
+
+
+def mixed_family(sigma):
+    """Site annihilators of RING4 and two that add a three-factor term, before
+    and after their single one, and the zero expression: the kernel takes
+    terms ascending by length, whichever order an expression lists them in."""
+    site = [destroy(m, sigma) for m in RING4.modes]
+    extra = create(RING4.mode_at(1), sigma) * site[1] * site[2]
+    return [extra + site[0], site[3] + extra, *site[4:], OperatorExpr.zero(sigma)]
+
+
+def csr_arrays(m):
+    return m.indptr.tolist(), m.indices.tolist(), m.data.tolist()
+
+
+@pytest.mark.parametrize("sigma", [1, -1])
+def test_family_blocks_are_each_matrix_of_bit_for_bit(sigma):
+    exprs = mixed_family(sigma)
+    domain, codomain = build_basis(RING4, 3, sigma), build_basis(RING4, 2, sigma)
+    family = matrix_family(exprs, domain, codomain)
+    assert len(family) == len(exprs)
+    assert family.stack.shape == (len(exprs) * codomain.dim, domain.dim)
+    for p, expr in enumerate(exprs):
+        block = family.rows(p, p + 1)
+        assert csr_arrays(block) == csr_arrays(matrix_of(expr, domain, codomain).matrix)
+        if block.nnz:  # a row range shares the stack's entries
+            assert np.shares_memory(block.data, family.stack.data)
+            assert np.shares_memory(block.indices, family.stack.indices)
+    assert family.rows(0, len(exprs)) is family.stack
+
+
+@pytest.mark.parametrize("sigma", [1, -1])
+def test_family_built_in_chunks_matches_one_pass(monkeypatch, sigma):
+    exprs = mixed_family(sigma) + ladder_set("eigen", sigma)
+    domain, codomain = build_basis(RING4, 2, sigma), build_basis(RING4, 1, sigma)
+    whole = matrix_family(exprs, domain, codomain).stack
+    monkeypatch.setattr(fockspace, "_FAMILY_ROWS", 1)  # one expression per chunk
+    chunked = matrix_family(exprs, domain, codomain).stack
+    assert csr_arrays(chunked) == csr_arrays(whole)
+
+
+# tracemalloc peaks of the CLI-default eigenmode relations (ring:4, 2s=1,
+# n_max=3) with tiles under 2**13 entries before operator families: the
+# matrices were built one by one and the tiles stacked by copy
+PEAK_BEFORE_FAMILIES = {1: 1_668_282, -1: 1_042_864}
+
+
+@pytest.mark.parametrize("sigma", [1, -1])
+def test_relation_tiles_stay_within_the_memory_of_pair_matrices(sigma):
+    # _PRODUCT_ENTRIES bounds each tile's product; a larger cap shows here as
+    # a higher peak (for bosons 2**14 reads about 1.98 MB, 2**20 about 26 MB)
+    ops = mode_operators(OneBodySpec(), RING4.lattice, RING4.spin, sigma)
+    for n in range(6):
+        build_basis(RING4, n, sigma)  # the bases are cached, not part of the check
+    tracemalloc.start()
+    try:
+        ladder_relation_residuals(RING4, ops, sigma, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * PEAK_BEFORE_FAMILIES[sigma]  # a 10% margin for library versions
 
 
 def test_matrix_of_identity_and_number():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from spinstat import symmetry
-from spinstat.fockspace import build_basis, identity_matrix, matrix_of, max_abs
+from spinstat.fockspace import build_basis, identity_matrix, matrix_family, matrix_of, max_abs
 from spinstat.modes import Lattice, Mode, ModeSpace, SpinQuantum
 from spinstat.opalgebra import destroy, normal_order
 from spinstat.symmetry import (
@@ -158,15 +158,15 @@ def test_rotation_covariance_quarter_turn(sigma):
 def test_stacked_covariance_residual_catches_wrong_images_and_phases(sigma):
     # a(xi) on N = 2 -> 1 under a quarter turn of ring:4, all modes in one stacked conjugation
     domain, codomain = build_basis(RING4_HALF, 2, sigma), build_basis(RING4_HALF, 1, sigma)
-    mats = [matrix_of(destroy(mode, sigma), domain, codomain) for mode in RING4_HALF.modes]
+    family = matrix_family([destroy(mode, sigma) for mode in RING4_HALF.modes], domain, codomain)
     rot = SpinorRotation(RING4_HALF, 1)
     images, phases = list(rot.mode_permutation), list(rot.field_phases)
-    assert symmetry._covariance_residual(rot, mats, images, phases) <= 1e-12
+    assert symmetry._covariance_residual(rot, family, images, phases) <= 1e-12
     # distinct modes' a(xi) have disjoint supports with entries of magnitude >= 1
     shifted = images[1:] + images[:1]
-    assert symmetry._covariance_residual(rot, mats, shifted, phases) >= 1
+    assert symmetry._covariance_residual(rot, family, shifted, phases) >= 1
     flipped = phases[:-1] + [-phases[-1]]
-    assert symmetry._covariance_residual(rot, mats, images, flipped) >= 1
+    assert symmetry._covariance_residual(rot, family, images, flipped) >= 1
 
 
 @pytest.mark.parametrize("sigma", [1, -1])
@@ -242,10 +242,14 @@ def _count_calls(monkeypatch, name):
 
 
 def test_parity_covariance_builds_each_pair_matrix_once(monkeypatch):
-    calls = _count_calls(monkeypatch, "pair_matrix")
+    calls = _count_calls(monkeypatch, "matrix_family")
     assert parity_covariance_check(RING4_HALF, -1, n_max=3) <= 1e-12
-    builds = Counter((args[1], args[2], args[4]) for args in calls)  # (2m_s, site, N)
-    assert builds == Counter({(tm, site, n): 1 for tm in (1, -1) for site in range(4) for n in (2, 3)})
+    # one family of F(r) over the 4 sites per (2m_s, N), each built once
+    builds = Counter((tuple(exprs), domain.n_particles) for exprs, domain, _ in calls)
+    assert builds == Counter({
+        (tuple(pair_operator(RING4_HALF, tm, site, -1) for site in range(4)), n): 1
+        for tm in (1, -1) for n in (2, 3)
+    })
 
 
 def test_full_turn_winding_builds_each_pair_matrix_once(monkeypatch):
@@ -264,16 +268,20 @@ def test_theorem_report_checks_origin_once_per_grade_and_projection(monkeypatch)
 
 def test_theorem_report_builds_each_even_inversion_pair_matrix_once(monkeypatch):
     space = ModeSpace(Lattice.ring(8), SpinQuantum(3))
-    calls = _count_calls(monkeypatch, "pair_matrix")
+    families = _count_calls(monkeypatch, "matrix_family")
+    singles = _count_calls(monkeypatch, "pair_matrix")
     theorem_report(space, n_max=2)
-    probe = theorem_probe_site(space)
-    builds = Counter((args[3], args[1], args[2]) for args in calls)  # (sigma, 2m_s, site)
-    # the even-inversion loop builds each site once; the half-turn check adds the probe
-    assert builds == Counter({
-        (sigma, tm, site): 2 if site == probe else 1
+    sites, probe = range(space.lattice.n_sites), theorem_probe_site(space)
+    # the even-inversion check builds one family of F(r) over every site per
+    # grade and projection, on N = 2 ...
+    assert Counter((tuple(exprs), domain) for exprs, domain, _ in families) == Counter({
+        (tuple(pair_operator(space, tm, site, sigma) for site in sites), build_basis(space, 2, sigma)): 1
         for sigma in (1, -1)
         for tm in space.spin.projections()
-        for site in range(space.lattice.n_sites)
+    })
+    # ... and the half-turn check builds F(probe) on its own
+    assert Counter((args[3], args[1], args[2]) for args in singles) == Counter({
+        (sigma, tm, probe): 1 for sigma in (1, -1) for tm in space.spin.projections()
     })
 
 
