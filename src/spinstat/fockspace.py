@@ -47,7 +47,6 @@ from .opalgebra import OperatorExpr, check_sigma
 
 DEFAULT_DIMENSION_CAP = 2_000_000
 _KERNEL_ROWS = 4096  # rows per kernel call in matrix_family, which bounds its working arrays
-_FAMILY_ROWS = 1 << 16  # kernel rows per sparse conversion in matrix_family, which bounds its entry lists
 _PRODUCT_ENTRIES = 1 << 13  # structural nnz bound per stacked product in _worst_relation
 
 
@@ -287,10 +286,6 @@ def matrix_family(exprs, domain: FockBasis, codomain: FockBasis) -> OperatorFami
     block-row offset.  Each row of the stack so receives its entries in the
     order of its own expression's terms, and duplicates are summed in that
     order, so every block is bitwise the ``matrix_of`` of its expression.
-
-    A family of more than ``_FAMILY_ROWS`` kernel rows is converted in chunks
-    of consecutive expressions, written into one stack whose size a first
-    kernel pass counts, so its entry lists never hold the whole family.
     """
     exprs = list(exprs)
     if domain.space != codomain.space:
@@ -306,27 +301,7 @@ def matrix_family(exprs, domain: FockBasis, codomain: FockBasis) -> OperatorFami
             raise ValueError(
                 f"expression shifts particle number by {shift}, sectors differ by {required}"
             )
-    chunks, start, rows = [], 0, 0
-    for p, expr in enumerate(exprs):
-        if p > start and rows + len(expr.terms) * domain.dim > _FAMILY_ROWS:
-            chunks.append((start, p))
-            start, rows = p, 0
-        rows += len(expr.terms) * domain.dim
-    if not chunks:
-        return OperatorFamily(domain, codomain, len(exprs), _stacked_entries(exprs, domain, codomain))
-    chunks.append((start, len(exprs)))
-    bound = sum(np.count_nonzero(alive) for *_, alive in _kernel_batches(exprs, domain))
-    shape = (len(exprs) * codomain.dim, domain.dim)
-    index = np.int32 if max(*shape, bound) < 2**31 else np.int64
-    data, indices = np.empty(bound, dtype=np.complex128), np.empty(bound, dtype=index)
-    indptr, nnz = [np.zeros(1, dtype=index)], 0
-    for start, stop in chunks:
-        part = _stacked_entries(exprs[start:stop], domain, codomain)
-        data[nnz:nnz + part.nnz], indices[nnz:nnz + part.nnz] = part.data, part.indices
-        indptr.append(part.indptr[1:] + nnz)
-        nnz += part.nnz
-    stack = sp.csr_matrix((data[:nnz], indices[:nnz], np.concatenate(indptr)), shape=shape)
-    return OperatorFamily(domain, codomain, len(exprs), stack)
+    return OperatorFamily(domain, codomain, len(exprs), _stacked_entries(exprs, domain, codomain))
 
 
 def _kernel_batches(exprs, domain: FockBasis):

@@ -303,36 +303,29 @@ def test_family_blocks_are_each_matrix_of_bit_for_bit(sigma):
     assert family.rows(0, len(exprs)) is family.stack
 
 
-@pytest.mark.parametrize("sigma", [1, -1])
-def test_family_built_in_chunks_matches_one_pass(monkeypatch, sigma):
-    exprs = mixed_family(sigma) + ladder_set("eigen", sigma)
-    domain, codomain = build_basis(RING4, 2, sigma), build_basis(RING4, 1, sigma)
-    whole = matrix_family(exprs, domain, codomain).stack
-    monkeypatch.setattr(fockspace, "_FAMILY_ROWS", 1)  # one expression per chunk
-    chunked = matrix_family(exprs, domain, codomain).stack
-    assert csr_arrays(chunked) == csr_arrays(whole)
-
-
-# tracemalloc peaks of the CLI-default eigenmode relations (ring:4, 2s=1,
-# n_max=3) with tiles under 2**13 entries before operator families: the
-# matrices were built one by one and the tiles stacked by copy
-PEAK_BEFORE_FAMILIES = {1: 1_668_282, -1: 1_042_864}
-
-
-@pytest.mark.parametrize("sigma", [1, -1])
-def test_relation_tiles_stay_within_the_memory_of_pair_matrices(sigma):
-    # _PRODUCT_ENTRIES bounds each tile's product; a larger cap shows here as
-    # a higher peak (for bosons 2**14 reads about 1.98 MB, 2**20 about 26 MB)
+def relation_peak(sigma):
+    """tracemalloc peak of the CLI-default eigenmode relations (ring:4, 2s=1, n_max=3)."""
     ops = mode_operators(OneBodySpec(), RING4.lattice, RING4.spin, sigma)
     for n in range(6):
         build_basis(RING4, n, sigma)  # the bases are cached, not part of the check
     tracemalloc.start()
     try:
         ladder_relation_residuals(RING4, ops, sigma, 3)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.1 * PEAK_BEFORE_FAMILIES[sigma]  # a 10% margin for library versions
+
+
+@pytest.mark.parametrize("sigma", [1, -1])
+def test_relation_tiles_stay_within_the_memory_of_pair_products(monkeypatch, sigma):
+    # _PRODUCT_ENTRIES bounds each tile's product.  Measured against one pair
+    # per tile in the same process, the default reads about 1.05x (bosons)
+    # and 1.43x (fermions); a cap of 2**14 reads 1.96x for fermions and 2**20
+    # over 9x for both.  The default runs first, so one-time caching only
+    # raises its side.
+    peak = relation_peak(sigma)
+    monkeypatch.setattr(fockspace, "_PRODUCT_ENTRIES", 1)
+    assert peak <= 1.6 * relation_peak(sigma)
 
 
 def test_matrix_of_identity_and_number():
