@@ -6,12 +6,13 @@ operator expressions, product-of-creation bracket states, and the
 first-quantized cross-checks (the overlap and symmetrizer oracles) that
 everything else is verified against.
 
-All ladder action goes through one kernel, ``_apply_strings``, which
-applies ladder strings to a batch of occupation rows at once; operator
-matrices, rotation lifts and bracket states are built on it.  Operator
-matrices come in families: ``matrix_family`` builds the matrices M_p of a
-list of expressions between one pair of sectors in one kernel pass, with
-the expression index as a block-row offset, into one stacked CSR
+All ladder action goes through one kernel, ``_apply_strings``, which applies
+ladder strings to a batch of occupation rows at once and drops a row as soon
+as its string vanishes, so later factors work only on the rows still alive;
+operator matrices, rotation lifts and bracket states are built on it.
+Operator matrices come in families: ``matrix_family`` builds the matrices
+M_p of a list of expressions between one pair of sectors in one kernel pass,
+with the expression index as a block-row offset, into one stacked CSR
 vstack_p(M_p) (an ``OperatorFamily``).  A run of consecutive members is a
 row range of the stack that shares its arrays, and ``matrix_of`` is the
 one-expression family.  The graded ladder relations are checked on such
@@ -176,28 +177,37 @@ def _apply_strings(occ: np.ndarray, modes, daggers, sigma: int):
     all rows.  sigma=+1 gives sqrt(n+1) / sqrt(n) factors; sigma=-1 allows
     occupancy 0/1 and gives the parity sign of the occupied modes before the
     target.  Returns (new rows, real amplitudes, alive); a row whose string
-    vanishes has alive False and amplitude 0.
+    vanishes has alive False and amplitude 0, and is not stepped further.
+
+    Each factor works only on the rows still alive, held as an index array,
+    so the parity sums and square roots of a string are paid only up to the
+    factor that kills it; a live row's amplitude is the same product, in the
+    same factor order, as if no row had been dropped.
     """
     k, m = occ.shape
     modes = np.broadcast_to(modes, (k, np.shape(modes)[-1]))
     daggers = np.broadcast_to(daggers, modes.shape)
     top = occ.max(initial=0) + modes.shape[1]
     work = occ.astype(np.int8 if top < 128 else np.int64)
-    amp = np.ones(k)
-    alive = np.ones(k, dtype=bool)
-    rows = np.arange(k)
+    live = np.arange(k)
+    live_amp = np.ones(k)
     for f in reversed(range(modes.shape[1])):
-        idx, dag = modes[:, f], daggers[:, f]
-        n = work[rows, idx].astype(np.float64)
+        idx, dag = modes[live, f], daggers[live, f]
+        n = work[live, idx]
+        # a fermion creator needs an empty mode; any annihilator a filled one
+        keep = n != dag if sigma == -1 else dag | (n > 0)
+        if not keep.all():
+            live, idx, dag, n, live_amp = live[keep], idx[keep], dag[keep], n[keep], live_amp[keep]
         if sigma == -1:
-            alive &= n != dag  # a creator needs an empty mode, an annihilator a filled one
             below = np.arange(m) < idx[:, None]
-            amp *= 1 - 2 * ((work * below).sum(axis=1) & 1)
+            live_amp *= 1 - 2 * ((work[live] * below).sum(axis=1) & 1)
         else:
-            alive &= dag | (n > 0)
-            amp *= np.sqrt(n + dag)
-        work[rows, idx] += np.where(alive, 2 * dag - 1, 0)
-    amp[~alive] = 0.0
+            live_amp *= np.sqrt(n.astype(np.float64) + dag)
+        work[live, idx] += 2 * dag.astype(work.dtype) - 1
+    amp = np.zeros(k)
+    amp[live] = live_amp
+    alive = np.zeros(k, dtype=bool)
+    alive[live] = True
     return work, amp, alive
 
 

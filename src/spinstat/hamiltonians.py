@@ -16,6 +16,7 @@ the executable form of the Bose-Einstein / Fermi-Dirac distinction.
 from __future__ import annotations
 
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 
@@ -175,6 +176,30 @@ def build_many_body(
     return matrix_of(expr, basis, basis)
 
 
+class BlockEigenvectors(Sequence):
+    """The eigenvectors of a blocked solve, kept as one array of columns per
+    block.  The k-th ``StateVector`` is built when it is read, by scattering
+    its block column into a zero complex vector over the whole sector, so a
+    caller that reads one vector never pays for the others."""
+
+    def __init__(self, basis: FockBasis, blocks, vectors, order: np.ndarray) -> None:
+        self._basis = basis
+        self._blocks = tuple(blocks)  # ascending basis indices of each block
+        self._vectors = tuple(vectors)  # eigh's eigenvector columns of each block
+        self._order = order  # k-th vector -> its column in block order
+        self._starts = np.cumsum([0] + [len(idx) for idx in self._blocks])
+
+    def __len__(self) -> int:
+        return len(self._order)
+
+    def __getitem__(self, k: int) -> StateVector:
+        column = int(self._order[k])
+        b = int(np.searchsorted(self._starts, column, side="right")) - 1
+        amplitudes = np.zeros(self._basis.dim, dtype=np.complex128)
+        amplitudes[self._blocks[b]] = self._vectors[b][:, column - self._starts[b]]
+        return StateVector(self._basis, amplitudes)
+
+
 @dataclass(frozen=True, eq=False)
 class SpectrumResult:
     """Ascending eigenvalues with orthonormal eigenvectors on one sector.
@@ -182,18 +207,19 @@ class SpectrumResult:
     Every eigenvector lies inside one block of fixed particle count per spin
     projection (the whole sector when H mixes those counts), so a degenerate
     level spread over several blocks comes back as its block components, not
-    as an arbitrary mixture of them.  Eigenvalues are merged with a stable
-    sort: equal values keep block order, blocks ascending by count vector
-    (the count at 2m_s = +2s first).  Values of one level that differ in the
-    last bits are ordered by those bits, so reruns return the same states on
-    the same machine with the same BLAS and BLAS thread count; another thread
-    count can change the state picked inside a level that spans several
-    blocks.
+    as an arbitrary mixture of them.  ``eigenvectors`` keeps only the
+    per-block arrays and builds each ``StateVector`` when it is read.
+    Eigenvalues are merged with a stable sort: equal values keep block order,
+    blocks ascending by count vector (the count at 2m_s = +2s first).  Values
+    of one level that differ in the last bits are ordered by those bits, so
+    reruns return the same states on the same machine with the same BLAS and
+    BLAS thread count; another thread count can change the state picked
+    inside a level that spans several blocks.
     """
 
     basis: FockBasis
     eigenvalues: np.ndarray
-    eigenvectors: tuple[StateVector, ...]
+    eigenvectors: BlockEigenvectors
     residual: float
 
     @property
@@ -201,7 +227,7 @@ class SpectrumResult:
         return float(self.eigenvalues[0])
 
 
-_BLOCK_WORK_ARRAYS = 6  # dense block, eigenvectors, LAPACK workspace, residual temporaries
+_BLOCK_WORK_ARRAYS = 6  # dense block, LAPACK workspace, residual and Gram temporaries
 
 
 def _available_memory() -> int | None:
@@ -239,8 +265,11 @@ def diagonalize(ham: OperatorMatrix) -> SpectrumResult:
     every Hamiltonian of ``build_many_body`` conserves (hopping is
     spin-diagonal, the interaction density-density); the split is checked on
     the stored entries, so any Hermitian matrix is solved exactly.  Each block
-    gets a dense ``eigh``, real when every stored entry of H is real.  Raises
-    ``DimensionCapError`` when the dense storage would not fit in free memory.
+    gets a dense ``eigh``, real when every stored entry of H is real; its
+    residual ||H_b v - lambda v|| is taken with the sparse block.  Only the
+    per-block eigenvector arrays are kept (``BlockEigenvectors``).  Raises
+    ``DimensionCapError`` when those arrays and the largest block's working
+    arrays would not fit in free memory.
     """
     if (
         ham.domain.n_particles != ham.codomain.n_particles
@@ -256,33 +285,31 @@ def diagonalize(ham: OperatorMatrix) -> SpectrumResult:
     blocks = _projection_blocks(ham)
     largest = max((len(idx) for idx in blocks), default=0)
     itemsize = 8 if real else 16
-    needed = 16 * dim * dim + _BLOCK_WORK_ARRAYS * itemsize * largest * largest
+    needed = itemsize * (sum(len(idx) ** 2 for idx in blocks) + _BLOCK_WORK_ARRAYS * largest * largest)
     free = _available_memory()
     if free is not None and needed > free:
         raise DimensionCapError(
             f"diagonalizing {dim} states (largest block {largest}) needs an estimated"
             f" {needed:,} bytes of dense storage; {free:,} bytes of memory are free"
         )
-    amplitudes = np.zeros((dim, dim), dtype=np.complex128)  # row k: k-th vector in block order
-    values = []
+    values, vectors = [], []
     residual = 0.0
-    start = 0
     for idx in blocks:
         sub = mat[idx][:, idx]
-        block = (sub.real if real else sub).toarray()
-        evals, evecs = np.linalg.eigh(block)
-        block_residual = float(np.linalg.norm(block @ evecs - evecs * evals, axis=0).max())
+        if real:
+            sub = sub.real
+        evals, evecs = np.linalg.eigh(sub.toarray())
+        block_residual = float(np.linalg.norm(sub @ evecs - evecs * evals, axis=0).max())
         gram = evecs.conj().T @ evecs - np.eye(len(evals))
         if block_residual > SPECTRUM_TOL * scale or np.max(np.abs(gram)) > SPECTRUM_TOL:
             raise RuntimeError("eigensolver failed its residual contract")
         residual = max(residual, block_residual)
-        amplitudes[start:start + len(idx), idx] = evecs.T
         values.append(evals)
-        start += len(idx)
+        vectors.append(evecs)
     evals = np.concatenate(values) if values else np.zeros(0)
     order = np.argsort(evals, kind="stable")
-    vectors = tuple(StateVector(ham.domain, amplitudes[k]) for k in order)
-    return SpectrumResult(ham.domain, evals[order], vectors, residual)
+    eigenvectors = BlockEigenvectors(ham.domain, blocks, vectors, order)
+    return SpectrumResult(ham.domain, evals[order], eigenvectors, residual)
 
 
 def occupancy_spectrum(

@@ -386,14 +386,15 @@ def full_turn_winding(
     lattice = space.lattice
     basis_from = build_basis(space, sector_n, sigma)
     basis_to = build_basis(space, sector_n - 2, sigma)
-    # a full turn brings the orbit back to ``site``: each pair matrix is built once
+    # a full turn brings the orbit back to ``site``: the orbit is one family
     orbit = [lattice.rotate_site_z(site, k) for k in range(per_turn)]
-    mats = [matrix_of(pair_operator(space, twos_ms, s, sigma), basis_from, basis_to) for s in orbit]
+    family = matrix_family([pair_operator(space, twos_ms, s, sigma) for s in orbit], basis_from, basis_to)
     total_angle = 0.0
     worst = 0.0
-    for k, f_now in enumerate(mats):
-        f_next = mats[(k + 1) % per_turn].matrix.tocsr()
-        conj = conjugated(rot, f_now).matrix.tocsr()
+    for k in range(per_turn):
+        nxt = (k + 1) % per_turn
+        f_next = family.rows(nxt, nxt + 1)
+        conj = conjugated(rot, OperatorMatrix(basis_from, basis_to, family.rows(k, k + 1))).matrix.tocsr()
         phase = _dominant_ratio([conj], [f_next])
         if phase is None:
             raise ValueError(f"pair operator vanishes at site {orbit[k]}; winding undefined")

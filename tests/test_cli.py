@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -351,6 +352,30 @@ def test_default_verify_reports_are_pinned(tmp_path):
     }
     for suite, values in pinned.items():
         assert [r["value"] for r in read_json(tmp_path / f"{suite}.json")["residuals"]] == values, suite
+
+
+def test_spectrum_command_outputs_are_pinned(tmp_path):
+    # exact bytes of diagonalize and correlate on a small Hubbard ring: state 3
+    # is a block component of a triplet level spread over the three count
+    # blocks, so block order, vector values and the level order all show here
+    cfg = {
+        "lattice": {"kind": "ring", "M": 6}, "twos_s": 1, "sigma": -1, "N": 2,
+        "V": {"0": 4.0, "1": 1.0}, "onsite_U": [0.25, -0.5, 0.75, 0.125, -0.875, 0.375],
+        "state_index": 3,
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["diagonalize", "--config", str(path), "--eigenvectors", "--out", str(out)]) == 0
+    assert main(["correlate", "--config", str(path), "--out", str(out)]) == 0
+    pinned = {
+        "spectrum.csv": "10122cd92b23cbd71dcb37a31cc126b232e351cd442e94e237753ac5005f54bf",
+        "eigenvectors.csv": "313e10de2c94fbbfcf03807083cd853f5e2a704b65ddbe7056595ed7d432bbd8",
+        "profile.csv": "6a77e2680435875f832a7b62e657e280a9b1612dbce5389f9930fb41165d96d3",
+        "angular.csv": "e00979067ea34e9c09006658eee6a99f76f5a2302cbd92cf26c28743eb77c654",
+    }
+    for name, digest in pinned.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
 @pytest.mark.parametrize("argv", [

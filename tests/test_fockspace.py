@@ -28,7 +28,7 @@ from spinstat.fockspace import (
     sector_dimension,
     symmetrizer_oracle,
 )
-from spinstat.hamiltonians import OneBodySpec, mode_operators
+from spinstat.hamiltonians import OneBodySpec, TwoBodySpec, many_body_expr, mode_operators
 from spinstat.modes import Lattice, ModeSpace, SpinQuantum
 from spinstat.opalgebra import OperatorExpr, create, destroy, normal_order
 
@@ -93,31 +93,86 @@ def ladder_batches(draw):
     return basis, states, strings
 
 
+def scalar_string(occ: tuple[int, ...], string, sigma: int):
+    """A ladder string applied factor by factor with ``occ_apply``, rightmost
+    first: (new occupation, amplitude), or None when the string vanishes."""
+    factor = 1.0
+    for idx, dag in reversed(string):
+        res = occ_apply(occ, idx, dag, sigma)
+        if res is None:
+            return None
+        occ, step = res
+        factor *= step
+    return occ, factor
+
+
+def assert_kernel_rows(basis, states, strings, occ, amp, alive):
+    for row, (state, string) in enumerate(zip(states, strings)):
+        want = scalar_string(basis.occ_tuple(state), string, basis.sigma)
+        if want is None:
+            assert not alive[row] and amp[row] == 0.0
+        else:
+            assert alive[row] and amp[row] == want[1]
+            assert tuple(occ[row].tolist()) == want[0]
+
+
+# one batch of length-3 strings on the first basis state, in which rows die at
+# the first (rightmost), a middle and the last factor between rows that survive
+_FERMION_DEATHS = [
+    [(2, True), (1, False), (0, False)],  # survives
+    [(3, True), (2, True), (5, False)],  # mode 5 empty: dies at the first factor
+    [(2, True), (3, True), (1, False)],  # survives, with parity sign -1
+    [(3, True), (0, True), (1, False)],  # mode 0 filled again: dies in the middle
+    [(1, True), (4, True), (0, False)],  # mode 1 still filled: dies at the last
+]
+_BOSON_DEATHS = [
+    [(1, True), (0, False), (0, False)],  # survives
+    [(0, True), (0, True), (3, False)],  # mode 3 empty: dies at the first factor
+    [(0, True), (2, False), (0, True)],  # mode 2 empty: dies in the middle
+    [(0, True), (0, True), (0, False)],  # survives
+    [(5, False), (0, False), (0, False)],  # mode 5 empty: dies at the last
+]
+
+
 @settings(max_examples=300)
 @given(ladder_batches())
 @example((build_basis(KERNEL_SPACES[1], 1, -1), [0], [[(0, True)]]))  # Pauli exclusion
 @example((build_basis(KERNEL_SPACES[1], 2, -1), [0], [[(1, False)]]))  # sign from mode 0
 @example((build_basis(KERNEL_SPACES[2], 1, 1), [4], [[(3, False)]]))  # empty mode
+@example((build_basis(KERNEL_SPACES[1], 2, -1), [0] * 5, _FERMION_DEATHS))
+@example((build_basis(KERNEL_SPACES[1], 2, 1), [0] * 5, _BOSON_DEATHS))
 def test_kernel_matches_scalar_reference(batch):
     basis, states, strings = batch
     length = len(strings[0])
     modes = np.array([[idx for idx, _ in s] for s in strings], dtype=np.intp).reshape(len(states), length)
     daggers = np.array([[dag for _, dag in s] for s in strings], dtype=bool).reshape(len(states), length)
     occ, amp, alive = _apply_strings(basis.occupations[states], modes, daggers, basis.sigma)
-    for row, (state, string) in enumerate(zip(states, strings)):
-        want, factor = basis.occ_tuple(state), 1.0
-        for idx, dag in reversed(string):
-            res = occ_apply(want, idx, dag, basis.sigma)
-            if res is None:
-                want = None
-                break
-            want, step = res
-            factor *= step
-        if want is None:
-            assert not alive[row] and amp[row] == 0.0
-        else:
-            assert alive[row] and amp[row] == factor
-            assert tuple(occ[row].tolist()) == want
+    assert_kernel_rows(basis, states, strings, occ, amp, alive)
+
+
+@pytest.mark.parametrize("sigma", [1, -1])
+def test_kernel_applies_every_hamiltonian_term_to_a_whole_sector(sigma):
+    space = ModeSpace(Lattice.ring(4), SpinQuantum(1))
+    basis = build_basis(space, 2, sigma)
+    expr = many_body_expr(
+        OneBodySpec(hop_t=1.0, onsite_u=(0.3, -0.2, 0.1, 0.0)), TwoBodySpec.from_dict({0: 4.0, 1: 1.0}),
+        space, sigma,
+    )
+    by_length = {}
+    for term in expr.terms:
+        by_length.setdefault(len(term.factors), []).append([(space.index(f.mode), f.dagger) for f in term.factors])
+    assert sorted(by_length) == [2, 4]
+    for strings in by_length.values():  # every term on every basis row, one call per string length
+        states = list(range(basis.dim)) * len(strings)
+        rows = [s for s in strings for _ in range(basis.dim)]
+        occ, amp, alive = _apply_strings(
+            np.tile(basis.occupations, (len(strings), 1)),
+            np.array([[idx for idx, _ in s] for s in rows], dtype=np.intp),
+            np.array([[dag for _, dag in s] for s in rows], dtype=bool),
+            sigma,
+        )
+        assert 0 < alive.sum() < len(rows)
+        assert_kernel_rows(basis, states, rows, occ, amp, alive)
 
 
 def test_dimension_cap(monkeypatch):

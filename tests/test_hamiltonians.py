@@ -1,3 +1,6 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -264,14 +267,38 @@ def test_equal_eigenvalues_keep_block_order():
 def test_diagonalize_refuses_past_free_memory(monkeypatch):
     basis = build_basis(ModeSpace(Lattice.ring(4), SpinQuantum(1)), 2, -1)  # blocks 6/16/6
     ham = build_many_body(OneBodySpec(hop_t=1.0), None, basis)
-    monkeypatch.setattr(hamiltonians, "_available_memory", lambda: 24_831)
-    # 16 * 28^2 bytes of eigenvectors + six real 16 x 16 working arrays
-    with pytest.raises(DimensionCapError, match="28 states .* 24,832 bytes"):
+    monkeypatch.setattr(hamiltonians, "_available_memory", lambda: 14_911)
+    # real per-block eigenvectors 8 * (6^2 + 16^2 + 6^2) + six real 16 x 16 working arrays
+    with pytest.raises(DimensionCapError, match="28 states .* 14,912 bytes"):
         diagonalize(ham)
-    monkeypatch.setattr(hamiltonians, "_available_memory", lambda: 24_832)
+    monkeypatch.setattr(hamiltonians, "_available_memory", lambda: 14_912)
     assert diagonalize(ham).basis is basis
     monkeypatch.setattr(hamiltonians, "_available_memory", lambda: None)
     assert diagonalize(ham).basis is basis
+
+
+def test_diagonalize_peak_stays_within_its_memory_estimate(monkeypatch):
+    space = ModeSpace(Lattice.ring(6), SpinQuantum(1))
+    basis = build_basis(space, 3, -1)  # 220 states, blocks 20/90/90/20
+    ham = build_many_body(
+        OneBodySpec(hop_t=1.0, onsite_u=tuple(0.1 * i for i in range(6))), TwoBodySpec.from_dict({0: 4.0, 1: 1.0}),
+        basis,
+    )
+    monkeypatch.setattr(hamiltonians, "_available_memory", lambda: 0)
+    with pytest.raises(DimensionCapError) as refusal:
+        diagonalize(ham)
+    estimate = int(re.search(r"estimated ([\d,]+) bytes", str(refusal.value)).group(1).replace(",", ""))
+    monkeypatch.setattr(hamiltonians, "_available_memory", lambda: None)
+    tracemalloc.start()
+    try:
+        result = diagonalize(ham)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # LAPACK's workspace is not traced; the per-block vectors and the working
+    # arrays numpy allocates are, and no dense sector-sized complex array is built
+    assert peak <= estimate < 16 * basis.dim**2
+    assert len(result.eigenvectors) == basis.dim
 
 
 def test_occupancy_spectrum_rules():

@@ -254,9 +254,15 @@ def test_parity_covariance_builds_each_pair_matrix_once(monkeypatch):
 
 def test_full_turn_winding_builds_each_pair_matrix_once(monkeypatch):
     space = ModeSpace(Lattice.ring(8), SpinQuantum(3))
-    calls = _count_calls(monkeypatch, "matrix_of")
+    singles = _count_calls(monkeypatch, "matrix_of")
+    families = _count_calls(monkeypatch, "matrix_family")
     assert full_turn_winding(space, 3, 1, 1).winding == 3
-    assert len(calls) == space.lattice.steps_per_turn
+    # one family of F over the orbit of site 1, in rotation order
+    orbit = [(1 + k) % 8 for k in range(space.lattice.steps_per_turn)]
+    assert [(tuple(exprs), domain.n_particles) for exprs, domain, _ in families] == [
+        (tuple(pair_operator(space, 3, site, 1) for site in orbit), 2)
+    ]
+    assert singles == []
 
 
 def test_theorem_report_checks_origin_once_per_grade_and_projection(monkeypatch):
@@ -272,13 +278,17 @@ def test_theorem_report_builds_each_even_inversion_pair_matrix_once(monkeypatch)
     singles = _count_calls(monkeypatch, "pair_matrix")
     theorem_report(space, n_max=2)
     sites, probe = range(space.lattice.n_sites), theorem_probe_site(space)
-    # the even-inversion check builds one family of F(r) over every site per
-    # grade and projection, on N = 2 ...
-    assert Counter((tuple(exprs), domain) for exprs, domain, _ in families) == Counter({
-        (tuple(pair_operator(space, tm, site, sigma) for site in sites), build_basis(space, 2, sigma)): 1
-        for sigma in (1, -1)
-        for tm in space.spin.projections()
-    })
+    orbit = [space.lattice.rotate_site_z(probe, k) for k in range(space.lattice.steps_per_turn)]
+    # per grade and projection, on N = 2, the even-inversion check builds one
+    # family of F(r) over every site and the winding one over the probe's orbit
+    # (on a ring from site 0 these are the same list, so it counts twice) ...
+    expected = Counter()
+    for sigma in (1, -1):
+        for tm in space.spin.projections():
+            for members in (sites, orbit):
+                exprs = tuple(pair_operator(space, tm, site, sigma) for site in members)
+                expected[exprs, build_basis(space, 2, sigma)] += 1
+    assert Counter((tuple(exprs), domain) for exprs, domain, _ in families) == expected
     # ... and the half-turn check builds F(probe) on its own
     assert Counter((args[3], args[1], args[2]) for args in singles) == Counter({
         (sigma, tm, probe): 1 for sigma in (1, -1) for tm in space.spin.projections()
