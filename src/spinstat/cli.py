@@ -290,10 +290,13 @@ def _tol(cfg: RunConfig, suite: str) -> float:
     return cfg.tol if cfg.tol is not None else SUITE_DEFAULT_TOL[suite]
 
 
-def _require_states(space: ModeSpace, n_particles: int, sigma: int) -> None:
-    """Refuse a sector with no states: nothing computed on it would be checked."""
-    if sector_dimension(space.n_modes, n_particles, sigma) == 0:
+def _require_states(space: ModeSpace, n_particles: int, sigma: int) -> int:
+    """The sector's dimension; a sector with no states is refused, since
+    nothing computed on it would be checked."""
+    dim = sector_dimension(space.n_modes, n_particles, sigma)
+    if dim == 0:
         raise ConfigError(f"sector N={n_particles}, sigma={sigma:+d} has no states")
+    return dim
 
 
 def _pair_n_max(cfg: RunConfig, suite: str) -> int:
@@ -605,13 +608,16 @@ def cmd_diagonalize(cfg: RunConfig) -> int:
 def cmd_correlate(cfg: RunConfig) -> int:
     if cfg.n_particles < 2:
         raise ConfigError("correlations need N >= 2")
-    space, basis, ham, spectrum = _spectrum_for(cfg)
-    if not 0 <= cfg.state_index < basis.dim:
-        raise ConfigError(f"state index {cfg.state_index} outside 0..{basis.dim - 1}")
-    state = spectrum.eigenvectors[cfg.state_index]
+    # the state and projection are checked before the sector is built and solved
+    space = cfg.make_space()
+    dim = _require_states(space, cfg.n_particles, cfg.single_sigma())
+    if not 0 <= cfg.state_index < dim:
+        raise ConfigError(f"state index {cfg.state_index} outside 0..{dim - 1}")
     twos_ms = cfg.twos_ms if cfg.twos_ms is not None else space.spin.projections()[0]
     if not space.spin.is_allowed_projection(twos_ms):
         raise ConfigError(f"projection 2m_s={twos_ms} not allowed for 2s={space.spin.twos_s}")
+    spectrum = _spectrum_for(cfg)[3]
+    state = spectrum.eigenvectors[cfg.state_index]
     out = _out_dir(cfg)
     profile = corr.antipodal_profile(state, twos_ms)
     _write_csv(

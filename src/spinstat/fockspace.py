@@ -13,7 +13,10 @@ operator matrices, rotation lifts and bracket states are built on it.
 Operator matrices come in families: ``matrix_family`` builds the matrices
 M_p of a list of expressions between one pair of sectors in one kernel pass,
 with the expression index as a block-row offset, into one stacked CSR
-vstack_p(M_p) (an ``OperatorFamily``).  A run of consecutive members is a
+vstack_p(M_p) (an ``OperatorFamily``).  Only the (term, column) pairs whose
+first (rightmost) factor survives enter the kernel: the surviving rows are
+those of a pass over every column, in the same order and with the same
+products, so no bit of any matrix moves.  A run of consecutive members is a
 row range of the stack that shares its arrays, and ``matrix_of`` is the
 one-expression family.  The graded ladder relations are checked on such
 families in lean tiles: each tile is one product of a row range with the
@@ -169,6 +172,13 @@ class StateVector:
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
 
+def _factor_survives(n, dag, sigma: int):
+    """Where one ladder factor acts without vanishing, from the occupancy n of
+    its mode: a fermion creator needs an empty mode, any annihilator a filled
+    one, and a boson creator always acts."""
+    return n != dag if sigma == -1 else dag | (n > 0)
+
+
 def _apply_strings(occ: np.ndarray, modes, daggers, sigma: int):
     """Apply one ladder string to each occupation row, rightmost factor first.
 
@@ -194,8 +204,7 @@ def _apply_strings(occ: np.ndarray, modes, daggers, sigma: int):
     for f in reversed(range(modes.shape[1])):
         idx, dag = modes[live, f], daggers[live, f]
         n = work[live, idx]
-        # a fermion creator needs an empty mode; any annihilator a filled one
-        keep = n != dag if sigma == -1 else dag | (n > 0)
+        keep = _factor_survives(n, dag, sigma)
         if not keep.all():
             live, idx, dag, n, live_amp = live[keep], idx[keep], dag[keep], n[keep], live_amp[keep]
         if sigma == -1:
@@ -315,41 +324,77 @@ def matrix_family(exprs, domain: FockBasis, codomain: FockBasis) -> OperatorFami
 
 
 def _kernel_batches(exprs, domain: FockBasis):
-    """Every kernel call of a family build, as (expression of each term, terms,
-    new rows, amplitudes, alive): one kernel row per (term, column),
-    term-major, terms ascending by length and then in expression order, at
-    most ``_KERNEL_ROWS`` rows a call unless one term has more."""
+    """Every kernel call of a family build, as (kernel row's block-row offset,
+    column, coefficient, new rows, amplitudes, alive).
+
+    A term enters the kernel only on the columns where its first (rightmost)
+    factor survives, found once per (mode, dagger) from the domain
+    occupations by the kernel's own rule (``_factor_survives``); a term
+    without factors enters on every column.  Rows are term-major, terms
+    ascending by length and then in expression order, columns ascending,
+    at most ``_KERNEL_ROWS`` rows a call unless one term has more.  No array
+    is terms x dim.  A pair dropped here would die at the kernel's first
+    factor, so the rows alive on return are those of a pass over every
+    (term, column) pair, in the same order, with the same factor products:
+    the COO of the family is the same, entry for entry, and so is every bit
+    of its CSR.
+    """
     by_length: dict[int, list] = {}
     for p, expr in enumerate(exprs):
         for term in expr.terms:
             by_length.setdefault(len(term.factors), []).append((p, term))
-    dim = domain.dim
-    per_call = max(1, _KERNEL_ROWS // max(dim, 1))
+    space, occ, sigma = domain.space, domain.occupations, domain.sigma
+    acting: dict[tuple[int, bool], np.ndarray] = {}  # (mode, dagger) -> the columns where it survives
+
+    def columns(term) -> np.ndarray:
+        if not term.factors:
+            return np.arange(domain.dim)
+        first = term.factors[-1]
+        key = (space.index(first.mode), first.dagger)
+        if key not in acting:
+            acting[key] = np.flatnonzero(_factor_survives(occ[:, key[0]], first.dagger, sigma))
+        return acting[key]
+
+    def call(length, batch):
+        owners, terms, cols = zip(*batch)
+        counts = [len(c) for c in cols]
+        factors = [f for t in terms for f in t.factors]
+        modes = np.array([space.index(f.mode) for f in factors], dtype=np.intp)
+        daggers = np.array([f.dagger for f in factors], dtype=bool)
+        cols = np.concatenate(cols)
+        new, amp, alive = _apply_strings(
+            occ[cols],
+            np.repeat(modes.reshape(len(terms), length), counts, axis=0),
+            np.repeat(daggers.reshape(len(terms), length), counts, axis=0),
+            sigma,
+        )
+        return np.repeat(owners, counts), cols, np.repeat([t.coeff for t in terms], counts), new, amp, alive
+
     for length, items in sorted(by_length.items()):
-        for i in range(0, len(items), per_call):
-            owners, terms = zip(*items[i:i + per_call])
-            factors = [f for t in terms for f in t.factors]
-            modes = np.array([domain.space.index(f.mode) for f in factors], dtype=np.intp)
-            daggers = np.array([f.dagger for f in factors], dtype=bool)
-            occ, amp, alive = _apply_strings(
-                np.tile(domain.occupations, (len(terms), 1)),
-                np.repeat(modes.reshape(len(terms), length), dim, axis=0),
-                np.repeat(daggers.reshape(len(terms), length), dim, axis=0),
-                domain.sigma,
-            )
-            yield owners, terms, occ, amp, alive
+        batch, rows = [], 0
+        for p, term in items:
+            cols = columns(term)
+            if not len(cols):
+                continue
+            if batch and rows + len(cols) > _KERNEL_ROWS:
+                yield call(length, batch)
+                batch, rows = [], 0
+            batch.append((p, term, cols))
+            rows += len(cols)
+        if batch:
+            yield call(length, batch)
 
 
 def _stacked_entries(exprs, domain: FockBasis, codomain: FockBasis) -> sp.csr_matrix:
     """vstack of the matrices of ``exprs``, from one COO of all their entries."""
-    dim, co = domain.dim, codomain.dim
-    shape = (len(exprs) * co, dim)
+    co = codomain.dim
+    shape = (len(exprs) * co, domain.dim)
     index = np.int32 if max(shape) < 2**31 else np.int64  # as scipy would pick, so no entry is copied to convert
     rows, cols, vals = [], [], []
-    for owners, terms, occ, amp, alive in _kernel_batches(exprs, domain):
-        rows.append((codomain.rank(occ[alive]) + np.repeat(np.multiply(owners, co), dim)[alive]).astype(index))
-        cols.append(np.tile(np.arange(dim, dtype=index), len(terms))[alive])
-        vals.append((np.repeat([t.coeff for t in terms], dim) * amp)[alive])
+    for owners, columns, coeffs, occ, amp, alive in _kernel_batches(exprs, domain):
+        rows.append((codomain.rank(occ[alive]) + (owners * co)[alive]).astype(index))
+        cols.append(columns[alive].astype(index))
+        vals.append((coeffs * amp)[alive])
     if not vals:
         return sp.csr_matrix(shape, dtype=np.complex128)
     # each list is dropped as soon as it is joined, so the pieces and the joins do not all coexist

@@ -264,10 +264,14 @@ def diagonalize(ham: OperatorMatrix) -> SpectrumResult:
     H is split into blocks of fixed particle count per spin projection, which
     every Hamiltonian of ``build_many_body`` conserves (hopping is
     spin-diagonal, the interaction density-density); the split is checked on
-    the stored entries, so any Hermitian matrix is solved exactly.  Each block
-    gets a dense ``eigh``, real when every stored entry of H is real; its
-    residual ||H_b v - lambda v|| is taken with the sparse block.  Only the
-    per-block eigenvector arrays are kept (``BlockEigenvectors``).  Raises
+    the stored entries, so any Hermitian matrix is solved exactly.  H is
+    permuted once into the concatenated block order (and its real part taken
+    once, when every stored entry is real), so each block is a contiguous
+    diagonal range of that one gather: its entries are moved, not computed,
+    and each dense block is the one a per-block gather would give.  Each block
+    gets a dense ``eigh``; its residual ||H_b v - lambda v|| is taken with the
+    sparse block.  Only the per-block eigenvector arrays are kept
+    (``BlockEigenvectors``).  Raises
     ``DimensionCapError`` when those arrays and the largest block's working
     arrays would not fit in free memory.
     """
@@ -292,12 +296,15 @@ def diagonalize(ham: OperatorMatrix) -> SpectrumResult:
             f"diagonalizing {dim} states (largest block {largest}) needs an estimated"
             f" {needed:,} bytes of dense storage; {free:,} bytes of memory are free"
         )
+    order = np.concatenate(blocks) if blocks else np.zeros(0, dtype=np.intp)
+    gathered = mat[order][:, order]  # block b is the diagonal range starts[b]:starts[b + 1]
+    if real:
+        gathered = gathered.real
+    starts = np.cumsum([0] + [len(idx) for idx in blocks])
     values, vectors = [], []
     residual = 0.0
-    for idx in blocks:
-        sub = mat[idx][:, idx]
-        if real:
-            sub = sub.real
+    for a, b in zip(starts[:-1], starts[1:]):
+        sub = gathered[a:b, a:b]
         evals, evecs = np.linalg.eigh(sub.toarray())
         block_residual = float(np.linalg.norm(sub @ evecs - evecs * evals, axis=0).max())
         gram = evecs.conj().T @ evecs - np.eye(len(evals))

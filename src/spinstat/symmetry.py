@@ -382,19 +382,26 @@ def full_turn_winding(
         raise IncompatibleRotationError(
             f"{per_turn} steps per turn cannot resolve winding for 2m_s={twos_ms}"
         )
-    rot = SpinorRotation(space, 1)
-    lattice = space.lattice
     basis_from = build_basis(space, sector_n, sigma)
     basis_to = build_basis(space, sector_n - 2, sigma)
     # a full turn brings the orbit back to ``site``: the orbit is one family
-    orbit = [lattice.rotate_site_z(site, k) for k in range(per_turn)]
+    orbit = [space.lattice.rotate_site_z(site, k) for k in range(per_turn)]
     family = matrix_family([pair_operator(space, twos_ms, s, sigma) for s in orbit], basis_from, basis_to)
+    return _orbit_winding(family, twos_ms, orbit, range(per_turn))
+
+
+def _orbit_winding(family, twos_ms: int, orbit, members) -> WindingResult:
+    """The winding of F along a full-turn ``orbit`` of sites, one elementary
+    rotation step at a time, with F(orbit[k]) read as member ``members[k]``
+    of ``family`` (an ``OperatorFamily`` of pair operators)."""
+    rot = SpinorRotation(family.domain.space, 1)
     total_angle = 0.0
     worst = 0.0
-    for k in range(per_turn):
-        nxt = (k + 1) % per_turn
+    for k, member in enumerate(members):
+        nxt = members[(k + 1) % len(members)]
         f_next = family.rows(nxt, nxt + 1)
-        conj = conjugated(rot, OperatorMatrix(basis_from, basis_to, family.rows(k, k + 1))).matrix.tocsr()
+        step = OperatorMatrix(family.domain, family.codomain, family.rows(member, member + 1))
+        conj = conjugated(rot, step).matrix.tocsr()
         phase = _dominant_ratio([conj], [f_next])
         if phase is None:
             raise ValueError(f"pair operator vanishes at site {orbit[k]}; winding undefined")
@@ -480,8 +487,12 @@ def theorem_report(space: ModeSpace, n_max: int = 3) -> TheoremReport:
         )
     probe = theorem_probe_site(space)
     origin = origin_pair_site(space)
+    orbit = [space.lattice.rotate_site_z(probe, k) for k in range(per_turn)]
     per_sigma: dict[int, SigmaVerdict] = {}
     for sigma in (1, -1):
+        # F(r) over every site on N = 2 per projection, read by the winding
+        # (at the probe's orbit) and by the inversion-even check
+        pairs = dict(_pair_sectors(space, sigma, 2))
         lam_values: list[complex] = []
         lam_residual = 0.0
         origin_indeterminate = True
@@ -501,7 +512,7 @@ def theorem_report(space: ModeSpace, n_max: int = 3) -> TheoremReport:
             else:
                 origin_indeterminate &= vanishes
             origin_all_vanish &= vanishes
-            w = full_turn_winding(space, tm, probe, sigma, sector_n=2)
+            w = _orbit_winding(pairs[tm], tm, orbit, orbit)
             windings[tm] = w.winding
             winding_residual = max(winding_residual, w.max_step_residual, w.angle_defect)
         lam = lam_values[0]
@@ -509,7 +520,7 @@ def theorem_report(space: ModeSpace, n_max: int = 3) -> TheoremReport:
         lam_residual = max(lam_residual, spread)
 
         even_parity_norm = 0.0
-        for _, family in _pair_sectors(space, sigma, 2):
+        for family in pairs.values():
             even = family.stack + family.blocks(_inverted_sites(space))
             even_parity_norm = max(even_parity_norm, max_abs(even))
         even_vanish = even_parity_norm <= PHASE_TOL

@@ -480,6 +480,24 @@ def test_correlate_bad_state_index(tmp_path):
     ]) == 2
 
 
+@pytest.mark.parametrize("flags, reason", [
+    (["--state-index", "5000"], "state index 5000 outside 0..27"),
+    (["--state-index", "-1"], "state index -1 outside 0..27"),
+    (["--twos-ms", "3"], "projection 2m_s=3 not allowed for 2s=1"),
+], ids=["past-the-end", "negative", "projection"])
+def test_bad_correlate_request_is_refused_before_the_solve(tmp_path, capsys, monkeypatch, flags, reason):
+    def no_solve(ham):
+        raise AssertionError("diagonalize reached")
+
+    monkeypatch.setattr(cli, "diagonalize", no_solve)
+    out = tmp_path / "o"
+    assert main([
+        "correlate", "--lattice", "ring:4", "--twos-s", "1", "--sigma", "-1", "-N", "2", *flags, "--out", str(out),
+    ]) == 2
+    assert capsys.readouterr().err == f"configuration error: {reason}\n"
+    assert not out.exists()
+
+
 def test_correlate_needs_two_particles(tmp_path):
     assert main([
         "correlate", "--lattice", "ring:4", "--twos-s", "0", "--sigma", "-1",

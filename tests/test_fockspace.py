@@ -1,9 +1,11 @@
 import math
+import random
 import tracemalloc
 from itertools import permutations, product
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -28,9 +30,9 @@ from spinstat.fockspace import (
     sector_dimension,
     symmetrizer_oracle,
 )
-from spinstat.hamiltonians import OneBodySpec, TwoBodySpec, many_body_expr, mode_operators
+from spinstat.hamiltonians import OneBodySpec, TwoBodySpec, build_many_body, many_body_expr, mode_operators
 from spinstat.modes import Lattice, ModeSpace, SpinQuantum
-from spinstat.opalgebra import OperatorExpr, create, destroy, normal_order
+from spinstat.opalgebra import LadderOp, OperatorExpr, OperatorTerm, create, destroy, normal_order
 
 SPACE4 = ModeSpace(Lattice.ring(2), SpinQuantum(1))  # 4 modes
 RNG = np.random.default_rng(7)
@@ -356,6 +358,112 @@ def test_family_blocks_are_each_matrix_of_bit_for_bit(sigma):
             assert np.shares_memory(block.data, family.stack.data)
             assert np.shares_memory(block.indices, family.stack.indices)
     assert family.rows(0, len(exprs)) is family.stack
+
+
+def random_term(draw, space, shift):
+    """One term of particle shift ``shift``: |shift| + 2k ladder factors (k <= 1,
+    or 2 at no shift) in any order, so the rightmost may be a creator, with
+    modes drawn from a small pool so that they repeat, and a coefficient that
+    may be zero."""
+    length = abs(shift) + 2 * draw(st.integers(0, 1 + (shift == 0)))
+    creators = (length + shift) // 2
+    daggers = draw(st.permutations([True] * creators + [False] * (length - creators)))
+    pool = draw(st.lists(st.integers(0, space.n_modes - 1), min_size=1, max_size=3))
+    modes = [space.mode_at(draw(st.sampled_from(pool))) for _ in daggers]
+    coeff = draw(st.sampled_from((1.0, -1.0, 0.0, 0.5, 2.0 - 1.5j, 1j)))
+    return OperatorTerm(complex(coeff), tuple(LadderOp(m, d) for m, d in zip(modes, daggers)))
+
+
+@st.composite
+def random_families(draw):
+    """Two sectors and a list of expressions between them, each of up to four
+    random terms (none at all for some); past n_modes fermions the domain
+    sector is empty."""
+    space = draw(st.sampled_from(KERNEL_SPACES))
+    sigma = draw(st.sampled_from((1, -1)))
+    shift = draw(st.integers(-2, 2))
+    empty = st.just(space.n_modes + 1) if sigma == -1 else st.nothing()
+    n = draw(st.integers(max(0, -shift), 3) | empty)
+    exprs = [
+        OperatorExpr(sigma, tuple(random_term(draw, space, shift) for _ in range(draw(st.integers(0, 4)))))
+        for _ in range(draw(st.integers(0, 3)))
+    ]
+    return build_basis(space, n, sigma), build_basis(space, n + shift, sigma), exprs
+
+
+def reference_matrix(expr, domain, codomain):
+    """The matrix of ``expr`` with every term applied to every domain column by
+    the scalar ``occ_apply``, its entries listed in the kernel's term order
+    (ascending by length) and summed by the same COO-to-CSR conversion."""
+    space, where = domain.space, {codomain.occ_tuple(i): i for i in range(codomain.dim)}
+    rows, cols, coeffs, amps = [], [], [], []
+    for term in sorted(expr.terms, key=lambda t: len(t.factors)):
+        string = [(space.index(f.mode), f.dagger) for f in term.factors]
+        for j in range(domain.dim):
+            hit = scalar_string(domain.occ_tuple(j), string, domain.sigma)
+            if hit is not None:
+                rows.append(where[hit[0]])
+                cols.append(j)
+                coeffs.append(term.coeff)
+                amps.append(hit[1])
+    vals = np.array(coeffs, dtype=np.complex128) * np.array(amps, dtype=np.float64)
+    coo = sp.coo_matrix((vals, (rows, cols)), shape=(codomain.dim, domain.dim), dtype=np.complex128)
+    return coo.tocsr()
+
+
+def csr_bits(m):
+    return m.indptr.tolist(), m.indices.tolist(), m.data.tobytes()
+
+
+def _example_family(space, sigma, n, shift, *terms):
+    """An ``@example`` input: terms given as (coefficient, [(mode index, dagger), ...])."""
+    expr = OperatorExpr(sigma, tuple(
+        OperatorTerm(complex(c), tuple(LadderOp(space.mode_at(i), d) for i, d in string)) for c, string in terms
+    ))
+    return build_basis(space, n, sigma), build_basis(space, n + shift, sigma), [expr, OperatorExpr.zero(sigma)]
+
+
+_EDGE_TERMS = (
+    (0.5, []),  # no factors: every column
+    (1.0, [(1, False), (1, True)]),  # rightmost a creator, mode repeated
+    (0.0, [(0, True), (2, False)]),  # zero coefficient
+    (2.0 - 1.5j, [(2, True), (1, True), (1, False), (2, False)]),
+)
+
+
+@settings(max_examples=150)
+@given(random_families())
+@example(_example_family(KERNEL_SPACES[0], 1, 2, 0, *_EDGE_TERMS))
+@example(_example_family(KERNEL_SPACES[0], -1, 2, 0, *_EDGE_TERMS))
+@example(_example_family(KERNEL_SPACES[0], -1, 5, -2, (1.0, [(0, False), (1, False)])))  # empty domain
+def test_family_blocks_match_every_column_scalar_reference(family_input):
+    domain, codomain, exprs = family_input
+    family = matrix_family(exprs, domain, codomain)
+    assert family.stack.shape == (len(exprs) * codomain.dim, domain.dim)
+    for p, expr in enumerate(exprs):
+        assert csr_bits(family.rows(p, p + 1)) == csr_bits(reference_matrix(expr, domain, codomain))
+
+
+def test_hamiltonian_build_sends_only_rows_whose_first_factor_survives(monkeypatch):
+    # ring:10, 2s=1, sigma=-1, N=3 (1,140 states) with V = {0: 4, 1: 1} and a
+    # seeded on-site potential: 180 terms, which over every column would be
+    # 205,200 kernel rows
+    rng = random.Random(7)
+    space = ModeSpace(Lattice.ring(10), SpinQuantum(1))
+    spec1 = OneBodySpec(hop_t=1.0, onsite_u=tuple(rng.uniform(-1.0, 1.0) for _ in range(10)))
+    basis = build_basis(space, 3, -1)
+    calls, kernel = [], fockspace._apply_strings
+
+    def counted(occ, modes, daggers, sigma):
+        out = kernel(occ, modes, daggers, sigma)
+        calls.append((len(occ), int(out[2].sum())))
+        return out
+
+    monkeypatch.setattr(fockspace, "_apply_strings", counted)
+    build_many_body(spec1, TwoBodySpec.from_dict({0: 4.0, 1: 1.0}), basis)
+    assert sum(rows for rows, _ in calls) == 30_780
+    assert sum(alive for _, alive in calls) == 11_340
+    assert max(rows for rows, _ in calls) <= fockspace._KERNEL_ROWS
 
 
 def relation_peak(sigma):

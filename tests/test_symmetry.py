@@ -278,17 +278,12 @@ def test_theorem_report_builds_each_even_inversion_pair_matrix_once(monkeypatch)
     singles = _count_calls(monkeypatch, "pair_matrix")
     theorem_report(space, n_max=2)
     sites, probe = range(space.lattice.n_sites), theorem_probe_site(space)
-    orbit = [space.lattice.rotate_site_z(probe, k) for k in range(space.lattice.steps_per_turn)]
-    # per grade and projection, on N = 2, the even-inversion check builds one
-    # family of F(r) over every site and the winding one over the probe's orbit
-    # (on a ring from site 0 these are the same list, so it counts twice) ...
-    expected = Counter()
-    for sigma in (1, -1):
-        for tm in space.spin.projections():
-            for members in (sites, orbit):
-                exprs = tuple(pair_operator(space, tm, site, sigma) for site in members)
-                expected[exprs, build_basis(space, 2, sigma)] += 1
-    assert Counter((tuple(exprs), domain) for exprs, domain, _ in families) == expected
+    # per grade and projection, on N = 2, one family of F(r) over every site,
+    # read by both the even-inversion check and the winding of the probe's orbit ...
+    assert Counter((tuple(exprs), domain) for exprs, domain, _ in families) == Counter({
+        (tuple(pair_operator(space, tm, site, sigma) for site in sites), build_basis(space, 2, sigma)): 1
+        for sigma in (1, -1) for tm in space.spin.projections()
+    })
     # ... and the half-turn check builds F(probe) on its own
     assert Counter((args[3], args[1], args[2]) for args in singles) == Counter({
         (sigma, tm, probe): 1 for sigma in (1, -1) for tm in space.spin.projections()
