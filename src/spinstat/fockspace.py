@@ -9,7 +9,8 @@ everything else is verified against.
 All ladder action goes through one kernel, ``_apply_strings``, which applies
 ladder strings to a batch of occupation rows at once and drops a row as soon
 as its string vanishes, so later factors work only on the rows still alive;
-operator matrices, rotation lifts and bracket states are built on it.
+operator matrices, bracket states and the Fock lifts of mode permutations
+(``permuted_states``: rotations, spin reversal) are built on it.
 Operator matrices come in families: ``matrix_family`` builds the matrices
 M_p of a list of expressions between one pair of sectors in one kernel pass,
 with the expression index as a block-row offset, into one stacked CSR
@@ -218,6 +219,20 @@ def _apply_strings(occ: np.ndarray, modes, daggers, sigma: int):
     alive = np.zeros(k, dtype=bool)
     alive[live] = True
     return work, amp, alive
+
+
+def permuted_states(basis: FockBasis, perm) -> tuple[np.ndarray, np.ndarray]:
+    """Fock lift of a mode permutation (``perm[m]`` the image of mode m) on
+    every basis state: each state's ascending creation product with every
+    mode replaced by its image, applied to the vacuum.  Returns the index of
+    each image state and the kernel amplitude: the fermion reordering sign
+    for sigma=-1, a positive product of boson sqrt factors for sigma=+1."""
+    created = _particle_modes(basis.occupations, basis.n_particles)
+    rows, amp, alive = _apply_strings(
+        np.zeros_like(basis.occupations), np.asarray(perm)[created], True, basis.sigma
+    )
+    assert alive.all()  # creations of a permuted multiset never clash
+    return basis.rank(rows), amp
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,7 +8,12 @@ with the literal ordering a+(xi) a+(xi') a(xi') a(xi) and a 1/2 prefactor.
 Spectra are exact at desk scale so degenerate multiplicities can be compared
 exactly: H is split into blocks of fixed particle count per spin projection,
 which these Hamiltonians conserve, and each block gets one dense Hermitian
-solve, in real arithmetic when H is real.  The ideal-gas check replays the same
+solve, in real arithmetic when H is real.  These Hamiltonians are also
+spin-independent, so they commute with the spin reversal (r, m_s) -> (r, -m_s),
+which maps the block of counts (n_{+s}, ..., n_{-s}) onto the block of the
+reversed counts: of each such pair only the first is solved, and the other
+takes its eigenpairs through the reversal's Fock lift when its stored entries
+are the mapped ones bit for bit.  The ideal-gas check replays the same
 spectrum from nothing but occupancy rules over one-particle levels, which is
 the executable form of the Bose-Einstein / Fermi-Dirac distinction.
 """
@@ -21,6 +26,7 @@ from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 
 import numpy as np
+import scipy.sparse as sp
 
 from .fockspace import (
     DimensionCapError,
@@ -31,8 +37,9 @@ from .fockspace import (
     ladder_relation_residuals,
     matrix_of,
     max_abs,
+    permuted_states,
 )
-from .modes import Lattice, ModeSpace, SpinQuantum
+from .modes import Lattice, Mode, ModeSpace, SpinQuantum
 from .opalgebra import OperatorExpr, create, destroy
 
 HERMITICITY_TOL = 1e-12
@@ -178,9 +185,11 @@ def build_many_body(
 
 class BlockEigenvectors(Sequence):
     """The eigenvectors of a blocked solve, kept as one array of columns per
-    block.  The k-th ``StateVector`` is built when it is read, by scattering
-    its block column into a zero complex vector over the whole sector, so a
-    caller that reads one vector never pays for the others."""
+    block; a mirrored block's columns are its partner's, signed and permuted
+    into its own ascending basis order.  The k-th ``StateVector`` is built
+    when it is read, by scattering its block column into a zero complex
+    vector over the whole sector, so a caller that reads one vector never
+    pays for the others."""
 
     def __init__(self, basis: FockBasis, blocks, vectors, order: np.ndarray) -> None:
         self._basis = basis
@@ -210,11 +219,13 @@ class SpectrumResult:
     as an arbitrary mixture of them.  ``eigenvectors`` keeps only the
     per-block arrays and builds each ``StateVector`` when it is read.
     Eigenvalues are merged with a stable sort: equal values keep block order,
-    blocks ascending by count vector (the count at 2m_s = +2s first).  Values
-    of one level that differ in the last bits are ordered by those bits, so
-    reruns return the same states on the same machine with the same BLAS and
-    BLAS thread count; another thread count can change the state picked
-    inside a level that spans several blocks.
+    blocks ascending by count vector (the count at 2m_s = +2s first).  A
+    mirrored block repeats its partner's eigenvalues bit for bit, so the
+    partner's component of such a pair always comes first.  Values of a level
+    split over blocks that are not mirrors can differ in the last bits and are
+    ordered by those bits, so reruns return the same states on the same
+    machine with the same BLAS and BLAS thread count; another thread count can
+    change the state picked inside such a level.
     """
 
     basis: FockBasis
@@ -238,24 +249,70 @@ def _available_memory() -> int | None:
         return None
 
 
-def _projection_blocks(ham: OperatorMatrix) -> list[np.ndarray]:
+def _projection_blocks(ham: OperatorMatrix) -> tuple[list[np.ndarray], list]:
     """Ascending basis indices of each block of equal particle count per spin
-    projection, blocks in ascending count-vector order.  One block holding the
-    whole sector if any stored entry of H joins two different counts."""
+    projection, blocks in ascending count-vector order, and each block's count
+    vector as a tuple.  One block holding the whole sector, labelled None, if
+    any stored entry of H joins two different counts."""
     basis = ham.domain
     if basis.dim == 0:
-        return []
+        return [], []
     space = basis.space
     counts = basis.occupations.reshape(
         basis.dim, space.lattice.n_sites, space.spin.multiplicity
     ).sum(axis=1)
-    _, labels = np.unique(counts, axis=0, return_inverse=True)
+    keys, labels = np.unique(counts, axis=0, return_inverse=True)
     labels = labels.ravel()
     coo = ham.matrix.tocoo()
     if np.any(labels[coo.row] != labels[coo.col]):
-        return [np.arange(basis.dim)]
+        return [np.arange(basis.dim)], [None]
     order = np.argsort(labels, kind="stable")
-    return np.split(order, np.cumsum(np.bincount(labels))[:-1])
+    blocks = np.split(order, np.cumsum(np.bincount(labels))[:-1])
+    return blocks, [tuple(key) for key in keys.tolist()]
+
+
+def _mirror_partners(labels: list) -> dict[int, int]:
+    """Each mirrored block -> its partner: the earlier block whose count vector
+    is the mirrored block's reversed.  Palindromic count vectors have none."""
+    if len(labels) < 2:
+        return {}
+    block_of = {label: b for b, label in enumerate(labels)}
+    return {b: block_of[label[::-1]] for b, label in enumerate(labels) if block_of[label[::-1]] < b}
+
+
+def _spin_reversal(basis: FockBasis, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each position of the gathered order: the position of its state's
+    image under the Fock lift of (r, m_s) -> (r, -m_s), and the lift's sign
+    (fermion reordering; +1 for bosons).  The lift is its own inverse, so the
+    image of the image is the state itself, with the same sign."""
+    space = basis.space
+    index, amp = permuted_states(basis, [space.index(Mode(m.site, -m.twos_ms)) for m in space.modes])
+    position = np.empty_like(order)
+    position[order] = np.arange(len(order))
+    return position[index[order]], np.sign(amp[order])
+
+
+def _is_mirror(gathered: sp.csr_matrix, image, sign, partner: slice, block: slice) -> bool:
+    """Whether the stored entries of the block in rows ``block`` of the
+    gathered matrix equal, bit for bit, those of the partner's rows moved to
+    the image positions and multiplied by the signs of both states."""
+    n = gathered.shape[0]
+
+    def entries(rows: slice):
+        span = slice(gathered.indptr[rows.start], gathered.indptr[rows.stop])
+        row = np.repeat(np.arange(rows.start, rows.stop), np.diff(gathered.indptr[rows.start:rows.stop + 1]))
+        return row, gathered.indices[span], gathered.data[span]
+
+    row, col, val = entries(partner)
+    moved_keys, moved = image[row] * n + image[col], val * (sign[row] * sign[col])
+    row, col, val = entries(block)
+    keys = row * n + col
+    if len(keys) != len(moved_keys):
+        return False
+    a, b = np.argsort(moved_keys), np.argsort(keys)
+    return np.array_equal(moved_keys[a], keys[b]) and np.array_equal(
+        moved[a].view(np.int64), val[b].view(np.int64)
+    )
 
 
 def diagonalize(ham: OperatorMatrix) -> SpectrumResult:
@@ -269,8 +326,14 @@ def diagonalize(ham: OperatorMatrix) -> SpectrumResult:
     once, when every stored entry is real), so each block is a contiguous
     diagonal range of that one gather: its entries are moved, not computed,
     and each dense block is the one a per-block gather would give.  Each block
-    gets a dense ``eigh``; its residual ||H_b v - lambda v|| is taken with the
-    sparse block.  Only the per-block eigenvector arrays are kept
+    gets a dense ``eigh``, except a mirrored block: one whose reversed count
+    vector labels an earlier block, its partner.  When the mirrored block's
+    stored entries equal the partner's moved by the spin-reversal lift and
+    multiplied by the signs of both states, bit for bit, it takes the
+    partner's eigenvalues and the signed, permuted partner columns; any other
+    block, mirrored or not, is solved.  Every block's residual
+    ||H_b v - lambda v|| is taken with the sparse block, and its Gram check
+    run.  Only the per-block eigenvector arrays are kept
     (``BlockEigenvectors``).  Raises
     ``DimensionCapError`` when those arrays and the largest block's working
     arrays would not fit in free memory.
@@ -286,7 +349,7 @@ def diagonalize(ham: OperatorMatrix) -> SpectrumResult:
         raise ValueError("matrix is not Hermitian to tolerance")
     real = not np.any(mat.data.imag)
     dim = ham.domain.dim
-    blocks = _projection_blocks(ham)
+    blocks, labels = _projection_blocks(ham)
     largest = max((len(idx) for idx in blocks), default=0)
     itemsize = 8 if real else 16
     needed = itemsize * (sum(len(idx) ** 2 for idx in blocks) + _BLOCK_WORK_ARRAYS * largest * largest)
@@ -301,11 +364,22 @@ def diagonalize(ham: OperatorMatrix) -> SpectrumResult:
     if real:
         gathered = gathered.real
     starts = np.cumsum([0] + [len(idx) for idx in blocks])
+    spans = [slice(a, b) for a, b in zip(starts[:-1], starts[1:])]
+    partners = _mirror_partners(labels)
+    if partners:
+        image, sign = _spin_reversal(ham.domain, order)
     values, vectors = [], []
     residual = 0.0
-    for a, b in zip(starts[:-1], starts[1:]):
-        sub = gathered[a:b, a:b]
-        evals, evecs = np.linalg.eigh(sub.toarray())
+    for b, span in enumerate(spans):
+        sub = gathered[span, span]
+        p = partners.get(b)
+        if p is not None and _is_mirror(gathered, image, sign, spans[p], span):
+            # row q of this block is row image[q] of the partner, signed
+            evals = values[p]
+            evecs = vectors[p][image[span] - spans[p].start]
+            evecs *= sign[span, None]
+        else:
+            evals, evecs = np.linalg.eigh(sub.toarray())
         block_residual = float(np.linalg.norm(sub @ evecs - evecs * evals, axis=0).max())
         gram = evecs.conj().T @ evecs - np.eye(len(evals))
         if block_residual > SPECTRUM_TOL * scale or np.max(np.abs(gram)) > SPECTRUM_TOL:

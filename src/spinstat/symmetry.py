@@ -35,7 +35,6 @@ import scipy.sparse as sp
 from .fockspace import (
     FockBasis,
     OperatorMatrix,
-    _apply_strings,
     _particle_modes,
     bracket_state,
     build_basis,
@@ -44,6 +43,7 @@ from .fockspace import (
     matrix_of,
     max_abs,
     perm_parity,
+    permuted_states,
 )
 from .modes import Mode, ModeSpace
 from .opalgebra import OperatorExpr, destroy
@@ -114,9 +114,7 @@ def _sector_unitary(rot: SpinorRotation, n_particles: int, sigma: int) -> sp.csr
     basis = build_basis(rot.space, n_particles, sigma)
     occ = basis.occupations
     created = _particle_modes(occ, n_particles)  # each state's ascending creation list
-    perm = np.asarray(rot.mode_permutation)
-    rotated, amp, alive = _apply_strings(np.zeros_like(occ), perm[created], True, sigma)
-    assert alive.all()  # creations of a permuted multiset never clash
+    rotated, amp = permuted_states(basis, rot.mode_permutation)
     phases = np.conj(rot.field_phases)
     vals = amp.astype(np.complex128)
     for f in reversed(range(n_particles)):  # rightmost creation acts first
@@ -124,7 +122,7 @@ def _sector_unitary(rot: SpinorRotation, n_particles: int, sigma: int) -> sp.csr
     factorials = np.array([math.factorial(n) for n in range(n_particles + 1)], dtype=np.float64)
     vals /= np.sqrt(factorials[occ].prod(axis=1))
     mat = sp.coo_matrix(
-        (vals, (basis.rank(rotated), np.arange(basis.dim))), shape=(basis.dim,) * 2, dtype=np.complex128
+        (vals, (rotated, np.arange(basis.dim))), shape=(basis.dim,) * 2, dtype=np.complex128
     )
     return mat.tocsr()
 

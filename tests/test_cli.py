@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
+import random
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +20,8 @@ def read_json(path: Path) -> dict:
     return json.loads(path.read_text())
 
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def claim_map() -> str:
@@ -378,6 +383,29 @@ def test_spectrum_command_outputs_are_pinned(tmp_path):
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
+def test_mirrored_spectrum_outputs_are_pinned(tmp_path):
+    # exact bytes on ring:6, N=3 (blocks 20/90/90/20): the (2,1) and (3,0)
+    # blocks reuse their partners' eigenpairs through a reordering, signed
+    # spin-reversal map; state 0 is the partner's component of the ground doublet
+    cfg = {
+        "lattice": {"kind": "ring", "M": 6}, "twos_s": 1, "sigma": -1, "N": 3,
+        "V": {"0": 4.0, "1": 1.0}, "onsite_U": [0.25, -0.5, 0.75, 0.125, -0.875, 0.375],
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["diagonalize", "--config", str(path), "--eigenvectors", "--out", str(out)]) == 0
+    assert main(["correlate", "--config", str(path), "--out", str(out)]) == 0
+    pinned = {
+        "spectrum.csv": "b03c32a8f264492025bf9820c424ee6db55ebe6a0a2f14fbd721d31e192e3bbe",
+        "eigenvectors.csv": "eb56f30207ae5aabaea27d918ca77cc566b1956c0a2f1bff259b10fea66750cf",
+        "profile.csv": "779edb1ff0a98eaa60b542327fbb9fb36ab08ae840c555b9e785e4b95245a760",
+        "angular.csv": "16e36dcbd2699a75e82a28ffbe395665e47e81eae38b8ebb633f3bc631b7584f",
+    }
+    for name, digest in pinned.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--suite", "rotation", "--n-max", "1"],
     ["correlate", "--lattice", "ring:4", "--twos-s", "0", "--sigma", "-1", "-N", "1"],
@@ -412,6 +440,34 @@ def test_correlate_degenerate_ground_state_is_reproducible(tmp_path):
         assert main(["correlate", "--config", str(path), "--out", str(out)]) == 0
     for name in ("profile.csv", "angular.csv"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def test_correlate_picks_the_same_doublet_state_at_any_blas_thread_count(tmp_path):
+    # the hubbard-spectrum benchmark's seed-1 config: its ground level is a
+    # doublet over the (1,2) and (2,1) blocks, whose values are bitwise equal,
+    # so the stable merge keeps the (1,2) component whatever eigh's bits are
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("needs two CPUs for a second BLAS thread")
+    rng = random.Random(1)
+    cfg = {
+        "lattice": {"kind": "ring", "M": 10}, "twos_s": 1, "sigma": -1, "N": 3,
+        "V": {"0": 4.0, "1": 1.0}, "onsite_U": [rng.uniform(-1.0, 1.0) for _ in range(10)],
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    energies, profiles = [], []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS=threads)
+        done = subprocess.run(
+            [sys.executable, "-m", "spinstat", "correlate", "--config", str(path), "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        energies.append(done.stdout.split("energy ")[1].strip())
+        profiles.append(np.loadtxt(out / "profile.csv", delimiter=",", skiprows=1))
+    assert energies[0] == energies[1]
+    assert np.max(np.abs(profiles[0] - profiles[1])) <= 1e-12
 
 
 def test_correlate_profile_zero_at_origin(tmp_path):

@@ -1,3 +1,4 @@
+import random
 import re
 import tracemalloc
 
@@ -219,6 +220,82 @@ def test_blocked_solve_matches_unblocked_reference(lattice, twos_s, sigma, n):
     labels = projection_labels(basis)
     assert all(len(block_labels_of(v, labels)) == 1 for v in result.eigenvectors)
     assert all(np.all(v.amplitudes.imag == 0) for v in result.eigenvectors)  # real H, real solve
+
+
+def counting_eigh(monkeypatch) -> list:
+    """Patch numpy's eigh to record the size of every matrix it solves."""
+    calls, eigh = [], np.linalg.eigh
+
+    def counted(a):
+        calls.append(len(a))
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
+
+
+def hubbard_ring(size: int, twos_s: int, sigma: int, n: int, seed: int = 1):
+    """A seeded on-site potential and V = {0: 4, 1: 1} on a ring: the
+    hubbard-spectrum benchmark's config at ring:10, 2s=1, sigma=-1, N=3."""
+    rng = random.Random(seed)
+    space = ModeSpace(Lattice.ring(size), SpinQuantum(twos_s))
+    spec1 = OneBodySpec(hop_t=1.0, onsite_u=tuple(rng.uniform(-1.0, 1.0) for _ in range(size)))
+    return build_many_body(spec1, TwoBodySpec.from_dict({0: 4.0, 1: 1.0}), build_basis(space, n, sigma))
+
+
+def test_spin_reversed_blocks_share_one_solve(monkeypatch):
+    ham = hubbard_ring(10, 1, -1, 3)  # blocks (0,3)/(1,2)/(2,1)/(3,0): 120/450/450/120
+    calls = counting_eigh(monkeypatch)
+    result = diagonalize(ham)
+    assert calls == [120, 450]
+    labels = projection_labels(ham.domain)
+    per_block = {}
+    for value, vec in zip(result.eigenvalues, result.eigenvectors):
+        per_block.setdefault(block_labels_of(vec, labels).pop(), []).append(value)
+    for label in ((0, 3), (1, 2)):
+        assert per_block[label] == per_block[label[::-1]]  # bitwise equal, value for value
+
+
+MIRROR_CASES = [
+    (lattice, twos_s, sigma, n)
+    for lattice in ("ring:4", "grid2d:3")
+    for twos_s in (1, 2, 3)
+    for sigma in (1, -1)
+    for n in ((2, 3) if lattice == "ring:4" else (2,))
+]
+
+
+@pytest.mark.parametrize("lattice,twos_s,sigma,n", MIRROR_CASES)
+def test_mirrored_blocks_are_exact_eigenpairs(monkeypatch, lattice, twos_s, sigma, n):
+    kind, size = lattice.split(":")
+    lat = Lattice.ring(int(size)) if kind == "ring" else Lattice.grid2d(int(size))
+    basis = build_basis(ModeSpace(lat, SpinQuantum(twos_s)), n, sigma)
+    potential = tuple(0.1 * ((3 * i) % 7) - 0.3 for i in range(lat.n_sites))
+    ham = build_many_body(
+        OneBodySpec(hop_t=0.8, onsite_u=potential), TwoBodySpec.from_dict({0: 1.3, 1: -0.6}), basis
+    )
+    calls = counting_eigh(monkeypatch)
+    result = diagonalize(ham)
+    labels = set(projection_labels(basis))
+    assert len(calls) == len({min(label, label[::-1]) for label in labels}) < len(labels)
+    assert_exact_spectrum(ham, result)
+
+
+def test_mirror_differing_in_one_ulp_is_solved(monkeypatch):
+    ham = hubbard_ring(6, 1, -1, 3)  # blocks 20/90/90/20
+    calls = counting_eigh(monkeypatch)
+    diagonalize(ham)
+    assert calls == [20, 90]
+    labels = projection_labels(ham.domain)
+    mat = ham.matrix.tolil()
+    coo = ham.matrix.tocoo()
+    i, j = next((i, j) for i, j in zip(coo.row, coo.col) if i != j and labels[i] == (2, 1))
+    mat[i, j] = mat[j, i] = np.nextafter(mat[i, j].real, np.inf)
+    nudged = OperatorMatrix(ham.domain, ham.codomain, mat.tocsr())
+    calls.clear()
+    result = diagonalize(nudged)
+    assert calls == [20, 90, 90]  # the (3,0) block still mirrors (0,3)
+    assert_exact_spectrum(nudged, result)
 
 
 def random_hermitian(dim: int) -> np.ndarray:
