@@ -50,14 +50,11 @@ from .modes import Lattice, ModeSpace, SpinQuantum
 from .opalgebra import COEFF_TOL, destroy, expr_residual, parse_expr
 from .symmetry import (
     IncompatibleRotationError,
-    origin_vanishing_check,
-    parity_covariance_check,
+    pair_checks,
     permutation_eigencheck,
-    pi_eigenvalue_check,
     rotation_covariance_check,
     rotation_element_residual,
     sector_lift_residuals,
-    theorem_probe_site,
     theorem_report,
 )
 
@@ -428,28 +425,24 @@ def suite_rotation(cfg: RunConfig, rng) -> SuiteReport:
     return _finish("rotation", cfg, checks)
 
 
+def _miss(measured, expected) -> float:
+    """|measured - expected|, or 1.0 for a value that could not be measured."""
+    return 1.0 if measured is None else abs(measured - expected)
+
+
 def suite_pair_operator(cfg: RunConfig, rng) -> SuiteReport:
     space = cfg.make_space()
     tol = _tol(cfg, "pair-operator")
     n_top = _pair_n_max(cfg, "pair-operator")
-    probe = theorem_probe_site(space)
     checks = []
     for sigma in cfg.sigmas():
-        worst_lambda = 0.0
-        origin_ok = True
-        for tm in space.spin.projections():
-            res = pi_eigenvalue_check(space, tm, probe, sigma, n_max=n_top)
-            if res.lambda_measured is None:
-                worst_lambda = max(worst_lambda, 1.0)
-            else:
-                worst_lambda = max(
-                    worst_lambda, res.residual, abs(res.lambda_measured - res.lambda_expected)
-                )
-            vanishes = origin_vanishing_check(space, tm, sigma, n_max=n_top)
-            origin_ok &= vanishes == (sigma == -1)
+        rec = pair_checks(space, sigma, n_top)
+        worst_lambda = max(
+            max(rec.lambda_residuals[tm], _miss(lam, rec.lambda_expected)) for tm, lam in rec.lambdas.items()
+        )
+        origin_ok = all(rec.same_point_vanishes(tm) == (sigma == -1) for tm in rec.same_point)
         tag = f"sigma={sigma:+d}"
-        parity = parity_covariance_check(space, sigma, n_top)
-        checks.append((f"inversion covariance of the pair [{tag}]", parity, tol))
+        checks.append((f"inversion covariance of the pair [{tag}]", rec.inversion_residual, tol))
         checks.append((f"half-turn eigenvalue vs (-1)^2s sigma [{tag}]", worst_lambda, tol))
         checks.append((f"same-point pair vanishing rule [{tag}]", 0.0 if origin_ok else 1.0, tol))
     return _finish("pair-operator", cfg, checks)
@@ -466,12 +459,10 @@ def suite_theorem(cfg: RunConfig, rng) -> SuiteReport:
         tag = f"sigma={sigma:+d}"
         checks.append((
             f"half-turn eigenvalue identity [{tag}]",
-            max(verdict.lambda_residual, abs(verdict.lambda_measured - verdict.lambda_expected)),
+            max(verdict.lambda_residual, _miss(verdict.lambda_measured, verdict.lambda_expected)),
             tol,
         ))
-        winding_dev = max(
-            abs(w - tm) for tm, w in verdict.winding_by_twos_ms.items()
-        )
+        winding_dev = max(_miss(w, tm) for tm, w in verdict.winding_by_twos_ms.items())
         checks.append((f"full-turn winding vs 2m_s [{tag}]", float(winding_dev), tol))
         checks.append((f"winding step residual [{tag}]", verdict.winding_residual, tol))
         origin_expected = sigma == -1

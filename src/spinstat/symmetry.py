@@ -40,7 +40,6 @@ from .fockspace import (
     build_basis,
     identity_matrix,
     matrix_family,
-    matrix_of,
     max_abs,
     perm_parity,
     permuted_states,
@@ -127,11 +126,12 @@ def _sector_unitary(rot: SpinorRotation, n_particles: int, sigma: int) -> sp.csr
     return mat.tocsr()
 
 
-def conjugated(rot: SpinorRotation, op: OperatorMatrix) -> OperatorMatrix:
-    """U_codomain @ M @ U_domain^dagger for the rotation's sector lifts."""
-    u_co = rot.fock_lift(op.codomain).matrix
-    u_dom = rot.fock_lift(op.domain).matrix
-    return OperatorMatrix(op.domain, op.codomain, (u_co @ op.matrix @ u_dom.conj().T).tocsr())
+def conjugated(rot: SpinorRotation, family, member: int) -> sp.csr_matrix:
+    """U_codomain @ M @ U_domain^dagger for the rotation's sector lifts, M the
+    member ``member`` of an ``OperatorFamily``."""
+    u_co = rot.fock_lift(family.codomain).matrix
+    u_dom = rot.fock_lift(family.domain).matrix
+    return (u_co @ family.rows(member, member + 1) @ u_dom.conj().T).tocsr()
 
 
 def _covariance_residual(rot: SpinorRotation, family, images, phases) -> float:
@@ -226,17 +226,6 @@ def pair_operator(space: ModeSpace, twos_ms: int, site: int, sigma: int) -> Oper
     return destroy(Mode(inv, twos_ms), sigma) * destroy(Mode(site, twos_ms), sigma)
 
 
-def pair_matrix(
-    space: ModeSpace, twos_ms: int, site: int, sigma: int, n_from: int
-) -> OperatorMatrix:
-    """Matrix of the pair operator from sector N to sector N-2."""
-    return matrix_of(
-        pair_operator(space, twos_ms, site, sigma),
-        build_basis(space, n_from, sigma),
-        build_basis(space, n_from - 2, sigma),
-    )
-
-
 def _pair_sectors(space: ModeSpace, sigma: int, n_max: int):
     """(2m_s, the family of F(r) over every site r) per projection and sector
     N = 2..n_max, each built in one ``matrix_family`` pass."""
@@ -245,21 +234,6 @@ def _pair_sectors(space: ModeSpace, sigma: int, n_max: int):
         pairs = [pair_operator(space, twos_ms, site, sigma) for site in sites]
         for n in range(2, n_max + 1):
             yield twos_ms, matrix_family(pairs, build_basis(space, n, sigma), build_basis(space, n - 2, sigma))
-
-
-def _inverted_sites(space: ModeSpace) -> list[int]:
-    return [space.lattice.invert_site(site) for site in range(space.lattice.n_sites)]
-
-
-def parity_covariance_check(space: ModeSpace, sigma: int, n_max: int = 3) -> float:
-    """Max residual of F(-r) = sigma F(r) over every projection, every site r
-    and sectors 2..n_max."""
-    inverted = _inverted_sites(space)
-    worst = 0.0
-    for _, family in _pair_sectors(space, sigma, n_max):
-        mirrored = family.blocks(inverted)
-        worst = max(worst, max_abs(mirrored - family.stack if sigma == 1 else mirrored + family.stack))
-    return worst
 
 
 def rotation_covariance_check(space: ModeSpace, sigma: int, n_max: int = 3) -> float:
@@ -293,166 +267,52 @@ def _dominant_ratio(a_mats, b_mats) -> complex | None:
     return complex(a_mats[k][r, c] / b_mats[k][r, c])
 
 
-@dataclass(frozen=True)
-class PiEigenvalueResult:
-    twos_ms: int
-    site: int
-    sigma: int
-    lambda_measured: complex | None
-    lambda_expected: float
-    residual: float
-
-    @property
-    def determinate(self) -> bool:
-        return self.lambda_measured is not None
-
-
-def pi_eigenvalue_check(
-    space: ModeSpace, twos_ms: int, site: int, sigma: int, n_max: int = 3
-) -> PiEigenvalueResult:
-    """Conjugate F(r) with the half-turn rotation and extract the eigenvalue.
-
-    Expected value: (-1)^(2s) * sigma.  When F vanishes on every probed
-    sector the result is reported indeterminate instead of being skipped:
-    that vanishing (sigma=-1 at the origin) is itself part of the argument.
-    """
+def _half_turn_eigenvalue(families, member: int) -> tuple[complex | None, float]:
+    """lambda in U_pi F U_pi+ = lambda F for member ``member`` of the families
+    of one projection (sectors N = 2..n_max), read at F's largest entry, and
+    the residual |U F U+ - lambda F|.  Where F vanishes on every sector lambda
+    is None and the residual is |U F U+|: that vanishing (sigma=-1 at the
+    origin) is itself part of the argument."""
+    space = families[0].domain.space
     rot = SpinorRotation(space, space.lattice.steps_per_turn // 2)
-    a_mats, b_mats = [], []
-    for n in range(2, n_max + 1):
-        f = pair_matrix(space, twos_ms, site, sigma, n)
-        a_mats.append(conjugated(rot, f).matrix.tocsr())
-        b_mats.append(f.matrix.tocsr())
-    expected = float((-1) ** space.spin.twos_s * sigma)
+    a_mats = [conjugated(rot, family, member) for family in families]
+    b_mats = [family.rows(member, member + 1) for family in families]
     lam = _dominant_ratio(a_mats, b_mats)
     if lam is None:
-        residual = max((max_abs(a) for a in a_mats), default=0.0)
-        return PiEigenvalueResult(twos_ms, site, sigma, None, expected, residual)
-    residual = max(max_abs(a - lam * b) for a, b in zip(a_mats, b_mats))
-    return PiEigenvalueResult(twos_ms, site, sigma, lam, expected, residual)
-
-
-def origin_pair_site(space: ModeSpace) -> int:
-    """The site playing the role of r=0: the true origin on grids; on rings
-    the coordinate origin is placed on site 0, where the antipodal pair
-    degenerates to a same-site product."""
-    origin = space.lattice.origin_site
-    return 0 if origin is None else origin
-
-
-def origin_vanishing_check(
-    space: ModeSpace, twos_ms: int, sigma: int, n_max: int = 3
-) -> bool:
-    """True iff the same-point pair a(0, m_s) a(0, m_s) is the zero operator
-    on every sector 2..n_max (it must vanish for sigma=-1, survive for +1)."""
-    site = origin_pair_site(space)
-    mode = Mode(site, twos_ms)
-    expr = destroy(mode, sigma) * destroy(mode, sigma)
-    worst = 0.0
-    for n in range(2, n_max + 1):
-        mat = matrix_of(expr, build_basis(space, n, sigma), build_basis(space, n - 2, sigma))
-        worst = max(worst, max_abs(mat.matrix))
-    return worst <= PHASE_TOL
-
-
-# -- winding of the pair operator under a full turn ---------------------------
+        return None, max(max_abs(a) for a in a_mats)
+    return lam, max(max_abs(a - lam * b) for a, b in zip(a_mats, b_mats))
 
 
 @dataclass(frozen=True)
 class WindingResult:
-    twos_ms: int
-    winding: int
+    winding: int | None  # None where F vanishes on the orbit
     max_step_residual: float
     angle_defect: float
 
 
-def full_turn_winding(
-    space: ModeSpace, twos_ms: int, site: int, sigma: int, sector_n: int = 2
-) -> WindingResult:
+def _orbit_winding(family, orbit) -> WindingResult:
     """Accumulate the measured per-step phase of F around one full turn.
 
-    Each elementary step contributes e^{2 i m_s theta_step}; unwrapping the
-    measured arguments over a full turn recovers the integer 2 m_s.  The
-    step must resolve the phase (|2 m_s| * theta_step < pi), i.e. the lattice
-    needs more than 2*|2 m_s| steps per turn.
+    ``family`` holds F(r) over every site; ``orbit`` lists the sites of one
+    full turn, one elementary rotation step apart.  Each step contributes
+    e^{2 i m_s theta_step}; unwrapping the measured arguments over the turn
+    recovers the integer 2 m_s.
     """
-    per_turn = space.lattice.steps_per_turn
-    if per_turn <= 2 * abs(twos_ms):
-        raise IncompatibleRotationError(
-            f"{per_turn} steps per turn cannot resolve winding for 2m_s={twos_ms}"
-        )
-    basis_from = build_basis(space, sector_n, sigma)
-    basis_to = build_basis(space, sector_n - 2, sigma)
-    # a full turn brings the orbit back to ``site``: the orbit is one family
-    orbit = [space.lattice.rotate_site_z(site, k) for k in range(per_turn)]
-    family = matrix_family([pair_operator(space, twos_ms, s, sigma) for s in orbit], basis_from, basis_to)
-    return _orbit_winding(family, twos_ms, orbit, range(per_turn))
-
-
-def _orbit_winding(family, twos_ms: int, orbit, members) -> WindingResult:
-    """The winding of F along a full-turn ``orbit`` of sites, one elementary
-    rotation step at a time, with F(orbit[k]) read as member ``members[k]``
-    of ``family`` (an ``OperatorFamily`` of pair operators)."""
     rot = SpinorRotation(family.domain.space, 1)
     total_angle = 0.0
     worst = 0.0
-    for k, member in enumerate(members):
-        nxt = members[(k + 1) % len(members)]
+    for k, site in enumerate(orbit):
+        nxt = orbit[(k + 1) % len(orbit)]
         f_next = family.rows(nxt, nxt + 1)
-        step = OperatorMatrix(family.domain, family.codomain, family.rows(member, member + 1))
-        conj = conjugated(rot, step).matrix.tocsr()
+        conj = conjugated(rot, family, site)
         phase = _dominant_ratio([conj], [f_next])
         if phase is None:
-            raise ValueError(f"pair operator vanishes at site {orbit[k]}; winding undefined")
+            return WindingResult(None, worst, 0.0)
         worst = max(worst, max_abs(conj - phase * f_next))
         total_angle += cmath.phase(phase)
     winding = round(total_angle / (2.0 * math.pi))
     defect = abs(total_angle - 2.0 * math.pi * winding)
-    return WindingResult(twos_ms, winding, worst, defect)
-
-
-# -- the assembled verdict ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SigmaVerdict:
-    sigma: int
-    lambda_measured: complex
-    lambda_expected: float
-    lambda_residual: float
-    lambda_indeterminate_at_origin: bool
-    origin_vanishes: bool
-    winding_by_twos_ms: dict[int, int]
-    winding_residual: float
-    even_inversion_amplitudes_vanish: bool
-    single_valued_conflict: bool
-    consistent: bool
-
-
-@dataclass(frozen=True)
-class TheoremReport:
-    twos_s: int
-    lattice: dict
-    n_max: int
-    per_sigma: dict[int, SigmaVerdict]
-    verdict_sigma: int
-
-    def to_dict(self) -> dict:
-        out = {"twos_s": self.twos_s, "lattice": self.lattice, "n_max": self.n_max, "per_sigma": {}}
-        for sigma, v in sorted(self.per_sigma.items(), reverse=True):
-            out["per_sigma"][f"{sigma:+d}"] = {
-                "lambda": {"re": v.lambda_measured.real, "im": v.lambda_measured.imag},
-                "lambda_expected": v.lambda_expected,
-                "lambda_residual": v.lambda_residual,
-                "lambda_indeterminate_at_origin": v.lambda_indeterminate_at_origin,
-                "origin_vanishes": v.origin_vanishes,
-                "winding_twos_ms": {str(tm): w for tm, w in sorted(v.winding_by_twos_ms.items())},
-                "winding_residual": v.winding_residual,
-                "even_inversion_amplitudes_vanish": v.even_inversion_amplitudes_vanish,
-                "single_valued_conflict": v.single_valued_conflict,
-                "consistent": v.consistent,
-            }
-        out["verdict_sigma"] = self.verdict_sigma
-        return out
+    return WindingResult(winding, worst, defect)
 
 
 def theorem_probe_site(space: ModeSpace) -> int:
@@ -464,93 +324,198 @@ def theorem_probe_site(space: ModeSpace) -> int:
     raise IncompatibleRotationError("lattice has no site pair related by inversion")
 
 
-def theorem_report(space: ModeSpace, n_max: int = 3) -> TheoremReport:
-    """Run every ingredient of the spin-statistics argument for both grades.
+def origin_pair_site(space: ModeSpace) -> int:
+    """The site playing the role of r=0: the true origin on grids; on rings
+    the coordinate origin is placed on site 0, where the antipodal pair
+    degenerates to a same-site product."""
+    origin = space.lattice.origin_site
+    return 0 if origin is None else origin
 
-    Per grade and projection: the half-turn eigenvalue of the pair operator,
-    the same-point (origin) vanishing test, and the full-turn winding.  A
-    grade is consistent when, for half-integral spin, a nonzero winding never
-    coexists with a finite same-point pair amplitude (single-valuedness), and
-    for integral spin, when it does not force every inversion-even relative
-    amplitude to vanish.  Exactly one grade survives.
+
+@dataclass(frozen=True)
+class PairChecks:
+    """Steps (c) and (e) for one grade on sectors N = 2..n_max.
+
+    Every value is read from two matrices per (2m_s, N), each built once: the
+    family of F(r) over every site, and the same-point pair
+    a(0, m_s) a(0, m_s).  On rings the latter is no member of the family,
+    since the inversion image of site 0 is M/2.
     """
-    spin = space.spin
+
+    space: ModeSpace
+    sigma: int
+    probe: int
+    families: dict  # 2m_s -> the families of F(r) on N = 2..n_max
+    inversion_residual: float  # max |F(-r) - sigma F(r)|
+    even_inversion_norm: float  # max |F(-r) + F(r)|
+    lambdas: dict  # 2m_s -> the half-turn eigenvalue at the probe, or None
+    lambda_residuals: dict  # 2m_s -> |U_pi F U_pi+ - lambda F| at the probe
+    same_point: dict  # 2m_s -> the largest |entry| of a(0, m_s) a(0, m_s)
+
+    @property
+    def lambda_expected(self) -> float:
+        return float((-1) ** self.space.spin.twos_s * self.sigma)
+
+    def same_point_vanishes(self, twos_ms: int) -> bool:
+        return self.same_point[twos_ms] <= PHASE_TOL
+
+    @cached_property
+    def windings(self) -> dict[int, WindingResult]:
+        """The winding of F per 2m_s along the probe's orbit on N = 2.  Read
+        on first use: it needs more than 2|2m_s| rotation steps per turn."""
+        per_turn = self.space.lattice.steps_per_turn
+        if per_turn <= 2 * self.space.spin.twos_s:
+            raise IncompatibleRotationError(
+                f"{per_turn} rotation steps per turn cannot resolve winding up to"
+                f" 2m_s={self.space.spin.twos_s}; use a finer lattice (for example a larger ring)"
+            )
+        orbit = [self.space.lattice.rotate_site_z(self.probe, k) for k in range(per_turn)]
+        return {tm: _orbit_winding(families[0], orbit) for tm, families in self.families.items()}
+
+
+def pair_checks(space: ModeSpace, sigma: int, n_max: int = 3) -> PairChecks:
+    """Build the pair families and same-point matrices of one grade once and
+    read every value of steps (c) and (e) from them."""
     if n_max < 2:
-        raise ValueError("theorem checks need sectors up to at least N=2")
-    per_turn = space.lattice.steps_per_turn
-    if per_turn <= 2 * spin.twos_s:
-        raise IncompatibleRotationError(
-            f"{per_turn} rotation steps per turn cannot resolve winding up to 2m_s={spin.twos_s};"
-            " use a finer lattice (for example a larger ring)"
-        )
+        raise ValueError("pair checks need sectors up to at least N=2")
     probe = theorem_probe_site(space)
     origin = origin_pair_site(space)
-    orbit = [space.lattice.rotate_site_z(probe, k) for k in range(per_turn)]
-    per_sigma: dict[int, SigmaVerdict] = {}
-    for sigma in (1, -1):
-        # F(r) over every site on N = 2 per projection, read by the winding
-        # (at the probe's orbit) and by the inversion-even check
-        pairs = dict(_pair_sectors(space, sigma, 2))
-        lam_values: list[complex] = []
-        lam_residual = 0.0
-        origin_indeterminate = True
-        origin_all_vanish = True
-        windings: dict[int, int] = {}
-        winding_residual = 0.0
-        for tm in spin.projections():
-            pi_res = pi_eigenvalue_check(space, tm, probe, sigma, n_max)
-            if pi_res.lambda_measured is None:
-                raise RuntimeError("pair operator unexpectedly vanished at the probe site")
-            lam_values.append(pi_res.lambda_measured)
-            lam_residual = max(lam_residual, pi_res.residual)
-            vanishes = origin_vanishing_check(space, tm, sigma, n_max)
-            if space.lattice.origin_site is not None:
-                pi_origin = pi_eigenvalue_check(space, tm, origin, sigma, n_max)
-                origin_indeterminate &= not pi_origin.determinate
-            else:
-                origin_indeterminate &= vanishes
-            origin_all_vanish &= vanishes
-            w = _orbit_winding(pairs[tm], tm, orbit, orbit)
-            windings[tm] = w.winding
-            winding_residual = max(winding_residual, w.max_step_residual, w.angle_defect)
-        lam = lam_values[0]
-        spread = max(abs(v - lam) for v in lam_values)
-        lam_residual = max(lam_residual, spread)
+    inverted = [space.lattice.invert_site(site) for site in range(space.lattice.n_sites)]
+    families = {tm: [] for tm in space.spin.projections()}
+    same_point = dict.fromkeys(families, 0.0)
+    inversion = even = 0.0
+    for tm, family in _pair_sectors(space, sigma, n_max):
+        families[tm].append(family)
+        mirrored = family.blocks(inverted)
+        even_part = max_abs(mirrored + family.stack)
+        inversion = max(inversion, max_abs(mirrored - family.stack) if sigma == 1 else even_part)
+        even = max(even, even_part)
+        same = destroy(Mode(origin, tm), sigma) * destroy(Mode(origin, tm), sigma)
+        same_point[tm] = max(same_point[tm], max_abs(matrix_family([same], family.domain, family.codomain).stack))
+    eigen = {tm: _half_turn_eigenvalue(fams, probe) for tm, fams in families.items()}
+    return PairChecks(
+        space=space,
+        sigma=sigma,
+        probe=probe,
+        families=families,
+        inversion_residual=inversion,
+        even_inversion_norm=even,
+        lambdas={tm: lam for tm, (lam, _) in eigen.items()},
+        lambda_residuals={tm: res for tm, (_, res) in eigen.items()},
+        same_point=same_point,
+    )
 
-        even_parity_norm = 0.0
-        for family in pairs.values():
-            even = family.stack + family.blocks(_inverted_sites(space))
-            even_parity_norm = max(even_parity_norm, max_abs(even))
-        even_vanish = even_parity_norm <= PHASE_TOL
 
-        conflict = any(w != 0 for w in windings.values()) and not origin_all_vanish
-        if spin.is_half_integral:
-            consistent = not conflict
-        else:
-            consistent = not even_vanish
-        per_sigma[sigma] = SigmaVerdict(
-            sigma=sigma,
-            lambda_measured=lam,
-            lambda_expected=float((-1) ** spin.twos_s * sigma),
-            lambda_residual=lam_residual,
-            lambda_indeterminate_at_origin=origin_indeterminate,
-            origin_vanishes=origin_all_vanish,
-            winding_by_twos_ms=windings,
-            winding_residual=winding_residual,
-            even_inversion_amplitudes_vanish=even_vanish,
-            single_valued_conflict=conflict,
-            consistent=consistent,
-        )
+# -- the assembled verdict ----------------------------------------------------
+
+
+@dataclass(frozen=True)
+class SigmaVerdict:
+    sigma: int
+    lambda_measured: complex | None
+    lambda_expected: float
+    lambda_residual: float
+    origin_vanishes: bool
+    winding_by_twos_ms: dict[int, int | None]
+    winding_residual: float
+    even_inversion_amplitudes_vanish: bool
+    single_valued_conflict: bool
+    consistent: bool
+
+    @property
+    def lambda_indeterminate_at_origin(self) -> bool:
+        # F(origin) is the same-point pair, so lambda is read from the same
+        # matrices there and is undetermined exactly when they vanish
+        return self.origin_vanishes
+
+
+@dataclass(frozen=True)
+class TheoremReport:
+    twos_s: int
+    lattice: dict
+    n_max: int
+    per_sigma: dict[int, SigmaVerdict]
+    verdict_sigma: int | None
+    failure: str | None  # why no verdict was reached
+
+    def to_dict(self) -> dict:
+        out = {"twos_s": self.twos_s, "lattice": self.lattice, "n_max": self.n_max, "per_sigma": {}}
+        for sigma, v in sorted(self.per_sigma.items(), reverse=True):
+            lam = v.lambda_measured
+            out["per_sigma"][f"{sigma:+d}"] = {
+                "lambda": None if lam is None else {"re": lam.real, "im": lam.imag},
+                "lambda_expected": v.lambda_expected,
+                "lambda_residual": v.lambda_residual,
+                "lambda_indeterminate_at_origin": v.lambda_indeterminate_at_origin,
+                "origin_vanishes": v.origin_vanishes,
+                "winding_twos_ms": {str(tm): w for tm, w in sorted(v.winding_by_twos_ms.items())},
+                "winding_residual": v.winding_residual,
+                "even_inversion_amplitudes_vanish": v.even_inversion_amplitudes_vanish,
+                "single_valued_conflict": v.single_valued_conflict,
+                "consistent": v.consistent,
+            }
+        out["verdict_sigma"] = self.verdict_sigma
+        if self.failure is not None:
+            out["failure"] = self.failure
+        return out
+
+
+def _sigma_verdict(checks: PairChecks) -> SigmaVerdict:
+    """One grade's verdict, combined from its ``PairChecks``.
+
+    The grade is consistent when, for half-integral spin, a nonzero winding
+    never coexists with a finite same-point pair amplitude (single-valuedness),
+    and for integral spin, when it does not force every inversion-even
+    relative amplitude to vanish.
+    """
+    lams = list(checks.lambdas.values())
+    lam = None if None in lams else lams[0]
+    lam_residual = max(checks.lambda_residuals.values())
+    if lam is not None:  # the projections must agree on one lambda
+        lam_residual = max(lam_residual, max(abs(v - lam) for v in lams))
+    origin_vanishes = all(checks.same_point_vanishes(tm) for tm in checks.same_point)
+    windings = checks.windings
+    conflict = any(w.winding != 0 for w in windings.values()) and not origin_vanishes
+    even_vanish = checks.even_inversion_norm <= PHASE_TOL
+    return SigmaVerdict(
+        sigma=checks.sigma,
+        lambda_measured=lam,
+        lambda_expected=checks.lambda_expected,
+        lambda_residual=lam_residual,
+        origin_vanishes=origin_vanishes,
+        winding_by_twos_ms={tm: w.winding for tm, w in windings.items()},
+        winding_residual=max(max(w.max_step_residual, w.angle_defect) for w in windings.values()),
+        even_inversion_amplitudes_vanish=even_vanish,
+        single_valued_conflict=conflict,
+        consistent=not conflict if checks.space.spin.is_half_integral else not even_vanish,
+    )
+
+
+def theorem_report(space: ModeSpace, n_max: int = 3) -> TheoremReport:
+    """Combine the ``PairChecks`` of both grades into the spin-statistics verdict.
+
+    Per grade: the half-turn eigenvalue of the pair operator at the probe
+    site, the same-point (origin) vanishing test and the full-turn winding,
+    for every projection.  Exactly one grade should survive, and it should
+    satisfy (-1)^(2s) * sigma = 1; where that fails, ``verdict_sigma`` is
+    None and ``failure`` says why.
+    """
+    per_sigma = {sigma: _sigma_verdict(pair_checks(space, sigma, n_max)) for sigma in (1, -1)}
     survivors = [sigma for sigma, v in per_sigma.items() if v.consistent]
-    if len(survivors) != 1:
-        raise RuntimeError(f"expected exactly one consistent grade, got {survivors}")
-    verdict = survivors[0]
-    if (-1) ** spin.twos_s * verdict != 1:
-        raise RuntimeError("verdict violates (-1)^(2s) * sigma = 1")
+    vanished = [sigma for sigma, v in per_sigma.items() if v.lambda_measured is None]
+    if vanished:
+        failure = f"pair operator vanished at the probe site for sigma in {vanished}"
+    elif len(survivors) != 1:
+        failure = f"expected exactly one consistent grade, got {survivors}"
+    elif (-1) ** space.spin.twos_s * survivors[0] != 1:
+        failure = f"verdict sigma={survivors[0]:+d} violates (-1)^(2s) * sigma = 1"
+    else:
+        failure = None
     return TheoremReport(
-        twos_s=spin.twos_s,
+        twos_s=space.spin.twos_s,
         lattice=space.lattice.describe(),
         n_max=n_max,
         per_sigma=per_sigma,
-        verdict_sigma=verdict,
+        verdict_sigma=None if failure else survivors[0],
+        failure=failure,
     )

@@ -8,6 +8,7 @@ Hamiltonian acts slot by slot on index tensors.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -156,3 +157,21 @@ def naive_normal_order(expr) -> dict:
     for term in expr.terms:
         rec(term.coeff, list(term.factors))
     return {k: v for k, v in table.items() if v != 0}
+
+
+def break_boson_same_point(monkeypatch) -> None:
+    """Make every sigma = +1 pair record read a vanishing same-point pair, as a
+    broken kernel would: both grades then look consistent and no verdict is
+    reached."""
+    from spinstat import cli, symmetry
+
+    original = symmetry.pair_checks
+
+    def broken(space, sigma, n_max=3):
+        checks = original(space, sigma, n_max)
+        if sigma == 1:
+            checks = dataclasses.replace(checks, same_point=dict.fromkeys(checks.same_point, 0.0))
+        return checks
+
+    monkeypatch.setattr(symmetry, "pair_checks", broken)
+    monkeypatch.setattr(cli, "pair_checks", broken)

@@ -1,5 +1,8 @@
+import contextlib
 import hashlib
+import io
 import json
+import math
 import os
 import random
 import re
@@ -9,8 +12,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 
 from spinstat import cli, correlations, fockspace, hamiltonians, opalgebra, symmetry
+from helpers import break_boson_same_point
 from spinstat.cli import load_config, main
 from spinstat.hamiltonians import OneBodySpec, one_particle_spectrum
 from spinstat.modes import Lattice, SpinQuantum
@@ -328,6 +334,18 @@ def test_ladder_relations_build_each_ladder_matrix_once(monkeypatch):
     assert orderings == []
 
 
+@pytest.mark.parametrize("suite, total", [(cli.suite_pair_operator, 16), (cli.suite_theorem, 16)])
+def test_pair_suites_build_each_pair_matrix_once(monkeypatch, suite, total):
+    cfg = load_config(None).validate()  # CLI defaults: ring:4, 2s=1, both grades, n_max=3
+    builds = _count_calls(monkeypatch, fockspace, "matrix_family")
+    assert suite(cfg, None).passed
+    # per grade, projection and N = 2, 3: one family of F(r) over the 4 sites and
+    # one same-point pair (24 and 20 builds when each identity was computed apart)
+    assert sorted(len(exprs) for exprs, _, _ in builds) == [1] * (total // 2) + [4] * (total // 2)
+    families = {(tuple(exprs), domain, codomain) for exprs, domain, codomain in builds}
+    assert len(families) == len(builds) == total  # no (expression list, sector) twice
+
+
 def test_orthonormality_suite_makes_one_oracle_call_per_sector(monkeypatch):
     cfg = load_config(None).validate()  # CLI defaults: ring:4, 2s=1 (8 modes), both grades, n_max=3
     calls = _count_calls(monkeypatch, fockspace, "overlap_oracle")
@@ -357,6 +375,70 @@ def test_default_verify_reports_are_pinned(tmp_path):
     }
     for suite, values in pinned.items():
         assert [r["value"] for r in read_json(tmp_path / f"{suite}.json")["residuals"]] == values, suite
+
+
+@pytest.mark.parametrize("flags, digests", [
+    ([], (
+        "f02b0f188fc931ce6ab178e28875021bb377853c806ddff23d51fe2b23a81423",
+        "5c313c109a10b15991d9877d53b96aa9c6ed29444f5b3d191733fc3021c98ceb",
+        "c4ddff44a6b2f7ed39e59968e02cbe08e9b254d73fb44166819058f73b2db665",
+    )),
+    (["--lattice", "ring:8", "--twos-s", "0"], (
+        "78f8bfb4d5cf29f40fbbb75a9598b6f8d6214ed38ab0db74a20d15be87b1c7ee",
+        "bf2f4046e19857492444645c893a5631ae85c6a2c5ba272e80dfdbc0b9c90cec",
+        "ba96a9909b31e1f75a3ed472c0a96881bd21bd9a141f77c0bf8a5b89b19fb4fb",
+    )),
+    (["--lattice", "ring:8", "--twos-s", "1"], (
+        "9cda1c562eb4fe0dded271684d06d52e1a7c949bc5148a38aa23e804fe648528",
+        "589d5550f65f0ac0623dcb2aee6a242dfa58bab1a1de186d6221c4a26aac7b60",
+        "26449a3a2a9a07603d794649d385d7f18f4a03b877cd482ecc1695803bf85ec6",
+    )),
+    (["--lattice", "ring:8", "--twos-s", "2"], (
+        "9c93b5301a5d1610796241dc5fa2ffe719642d9379403e76c5090be670f3b17b",
+        "7c72cbd04cb62874c2f5915c02a463a9b2bf3eb99211ce487a946e57fb0d441d",
+        "bf569d652209fc5fd304ff60a61fe5cc73a4aa948f05cf87273f1fd4e4863a0d",
+    )),
+    (["--lattice", "ring:8", "--twos-s", "3"], (
+        "0469c123fdb814bca02da55dd1f01bb76a070c7489fbfdc2b10048a458e6ca3a",
+        "dd727e2aeda8ba3d45c875c28a56276c08460b7f1f7ae91c89836fa1d971b3f9",
+        "ab5949d77c024e6cbf35acf052153b8b64602399139c1b7f606c872666eb4273",
+    )),
+    (["--lattice", "grid2d:3", "--twos-s", "0"], (
+        "de4fddd70bb9dc68f0bd3f3533176a2084db8b4bad5e7009be539a13ff45e017",
+        "2e830a717cb1e3c64e3596ce848b82be961a4e7965b3d2b7cadc57eb8ca11704",
+        "8756e5666be36215234916e0339f4d7d9b7d0bed57ec36d7928302b2de03a1c9",
+    )),
+    (["--lattice", "grid2d:3", "--twos-s", "1"], (
+        "72c45677785c049bedfbdf398115c8739dcb81f1c8c3c8ae80b2fd46afd8b956",
+        "7d248e636b193f991922147c027980e9d6ebc29cf3122478562c9032608738a4",
+        "6158e2c9516bf740270858c85f639c14554c9990ebf4d9fb9bf6a28c1fce56fc",
+    )),
+], ids=["defaults", "ring8-2s0", "ring8-2s1", "ring8-2s2", "ring8-2s3", "grid3-2s0", "grid3-2s1"])
+def test_pair_and_theorem_reports_are_pinned(tmp_path, flags, digests):
+    # exact bytes of steps (c)-(e): the half-turn eigenvalue, the same-point
+    # rows, the winding and every field of theorem_report.json
+    assert main(["verify", "--suite", "pair-operator", "--suite", "theorem", *flags, "--out", str(tmp_path)]) == 0
+    names = ("pair-operator.json", "theorem.json", "theorem_report.json")
+    for name, digest in zip(names, digests):
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+def test_failed_verdict_is_a_report_and_exit_one(tmp_path, monkeypatch, capsys):
+    # with bosons' same-point pair vanishing too, both grades are consistent
+    break_boson_same_point(monkeypatch)
+    assert main(["verify", "--out", str(tmp_path)]) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        [f"{name}.json" for name in cli.SUITE_NAMES] + ["theorem_report.json"]
+    )
+    report = read_json(tmp_path / "theorem_report.json")
+    assert report["verdict_sigma"] is None
+    assert report["failure"] == "expected exactly one consistent grade, got [1, -1]"
+    theorem = {r["check"]: r["value"] for r in read_json(tmp_path / "theorem.json")["residuals"]}
+    assert theorem["verdict grade"] == 1.0
+    assert theorem["same-point vanishing [sigma=+1]"] == 1.0
+    pair = {r["check"]: r["value"] for r in read_json(tmp_path / "pair-operator.json")["residuals"]}
+    assert pair["same-point pair vanishing rule [sigma=+1]"] == 1.0
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_spectrum_command_outputs_are_pinned(tmp_path):
@@ -630,3 +712,55 @@ def test_load_config_defaults():
     assert cfg.lattice == {"kind": "ring", "M": 4}
     assert cfg.sigmas() == (1, -1)
     assert cfg.validate() is cfg
+
+
+# flag: (valid values, invalid values)
+_VERIFY_FLAGS = {
+    "--lattice": (["ring:2", "ring:4", "ring:6", "grid2d:1", "grid2d:3"], ["ring:3"]),
+    "--twos-s": (["0", "1", "2", "3"], ["-1"]),
+    "-N": (["0", "1", "2", "3", "4"], ["-1"]),
+    "--n-max": (["0", "1", "2", "3"], ["-1"]),
+    "--sigma": (["+1", "-1", "both"], ["0"]),
+    "--tol": ([None], ["0", "-1", "nan", "inf"]),
+    "--seed": (["0", str(2**64)], ["-1"]),
+}
+_SITES = {"ring:2": 2, "ring:3": 3, "ring:4": 4, "ring:6": 6, "grid2d:1": 1, "grid2d:3": 9}
+
+
+def _flags(**broken) -> dict:
+    """The first valid value of every flag, with the given ones replaced."""
+    return {flag: broken.get(flag.strip("-").replace("-", "_"), valid[0]) for flag, (valid, _) in _VERIFY_FLAGS.items()}
+
+
+@st.composite
+def _verify_flags(draw) -> dict:
+    """One value per flag; at most one flag takes an invalid value, so runs
+    that reach a suite and runs refused for each flag are both common."""
+    broken = draw(st.sets(st.sampled_from(sorted(_VERIFY_FLAGS)), max_size=1))
+    return {
+        flag: draw(st.sampled_from(invalid if flag in broken else valid))
+        for flag, (valid, invalid) in _VERIFY_FLAGS.items()
+    }
+
+
+@given(flags=_verify_flags(), suite=st.sampled_from(cli.SUITE_NAMES))
+# inputs that ended in a traceback or a vacuous verdict before they were refused
+@example(flags=_flags(seed="-1"), suite="orthonormality")
+@example(flags=_flags(lattice="ring:2", sigma="-1", N="3"), suite="ideal-gas")
+@example(flags=_flags(tol="nan"), suite="theorem")
+@example(flags=_flags(lattice="grid2d:1", n_max="2"), suite="theorem")
+def test_every_config_ends_in_a_contract_exit_code(tmp_path_factory, flags, suite):
+    # the largest bosonic sector a suite may build stays small, to bound the run time
+    modes = _SITES[flags["--lattice"]] * (max(int(flags["--twos-s"]), 0) + 1)
+    top = max(int(flags["-N"]), int(flags["--n-max"]) + 1, 2)
+    assume(math.comb(modes + top - 1, top) <= 400)
+    out = tmp_path_factory.mktemp("fuzz") / "out"
+    argv = ["verify", "--suite", suite, "--out", str(out)]
+    argv += [arg for flag, value in flags.items() if value is not None for arg in (flag, value)]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = main(argv)  # an exception escaping main fails the test
+    assert rc in (0, 1, 2)
+    if rc == 2:
+        assert err.getvalue().startswith("configuration error: ")
+        assert not out.exists()

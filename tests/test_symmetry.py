@@ -6,21 +6,16 @@ import numpy as np
 import pytest
 
 from spinstat import symmetry
-from spinstat.fockspace import build_basis, identity_matrix, matrix_family, matrix_of, max_abs
+from spinstat.fockspace import build_basis, identity_matrix, matrix_family, max_abs
 from spinstat.modes import Lattice, Mode, ModeSpace, SpinQuantum
 from spinstat.opalgebra import destroy, normal_order
 from spinstat.symmetry import (
     IncompatibleRotationError,
     SpinorRotation,
     cis_turns,
-    conjugated,
-    full_turn_winding,
-    origin_vanishing_check,
-    pair_matrix,
+    pair_checks,
     pair_operator,
-    parity_covariance_check,
     permutation_eigencheck,
-    pi_eigenvalue_check,
     rotation_covariance_check,
     rotation_element_residual,
     sector_lift_residuals,
@@ -129,17 +124,19 @@ def test_pair_operator_at_origin():
 
 @pytest.mark.parametrize("sigma", [1, -1])
 def test_pair_matrix_dimension_bookkeeping(sigma):
-    mat = pair_matrix(RING4_HALF, 1, 0, sigma, 3)
-    assert mat.shape == (
-        build_basis(RING4_HALF, 1, sigma).dim,
-        build_basis(RING4_HALF, 3, sigma).dim,
-    )
+    checks = pair_checks(RING4_HALF, sigma, n_max=3)
+    for families in checks.families.values():
+        assert [(f.domain.n_particles, f.codomain.n_particles, len(f)) for f in families] == [(2, 0, 4), (3, 1, 4)]
+        assert families[1].rows(0, 1).shape == (
+            build_basis(RING4_HALF, 1, sigma).dim,
+            build_basis(RING4_HALF, 3, sigma).dim,
+        )
 
 
 @pytest.mark.parametrize("sigma", [1, -1])
 def test_parity_covariance(sigma):
-    assert parity_covariance_check(RING4_HALF, sigma, n_max=3) <= 1e-12
-    assert parity_covariance_check(GRID_SCALAR, sigma, n_max=2) <= 1e-12
+    assert pair_checks(RING4_HALF, sigma, n_max=3).inversion_residual <= 1e-12
+    assert pair_checks(GRID_SCALAR, sigma, n_max=2).inversion_residual <= 1e-12
 
 
 @pytest.mark.parametrize("sigma", [1, -1])
@@ -148,10 +145,10 @@ def test_rotation_covariance_quarter_turn(sigma):
     assert rotation_covariance_check(RING4_HALF, sigma, n_max=3) <= 1e-12
     # using the wrong phase (+1) must fail by an O(1) margin
     rot = SpinorRotation(RING4_HALF, 1)
-    f = pair_matrix(RING4_HALF, 1, 0, sigma, 2)
-    rotated = pair_matrix(RING4_HALF, 1, rot.space.lattice.rotate_site_z(0, 1), sigma, 2)
-    wrong = max_abs(conjugated(rot, f).matrix - rotated.matrix)
-    assert wrong > 0.5
+    family = pair_checks(RING4_HALF, sigma, n_max=2).families[1][0]
+    images = [RING4_HALF.lattice.rotate_site_z(site, 1) for site in range(4)]
+    assert symmetry._covariance_residual(rot, family, images, [1j] * 4) <= 1e-12
+    assert symmetry._covariance_residual(rot, family, images, [1] * 4) > 0.5
 
 
 @pytest.mark.parametrize("sigma", [1, -1])
@@ -171,7 +168,7 @@ def test_stacked_covariance_residual_catches_wrong_images_and_phases(sigma):
 
 @pytest.mark.parametrize("sigma", [1, -1])
 def test_covariance_holds_up_to_sector_four(sigma):
-    assert parity_covariance_check(RING4_HALF, sigma, n_max=4) <= 1e-12
+    assert pair_checks(RING4_HALF, sigma, n_max=4).inversion_residual <= 1e-12
     assert rotation_covariance_check(RING4_HALF, sigma, n_max=4) <= 1e-12
 
 
@@ -184,45 +181,51 @@ def test_rotation_covariance_integral_spin_full_phase():
 
 @pytest.mark.parametrize("sigma", [1, -1])
 def test_pi_eigenvalue_half_integral(sigma):
-    res = pi_eigenvalue_check(RING4_HALF, 1, 0, sigma, n_max=3)
-    assert res.determinate
-    assert res.lambda_expected == -sigma  # (-1)^(2s) sigma with 2s odd
-    assert res.lambda_measured == pytest.approx(res.lambda_expected)
-    assert abs(res.lambda_measured**2 - 1) <= 1e-12
-    assert res.residual <= 1e-12
+    checks = pair_checks(RING4_HALF, sigma, n_max=3)
+    assert checks.probe == 0
+    assert checks.lambda_expected == -sigma  # (-1)^(2s) sigma with 2s odd
+    for tm in (1, -1):
+        lam = checks.lambdas[tm]
+        assert lam == pytest.approx(checks.lambda_expected)
+        assert abs(lam**2 - 1) <= 1e-12
+        assert checks.lambda_residuals[tm] <= 1e-12
 
 
 def test_pi_eigenvalue_scalar_spin():
-    res = pi_eigenvalue_check(GRID_SCALAR, 0, 0, 1, n_max=2)
-    assert res.lambda_measured == pytest.approx(1.0)
-    res = pi_eigenvalue_check(GRID_SCALAR, 0, 0, -1, n_max=2)
-    assert res.lambda_measured == pytest.approx(-1.0)
+    assert pair_checks(GRID_SCALAR, 1, n_max=2).lambdas[0] == pytest.approx(1.0)
+    assert pair_checks(GRID_SCALAR, -1, n_max=2).lambdas[0] == pytest.approx(-1.0)
 
 
 def test_pi_eigenvalue_indeterminate_at_origin():
     origin = GRID_SCALAR.lattice.origin_site
-    res = pi_eigenvalue_check(GRID_SCALAR, 0, origin, -1, n_max=2)
-    assert not res.determinate
-    assert res.lambda_measured is None
-    assert res.residual <= 1e-12
+    fermi = pair_checks(GRID_SCALAR, -1, n_max=2)
+    lam, residual = symmetry._half_turn_eigenvalue(fermi.families[0], origin)
+    assert lam is None
+    assert residual <= 1e-12
     # bosons keep a finite same-point pair: determinate at the origin
-    res_b = pi_eigenvalue_check(GRID_SCALAR, 0, origin, 1, n_max=2)
-    assert res_b.determinate
-    assert res_b.lambda_measured == pytest.approx(1.0)
+    bose = pair_checks(GRID_SCALAR, 1, n_max=2)
+    lam, residual = symmetry._half_turn_eigenvalue(bose.families[0], origin)
+    assert lam == pytest.approx(1.0)
+    assert residual <= 1e-12
+    # F(origin) is the same-point pair, so lambda is undetermined exactly where it vanishes
+    assert fermi.same_point_vanishes(0) and not bose.same_point_vanishes(0)
 
 
 @pytest.mark.parametrize("space", [RING4_HALF, GRID_SCALAR])
 def test_origin_vanishing(space):
+    fermi, bose = pair_checks(space, -1, n_max=2), pair_checks(space, 1, n_max=2)
     for tm in space.spin.projections():
-        assert origin_vanishing_check(space, tm, -1, n_max=2) is True
-        assert origin_vanishing_check(space, tm, 1, n_max=2) is False
+        assert fermi.same_point_vanishes(tm) and fermi.same_point[tm] == 0.0
+        assert not bose.same_point_vanishes(tm)
+        assert bose.same_point[tm] == pytest.approx(np.sqrt(2))  # a a |2> = sqrt(2) |0>
 
 
 @pytest.mark.parametrize("sigma", [1, -1])
 def test_full_turn_winding_recovers_projection(sigma):
     space = ModeSpace(Lattice.ring(8), SpinQuantum(3))
-    for tm in space.spin.projections():
-        res = full_turn_winding(space, tm, 1, sigma)
+    windings = pair_checks(space, sigma, n_max=2).windings
+    assert list(windings) == list(space.spin.projections())
+    for tm, res in windings.items():
         assert res.winding == tm
         assert res.max_step_residual <= 1e-12
         assert res.angle_defect <= 1e-9
@@ -241,59 +244,69 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
+def _same_point(space, tm, sigma):
+    mode = Mode(symmetry.origin_pair_site(space), tm)
+    return destroy(mode, sigma) * destroy(mode, sigma)
+
+
+def _pair_builds(space, sigma, sectors):
+    """One family of F(r) over every site and one same-point pair per (2m_s, N)."""
+    builds = Counter()
+    for tm in space.spin.projections():
+        for n in sectors:
+            domain = build_basis(space, n, sigma)
+            builds[tuple(pair_operator(space, tm, site, sigma) for site in range(space.lattice.n_sites)), domain] += 1
+            builds[(_same_point(space, tm, sigma),), domain] += 1
+    return builds
+
+
 def test_parity_covariance_builds_each_pair_matrix_once(monkeypatch):
     calls = _count_calls(monkeypatch, "matrix_family")
-    assert parity_covariance_check(RING4_HALF, -1, n_max=3) <= 1e-12
-    # one family of F(r) over the 4 sites per (2m_s, N), each built once
-    builds = Counter((tuple(exprs), domain.n_particles) for exprs, domain, _ in calls)
-    assert builds == Counter({
-        (tuple(pair_operator(RING4_HALF, tm, site, -1) for site in range(4)), n): 1
-        for tm in (1, -1) for n in (2, 3)
-    })
+    assert pair_checks(RING4_HALF, -1, n_max=3).inversion_residual <= 1e-12
+    assert Counter((tuple(exprs), domain) for exprs, domain, _ in calls) == _pair_builds(RING4_HALF, -1, (2, 3))
+    # on rings the same-point pair is no member of the family: site 0 inverts to M/2
+    assert _same_point(RING4_HALF, 1, -1) != pair_operator(RING4_HALF, 1, 0, -1)
 
 
 def test_full_turn_winding_builds_each_pair_matrix_once(monkeypatch):
     space = ModeSpace(Lattice.ring(8), SpinQuantum(3))
-    singles = _count_calls(monkeypatch, "matrix_of")
-    families = _count_calls(monkeypatch, "matrix_family")
-    assert full_turn_winding(space, 3, 1, 1).winding == 3
-    # one family of F over the orbit of site 1, in rotation order
-    orbit = [(1 + k) % 8 for k in range(space.lattice.steps_per_turn)]
-    assert [(tuple(exprs), domain.n_particles) for exprs, domain, _ in families] == [
-        (tuple(pair_operator(space, 3, site, 1) for site in orbit), 2)
-    ]
-    assert singles == []
+    checks = pair_checks(space, 1, n_max=2)
+    calls = _count_calls(monkeypatch, "matrix_family")
+    # the winding reads the record's N = 2 family of F over every site
+    assert checks.windings[3].winding == 3
+    assert calls == []
 
 
 def test_theorem_report_checks_origin_once_per_grade_and_projection(monkeypatch):
-    calls = _count_calls(monkeypatch, "origin_vanishing_check")
-    theorem_report(RING4_HALF, n_max=2)
-    pairs = sorted((args[2], args[1]) for args in calls)  # (sigma, 2m_s)
-    assert pairs == sorted((sigma, tm) for sigma in (1, -1) for tm in RING4_HALF.spin.projections())
+    records = _count_calls(monkeypatch, "pair_checks")
+    families = _count_calls(monkeypatch, "matrix_family")
+    theorem_report(RING4_HALF, n_max=3)
+    # one pair record per grade, whose same-point pair is built once per projection and sector
+    assert records == [(RING4_HALF, 1, 3), (RING4_HALF, -1, 3)]
+    same_point = Counter((exprs[0], domain) for exprs, domain, _ in families if len(exprs) == 1)
+    assert same_point == Counter({
+        (_same_point(RING4_HALF, tm, sigma), build_basis(RING4_HALF, n, sigma)): 1
+        for sigma in (1, -1) for tm in (1, -1) for n in (2, 3)
+    })
 
 
 def test_theorem_report_builds_each_even_inversion_pair_matrix_once(monkeypatch):
     space = ModeSpace(Lattice.ring(8), SpinQuantum(3))
     families = _count_calls(monkeypatch, "matrix_family")
-    singles = _count_calls(monkeypatch, "pair_matrix")
     theorem_report(space, n_max=2)
-    sites, probe = range(space.lattice.n_sites), theorem_probe_site(space)
     # per grade and projection, on N = 2, one family of F(r) over every site,
-    # read by both the even-inversion check and the winding of the probe's orbit ...
-    assert Counter((tuple(exprs), domain) for exprs, domain, _ in families) == Counter({
-        (tuple(pair_operator(space, tm, site, sigma) for site in sites), build_basis(space, 2, sigma)): 1
-        for sigma in (1, -1) for tm in space.spin.projections()
-    })
-    # ... and the half-turn check builds F(probe) on its own
-    assert Counter((args[3], args[1], args[2]) for args in singles) == Counter({
-        (sigma, tm, probe): 1 for sigma in (1, -1) for tm in space.spin.projections()
-    })
+    # read by the inversion checks, the half-turn eigenvalue at the probe and
+    # the winding along the probe's orbit, and one same-point pair
+    assert Counter((tuple(exprs), domain) for exprs, domain, _ in families) == (
+        _pair_builds(space, 1, (2,)) + _pair_builds(space, -1, (2,))
+    )
 
 
 def test_winding_needs_fine_enough_steps():
-    space = ModeSpace(Lattice.ring(4), SpinQuantum(2))
+    checks = pair_checks(ModeSpace(Lattice.ring(4), SpinQuantum(2)), 1, n_max=2)
+    assert checks.lambdas[2] == pytest.approx(1.0)  # the other checks need no winding
     with pytest.raises(IncompatibleRotationError):
-        full_turn_winding(space, 2, 0, 1)
+        checks.windings
 
 
 def test_theorem_probe_site():
@@ -340,11 +353,24 @@ def test_theorem_report_json_schema():
     payload = theorem_report(RING4_HALF, n_max=2).to_dict()
     assert payload["twos_s"] == 1
     assert payload["verdict_sigma"] == -1
+    assert "failure" not in payload  # written only when no verdict is reached
     for key in ("+1", "-1"):
         entry = payload["per_sigma"][key]
         for field in ("lambda", "origin_vanishes", "winding_twos_ms", "consistent"):
             assert field in entry
     assert payload["per_sigma"]["-1"]["winding_twos_ms"] == {"-1": -1, "1": 1}
+
+
+def test_theorem_report_records_a_pair_that_vanishes_at_the_probe(monkeypatch):
+    monkeypatch.setattr(symmetry, "_dominant_ratio", lambda a_mats, b_mats: None)
+    report = theorem_report(RING4_HALF, n_max=2)
+    assert report.verdict_sigma is None
+    assert report.failure == "pair operator vanished at the probe site for sigma in [1, -1]"
+    payload = report.to_dict()
+    assert payload["verdict_sigma"] is None and payload["failure"] == report.failure
+    for entry in payload["per_sigma"].values():
+        assert entry["lambda"] is None
+        assert entry["winding_twos_ms"] == {"-1": None, "1": None}
 
 
 def test_theorem_report_preconditions():
