@@ -45,6 +45,8 @@ from .hamiltonians import (
     diagonalize,
     ideal_gas_check,
     mode_operator_check,
+    mode_operators,
+    one_particle_spectrum,
 )
 from .modes import Lattice, ModeSpace, SpinQuantum
 from .opalgebra import COEFF_TOL, destroy, expr_residual, parse_expr
@@ -387,21 +389,22 @@ def suite_permutations(cfg: RunConfig, rng) -> SuiteReport:
 
 def suite_ideal_gas(cfg: RunConfig, rng) -> SuiteReport:
     space = cfg.make_space()
-    lattice, spin = space.lattice, space.spin
     for sigma in cfg.sigmas():
         _require_states(space, cfg.n_particles, sigma)
     spec1 = cfg.one_body()
     spectral_tol = _tol(cfg, "ideal-gas")
     mode_tol = cfg.tol if cfg.tol is not None else MODE_COMMUTATOR_TOL
+    eps, phi = one_particle_spectrum(spec1, space.lattice, space.spin)
     checks = []
     for sigma in cfg.sigmas():
-        report = ideal_gas_check(spec1, lattice, spin, cfg.n_particles, sigma, tol=spectral_tol)
+        cs = mode_operators(space, phi, sigma)
+        report = ideal_gas_check(spec1, space, cfg.n_particles, sigma, eps, cs, tol=spectral_tol)
         tag = f"sigma={sigma:+d}"
         checks.append((f"ED spectrum vs occupancy multiset [{tag}]", report.spectral_deviation, spectral_tol))
         checks.append((f"diagonal eigenmode identity [{tag}]", report.h0_identity_residual, spectral_tol))
         checks.append((
             f"eigenmode ladder relations [{tag}]",
-            mode_operator_check(spec1, lattice, spin, sigma, n_max=min(cfg.n_max, 3)),
+            mode_operator_check(space, cs, sigma, n_max=min(cfg.n_max, 3)),
             mode_tol,
         ))
     return _finish("ideal-gas", cfg, checks)

@@ -40,6 +40,7 @@ assembly can be partitioned by column with no shared state.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, combinations, combinations_with_replacement, permutations
@@ -52,11 +53,20 @@ from .opalgebra import OperatorExpr, check_sigma
 
 DEFAULT_DIMENSION_CAP = 2_000_000
 _KERNEL_ROWS = 4096  # rows per kernel call in matrix_family, which bounds its working arrays
-_PRODUCT_ENTRIES = 1 << 13  # structural nnz bound per stacked product in _worst_relation
+_PRODUCT_ENTRIES = 1 << 12  # structural nnz bound per stacked product in _worst_relation
+_BRACKET_COPIES = 2  # the dense bracket matrix and the conjugate transpose a projection takes
 
 
 class DimensionCapError(ValueError):
     """A requested sector exceeds the configured basis-size cap."""
+
+
+def _available_memory() -> int | None:
+    """Free physical memory in bytes, or None where the platform cannot tell."""
+    try:
+        return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
 
 
 def sector_dimension(n_modes: int, n_particles: int, sigma: int) -> int:
@@ -650,11 +660,21 @@ def symmetrizer_oracle(tensor: np.ndarray, sigma: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def bracket_matrix(space: ModeSpace, n_particles: int, sigma: int) -> np.ndarray:
     """Dense (sector dim) x (n_modes**N) matrix whose columns are the bracket
-    states for every coordinate tuple, in row-major tuple order."""
+    states for every coordinate tuple, in row-major tuple order.  Raises
+    ``DimensionCapError`` past 500,000 tuples, or when the matrix and the
+    conjugate transpose a projection takes would not fit in free memory."""
     m = space.n_modes
     n_tuples = m**n_particles
     if n_tuples > 500_000:
         raise DimensionCapError(f"{n_tuples} coordinate tuples is past desk scale")
+    dim = sector_dimension(m, n_particles, sigma)
+    needed = _BRACKET_COPIES * 16 * dim * n_tuples
+    free = _available_memory()
+    if free is not None and needed > free:
+        raise DimensionCapError(
+            f"the bracket matrix of {dim} states x {n_tuples} coordinate tuples needs an"
+            f" estimated {needed:,} bytes of dense storage; {free:,} bytes of memory are free"
+        )
     basis, index, amp = bracket_amplitudes(space, index_tuples(m, n_particles), sigma)
     out = np.zeros((basis.dim, n_tuples), dtype=np.complex128)
     live = amp != 0

@@ -2,8 +2,11 @@
 
 The one-body part is nearest-neighbour hopping (the finite-difference kinetic
 term, constant diagonal shift dropped) plus an on-site potential, diagonal in
-spin.  The two-body part couples site pairs through a distance-keyed table
-with the literal ordering a+(xi) a+(xi') a(xi') a(xi) and a 1/2 prefactor.
+spin: the one-body matrix is a site matrix times the spin identity, and its
+eigenmodes are lifted the same way from one solve of the site matrix, each on
+a single spin projection.  The two-body part couples site pairs through a
+distance-keyed table with the literal ordering a+(xi) a+(xi') a(xi') a(xi)
+and a 1/2 prefactor.
 
 Spectra are exact at desk scale so degenerate multiplicities can be compared
 exactly: H is split into blocks of fixed particle count per spin projection,
@@ -20,7 +23,6 @@ the executable form of the Bose-Einstein / Fermi-Dirac distinction.
 
 from __future__ import annotations
 
-import os
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
@@ -33,6 +35,7 @@ from .fockspace import (
     FockBasis,
     OperatorMatrix,
     StateVector,
+    _available_memory,
     build_basis,
     ladder_relation_residuals,
     matrix_of,
@@ -93,15 +96,20 @@ class TwoBodySpec:
         return [d for d, _ in self.table if all(abs(d - x) > DISTANCE_TOL for x in found)]
 
 
-def one_body_matrix(spec: OneBodySpec, lattice: Lattice, spin: SpinQuantum) -> np.ndarray:
-    """Dense Hermitian one-particle matrix over modes (site block x spin identity)."""
+def _site_matrix(spec: OneBodySpec, lattice: Lattice) -> np.ndarray:
+    """Dense Hermitian one-particle matrix over sites: hopping plus potential."""
     n = lattice.n_sites
     h_site = np.zeros((n, n), dtype=np.complex128)
     for i, j in lattice.edges:
         h_site[i, j] = -spec.hop_t
         h_site[j, i] = -spec.hop_t
     h_site += np.diag(spec.site_potential(lattice))
-    return np.kron(h_site, np.eye(spin.multiplicity, dtype=np.complex128))
+    return h_site
+
+
+def one_body_matrix(spec: OneBodySpec, lattice: Lattice, spin: SpinQuantum) -> np.ndarray:
+    """Dense Hermitian one-particle matrix over modes (site block x spin identity)."""
+    return np.kron(_site_matrix(spec, lattice), np.eye(spin.multiplicity, dtype=np.complex128))
 
 
 def one_particle_spectrum(
@@ -109,40 +117,36 @@ def one_particle_spectrum(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and eigenvector columns of the one-body matrix.
 
-    Columns are orthonormal under the mode-space measure (unit cell volume).
+    The one-body matrix is the site matrix times the spin identity, so its
+    eigenpairs are lifted the same way from one ``eigh`` of the site matrix:
+    each site eigenvalue repeats once per projection, and eigenmode
+    (q, m_s) is site eigenvector q on projection m_s alone, in the mode order
+    (site-major, projection descending).  Columns are orthonormal under the
+    mode-space measure (unit cell volume).
     """
-    eps, phi = np.linalg.eigh(one_body_matrix(spec, lattice, spin))
-    return eps, phi
+    eps, phi = np.linalg.eigh(_site_matrix(spec, lattice))
+    k = spin.multiplicity
+    return np.repeat(eps, k), np.kron(phi, np.eye(k, dtype=np.complex128))
 
 
-def mode_operators(
-    spec: OneBodySpec, lattice: Lattice, spin: SpinQuantum, sigma: int
-) -> list[OperatorExpr]:
-    """Annihilators of the one-particle eigenmodes: c_q = sum_xi phi_q*(xi) a(xi)."""
-    space = ModeSpace(lattice, spin)
-    _, phi = one_particle_spectrum(spec, lattice, spin)
+def mode_operators(space: ModeSpace, phi: np.ndarray, sigma: int) -> list[OperatorExpr]:
+    """Annihilators of the eigenmode columns of ``phi``:
+    c_q = sum_xi phi_q*(xi) a(xi), without the terms whose coefficient is 0,
+    so an eigenmode of ``one_particle_spectrum`` has at most n_sites terms."""
+    modes = space.modes
     return [
-        OperatorExpr.sum_of(sigma, (
-            complex(np.conj(phi[i, q])) * destroy(mode, sigma) for i, mode in enumerate(space.modes)
-        ))
-        for q in range(space.n_modes)
+        OperatorExpr.sum_of(sigma, (c * destroy(modes[i], sigma) for i, c in enumerate(column) if c != 0))
+        for column in np.conj(phi).T.tolist()
     ]
 
 
-def mode_operator_check(
-    spec: OneBodySpec,
-    lattice: Lattice,
-    spin: SpinQuantum,
-    sigma: int,
-    n_max: int = 3,
-) -> float:
+def mode_operator_check(space: ModeSpace, annihilators, sigma: int, n_max: int) -> float:
     """Worst matrix residual of the eigenmode ladder relations on sectors <= n_max.
 
     Checks [c_q, c+_q'] = delta_qq' and [c_q, c_q'] = [c+_q, c+_q'] = 0 in the
     graded sense, as products of the eigenmode ladder matrices on each sector.
     """
-    cs = mode_operators(spec, lattice, spin, sigma)
-    return max(ladder_relation_residuals(ModeSpace(lattice, spin), cs, sigma, n_max))
+    return max(ladder_relation_residuals(space, annihilators, sigma, n_max))
 
 
 def one_body_expr(space: ModeSpace, h: np.ndarray, sigma: int) -> OperatorExpr:
@@ -239,14 +243,6 @@ class SpectrumResult:
 
 
 _BLOCK_WORK_ARRAYS = 6  # dense block, LAPACK workspace, residual and Gram temporaries
-
-
-def _available_memory() -> int | None:
-    """Free physical memory in bytes, or None where the platform cannot tell."""
-    try:
-        return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    except (AttributeError, ValueError, OSError):
-        return None
 
 
 def _projection_blocks(ham: OperatorMatrix) -> tuple[list[np.ndarray], list]:
@@ -417,28 +413,27 @@ class IdealGasReport:
 
 def ideal_gas_check(
     spec1: OneBodySpec,
-    lattice: Lattice,
-    spin: SpinQuantum,
+    space: ModeSpace,
     n_particles: int,
     sigma: int,
+    eps: np.ndarray,
+    annihilators: list[OperatorExpr],
     tol: float = SPECTRUM_TOL,
 ) -> IdealGasReport:
     """Compare exact diagonalization of the interaction-free Hamiltonian with
-    the occupancy-rule multiset, and verify the diagonal eigenmode form
-    sum_q eps_q c+_q c_q as a matrix identity on the same sector."""
-    space = ModeSpace(lattice, spin)
+    the occupancy-rule multiset over the one-particle levels ``eps``, and
+    verify the diagonal eigenmode form sum_q eps_q c+_q c_q, with c_q the
+    ``annihilators`` of those levels, as a matrix identity on the same sector."""
     basis = build_basis(space, n_particles, sigma)
     ham = build_many_body(spec1, None, basis)
     spectrum = diagonalize(ham)
-    eps, _ = one_particle_spectrum(spec1, lattice, spin)
     expected = occupancy_spectrum(eps, n_particles, sigma)
     if expected.shape != spectrum.eigenvalues.shape:
         raise RuntimeError("occupancy multiset size differs from the sector dimension")
     deviation = float(np.max(np.abs(expected - spectrum.eigenvalues))) if expected.size else 0.0
 
-    cs = mode_operators(spec1, lattice, spin, sigma)
     diag_expr = OperatorExpr.sum_of(
-        sigma, (complex(eps[q]) * (cq.dagger() * cq) for q, cq in enumerate(cs))
+        sigma, (complex(eps[q]) * (cq.dagger() * cq) for q, cq in enumerate(annihilators))
     )
     h0_residual = max_abs(matrix_of(diag_expr, basis, basis).matrix - ham.matrix)
 

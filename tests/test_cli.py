@@ -508,6 +508,17 @@ def test_diagonalize_past_free_memory_is_exit_two(tmp_path, monkeypatch, capsys)
     assert "bytes of dense storage" in capsys.readouterr().err
 
 
+def test_completeness_past_free_memory_is_exit_two(tmp_path, monkeypatch, capsys):
+    # ring:8, 2s=1, N=4 bosons: 3,876 states x 65,536 tuples, 8.1 GB as two dense copies
+    monkeypatch.setattr(fockspace, "_available_memory", lambda: 4_000_000_000)
+    assert main([
+        "verify", "--suite", "completeness", "--lattice", "ring:8", "--twos-s", "1",
+        "-N", "4", "--out", str(tmp_path / "o"),
+    ]) == 2
+    assert "8,128,561,152 bytes of dense storage" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_correlate_degenerate_ground_state_is_reproducible(tmp_path):
     cfg = {
         "lattice": {"kind": "ring", "M": 4}, "twos_s": 1, "sigma": -1, "N": 3,

@@ -30,7 +30,14 @@ from spinstat.fockspace import (
     sector_dimension,
     symmetrizer_oracle,
 )
-from spinstat.hamiltonians import OneBodySpec, TwoBodySpec, build_many_body, many_body_expr, mode_operators
+from spinstat.hamiltonians import (
+    OneBodySpec,
+    TwoBodySpec,
+    build_many_body,
+    many_body_expr,
+    mode_operators,
+    one_particle_spectrum,
+)
 from spinstat.modes import Lattice, ModeSpace, SpinQuantum
 from spinstat.opalgebra import LadderOp, OperatorExpr, OperatorTerm, create, destroy, normal_order
 
@@ -183,6 +190,20 @@ def test_dimension_cap(monkeypatch):
         build_basis(SPACE4, 2, 1)
 
 
+def test_bracket_matrix_refuses_past_free_memory(monkeypatch):
+    space = ModeSpace(Lattice.ring(4), SpinQuantum(1))
+    fockspace.bracket_matrix.cache_clear()  # a cached matrix is not allocated again
+    # the complex 28 x 64 matrix and its conjugate transpose: 2 * 16 * 28 * 64
+    monkeypatch.setattr(fockspace, "_available_memory", lambda: 57_343)
+    with pytest.raises(DimensionCapError, match="28 states x 64 coordinate tuples .* 57,344 bytes"):
+        fockspace.bracket_matrix(space, 2, -1)
+    monkeypatch.setattr(fockspace, "_available_memory", lambda: 57_344)
+    assert fockspace.bracket_matrix(space, 2, -1).shape == (28, 64)
+    fockspace.bracket_matrix.cache_clear()
+    monkeypatch.setattr(fockspace, "_available_memory", lambda: None)
+    assert fockspace.bracket_matrix(space, 2, -1).shape == (28, 64)
+
+
 def test_state_vector_validation():
     basis = build_basis(SPACE4, 1, -1)
     with pytest.raises(ValueError):
@@ -299,7 +320,7 @@ def ladder_set(kind, sigma):
     c_0 + c+_1 c_1 c_2, which sigma-commutes with neither c_1 nor c+_1."""
     site = [destroy(m, sigma) for m in RING4.modes]
     if kind == "eigen":
-        return mode_operators(OneBodySpec(hop_t=1.0, onsite_u=0.0), RING4.lattice, RING4.spin, sigma)
+        return mode_operators(RING4, one_particle_spectrum(OneBodySpec(), RING4.lattice, RING4.spin)[1], sigma)
     if kind == "broken":
         return [site[0] + create(RING4.mode_at(1), sigma) * site[1] * site[2]] + site[1:]
     return site
@@ -468,7 +489,7 @@ def test_hamiltonian_build_sends_only_rows_whose_first_factor_survives(monkeypat
 
 def relation_peak(sigma):
     """tracemalloc peak of the CLI-default eigenmode relations (ring:4, 2s=1, n_max=3)."""
-    ops = mode_operators(OneBodySpec(), RING4.lattice, RING4.spin, sigma)
+    ops = mode_operators(RING4, one_particle_spectrum(OneBodySpec(), RING4.lattice, RING4.spin)[1], sigma)
     for n in range(6):
         build_basis(RING4, n, sigma)  # the bases are cached, not part of the check
     tracemalloc.start()
@@ -482,9 +503,9 @@ def relation_peak(sigma):
 @pytest.mark.parametrize("sigma", [1, -1])
 def test_relation_tiles_stay_within_the_memory_of_pair_products(monkeypatch, sigma):
     # _PRODUCT_ENTRIES bounds each tile's product.  Measured against one pair
-    # per tile in the same process, the default reads about 1.05x (bosons)
-    # and 1.43x (fermions); a cap of 2**14 reads 1.96x for fermions and 2**20
-    # over 9x for both.  The default runs first, so one-time caching only
+    # per tile in the same process, the default reads about 1.0x (bosons)
+    # and 1.3x (fermions); a cap of 2**13 reads 2.2x for fermions and 2**20
+    # over 4x for both.  The default runs first, so one-time caching only
     # raises its side.
     peak = relation_peak(sigma)
     monkeypatch.setattr(fockspace, "_PRODUCT_ENTRIES", 1)

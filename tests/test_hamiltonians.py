@@ -13,6 +13,7 @@ from spinstat.fockspace import (
     OperatorMatrix,
     bracket_matrix,
     build_basis,
+    matrix_family,
     matrix_of,
     max_abs,
 )
@@ -24,6 +25,7 @@ from spinstat.hamiltonians import (
     ideal_gas_check,
     many_body_expr,
     mode_operator_check,
+    mode_operators,
     occupancy_spectrum,
     one_body_matrix,
     one_particle_spectrum,
@@ -32,6 +34,23 @@ from spinstat.modes import Lattice, ModeSpace, SpinQuantum
 from spinstat.opalgebra import OperatorExpr, create, destroy
 
 RNG = np.random.default_rng(11)
+
+
+def eigenmodes(spec, lattice, spin, sigma):
+    """The mode space, one-particle levels and eigenmode annihilators of ``spec``."""
+    space = ModeSpace(lattice, spin)
+    eps, phi = one_particle_spectrum(spec, lattice, spin)
+    return space, eps, mode_operators(space, phi, sigma)
+
+
+def ladder_residual(spec, lattice, spin, sigma, n_max):
+    space, _, cs = eigenmodes(spec, lattice, spin, sigma)
+    return mode_operator_check(space, cs, sigma, n_max)
+
+
+def ideal_gas(spec, lattice, spin, n, sigma):
+    space, eps, cs = eigenmodes(spec, lattice, spin, sigma)
+    return ideal_gas_check(spec, space, n, sigma, eps, cs)
 
 
 def test_two_site_chain_spectrum():
@@ -77,16 +96,61 @@ def test_one_particle_matrix_is_spin_diagonal_and_hermitian():
         assert h[i, i + 1] == 0.0
 
 
+@pytest.mark.parametrize("lattice,spin", [
+    (Lattice.ring(4), SpinQuantum(1)),
+    (Lattice.ring(8), SpinQuantum(3)),
+    (Lattice.grid2d(3), SpinQuantum(1)),
+], ids=["ring4-2s1", "ring8-2s3", "grid3-2s1"])
+def test_eigenmodes_are_site_eigenvectors_on_one_projection(lattice, spin):
+    # ring:8 and grid2d:3 have degenerate site levels, and every level is
+    # 2s+1 times degenerate over the projections
+    spec = OneBodySpec(hop_t=1.0)
+    space = ModeSpace(lattice, spin)
+    h = one_body_matrix(spec, lattice, spin)
+    lifted = np.kron(hamiltonians._site_matrix(spec, lattice), np.eye(spin.multiplicity, dtype=np.complex128))
+    assert h.tobytes() == lifted.tobytes()
+    eps, phi = one_particle_spectrum(spec, lattice, spin)
+    assert np.max(np.abs(eps - np.linalg.eigh(h)[0])) <= 1e-12
+    assert np.max(np.abs(phi.conj().T @ phi - np.eye(space.n_modes))) <= 1e-12
+    assert np.max(np.abs(h @ phi - phi * eps)) <= 1e-12
+    projection = np.array([mode.twos_ms for mode in space.modes])
+    for q in range(space.n_modes):
+        live = np.flatnonzero(phi[:, q])
+        assert len(set(projection[live])) == 1
+        assert len(live) <= lattice.n_sites
+    for sigma in (1, -1):
+        for cq in mode_operators(space, phi, sigma):
+            assert 0 < len(cq.terms) <= lattice.n_sites
+            assert all(term.coeff != 0 for term in cq.terms)
+
+
+@pytest.mark.parametrize("sigma", [1, -1])
+@pytest.mark.parametrize("twos_s", [1, 3])
+def test_eigenmode_stack_holds_one_projection_share_of_mixed_eigenmodes(twos_s, sigma):
+    # eigh of the whole one-body matrix mixes the degenerate projections, so
+    # each of its eigenmodes acts on every particle of a state; a lifted one
+    # acts only on the particles of its own projection
+    lattice, spin = Lattice.ring(4), SpinQuantum(twos_s)
+    space = ModeSpace(lattice, spin)
+    spec = OneBodySpec(hop_t=1.0)
+    _, phi = one_particle_spectrum(spec, lattice, spin)
+    _, mixed = np.linalg.eigh(one_body_matrix(spec, lattice, spin))
+    two, one = build_basis(space, 2, sigma), build_basis(space, 1, sigma)
+    lifted_nnz = matrix_family(mode_operators(space, phi, sigma), two, one).stack.nnz
+    mixed_nnz = matrix_family(mode_operators(space, mixed, sigma), two, one).stack.nnz
+    assert 0 < lifted_nnz * spin.multiplicity <= mixed_nnz
+
+
 @pytest.mark.parametrize("sigma", [1, -1])
 def test_single_and_two_mode_ladder_relations(sigma):
     # single mode: [c, c+] = 1; two orthogonal modes: [c_1, c+_2] = 0
-    assert mode_operator_check(OneBodySpec(0.0, 0.0), Lattice.grid2d(1), SpinQuantum(0), sigma, 2) <= 1e-12
-    assert mode_operator_check(OneBodySpec(0.0, 0.0), Lattice.grid2d(1), SpinQuantum(1), sigma, 2) <= 1e-12
+    assert ladder_residual(OneBodySpec(0.0, 0.0), Lattice.grid2d(1), SpinQuantum(0), sigma, 2) <= 1e-12
+    assert ladder_residual(OneBodySpec(0.0, 0.0), Lattice.grid2d(1), SpinQuantum(1), sigma, 2) <= 1e-12
 
 
 @pytest.mark.parametrize("sigma", [1, -1])
 def test_mode_operator_check_ring(sigma):
-    res = mode_operator_check(OneBodySpec(hop_t=1.0), Lattice.ring(2), SpinQuantum(1), sigma, 3)
+    res = ladder_residual(OneBodySpec(hop_t=1.0), Lattice.ring(2), SpinQuantum(1), sigma, 3)
     assert res <= 1e-10
 
 
@@ -389,7 +453,7 @@ def test_ideal_gas_ground_energies(sigma, ground):
     lattice, spin = Lattice.ring(4), SpinQuantum(0)
     spec = OneBodySpec(hop_t=1.0)
     eps, _ = one_particle_spectrum(spec, lattice, spin)
-    report = ideal_gas_check(spec, lattice, spin, 2, sigma)
+    report = ideal_gas(spec, lattice, spin, 2, sigma)
     assert report.spectra_match
     assert report.spectral_deviation <= 1e-9
     assert report.h0_identity_residual <= 1e-9
@@ -399,7 +463,7 @@ def test_ideal_gas_ground_energies(sigma, ground):
 
 
 def test_ideal_gas_vacuum_sector():
-    report = ideal_gas_check(OneBodySpec(hop_t=1.0), Lattice.ring(4), SpinQuantum(0), 0, 1)
+    report = ideal_gas(OneBodySpec(hop_t=1.0), Lattice.ring(4), SpinQuantum(0), 0, 1)
     assert report.spectra_match and report.spectral_deviation == 0.0
 
 
@@ -407,7 +471,7 @@ def test_ideal_gas_vacuum_sector():
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_ideal_gas_multiset_small_sweep(sigma, n):
     spec = OneBodySpec(hop_t=1.0, onsite_u=(0.0, 0.5))
-    report = ideal_gas_check(spec, Lattice.ring(2), SpinQuantum(1), n, sigma)
+    report = ideal_gas(spec, Lattice.ring(2), SpinQuantum(1), n, sigma)
     assert report.spectra_match
 
 
