@@ -48,6 +48,7 @@ from .hamiltonians import (
     mode_operators,
     one_particle_spectrum,
 )
+from .memo import command_scope
 from .modes import Lattice, ModeSpace, SpinQuantum
 from .opalgebra import COEFF_TOL, destroy, expr_residual, parse_expr
 from .symmetry import (
@@ -98,6 +99,14 @@ def _is_json(value, declared: str) -> bool:
     """isinstance for JSON values: true/false is no number, an integer is one."""
     kinds = _JSON_TYPES[declared][0]
     return isinstance(value, kinds) and (declared == "bool" or not isinstance(value, bool))
+
+
+def _finite(value) -> bool:
+    """math.isfinite, false also for an integer too large for a float."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -195,8 +204,16 @@ class RunConfig:
         for name in self.suites:
             if name not in SUITE_NAMES:
                 raise ConfigError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
-        if self.tol is not None and not (math.isfinite(self.tol) and self.tol > 0):
+        if self.tol is not None and not (_finite(self.tol) and self.tol > 0):
             raise ConfigError(f"tol must be a finite positive number, got {self.tol!r}")
+        parameters = {
+            "hop_t": [self.hop_t],
+            "onsite_u": list(u) if isinstance(u, (list, tuple)) else [u],
+            "v_table": list(self.v_table.values()),
+        }
+        for name, values in parameters.items():  # a NaN or inf would reach the eigensolver
+            if not all(_finite(v) for v in values):
+                raise self._type_error(name, "finite")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         lattice = self.make_space().lattice  # validates lattice and spin together
@@ -700,11 +717,12 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _merge_args(load_config(args.config), args).validate()
-        if args.command == "verify":
-            return cmd_verify(cfg)
-        if args.command == "diagonalize":
-            return cmd_diagonalize(cfg)
-        return cmd_correlate(cfg)
+        with command_scope():  # every memo is shared by the command's suites, then emptied
+            if args.command == "verify":
+                return cmd_verify(cfg)
+            if args.command == "diagonalize":
+                return cmd_diagonalize(cfg)
+            return cmd_correlate(cfg)
     except (ConfigError, DimensionCapError, IncompatibleRotationError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

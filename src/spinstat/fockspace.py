@@ -42,12 +42,12 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import chain, combinations, combinations_with_replacement, permutations
 
 import numpy as np
 import scipy.sparse as sp
 
+from .memo import kept_cache
 from .modes import ModeSpace
 from .opalgebra import OperatorExpr, check_sigma
 
@@ -62,11 +62,63 @@ class DimensionCapError(ValueError):
 
 
 def _available_memory() -> int | None:
-    """Free physical memory in bytes, or None where the platform cannot tell."""
+    """Bytes this process can still allocate: the smallest of free physical
+    memory, the ``RLIMIT_AS`` soft limit less the process's current size, and
+    ``memory.max`` less ``memory.current`` of each limited cgroup (v2) the
+    process is in; None where no figure can be read."""
+    figures = [f for f in (_free_physical(), _address_space_left(), _cgroup_memory_left()) if f is not None]
+    return max(0, min(figures)) if figures else None
+
+
+def _free_physical() -> int | None:
     try:
         return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, ValueError, OSError):
         return None
+
+
+def _address_space_left() -> int | None:
+    """The ``RLIMIT_AS`` soft limit less the process's virtual size."""
+    try:
+        import resource
+
+        soft, _ = resource.getrlimit(resource.RLIMIT_AS)
+    except (ImportError, OSError, ValueError):
+        return None
+    if soft == resource.RLIM_INFINITY:
+        return None
+    try:
+        with open("/proc/self/statm") as statm:
+            size = int(statm.read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
+    except (OSError, ValueError, IndexError):
+        size = 0
+    return soft - size
+
+
+def _cgroup_memory_left(root: str = "/sys/fs/cgroup", membership: str = "/proc/self/cgroup") -> int | None:
+    """The least memory.max - memory.current over the process's cgroup (v2)
+    and its ancestors that set a limit."""
+    try:
+        with open(membership) as cgroups:
+            path = next(line[3:].strip() for line in cgroups if line.startswith("0::"))
+    except (OSError, StopIteration):
+        return None
+    left = None
+    parts = [p for p in path.split("/") if p]
+    for depth in range(len(parts), -1, -1):
+        folder = os.path.join(root, *parts[:depth])
+        try:
+            with open(os.path.join(folder, "memory.max")) as f:
+                limit = f.read().strip()
+            if limit == "max":
+                continue
+            with open(os.path.join(folder, "memory.current")) as f:
+                used = int(f.read())
+            room = int(limit) - used
+        except (OSError, ValueError):
+            continue
+        left = room if left is None else min(left, room)
+    return left
 
 
 def sector_dimension(n_modes: int, n_particles: int, sigma: int) -> int:
@@ -130,7 +182,7 @@ class FockBasis:
         return self.dim - 1 - after
 
 
-@lru_cache(maxsize=None)
+@kept_cache
 def _build_basis_cached(space: ModeSpace, n_particles: int, sigma: int) -> FockBasis:
     m = space.n_modes
     dim = sector_dimension(m, n_particles, sigma)
@@ -477,16 +529,19 @@ def _worst_relation(lefts, rights, sigma: int, mirror=None, like=False, eye=Fals
         pair = max(pair, int((_column_hits(ls) @ lengths.T).max(initial=0)))
     side = max(1, math.isqrt(_PRODUCT_ENTRIES // pair))
     tiles = [(i, min(i + side, len(lefts))) for i in range(0, len(lefts), side)]
+    left = [lefts.rows(*tile) for tile in tiles]
     right = [_side_by_side(rights, tile) for tile in tiles]
-    back_left, back_family = mirror or (lefts, rights)
-    back_right = [_side_by_side(back_family, tile) for tile in tiles] if mirror else right
+    back_left, back_right = left, right
+    if mirror:
+        back_left = [mirror[0].rows(*tile) for tile in tiles]
+        back_right = [_side_by_side(mirror[1], tile) for tile in tiles]
     worst = 0.0
     for i, (p0, p1) in enumerate(tiles):
         for j in range(i if like else 0, len(tiles)):
             q0, q1 = tiles[j]
-            rel = lefts.rows(p0, p1) @ right[j]
+            rel = left[i] @ right[j]
             if like or mirror:
-                back = rel if like and i == j else back_left.rows(q0, q1) @ back_right[i]
+                back = rel if like and i == j else back_left[j] @ back_right[i]
                 back = _swap_blocks(back, (q1 - q0, p1 - p0))
                 rel = rel - back if sigma == 1 else rel + back
             worst = max(worst, _max_abs_less_identity(rel) if eye and i == j else max_abs(rel))
@@ -500,12 +555,9 @@ def _side_by_side(family: OperatorFamily, tile: tuple[int, int]) -> sp.csr_matri
 
 def _column_hits(family: OperatorFamily) -> np.ndarray:
     """Entry [p, k]: the stored entries of member p in column k, as floats."""
-    m, d = family.stack, family.codomain.dim
-    bounds = m.indptr[np.arange(len(family) + 1) * d]
-    return np.array(
-        [np.bincount(m.indices[a:b], minlength=m.shape[1]) for a, b in zip(bounds[:-1], bounds[1:])],
-        dtype=float,
-    ).reshape(len(family), m.shape[1])
+    m, cols = family.stack, family.stack.shape[1]
+    cells = _entry_rows(m).astype(np.intp) // family.codomain.dim * cols + m.indices[:m.nnz]
+    return np.bincount(cells, minlength=len(family) * cols).reshape(len(family), cols).astype(float)
 
 
 def _swap_blocks(m: sp.csr_matrix, grid: tuple[int, int]) -> sp.csr_matrix:
@@ -657,12 +709,13 @@ def symmetrizer_oracle(tensor: np.ndarray, sigma: int) -> np.ndarray:
     return out / math.factorial(n)
 
 
-@lru_cache(maxsize=None)
+@kept_cache
 def bracket_matrix(space: ModeSpace, n_particles: int, sigma: int) -> np.ndarray:
     """Dense (sector dim) x (n_modes**N) matrix whose columns are the bracket
     states for every coordinate tuple, in row-major tuple order.  Raises
     ``DimensionCapError`` past 500,000 tuples, or when the matrix and the
-    conjugate transpose a projection takes would not fit in free memory."""
+    conjugate transpose a projection takes would not fit in the memory the
+    process can still take (``_available_memory``)."""
     m = space.n_modes
     n_tuples = m**n_particles
     if n_tuples > 500_000:

@@ -332,7 +332,8 @@ def diagonalize(ham: OperatorMatrix) -> SpectrumResult:
     run.  Only the per-block eigenvector arrays are kept
     (``BlockEigenvectors``).  Raises
     ``DimensionCapError`` when those arrays and the largest block's working
-    arrays would not fit in free memory.
+    arrays would not fit in the memory the process can still take
+    (``_available_memory``).  A NaN anywhere fails every comparison.
     """
     if (
         ham.domain.n_particles != ham.codomain.n_particles
@@ -341,7 +342,7 @@ def diagonalize(ham: OperatorMatrix) -> SpectrumResult:
         raise ValueError("can only diagonalize a square same-sector matrix")
     mat = ham.matrix.tocsr()
     scale = max(1.0, max_abs(mat))
-    if max_abs(mat - mat.conj().T) > HERMITICITY_TOL * scale:
+    if not max_abs(mat - mat.conj().T) <= HERMITICITY_TOL * scale:  # a NaN fails too
         raise ValueError("matrix is not Hermitian to tolerance")
     real = not np.any(mat.data.imag)
     dim = ham.domain.dim
@@ -378,7 +379,7 @@ def diagonalize(ham: OperatorMatrix) -> SpectrumResult:
             evals, evecs = np.linalg.eigh(sub.toarray())
         block_residual = float(np.linalg.norm(sub @ evecs - evecs * evals, axis=0).max())
         gram = evecs.conj().T @ evecs - np.eye(len(evals))
-        if block_residual > SPECTRUM_TOL * scale or np.max(np.abs(gram)) > SPECTRUM_TOL:
+        if not (block_residual <= SPECTRUM_TOL * scale and np.max(np.abs(gram)) <= SPECTRUM_TOL):
             raise RuntimeError("eigensolver failed its residual contract")
         residual = max(residual, block_residual)
         values.append(evals)

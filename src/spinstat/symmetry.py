@@ -19,6 +19,11 @@ built in one kernel pass per sector into one stacked CSR.  Each rotation of
 a sector is one stacked conjugation of that stack, compared with a phased
 gather of its blocks; inversion compares the stack with its blocks gathered
 in inverted site order.
+
+Inside one command (``memo.command_scope``) the families of F(r), their
+one-step and half-turn conjugations and each grade's ``PairChecks`` record
+are built once and read by every check that needs them; outside a command
+each call builds its own.
 """
 
 from __future__ import annotations
@@ -27,13 +32,14 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
 from .fockspace import (
     FockBasis,
+    OperatorFamily,
     OperatorMatrix,
     _particle_modes,
     bracket_state,
@@ -44,6 +50,7 @@ from .fockspace import (
     perm_parity,
     permuted_states,
 )
+from .memo import command_memo, kept_cache
 from .modes import Mode, ModeSpace
 from .opalgebra import OperatorExpr, destroy
 
@@ -101,49 +108,85 @@ class SpinorRotation:
 
     def fock_lift(self, basis: FockBasis) -> OperatorMatrix:
         """The sector unitary implementing this rotation on Fock states."""
-        mat = _sector_unitary(self, basis.n_particles, basis.sigma)
-        return OperatorMatrix(basis, basis, mat)
+        return OperatorMatrix(basis, basis, _sector_unitary(self, basis.n_particles, basis.sigma))
 
 
-@lru_cache(maxsize=None)
-def _sector_unitary(rot: SpinorRotation, n_particles: int, sigma: int) -> sp.csr_matrix:
+@command_memo
+def _rotation(space: ModeSpace, steps: int) -> SpinorRotation:
+    """``SpinorRotation(space, steps)``, one object per command, so that its
+    mode permutation and field phases are worked out once."""
+    return SpinorRotation(space, steps)
+
+
+@kept_cache
+def _sector_adjoint(rot: SpinorRotation, n_particles: int, sigma: int) -> sp.csr_matrix:
+    """U+ of the sector lift U, as the canonical CSR a product converts
+    ``U.conj().T`` to: row j holds the conjugate of column j's only entry of
+    U.  Built from the lift's entries, so a sector that is only ever a
+    domain keeps no U."""
     # A rotated occupation state is built by transporting each creation
     # operator of the defining ascending product: the creation transport
     # carries the conjugate spinor phase e^{-i m_s theta}.
     basis = build_basis(rot.space, n_particles, sigma)
-    occ = basis.occupations
-    created = _particle_modes(occ, n_particles)  # each state's ascending creation list
+    created = _particle_modes(basis.occupations, n_particles)  # each state's ascending creation list
     rotated, amp = permuted_states(basis, rot.mode_permutation)
     phases = np.conj(rot.field_phases)
     vals = amp.astype(np.complex128)
     for f in reversed(range(n_particles)):  # rightmost creation acts first
         vals *= phases[created[:, f]]
-    factorials = np.array([math.factorial(n) for n in range(n_particles + 1)], dtype=np.float64)
-    vals /= np.sqrt(factorials[occ].prod(axis=1))
-    mat = sp.coo_matrix(
-        (vals, (rotated, np.arange(basis.dim))), shape=(basis.dim,) * 2, dtype=np.complex128
-    )
-    return mat.tocsr()
+    # prod_m n_m! of each state, as the product over its particles of each
+    # one's place in its run of equal modes: exact integers either way, and
+    # no (dim x n_modes) array
+    place = np.ones_like(created)
+    for f in range(1, n_particles):
+        place[:, f] += (created[:, f] == created[:, f - 1]) * place[:, f - 1]
+    vals /= np.sqrt(place.prod(axis=1).astype(np.float64))
+    return sp.csr_matrix((np.conj(vals), rotated, np.arange(basis.dim + 1)), shape=(basis.dim,) * 2)
+
+
+@kept_cache
+def _sector_unitary(rot: SpinorRotation, n_particles: int, sigma: int) -> sp.csr_matrix:
+    """The sector lift U as CSR: the adjoint of ``_sector_adjoint``, whose
+    conjugation is exact, so each entry is the lift's own."""
+    return _sector_adjoint(rot, n_particles, sigma).conj().T.tocsr()
+
+
+def _lifts(rot: SpinorRotation, family: OperatorFamily) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """U on the family's codomain and U+ on its domain."""
+    co, dom = family.codomain, family.domain
+    return _sector_unitary(rot, co.n_particles, co.sigma), _sector_adjoint(rot, dom.n_particles, dom.sigma)
 
 
 def conjugated(rot: SpinorRotation, family, member: int) -> sp.csr_matrix:
     """U_codomain @ M @ U_domain^dagger for the rotation's sector lifts, M the
     member ``member`` of an ``OperatorFamily``."""
-    u_co = rot.fock_lift(family.codomain).matrix
-    u_dom = rot.fock_lift(family.domain).matrix
-    return (u_co @ family.rows(member, member + 1) @ u_dom.conj().T).tocsr()
+    u_co, u_dom_adjoint = _lifts(rot, family)
+    return (u_co @ family.rows(member, member + 1) @ u_dom_adjoint).tocsr()
 
 
-def _covariance_residual(rot: SpinorRotation, family, images, phases) -> float:
-    """Worst entry of U M_i U+ - phases[i] M_images[i] over the members M_i of an
-    ``OperatorFamily``, as one stacked conjugation
-    kron(1, U_codomain) @ stack @ U_domain^dagger against a phased block-row
-    gather of the same stack.  The lifts are monomial, so every entry is the
-    same single product as in ``conjugated``."""
-    u_co = rot.fock_lift(family.codomain).matrix
-    u_dom = rot.fock_lift(family.domain).matrix
-    left = _repeat_diagonal(u_co, len(family)) @ family.stack @ u_dom.conj().T
-    return max_abs(left - family.blocks(images, phases))
+def _conjugated_family(rot: SpinorRotation, family: OperatorFamily) -> OperatorFamily:
+    """The family of U M_p U+ over the members M_p of ``family``, as one
+    stacked conjugation kron(1, U_codomain) @ stack @ U_domain^dagger.  The
+    lifts are monomial, so every entry is the same single product as in
+    ``conjugated``, and member p is bitwise ``conjugated(rot, family, p)``."""
+    u_co, u_dom_adjoint = _lifts(rot, family)
+    stack = _repeat_diagonal(u_co, len(family)) @ family.stack @ u_dom_adjoint
+    return OperatorFamily(family.domain, family.codomain, len(family), stack)
+
+
+@command_memo
+def _pair_conjugation(rot: SpinorRotation, family: OperatorFamily) -> OperatorFamily:
+    """``_conjugated_family`` of a family of F(r) by the one-step or the
+    half-turn rotation: the rotation covariance, the half-turn eigenvalue
+    and the winding all read these, so a command makes each once."""
+    return _conjugated_family(rot, family)
+
+
+def _covariance_residual(conj: OperatorFamily, family: OperatorFamily, images, phases) -> float:
+    """Worst entry of U M_i U+ - phases[i] M_images[i] over the members M_i of
+    ``family``, with ``conj`` its ``_conjugated_family``, against a phased
+    block-row gather of the same stack."""
+    return max_abs(conj.stack - family.blocks(images, phases))
 
 
 def _repeat_diagonal(u: sp.csr_matrix, k: int) -> sp.csr_matrix:
@@ -163,11 +206,11 @@ def sector_lift_residuals(space: ModeSpace, sigma: int, n_max: int) -> tuple[flo
     per_turn = space.lattice.steps_per_turn
     unitary = square = 0.0
     for n in range(n_max + 1):
-        basis = build_basis(space, n, sigma)
-        eye = identity_matrix(basis).matrix
+        eye = identity_matrix(build_basis(space, n, sigma)).matrix
         for steps in range(per_turn):
-            u = SpinorRotation(space, steps).fock_lift(basis).matrix
-            unitary = max(unitary, max_abs(u @ u.conj().T - eye))
+            rot = _rotation(space, steps)
+            u, u_adjoint = _sector_unitary(rot, n, sigma), _sector_adjoint(rot, n, sigma)
+            unitary = max(unitary, max_abs(u @ u_adjoint - eye))
             if 2 * steps == per_turn:  # the half turn squares to the 2*pi sign
                 square = max(square, max_abs(u @ u - (-1) ** (space.spin.twos_s * n) * eye))
     return unitary, square
@@ -186,8 +229,9 @@ def rotation_element_residual(space: ModeSpace, sigma: int, n_max: int = 3) -> f
     for n in range(1, n_max + 1):
         family = matrix_family(annihilators, build_basis(space, n, sigma), build_basis(space, n - 1, sigma))
         for steps in range(space.lattice.steps_per_turn):
-            rot = SpinorRotation(space, steps)
-            worst = max(worst, _covariance_residual(rot, family, rot.mode_permutation, rot.field_phases))
+            rot = _rotation(space, steps)
+            conj = _conjugated_family(rot, family)
+            worst = max(worst, _covariance_residual(conj, family, rot.mode_permutation, rot.field_phases))
     return worst
 
 
@@ -226,27 +270,33 @@ def pair_operator(space: ModeSpace, twos_ms: int, site: int, sigma: int) -> Oper
     return destroy(Mode(inv, twos_ms), sigma) * destroy(Mode(site, twos_ms), sigma)
 
 
-def _pair_sectors(space: ModeSpace, sigma: int, n_max: int):
+@command_memo
+def _pair_sectors(space: ModeSpace, sigma: int, n_max: int) -> tuple[tuple[int, OperatorFamily], ...]:
     """(2m_s, the family of F(r) over every site r) per projection and sector
-    N = 2..n_max, each built in one ``matrix_family`` pass."""
+    N = 2..n_max, each built in one ``matrix_family`` pass, once per command."""
     sites = range(space.lattice.n_sites)
+    out = []
     for twos_ms in space.spin.projections():
         pairs = [pair_operator(space, twos_ms, site, sigma) for site in sites]
         for n in range(2, n_max + 1):
-            yield twos_ms, matrix_family(pairs, build_basis(space, n, sigma), build_basis(space, n - 2, sigma))
+            family = matrix_family(pairs, build_basis(space, n, sigma), build_basis(space, n - 2, sigma))
+            out.append((twos_ms, family))
+    return tuple(out)
 
 
 def rotation_covariance_check(space: ModeSpace, sigma: int, n_max: int = 3) -> float:
     """Max residual of U F(r) U+ = e^{2 i m_s theta} F(R^{-1} r) over every lattice
     rotation, every projection, every site r and sectors 2..n_max."""
     lattice = space.lattice
+    kept = {1, lattice.steps_per_turn // 2}  # the steps the pair checks read again
     worst = 0.0
     for twos_ms, family in _pair_sectors(space, sigma, n_max):
         for steps in range(lattice.steps_per_turn):
-            rot = SpinorRotation(space, steps)
+            rot = _rotation(space, steps)
+            conj = (_pair_conjugation if steps in kept else _conjugated_family)(rot, family)
             phase = cis_turns(twos_ms * rot.turns)  # e^{2 i m_s theta}
             images = [lattice.rotate_site_z(site, steps) for site in range(len(family))]
-            worst = max(worst, _covariance_residual(rot, family, images, [phase] * len(family)))
+            worst = max(worst, _covariance_residual(conj, family, images, [phase] * len(family)))
     return worst
 
 
@@ -274,8 +324,8 @@ def _half_turn_eigenvalue(families, member: int) -> tuple[complex | None, float]
     is None and the residual is |U F U+|: that vanishing (sigma=-1 at the
     origin) is itself part of the argument."""
     space = families[0].domain.space
-    rot = SpinorRotation(space, space.lattice.steps_per_turn // 2)
-    a_mats = [conjugated(rot, family, member) for family in families]
+    rot = _rotation(space, space.lattice.steps_per_turn // 2)
+    a_mats = [_pair_conjugation(rot, family).rows(member, member + 1) for family in families]
     b_mats = [family.rows(member, member + 1) for family in families]
     lam = _dominant_ratio(a_mats, b_mats)
     if lam is None:
@@ -298,13 +348,13 @@ def _orbit_winding(family, orbit) -> WindingResult:
     e^{2 i m_s theta_step}; unwrapping the measured arguments over the turn
     recovers the integer 2 m_s.
     """
-    rot = SpinorRotation(family.domain.space, 1)
+    stepped = _pair_conjugation(_rotation(family.domain.space, 1), family)
     total_angle = 0.0
     worst = 0.0
     for k, site in enumerate(orbit):
         nxt = orbit[(k + 1) % len(orbit)]
         f_next = family.rows(nxt, nxt + 1)
-        conj = conjugated(rot, family, site)
+        conj = stepped.rows(site, site + 1)
         phase = _dominant_ratio([conj], [f_next])
         if phase is None:
             return WindingResult(None, worst, 0.0)
@@ -373,9 +423,11 @@ class PairChecks:
         return {tm: _orbit_winding(families[0], orbit) for tm, families in self.families.items()}
 
 
+@command_memo
 def pair_checks(space: ModeSpace, sigma: int, n_max: int = 3) -> PairChecks:
     """Build the pair families and same-point matrices of one grade once and
-    read every value of steps (c) and (e) from them."""
+    read every value of steps (c) and (e) from them; a command builds the
+    record once and every suite reads it."""
     if n_max < 2:
         raise ValueError("pair checks need sectors up to at least N=2")
     probe = theorem_probe_site(space)

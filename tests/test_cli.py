@@ -8,6 +8,7 @@ import random
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from spinstat import cli, correlations, fockspace, hamiltonians, opalgebra, symmetry
+from spinstat import cli, correlations, fockspace, hamiltonians, memo, opalgebra, symmetry
 from helpers import break_boson_same_point
 from spinstat.cli import load_config, main
 from spinstat.hamiltonians import OneBodySpec, one_particle_spectrum
@@ -344,6 +345,65 @@ def test_pair_suites_build_each_pair_matrix_once(monkeypatch, suite, total):
     assert sorted(len(exprs) for exprs, _, _ in builds) == [1] * (total // 2) + [4] * (total // 2)
     families = {(tuple(exprs), domain, codomain) for exprs, domain, codomain in builds}
     assert len(families) == len(builds) == total  # no (expression list, sector) twice
+
+
+def test_default_verify_builds_each_family_once_for_every_suite(tmp_path, monkeypatch):
+    builds = _count_calls(monkeypatch, fockspace, "matrix_family")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["verify", "--out", str(tmp_path / "o")]) == 0
+    # 84 when each suite built its own: the rotation, pair-operator and theorem
+    # suites share the F(r) families (8 per grade), the pair-operator and
+    # theorem suites the same-point pairs (4 per grade)
+    assert len(builds) == 60
+    built = Counter((tuple(exprs), domain, codomain) for exprs, domain, codomain in builds)
+    repeats = {
+        (exprs, domain.sigma, domain.n_particles, codomain.n_particles): n
+        for (exprs, domain, codomain), n in built.items() if n > 1
+    }
+    # the only repeats: a(xi) over the 8 modes on N = 1, 2, built by the
+    # commutators suite's relation check, which drops its families when done,
+    # and again by the rotation suite's field-transform identity
+    space = load_config(None).validate().make_space()
+    assert repeats == {
+        (tuple(opalgebra.destroy(m, sigma) for m in space.modes), sigma, n, n - 1): 2
+        for sigma in (1, -1) for n in (1, 2)
+    }
+
+
+def test_default_verify_builds_each_pair_record_once(tmp_path):
+    memos = (symmetry.pair_checks, symmetry._pair_sectors, symmetry._pair_conjugation)
+    before = [m.cache_info() for m in memos]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["verify", "--out", str(tmp_path / "o")]) == 0
+    after = [m.cache_info() for m in memos]
+    # per grade: one record, built by the pair-operator suite and read by the
+    # theorem suite; its F(r) families (2 projections x N = 2, 3), built by the
+    # rotation suite; their one-step and half-turn conjugations, made by the
+    # rotation covariance and read by the half-turn eigenvalue (all 4 families)
+    # and the winding (the 2 on N = 2)
+    assert [(a.misses - b.misses, a.hits - b.hits) for a, b in zip(after, before)] == [
+        (2, 2), (2, 2), (2 * 4 * 2, 2 * (4 + 2)),
+    ]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify"],
+    ["verify", "--suite", "theorem", "--lattice", "ring:4", "--twos-s", "2"],  # exit 2 midway: too few steps
+    ["verify", "--suite", "completeness", "--lattice", "ring:2", "--twos-s", "0"],
+    ["diagonalize", "--sigma", "-1"],
+    ["correlate", "--sigma", "1"],
+], ids=["verify", "refused-verify", "completeness", "diagonalize", "correlate"])
+def test_every_memo_is_empty_after_main(tmp_path, argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main([*argv, "--out", str(tmp_path / "o")]) in (0, 2)
+    held = {m.__qualname__: m.cache_info().currsize for m in memo._MEMOS}
+    assert held == dict.fromkeys(held, 0)
+    named = {
+        fockspace._build_basis_cached, fockspace.bracket_matrix, symmetry._sector_unitary,
+        symmetry._sector_adjoint, symmetry._rotation, symmetry._pair_sectors,
+        symmetry._pair_conjugation, symmetry.pair_checks,
+    }
+    assert named <= set(memo._MEMOS)
 
 
 def test_orthonormality_suite_makes_one_oracle_call_per_sector(monkeypatch):
@@ -734,6 +794,7 @@ _VERIFY_FLAGS = {
     "--sigma": (["+1", "-1", "both"], ["0"]),
     "--tol": ([None], ["0", "-1", "nan", "inf"]),
     "--seed": (["0", str(2**64)], ["-1"]),
+    "--hop-t": ([None, "0.5"], ["nan", "inf", "-inf"]),
 }
 _SITES = {"ring:2": 2, "ring:3": 3, "ring:4": 4, "ring:6": 6, "grid2d:1": 1, "grid2d:3": 9}
 
@@ -760,6 +821,8 @@ def _verify_flags(draw) -> dict:
 @example(flags=_flags(lattice="ring:2", sigma="-1", N="3"), suite="ideal-gas")
 @example(flags=_flags(tol="nan"), suite="theorem")
 @example(flags=_flags(lattice="grid2d:1", n_max="2"), suite="theorem")
+@example(flags=_flags(hop_t="nan"), suite="ideal-gas")
+@example(flags=_flags(hop_t="inf"), suite="ideal-gas")
 def test_every_config_ends_in_a_contract_exit_code(tmp_path_factory, flags, suite):
     # the largest bosonic sector a suite may build stays small, to bound the run time
     modes = _SITES[flags["--lattice"]] * (max(int(flags["--twos-s"]), 0) + 1)
@@ -775,3 +838,57 @@ def test_every_config_ends_in_a_contract_exit_code(tmp_path_factory, flags, suit
     if rc == 2:
         assert err.getvalue().startswith("configuration error: ")
         assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["diagonalize", "--hop-t", "inf", "-N", "2", "--sigma", "-1"], None),
+    (["correlate", "-N", "2", "--sigma", "-1", "--hop-t", "inf"], None),
+    (["verify", "--suite", "ideal-gas"], {"V": {"0": float("nan")}}),
+    (["diagonalize", "--sigma", "1"], {"onsite_U": [0.0, float("inf"), 0.0, 0.0]}),
+    (["verify", "--suite", "ideal-gas"], {"hop_t": 10**400}),  # no float holds it
+], ids=["diagonalize-inf-hop", "correlate-inf-hop", "nan-interaction", "inf-potential", "huge-int-hop"])
+def test_non_finite_hamiltonian_parameters_are_refused(tmp_path, capsys, argv, config):
+    # these ran to 'energy 0.0', a spectrum of NaNs or a LinAlgError traceback
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))  # NaN and Infinity, as Python writes them
+        argv = [*argv, "--config", str(tmp_path / "cfg.json")]
+    assert main([*argv, "--out", str(tmp_path / "o")]) == 2
+    assert re.match(r"configuration error: config key '\w+' must be finite", capsys.readouterr().err)
+    assert not (tmp_path / "o").exists()
+
+
+def _limited_child(code: str, limit: int, *args: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a Python child that first lowers its own RLIMIT_AS soft
+    limit to ``limit`` bytes; nothing outside the child changes."""
+    prelude = (
+        "import resource, sys\n"
+        "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+        f"soft = {limit} if hard == resource.RLIM_INFINITY else min({limit}, hard)\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (soft, hard))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    return subprocess.run(
+        [sys.executable, "-c", prelude + code, *args], capture_output=True, text=True, env=env, timeout=300
+    )
+
+
+def test_memory_probe_reads_the_address_space_limit():
+    child = _limited_child(
+        "from spinstat.fockspace import _available_memory\nprint(_available_memory())", 1_500_000_000
+    )
+    assert child.returncode == 0, child.stderr
+    assert 0 < int(child.stdout) < 1_500_000_000  # the limit less what the child already maps
+
+
+def test_completeness_past_the_address_space_limit_is_exit_two(tmp_path):
+    # ring:8, 2s=1, N=4 fermions: 1,820 states x 65,536 tuples, 3.8 GB as two dense
+    # copies; under a 1.5 GB limit this ended in a numpy MemoryError traceback
+    out = tmp_path / "o"
+    child = _limited_child(
+        "from spinstat.cli import main\nsys.exit(main(sys.argv[1:]))", 1_500_000_000,
+        "verify", "--suite", "completeness", "--lattice", "ring:8", "--twos-s", "1",
+        "-N", "4", "--sigma", "-1", "--out", str(out),
+    )
+    assert child.returncode == 2, child.stderr
+    assert "3,816,816,640 bytes of dense storage" in child.stderr
+    assert not out.exists()

@@ -204,6 +204,40 @@ def test_bracket_matrix_refuses_past_free_memory(monkeypatch):
     assert fockspace.bracket_matrix(space, 2, -1).shape == (28, 64)
 
 
+def test_cgroup_memory_left_takes_the_tightest_limit_up_the_tree(tmp_path):
+    membership = tmp_path / "cgroup"
+    membership.write_text("1:memory:/v1/only\n0::/a/b\n")  # a hybrid v1/v2 listing
+    leaf = tmp_path / "a" / "b"
+    leaf.mkdir(parents=True)
+
+    def left():
+        return fockspace._cgroup_memory_left(str(tmp_path), str(membership))
+
+    assert left() is None  # no limit files
+    (leaf / "memory.max").write_text("max\n")
+    (leaf / "memory.current").write_text("500\n")
+    assert left() is None  # no limit set
+    (tmp_path / "memory.max").write_text("1000\n")
+    (tmp_path / "memory.current").write_text("400\n")
+    assert left() == 600  # the root's limit binds the leaf
+    (leaf / "memory.max").write_text("800\n")
+    assert left() == 300  # the tighter of the two
+    membership.write_text("1:memory:/v1/only\n")
+    assert left() is None  # in no v2 hierarchy
+
+
+def test_available_memory_is_the_smallest_figure(monkeypatch):
+    monkeypatch.setattr(fockspace, "_free_physical", lambda: 5_000)
+    monkeypatch.setattr(fockspace, "_address_space_left", lambda: 3_000)
+    monkeypatch.setattr(fockspace, "_cgroup_memory_left", lambda: None)
+    assert fockspace._available_memory() == 3_000
+    monkeypatch.setattr(fockspace, "_cgroup_memory_left", lambda: -10)  # over the limit already
+    assert fockspace._available_memory() == 0
+    for probe in ("_free_physical", "_address_space_left", "_cgroup_memory_left"):
+        monkeypatch.setattr(fockspace, probe, lambda: None)
+    assert fockspace._available_memory() is None
+
+
 def test_state_vector_validation():
     basis = build_basis(SPACE4, 1, -1)
     with pytest.raises(ValueError):

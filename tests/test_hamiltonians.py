@@ -405,6 +405,19 @@ def test_equal_eigenvalues_keep_block_order():
     assert order == [(0, 2)] * 6 + [(1, 1)] * 16 + [(2, 0)] * 6
 
 
+def test_diagonalize_fails_a_nan_in_every_comparison(monkeypatch):
+    basis = build_basis(ModeSpace(Lattice.ring(4), SpinQuantum(1)), 2, -1)
+    ham = build_many_body(OneBodySpec(hop_t=1.0), None, basis)
+    broken = ham.matrix.copy()
+    broken.data[0] = np.nan
+    with pytest.raises(ValueError, match="not Hermitian"):
+        diagonalize(OperatorMatrix(basis, basis, broken))
+    # a solver that returns NaN eigenpairs fails the residual and Gram contract
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: (np.full(len(a), np.nan), np.full(a.shape, np.nan)))
+    with pytest.raises(RuntimeError, match="residual contract"):
+        diagonalize(ham)
+
+
 def test_diagonalize_refuses_past_free_memory(monkeypatch):
     basis = build_basis(ModeSpace(Lattice.ring(4), SpinQuantum(1)), 2, -1)  # blocks 6/16/6
     ham = build_many_body(OneBodySpec(hop_t=1.0), None, basis)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from spinstat import symmetry
+from spinstat.memo import command_scope
 from spinstat.fockspace import build_basis, identity_matrix, matrix_family, max_abs
 from spinstat.modes import Lattice, Mode, ModeSpace, SpinQuantum
 from spinstat.opalgebra import destroy, normal_order
@@ -147,8 +148,9 @@ def test_rotation_covariance_quarter_turn(sigma):
     rot = SpinorRotation(RING4_HALF, 1)
     family = pair_checks(RING4_HALF, sigma, n_max=2).families[1][0]
     images = [RING4_HALF.lattice.rotate_site_z(site, 1) for site in range(4)]
-    assert symmetry._covariance_residual(rot, family, images, [1j] * 4) <= 1e-12
-    assert symmetry._covariance_residual(rot, family, images, [1] * 4) > 0.5
+    conj = symmetry._conjugated_family(rot, family)
+    assert symmetry._covariance_residual(conj, family, images, [1j] * 4) <= 1e-12
+    assert symmetry._covariance_residual(conj, family, images, [1] * 4) > 0.5
 
 
 @pytest.mark.parametrize("sigma", [1, -1])
@@ -158,12 +160,13 @@ def test_stacked_covariance_residual_catches_wrong_images_and_phases(sigma):
     family = matrix_family([destroy(mode, sigma) for mode in RING4_HALF.modes], domain, codomain)
     rot = SpinorRotation(RING4_HALF, 1)
     images, phases = list(rot.mode_permutation), list(rot.field_phases)
-    assert symmetry._covariance_residual(rot, family, images, phases) <= 1e-12
+    conj = symmetry._conjugated_family(rot, family)
+    assert symmetry._covariance_residual(conj, family, images, phases) <= 1e-12
     # distinct modes' a(xi) have disjoint supports with entries of magnitude >= 1
     shifted = images[1:] + images[:1]
-    assert symmetry._covariance_residual(rot, family, shifted, phases) >= 1
+    assert symmetry._covariance_residual(conj, family, shifted, phases) >= 1
     flipped = phases[:-1] + [-phases[-1]]
-    assert symmetry._covariance_residual(rot, family, images, flipped) >= 1
+    assert symmetry._covariance_residual(conj, family, images, flipped) >= 1
 
 
 @pytest.mark.parametrize("sigma", [1, -1])
@@ -300,6 +303,41 @@ def test_theorem_report_builds_each_even_inversion_pair_matrix_once(monkeypatch)
     assert Counter((tuple(exprs), domain) for exprs, domain, _ in families) == (
         _pair_builds(space, 1, (2,)) + _pair_builds(space, -1, (2,))
     )
+
+
+def _bits(m):
+    return m.shape, m.indptr.tolist(), m.indices.tolist(), m.data.view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize(
+    "space", [RING4_HALF, ModeSpace(Lattice.ring(12), SpinQuantum(5))], ids=["ring4-2s1", "ring12-2s5"]
+)
+@pytest.mark.parametrize("sigma", [1, -1])
+def test_kept_conjugations_are_bitwise_member_conjugations(space, sigma):
+    # the half-turn eigenvalue and the winding read member blocks of these stacks
+    # where they conjugated each member apart
+    for steps in (1, space.lattice.steps_per_turn // 2):
+        rot = SpinorRotation(space, steps)
+        for _, family in symmetry._pair_sectors(space, sigma, 3):
+            stacked = symmetry._pair_conjugation(rot, family)
+            for member in range(len(family)):
+                assert _bits(stacked.rows(member, member + 1)) == _bits(symmetry.conjugated(rot, family, member))
+
+
+def test_sector_objects_are_shared_only_inside_a_command():
+    assert pair_checks(RING4_HALF, -1, 3) is not pair_checks(RING4_HALF, -1, 3)
+    assert symmetry._rotation(RING4_HALF, 1) is not symmetry._rotation(RING4_HALF, 1)
+    with command_scope():
+        record = pair_checks(RING4_HALF, -1, 3)
+        with command_scope():  # an inner scope shares the outer one's objects
+            assert pair_checks(RING4_HALF, -1, 3) is record
+        assert pair_checks(RING4_HALF, -1, 3) is record
+        assert symmetry._rotation(RING4_HALF, 1) is symmetry._rotation(RING4_HALF, 1)
+        # the record reads the families the rotation covariance check built
+        families = [family for _, family in symmetry._pair_sectors(RING4_HALF, -1, 3)]
+        assert [f for fams in record.families.values() for f in fams] == families
+    assert symmetry.pair_checks.cache_info().currsize == 0
+    assert symmetry._pair_sectors.cache_info().currsize == 0
 
 
 def test_winding_needs_fine_enough_steps():
