@@ -28,6 +28,7 @@ from .fockspace import (
     bracket_amplitudes,
     build_basis,
     completeness_check,
+    every_bracket,
     index_tuples,
     ladder_relation_residuals,
     max_abs,
@@ -371,15 +372,16 @@ def suite_completeness(cfg: RunConfig, rng) -> SuiteReport:
     shape = (m,) * n
     checks = []
     for sigma in cfg.sigmas():
+        brackets = every_bracket(space, n, sigma)
         worst_vs_oracle = 0.0
         for _ in range(100):
             probe = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            worst_vs_oracle = max(worst_vs_oracle, completeness_check(space, n, sigma, probe))
+            worst_vs_oracle = max(worst_vs_oracle, completeness_check(brackets, probe))
         probe = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        once = project_onto_symmetric(space, n, sigma, probe)
-        worst_idem = max_abs(project_onto_symmetric(space, n, sigma, once) - once)
+        once = project_onto_symmetric(brackets, probe)
+        worst_idem = max_abs(project_onto_symmetric(brackets, once) - once)
         symmetric = symmetrizer_oracle(probe, sigma)
-        worst_fixed = max_abs(project_onto_symmetric(space, n, sigma, symmetric) - symmetric)
+        worst_fixed = max_abs(project_onto_symmetric(brackets, symmetric) - symmetric)
         tag = f"sigma={sigma:+d}"
         checks.append((f"projector vs symmetrizer oracle [{tag}]", worst_vs_oracle, tol))
         checks.append((f"projector idempotence [{tag}]", worst_idem, tol))

@@ -2,7 +2,8 @@
 
 Occupation bases per statistics grade, exact ladder-operator action with
 bosonic sqrt factors or fermionic parity signs, sparse matrices of symbolic
-operator expressions, product-of-creation bracket states, and the
+operator expressions, product-of-creation bracket states (each the index and
+amplitude of the one basis state it is a multiple of), and the
 first-quantized cross-checks (the overlap and symmetrizer oracles) that
 everything else is verified against.
 
@@ -54,7 +55,7 @@ from .opalgebra import OperatorExpr, check_sigma
 DEFAULT_DIMENSION_CAP = 2_000_000
 _KERNEL_ROWS = 4096  # rows per kernel call in matrix_family, which bounds its working arrays
 _PRODUCT_ENTRIES = 1 << 12  # structural nnz bound per stacked product in _worst_relation
-_BRACKET_COPIES = 2  # the dense bracket matrix and the conjugate transpose a projection takes
+_BRACKET_COPIES = 2  # the dense bracket matrix and its conjugate transpose
 
 
 class DimensionCapError(ValueError):
@@ -220,19 +221,6 @@ class StateVector:
         if amps.shape != (self.basis.dim,):
             raise ValueError(f"amplitude shape {amps.shape} != basis dim {self.basis.dim}")
         object.__setattr__(self, "amplitudes", amps)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def dot(self, other: "StateVector") -> complex:
-        """<self|other>, conjugating self."""
-        if other.basis is not self.basis and (
-            other.basis.space != self.basis.space
-            or other.basis.sigma != self.basis.sigma
-            or other.basis.n_particles != self.basis.n_particles
-        ):
-            raise ValueError("states live in different sectors")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
 
 
 def _factor_survives(n, dag, sigma: int):
@@ -619,29 +607,6 @@ def bracket_amplitudes(space: ModeSpace, mode_idx, sigma: int):
     return basis, index, amp / math.sqrt(math.factorial(n))
 
 
-def bracket_state(space: ModeSpace, coords, sigma: int) -> StateVector:
-    """(1/sqrt(N!)) a+(xi_1) ... a+(xi_N) |0>, evaluated exactly.
-
-    Duplicate coordinates are allowed; for sigma=-1 they produce the zero
-    vector (exclusion).  Swapping two coordinates multiplies the state by
-    sigma.
-    """
-    basis, index, amp = bracket_amplitudes(space, [[space.index(mode) for mode in coords]], sigma)
-    out = np.zeros(basis.dim, dtype=np.complex128)
-    out[index[amp != 0]] = amp[amp != 0]
-    return StateVector(basis, out)
-
-
-def overlap(space: ModeSpace, bra_coords, ket_coords, sigma: int) -> complex:
-    """Inner product of two bracket states; 0 when particle numbers differ."""
-    bra_coords, ket_coords = tuple(bra_coords), tuple(ket_coords)
-    if len(bra_coords) != len(ket_coords):
-        return 0j
-    return bracket_state(space, bra_coords, sigma).dot(
-        bracket_state(space, ket_coords, sigma)
-    )
-
-
 def perm_parity(perm) -> int:
     """+1 for an even permutation of 0..n-1, -1 for an odd one."""
     perm = tuple(perm)
@@ -709,52 +674,56 @@ def symmetrizer_oracle(tensor: np.ndarray, sigma: int) -> np.ndarray:
     return out / math.factorial(n)
 
 
+def every_bracket(space: ModeSpace, n_particles: int, sigma: int):
+    """``bracket_amplitudes`` of every coordinate tuple, in row-major tuple
+    order; raises ``DimensionCapError`` past 500,000 tuples."""
+    n_tuples = space.n_modes**n_particles
+    if n_tuples > 500_000:
+        raise DimensionCapError(f"{n_tuples} coordinate tuples is past desk scale")
+    return bracket_amplitudes(space, index_tuples(space.n_modes, n_particles), sigma)
+
+
 @kept_cache
 def bracket_matrix(space: ModeSpace, n_particles: int, sigma: int) -> np.ndarray:
     """Dense (sector dim) x (n_modes**N) matrix whose columns are the bracket
-    states for every coordinate tuple, in row-major tuple order.  Raises
-    ``DimensionCapError`` past 500,000 tuples, or when the matrix and the
-    conjugate transpose a projection takes would not fit in the memory the
-    process can still take (``_available_memory``)."""
-    m = space.n_modes
-    n_tuples = m**n_particles
-    if n_tuples > 500_000:
-        raise DimensionCapError(f"{n_tuples} coordinate tuples is past desk scale")
-    dim = sector_dimension(m, n_particles, sigma)
-    needed = _BRACKET_COPIES * 16 * dim * n_tuples
+    states for every coordinate tuple, in row-major tuple order: the dense
+    reference for ``project_onto_symmetric``.  Raises ``DimensionCapError``
+    past 500,000 tuples, or when the matrix and its conjugate transpose would
+    not fit in the memory the process can still take (``_available_memory``)."""
+    basis, index, amp = every_bracket(space, n_particles, sigma)
+    needed = _BRACKET_COPIES * 16 * basis.dim * len(index)
     free = _available_memory()
     if free is not None and needed > free:
         raise DimensionCapError(
-            f"the bracket matrix of {dim} states x {n_tuples} coordinate tuples needs an"
+            f"the bracket matrix of {basis.dim} states x {len(index)} coordinate tuples needs an"
             f" estimated {needed:,} bytes of dense storage; {free:,} bytes of memory are free"
         )
-    basis, index, amp = bracket_amplitudes(space, index_tuples(m, n_particles), sigma)
-    out = np.zeros((basis.dim, n_tuples), dtype=np.complex128)
+    out = np.zeros((basis.dim, len(index)), dtype=np.complex128)
     live = amp != 0
     out[index[live], np.nonzero(live)[0]] = amp[live]
     return out
 
 
-def project_onto_symmetric(
-    space: ModeSpace, n_particles: int, sigma: int, tensor: np.ndarray
-) -> np.ndarray:
-    """Apply the resolution sum |xi_1..xi_N><xi_1..xi_N| (one measure-weighted
-    coordinate sum per slot) to a first-quantized probe tensor."""
+def project_onto_symmetric(brackets, tensor: np.ndarray) -> np.ndarray:
+    """Apply the resolution sum sum_x |x><x| (one measure-weighted coordinate
+    sum per slot) to a first-quantized probe tensor, given ``every_bracket``
+    of its sector.  Column x of the bracket matrix B holds one real entry,
+    amp[x] in row index[x], so B v is a bincount and B+ u is amp * u[index]."""
+    basis, index, amp = brackets
+    shape = (basis.space.n_modes,) * basis.n_particles
     tensor = np.asarray(tensor, dtype=np.complex128)
-    m = space.n_modes
-    if tensor.shape != (m,) * n_particles:
-        raise ValueError(f"probe must have shape {(m,) * n_particles}")
-    b = bracket_matrix(space, n_particles, sigma)
-    weight = space.lattice.cell_volume**n_particles
-    projected = b.conj().T @ (b @ (tensor.reshape(-1) * weight))
-    return projected.reshape(tensor.shape)
+    if tensor.shape != shape:
+        raise ValueError(f"probe must have shape {shape}")
+    terms = amp * (tensor.reshape(-1) * basis.space.lattice.cell_volume**basis.n_particles)
+    state = np.bincount(index, terms.real).astype(np.complex128)  # B v up to the last index used
+    state.imag = np.bincount(index, terms.imag)
+    return (amp * state[index]).reshape(shape)
 
 
-def completeness_check(
-    space: ModeSpace, n_particles: int, sigma: int, probe: np.ndarray
-) -> float:
+def completeness_check(brackets, probe: np.ndarray) -> float:
     """Max-norm residual between the bracket-state projector and the
-    first-quantized symmetrizer applied to the same probe."""
-    projected = project_onto_symmetric(space, n_particles, sigma, probe)
-    oracle = symmetrizer_oracle(np.asarray(probe, dtype=np.complex128), sigma)
+    first-quantized symmetrizer applied to the same probe, given
+    ``every_bracket`` of the probe's sector."""
+    projected = project_onto_symmetric(brackets, probe)
+    oracle = symmetrizer_oracle(np.asarray(probe, dtype=np.complex128), brackets[0].sigma)
     return max_abs(projected - oracle)

@@ -42,7 +42,7 @@ from .fockspace import (
     OperatorFamily,
     OperatorMatrix,
     _particle_modes,
-    bracket_state,
+    bracket_amplitudes,
     build_basis,
     identity_matrix,
     matrix_family,
@@ -245,18 +245,22 @@ def sigma_to_permutation_power(perm, sigma: int) -> float:
 
 def permutation_eigencheck(space: ModeSpace, coords, perms, sigma: int) -> float:
     """Worst max-norm of psi_P - sigma^P psi over the permutations P of the
-    bracket-state coordinates, psi the unpermuted bracket state."""
-    coords = tuple(coords)
-    original = bracket_state(space, coords, sigma).amplitudes
-    worst = 0.0
+    bracket-state coordinates, psi the unpermuted bracket state.  Each bracket
+    is a multiple of one basis state, so one ``bracket_amplitudes`` call over
+    the unpermuted and every permuted tuple gives every state: where psi_P
+    sits on psi's basis state the deviation is the difference of amplitudes,
+    elsewhere the larger of the two."""
+    idx = np.array([space.index(mode) for mode in coords], dtype=np.intp)
+    perms = [tuple(perm) for perm in perms]
     for perm in perms:
-        perm = tuple(perm)
-        if sorted(perm) != list(range(len(coords))):
-            raise ValueError(f"{perm} is not a permutation of 0..{len(coords) - 1}")
-        permuted = bracket_state(space, tuple(coords[p] for p in perm), sigma).amplitudes
-        dev = permuted - sigma_to_permutation_power(perm, sigma) * original
-        worst = max(worst, float(np.max(np.abs(dev))) if dev.size else 0.0)
-    return worst
+        if sorted(perm) != list(range(len(idx))):
+            raise ValueError(f"{perm} is not a permutation of 0..{len(idx) - 1}")
+    _, index, amp = bracket_amplitudes(space, [idx, *(idx[list(perm)] for perm in perms)], sigma)
+    want = np.array([sigma_to_permutation_power(perm, sigma) for perm in perms]) * amp[0]
+    dev = np.where(
+        index[1:] == index[0], np.abs(amp[1:] - want), np.maximum(np.abs(amp[1:]), np.abs(want))
+    )
+    return float(dev.max(initial=0.0))
 
 
 # -- the pair operator and its symmetries ------------------------------------

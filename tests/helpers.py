@@ -3,7 +3,9 @@
 Everything here deliberately avoids the code paths it is used to verify:
 the coordinate tensors come from the permutation-sum symmetrizer instead of
 ladder operators, the DFT is an explicit double loop, and the first-quantized
-Hamiltonian acts slot by slot on index tensors.
+Hamiltonian acts slot by slot on index tensors.  The one exception is
+``bracket_vector``, which only lays a bracket state out as a dense vector
+from the index and amplitude that ``bracket_amplitudes`` computes.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import math
 
 import numpy as np
 
-from spinstat.fockspace import StateVector, symmetrizer_oracle
+from spinstat.fockspace import StateVector, bracket_amplitudes, symmetrizer_oracle
 from spinstat.modes import ModeSpace
 
 
@@ -43,6 +45,17 @@ def occ_apply(
     if not n:
         return None
     return occ[:idx] + (n - 1,) + occ[idx + 1:], math.sqrt(n)
+
+
+def bracket_vector(space: ModeSpace, coords, sigma: int) -> StateVector:
+    """(1/sqrt(N!)) a+(xi_1) ... a+(xi_N) |0> over its sector: the multiple
+    of one basis state that ``bracket_amplitudes`` gives, as a dense vector.
+    Repeated coordinates give the zero vector for sigma=-1."""
+    basis, index, amp = bracket_amplitudes(space, [[space.index(mode) for mode in coords]], sigma)
+    amplitudes = np.zeros(basis.dim, dtype=np.complex128)
+    if amp[0]:
+        amplitudes[index[0]] = amp[0]
+    return StateVector(basis, amplitudes)
 
 
 def random_state(basis, rng) -> StateVector:

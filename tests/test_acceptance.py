@@ -12,15 +12,14 @@ from itertools import permutations, product
 
 import numpy as np
 
-from helpers import random_state, state_coordinate_tensor
+from helpers import bracket_vector, random_state, state_coordinate_tensor
 from spinstat import cli
 from spinstat.cli import RunConfig, main
 from spinstat.correlations import pair_correlation, relative_parity_spectrum
 from spinstat.fockspace import (
-    bracket_state,
     build_basis,
+    every_bracket,
     max_abs,
-    overlap,
     overlap_oracle,
     project_onto_symmetric,
 )
@@ -71,20 +70,20 @@ def test_criterion_2_orthonormality_oracle():
         vectors = {}  # bracket states keyed by mode-index tuples
         for n in range(4):
             for coords in product(range(space.n_modes), repeat=n):
-                vectors[coords] = bracket_state(space, [space.mode_at(i) for i in coords], sigma).amplitudes
+                vectors[coords] = bracket_vector(space, [space.mode_at(i) for i in coords], sigma).amplitudes
         for n in range(4):
             tuples = list(product(range(space.n_modes), repeat=n))
             bras, kets = zip(*product(tuples, repeat=2))
             for bra, ket, want in zip(bras, kets, overlap_oracle(bras, kets, sigma)):
                 got = complex(np.vdot(vectors[bra], vectors[ket]))
                 worst = max(worst, abs(got - want))
-        # mixed particle numbers: the delta_{N'N} factor forces exact zero
+        # mixed particle numbers: the states lie in different sectors, and the
+        # delta_{N'N} factor forces the oracle's exact zero
         for n_bra, n_ket in ((0, 1), (1, 2), (2, 3), (3, 1)):
-            bra = tuple(space.modes[:n_bra])
-            ket = tuple(space.modes[:n_ket])
-            got = overlap(space, bra, ket, sigma)
-            want = overlap_oracle([range(n_bra)], [range(n_ket)], sigma)
-            assert got == want[0] == 0
+            bra = bracket_vector(space, space.modes[:n_bra], sigma)
+            ket = bracket_vector(space, space.modes[:n_ket], sigma)
+            assert bra.basis.n_particles == n_bra != n_ket == ket.basis.n_particles
+            assert overlap_oracle([range(n_bra)], [range(n_ket)], sigma)[0] == 0
     assert worst <= tol
     report(f"2 orthonormality: residual {worst:.2e} <= {tol} PASS")
 
@@ -99,10 +98,11 @@ def test_criterion_3_completeness_projector():
     shape = (space.n_modes,) * 2
     worst_idem = 0.0
     for sigma in (1, -1):
+        brackets = every_bracket(space, 2, sigma)
         for _ in range(100):
             probe = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            once = project_onto_symmetric(space, 2, sigma, probe)
-            again = project_onto_symmetric(space, 2, sigma, once)
+            once = project_onto_symmetric(brackets, probe)
+            again = project_onto_symmetric(brackets, once)
             worst_idem = max(worst_idem, max_abs(again - once))
     assert worst_idem <= TOL
     report(f"3 completeness: oracle residual {worst:.2e}, idempotence {worst_idem:.2e} <= {TOL} PASS")

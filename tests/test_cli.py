@@ -568,14 +568,24 @@ def test_diagonalize_past_free_memory_is_exit_two(tmp_path, monkeypatch, capsys)
     assert "bytes of dense storage" in capsys.readouterr().err
 
 
-def test_completeness_past_free_memory_is_exit_two(tmp_path, monkeypatch, capsys):
-    # ring:8, 2s=1, N=4 bosons: 3,876 states x 65,536 tuples, 8.1 GB as two dense copies
+def test_completeness_at_n4_runs_with_4_gb_free(tmp_path, monkeypatch):
+    # ring:8, 2s=1, N=4: 65,536 tuples; as a dense bracket matrix and its conjugate
+    # the bosons' 3,876 states took 8.1 GB, and this was refused with exit 2
     monkeypatch.setattr(fockspace, "_available_memory", lambda: 4_000_000_000)
     assert main([
         "verify", "--suite", "completeness", "--lattice", "ring:8", "--twos-s", "1",
         "-N", "4", "--out", str(tmp_path / "o"),
+    ]) == 0
+    assert json.loads((tmp_path / "o" / "completeness.json").read_text())["passed"]
+
+
+def test_completeness_past_500_000_tuples_is_exit_two(tmp_path, capsys):
+    # ring:8, 2s=1, N=5: 16**5 = 1,048,576 coordinate tuples
+    assert main([
+        "verify", "--suite", "completeness", "--lattice", "ring:8", "--twos-s", "1",
+        "-N", "5", "--out", str(tmp_path / "o"),
     ]) == 2
-    assert "8,128,561,152 bytes of dense storage" in capsys.readouterr().err
+    assert "1048576 coordinate tuples is past desk scale" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -880,15 +890,15 @@ def test_memory_probe_reads_the_address_space_limit():
     assert 0 < int(child.stdout) < 1_500_000_000  # the limit less what the child already maps
 
 
-def test_completeness_past_the_address_space_limit_is_exit_two(tmp_path):
-    # ring:8, 2s=1, N=4 fermions: 1,820 states x 65,536 tuples, 3.8 GB as two dense
-    # copies; under a 1.5 GB limit this ended in a numpy MemoryError traceback
+def test_completeness_at_n4_runs_under_the_address_space_limit(tmp_path):
+    # ring:8, 2s=1, N=4 fermions: 1,820 states x 65,536 tuples, 3.8 GB as a dense
+    # bracket matrix and its conjugate; under a 1.5 GB limit that ended in a
+    # numpy MemoryError traceback, later in exit 2
     out = tmp_path / "o"
     child = _limited_child(
         "from spinstat.cli import main\nsys.exit(main(sys.argv[1:]))", 1_500_000_000,
         "verify", "--suite", "completeness", "--lattice", "ring:8", "--twos-s", "1",
         "-N", "4", "--sigma", "-1", "--out", str(out),
     )
-    assert child.returncode == 2, child.stderr
-    assert "3,816,816,640 bytes of dense storage" in child.stderr
-    assert not out.exists()
+    assert child.returncode == 0, child.stderr
+    assert json.loads((out / "completeness.json").read_text())["passed"]

@@ -9,21 +9,21 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import occ_apply, random_state, state_coordinate_tensor
+from helpers import bracket_vector, occ_apply, random_state, state_coordinate_tensor
 from spinstat import fockspace
 from spinstat.fockspace import (
     DimensionCapError,
     StateVector,
     _apply_strings,
-    bracket_state,
+    bracket_matrix,
     build_basis,
     completeness_check,
+    every_bracket,
     identity_matrix,
     ladder_relation_residuals,
     matrix_family,
     matrix_of,
     max_abs,
-    overlap,
     overlap_oracle,
     perm_parity,
     project_onto_symmetric,
@@ -252,7 +252,7 @@ def test_fermion_double_creation_is_zero():
 
 def test_fermion_annihilate_empty_mode_is_zero():
     x, y = SPACE4.mode_at(0), SPACE4.mode_at(1)
-    state = bracket_state(SPACE4, (x,), -1)
+    state = bracket_vector(SPACE4, (x,), -1)
     down = matrix_of(destroy(y, -1), state.basis, build_basis(SPACE4, 0, -1))
     assert np.linalg.norm(down.matrix @ state.amplitudes) == 0.0
 
@@ -261,11 +261,11 @@ def test_boson_sqrt_factor_against_symbolic_oracle():
     # creating on n=2 must give sqrt(3); cross-checked through the symbolic
     # vacuum average <0| a^3 a+^3 |0> = 3! and the bracket normalizations
     x = SPACE4.mode_at(0)
-    two = bracket_state(SPACE4, (x, x), 1)  # exactly the n=2 occupation state
-    assert two.norm() == pytest.approx(1.0)
+    two = bracket_vector(SPACE4, (x, x), 1)  # exactly the n=2 occupation state
+    assert np.linalg.norm(two.amplitudes) == pytest.approx(1.0)
     up = matrix_of(create(x, 1), two.basis, build_basis(SPACE4, 3, 1))
-    three = StateVector(up.codomain, up.matrix @ two.amplitudes)
-    assert three.norm() == pytest.approx(math.sqrt(3.0))
+    three = np.linalg.norm(up.matrix @ two.amplitudes)
+    assert three == pytest.approx(math.sqrt(3.0))
     string = OperatorExpr.identity(1)
     for _ in range(3):
         string = string * destroy(x, 1)
@@ -275,7 +275,7 @@ def test_boson_sqrt_factor_against_symbolic_oracle():
     avg = next(t.coeff for t in normal_order(string).terms if not t.factors)
     assert avg == pytest.approx(6.0)
     # <3|a+|2> = <0|a^3 a+^3|0> / sqrt(2! * 3!) with the bracket prefactors
-    assert three.norm() == pytest.approx(abs(avg) / math.sqrt(math.factorial(2) * math.factorial(3)))
+    assert three == pytest.approx(abs(avg) / math.sqrt(math.factorial(2) * math.factorial(3)))
 
 
 @pytest.mark.parametrize("sigma", [1, -1])
@@ -287,8 +287,8 @@ def test_ladder_matrix_adjointness(sigma):
         v = random_state(basis2, RNG)
         up = matrix_of(create(mode, sigma), basis2, basis3).matrix
         down = matrix_of(destroy(mode, sigma), basis3, basis2).matrix
-        lhs = u.dot(StateVector(basis3, up @ v.amplitudes))
-        rhs = StateVector(basis2, down @ u.amplitudes).dot(v)
+        lhs = np.vdot(u.amplitudes, up @ v.amplitudes)
+        rhs = np.vdot(down @ u.amplitudes, v.amplitudes)
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
@@ -583,19 +583,19 @@ def test_matrix_adjoint_matches_formal_adjoint():
 @pytest.mark.parametrize("sigma", [1, -1])
 def test_bracket_state_swap(sigma):
     x, y = SPACE4.mode_at(0), SPACE4.mode_at(3)
-    a = bracket_state(SPACE4, (x, y), sigma)
-    b = bracket_state(SPACE4, (y, x), sigma)
+    a = bracket_vector(SPACE4, (x, y), sigma)
+    b = bracket_vector(SPACE4, (y, x), sigma)
     assert np.max(np.abs(b.amplitudes - sigma * a.amplitudes)) <= 1e-15
 
 
 def test_bracket_state_pauli_zero():
     x = SPACE4.mode_at(1)
-    assert bracket_state(SPACE4, (x, x), -1).norm() == 0.0
+    assert not bracket_vector(SPACE4, (x, x), -1).amplitudes.any()
 
 
 def test_bracket_state_single_particle():
     for i, mode in enumerate(SPACE4.modes):
-        state = bracket_state(SPACE4, (mode,), 1)
+        state = bracket_vector(SPACE4, (mode,), 1)
         want = np.zeros(4, dtype=complex)
         want[i] = 1.0
         assert np.array_equal(state.amplitudes, want)
@@ -604,9 +604,11 @@ def test_bracket_state_single_particle():
 @pytest.mark.parametrize("sigma", [1, -1])
 def test_overlap_frozen_examples(sigma):
     x, y = SPACE4.mode_at(0), SPACE4.mode_at(2)
-    assert overlap(SPACE4, (x, y), (x, y), sigma) == pytest.approx(0.5)
-    assert overlap(SPACE4, (y, x), (x, y), sigma) == pytest.approx(sigma / 2)
-    assert overlap(SPACE4, (x,), (x, y), sigma) == 0
+    xy, yx = bracket_vector(SPACE4, (x, y), sigma), bracket_vector(SPACE4, (y, x), sigma)
+    assert np.vdot(xy.amplitudes, xy.amplitudes) == pytest.approx(0.5)
+    assert np.vdot(yx.amplitudes, xy.amplitudes) == pytest.approx(sigma / 2)
+    # different particle numbers: different sectors, so the overlap is 0
+    assert bracket_vector(SPACE4, (x,), sigma).basis.n_particles != xy.basis.n_particles
 
 
 @pytest.mark.parametrize("sigma", [1, -1])
@@ -616,7 +618,10 @@ def test_overlap_matches_oracle_exhaustively(sigma):
         bras, kets = zip(*product(tuples, repeat=2))
         want = overlap_oracle(bras, kets, sigma)
         for bra, ket, w in zip(bras, kets, want):
-            got = overlap(SPACE4, [SPACE4.mode_at(i) for i in bra], [SPACE4.mode_at(i) for i in ket], sigma)
+            got = np.vdot(
+                bracket_vector(SPACE4, [SPACE4.mode_at(i) for i in bra], sigma).amplitudes,
+                bracket_vector(SPACE4, [SPACE4.mode_at(i) for i in ket], sigma).amplitudes,
+            )
             assert abs(got - w) <= 1e-12
 
 
@@ -695,26 +700,46 @@ def test_completeness_random_probes(sigma):
     shape = (4, 4)
     for _ in range(10):
         probe = RNG.standard_normal(shape) + 1j * RNG.standard_normal(shape)
-        assert completeness_check(SPACE4, 2, sigma, probe) <= 1e-12
+        assert completeness_check(every_bracket(SPACE4, 2, sigma), probe) <= 1e-12
 
 
 @pytest.mark.parametrize("sigma", [1, -1])
 def test_completeness_symmetric_fixed_point(sigma):
     probe = RNG.standard_normal((4, 4)) + 1j * RNG.standard_normal((4, 4))
     symmetric = symmetrizer_oracle(probe, sigma)
-    projected = project_onto_symmetric(SPACE4, 2, sigma, symmetric)
+    brackets = every_bracket(SPACE4, 2, sigma)
+    projected = project_onto_symmetric(brackets, symmetric)
     assert np.max(np.abs(projected - symmetric)) <= 1e-12
     # the opposite-symmetry part is annihilated
     opposite = symmetrizer_oracle(probe, -sigma)
-    assert np.max(np.abs(project_onto_symmetric(SPACE4, 2, sigma, opposite))) <= 1e-12
+    assert np.max(np.abs(project_onto_symmetric(brackets, opposite))) <= 1e-12
 
 
 @pytest.mark.parametrize("sigma", [1, -1])
 def test_projector_idempotent(sigma):
     probe = RNG.standard_normal((4, 4, 4)) + 1j * RNG.standard_normal((4, 4, 4))
-    once = project_onto_symmetric(SPACE4, 3, sigma, probe)
-    twice = project_onto_symmetric(SPACE4, 3, sigma, once)
+    brackets = every_bracket(SPACE4, 3, sigma)
+    once = project_onto_symmetric(brackets, probe)
+    twice = project_onto_symmetric(brackets, once)
     assert np.max(np.abs(twice - once)) <= 1e-12
+
+
+@pytest.mark.parametrize("space", [
+    ModeSpace(Lattice.ring(4), SpinQuantum(1)),
+    ModeSpace(Lattice.grid2d(3), SpinQuantum(0)),
+    ModeSpace(Lattice("ring", Lattice.ring(6).sites, cell_volume=0.3), SpinQuantum(0)),
+], ids=["ring4-half", "grid3", "ring6-cell0.3"])
+@pytest.mark.parametrize("sigma", [1, -1])
+def test_projector_matches_the_dense_bracket_matrix(space, sigma):
+    # the bincount resolution sum against B+ (B v w), B the dense bracket matrix
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 3):
+        shape = (space.n_modes,) * n
+        probe = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        b = bracket_matrix(space, n, sigma)
+        want = b.conj().T @ (b @ (probe.reshape(-1) * space.lattice.cell_volume**n))
+        got = project_onto_symmetric(every_bracket(space, n, sigma), probe)
+        assert max_abs(got.reshape(-1) - want) <= 1e-15
 
 
 @pytest.mark.parametrize("sigma", [1, -1])
@@ -726,5 +751,5 @@ def test_state_tensor_oracle_matches_bracket_route(sigma):
     tensor = state_coordinate_tensor(state)
     for idx in np.ndindex(4, 4):
         coords = tuple(SPACE4.mode_at(i) for i in idx)
-        direct = bracket_state(SPACE4, coords, sigma).dot(state)
+        direct = np.vdot(bracket_vector(SPACE4, coords, sigma).amplitudes, state.amplitudes)
         assert abs(tensor[idx] - direct) <= 1e-12

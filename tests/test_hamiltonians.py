@@ -216,7 +216,7 @@ def test_diagonalize_contracts():
     assert result.eigenvalues == pytest.approx([-2.0, 2.0])
     assert result.residual <= 1e-9
     for vec in result.eigenvectors:
-        assert vec.norm() == pytest.approx(1.0)
+        assert np.linalg.norm(vec.amplitudes) == pytest.approx(1.0)
 
 
 def test_diagonalize_rejects_non_hermitian():

@@ -105,6 +105,29 @@ def test_permutation_eigencheck_exhaustive_n3(sigma):
     assert permutation_eigencheck(RING4_HALF, coords, permutations(range(3)), sigma) <= 1e-12
 
 
+def test_permutation_eigencheck_fails_without_the_fermion_sign(monkeypatch):
+    # the control: sigma^P read as +1 for every P
+    monkeypatch.setattr(symmetry, "sigma_to_permutation_power", lambda perm, sigma: 1.0)
+    distinct = (RING4_HALF.mode_at(0), RING4_HALF.mode_at(3), RING4_HALF.mode_at(5))
+    assert permutation_eigencheck(RING4_HALF, distinct, permutations(range(3)), -1) >= 0.1
+    assert permutation_eigencheck(RING4_HALF, distinct, permutations(range(3)), 1) == 0.0
+    repeated = (RING4_HALF.mode_at(2), RING4_HALF.mode_at(4), RING4_HALF.mode_at(2))
+    assert permutation_eigencheck(RING4_HALF, repeated, permutations(range(3)), -1) == 0.0
+
+
+def test_permutation_eigencheck_counts_both_states_where_they_differ(monkeypatch):
+    # a kernel that ranks a permuted tuple on another basis state
+    original = symmetry.bracket_amplitudes
+
+    def misranked(space, rows, sigma):
+        basis, index, amp = original(space, rows, sigma)
+        return basis, np.where(np.arange(len(index)) > 0, index + 1, index), amp
+
+    monkeypatch.setattr(symmetry, "bracket_amplitudes", misranked)
+    distinct = (RING4_HALF.mode_at(0), RING4_HALF.mode_at(3))
+    assert permutation_eigencheck(RING4_HALF, distinct, [(0, 1)], 1) == pytest.approx(2 ** -0.5)
+
+
 def test_pair_operator_structure():
     expr = pair_operator(RING4_HALF, 1, 1, -1)
     assert expr.particle_shift() == -2
