@@ -328,17 +328,24 @@ class OperatorFamily:
         block is multiplied by its phase as a scalar, as ``phase * M`` is: numpy
         multiplies complex arrays elementwise in other last bits."""
         d, m = self.codomain.dim, self.stack
-        order = np.asarray(order, dtype=np.intp).reshape(-1, 1)
-        starts = m.indptr[order * d]
-        counts = (m.indptr[order * d + d] - starts).ravel()
-        ends = np.cumsum(counts)
-        take = np.repeat(starts.ravel() - ends + counts, counts) + np.arange(counts.sum())
-        row_ends = m.indptr[order * d + np.arange(1, d + 1)] - starts + (ends - counts)[:, None]
+        order = np.asarray(order, dtype=np.intp)
+        take, indptr = row_gather(m, (order[:, None] * d + np.arange(d)).ravel())
         data = m.data[take]
-        for phase, start, end in zip(() if phases is None else phases, ends - counts, ends):
+        bounds = indptr[np.arange(len(order) + 1) * d]
+        for phase, start, end in zip(() if phases is None else phases, bounds[:-1], bounds[1:]):
             data[start:end] *= phase
-        indptr = np.append(0, row_ends.ravel()).astype(m.indptr.dtype)
         return sp.csr_matrix((data, m.indices[take], indptr), shape=(len(order) * d, m.shape[1]))
+
+
+def row_gather(m: sp.csr_matrix, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where the entries of ``rows`` of ``m`` sit in its data and indices,
+    row after row and each row in its stored order, and the indptr of the
+    matrix of those rows."""
+    starts = m.indptr[rows]
+    counts = m.indptr[rows + 1] - starts
+    ends = np.cumsum(counts)
+    take = np.repeat(starts - ends + counts, counts) + np.arange(counts.sum())
+    return take, np.append(0, ends).astype(m.indptr.dtype)
 
 
 def max_abs(matrix: sp.spmatrix | np.ndarray) -> float:
@@ -367,9 +374,13 @@ def matrix_family(exprs, domain: FockBasis, codomain: FockBasis) -> OperatorFami
     Every expression must change particle number uniformly across terms by
     exactly codomain.N - domain.N.  The terms of all expressions go through
     the kernel together (``_kernel_batches``); the expression index is a
-    block-row offset.  Each row of the stack so receives its entries in the
-    order of its own expression's terms, and duplicates are summed in that
-    order, so every block is bitwise the ``matrix_of`` of its expression.
+    block-row offset.  scipy's COO -> CSR conversion sums duplicates after an
+    unstable per-row sort by column, so its sums follow that sort, not the
+    input order; but each row of the stack receives the same sequence of
+    (column, value) entries, in the same order, as the row of the
+    one-expression build of its own expression, so it is sorted and summed
+    the same way, and every block is bitwise the ``matrix_of`` of its
+    expression.
     """
     exprs = list(exprs)
     if domain.space != codomain.space:

@@ -15,10 +15,12 @@ exactly (1, i, -1, -i) so half-integral spinor phases at a half turn are
 exact +-i.  The covariance checks cover every lattice rotation, projection
 and site in one call.  Their operators are families (``matrix_family``):
 a(xi) over every mode, or F(r) over every site for one projection, each
-built in one kernel pass per sector into one stacked CSR.  Each rotation of
-a sector is one stacked conjugation of that stack, compared with a phased
-gather of its blocks; inversion compares the stack with its blocks gathered
-in inverted site order.
+built in one kernel pass per sector into one stacked CSR.  Each sector lift
+is monomial and is held as image and phase arrays (``SectorLift``), so each
+rotation of a sector relabels that stack's rows and columns and multiplies
+its values by two phases, with no sparse product; it is compared with a
+phased gather of the stack's blocks.  Inversion compares the stack with its
+blocks gathered in inverted site order.
 
 Inside one command (``memo.command_scope``) the families of F(r), their
 one-step and half-turn conjugations and each grade's ``PairChecks`` record
@@ -44,11 +46,11 @@ from .fockspace import (
     _particle_modes,
     bracket_amplitudes,
     build_basis,
-    identity_matrix,
     matrix_family,
     max_abs,
     perm_parity,
     permuted_states,
+    row_gather,
 )
 from .memo import command_memo, kept_cache
 from .modes import Mode, ModeSpace
@@ -107,8 +109,12 @@ class SpinorRotation:
         )
 
     def fock_lift(self, basis: FockBasis) -> OperatorMatrix:
-        """The sector unitary implementing this rotation on Fock states."""
-        return OperatorMatrix(basis, basis, _sector_unitary(self, basis.n_particles, basis.sigma))
+        """The sector unitary implementing this rotation on Fock states, as
+        canonical CSR built from the lift's image and phase arrays."""
+        lift = _sector_unitary(self, basis.n_particles, basis.sigma)
+        dim = basis.dim
+        csc = sp.csc_matrix((lift.phase, lift.image, np.arange(dim + 1)), shape=(dim, dim))
+        return OperatorMatrix(basis, basis, csc.tocsr())
 
 
 @command_memo
@@ -118,12 +124,25 @@ def _rotation(space: ModeSpace, steps: int) -> SpinorRotation:
     return SpinorRotation(space, steps)
 
 
+@dataclass(frozen=True, eq=False)
+class SectorLift:
+    """A rotation's lift U on one sector.  It is monomial: column j holds one
+    entry, ``phase[j]``, in row ``image[j]``."""
+
+    image: np.ndarray
+    phase: np.ndarray
+
+    @cached_property
+    def source(self) -> np.ndarray:
+        """The state each row's entry comes from: the inverse of ``image``
+        when U is unitary, and always a permutation, so a broken lift still
+        conjugates (and fails its checks) instead of raising."""
+        return np.argsort(self.image, kind="stable")
+
+
 @kept_cache
-def _sector_adjoint(rot: SpinorRotation, n_particles: int, sigma: int) -> sp.csr_matrix:
-    """U+ of the sector lift U, as the canonical CSR a product converts
-    ``U.conj().T`` to: row j holds the conjugate of column j's only entry of
-    U.  Built from the lift's entries, so a sector that is only ever a
-    domain keeps no U."""
+def _sector_unitary(rot: SpinorRotation, n_particles: int, sigma: int) -> SectorLift:
+    """The sector lift of ``rot`` as image and phase arrays."""
     # A rotated occupation state is built by transporting each creation
     # operator of the defining ascending product: the creation transport
     # carries the conjugate spinor phase e^{-i m_s theta}.
@@ -141,36 +160,51 @@ def _sector_adjoint(rot: SpinorRotation, n_particles: int, sigma: int) -> sp.csr
     for f in range(1, n_particles):
         place[:, f] += (created[:, f] == created[:, f - 1]) * place[:, f - 1]
     vals /= np.sqrt(place.prod(axis=1).astype(np.float64))
-    return sp.csr_matrix((np.conj(vals), rotated, np.arange(basis.dim + 1)), shape=(basis.dim,) * 2)
+    return SectorLift(rotated, vals)
 
 
-@kept_cache
-def _sector_unitary(rot: SpinorRotation, n_particles: int, sigma: int) -> sp.csr_matrix:
-    """The sector lift U as CSR: the adjoint of ``_sector_adjoint``, whose
-    conjugation is exact, so each entry is the lift's own."""
-    return _sector_adjoint(rot, n_particles, sigma).conj().T.tocsr()
+def _times(ar, ai, br, bi) -> tuple[np.ndarray, np.ndarray]:
+    """a * b accumulated onto zero, as scipy's sparse product forms each
+    single-term entry: ``0 + (a * b)`` in its real arithmetic.  numpy's
+    complex multiply differs from it in last bits, and the ``0 +`` turns a
+    -0.0 into the 0.0 the product stores."""
+    return 0.0 + (ar * br - ai * bi), 0.0 + (ar * bi + ai * br)
 
 
-def _lifts(rot: SpinorRotation, family: OperatorFamily) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """U on the family's codomain and U+ on its domain."""
-    co, dom = family.codomain, family.domain
-    return _sector_unitary(rot, co.n_particles, co.sigma), _sector_adjoint(rot, dom.n_particles, dom.sigma)
-
-
-def conjugated(rot: SpinorRotation, family, member: int) -> sp.csr_matrix:
-    """U_codomain @ M @ U_domain^dagger for the rotation's sector lifts, M the
-    member ``member`` of an ``OperatorFamily``."""
-    u_co, u_dom_adjoint = _lifts(rot, family)
-    return (u_co @ family.rows(member, member + 1) @ u_dom_adjoint).tocsr()
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """The complex array of these parts, each copied bit for bit."""
+    out = np.empty(len(re), dtype=np.complex128)
+    out.real, out.imag = re, im
+    return out
 
 
 def _conjugated_family(rot: SpinorRotation, family: OperatorFamily) -> OperatorFamily:
-    """The family of U M_p U+ over the members M_p of ``family``, as one
-    stacked conjugation kron(1, U_codomain) @ stack @ U_domain^dagger.  The
-    lifts are monomial, so every entry is the same single product as in
-    ``conjugated``, and member p is bitwise ``conjugated(rot, family, p)``."""
-    u_co, u_dom_adjoint = _lifts(rot, family)
-    stack = _repeat_diagonal(u_co, len(family)) @ family.stack @ u_dom_adjoint
+    """The family of U M_p U+ over the members M_p of ``family``, by
+    relabelling its stack.  Each lift is monomial, so row (p, i) of the
+    result is source row (p, source[i]) in its stored order, with column j
+    moved to image[j], and each entry is the one product the sparse triple
+    product kron(1, U_codomain) @ stack @ U_domain^dagger forms for it:
+    ``0 + ((0 + u * m) * conj(w))``, u the codomain lift's entry of row i, w
+    the domain lift's of column j.  Entries that come out exactly zero are
+    dropped, as that product drops them, so every array of the result is the
+    product's, bit for bit."""
+    co, dom = family.codomain, family.domain
+    lift_co = _sector_unitary(rot, co.n_particles, co.sigma)
+    lift_dom = _sector_unitary(rot, dom.n_particles, dom.sigma)
+    m = family.stack
+    take, indptr = row_gather(m, (np.arange(len(family))[:, None] * co.dim + lift_co.source).ravel())
+    cols = m.indices[take]
+    u = np.repeat(np.tile(lift_co.phase[lift_co.source], len(family)), np.diff(indptr))
+    w = lift_dom.phase[cols]
+    vals = m.data[take]
+    xr, xi = _times(u.real, u.imag, vals.real, vals.imag)
+    yr, yi = _times(xr, xi, w.real, -w.imag)
+    indices = lift_dom.image[cols].astype(m.indices.dtype)
+    kept = (yr != 0) | (yi != 0)
+    if not kept.all():
+        indptr = np.append(0, np.cumsum(kept))[indptr].astype(m.indptr.dtype)
+        yr, yi, indices = yr[kept], yi[kept], indices[kept]
+    stack = sp.csr_matrix((_complex(yr, yi), indices, indptr), shape=m.shape)
     return OperatorFamily(family.domain, family.codomain, len(family), stack)
 
 
@@ -189,30 +223,43 @@ def _covariance_residual(conj: OperatorFamily, family: OperatorFamily, images, p
     return max_abs(conj.stack - family.blocks(images, phases))
 
 
-def _repeat_diagonal(u: sp.csr_matrix, k: int) -> sp.csr_matrix:
-    """kron(1_k, u) for a canonical CSR u: k copies of u down the diagonal,
-    its entries copied, not multiplied."""
-    rows, cols = u.shape
-    nnz = u.indptr[-1]
-    shifts = np.arange(k)[:, None]
-    indptr = np.append((u.indptr[:-1] + nnz * shifts).ravel(), k * nnz)
-    indices = (u.indices[:nnz] + cols * shifts).ravel()
-    return sp.csr_matrix((np.tile(u.data[:nnz], k), indices, indptr), shape=(k * rows, k * cols))
+def _unitarity_residual(lift: SectorLift) -> float:
+    """Worst entry of U U+ - 1.  U U+ is diagonal, its entry i the sum of
+    |phase[j]|^2 over the states j with image[j] = i, summed in ascending j
+    from zero as the sparse product sums it; a row no state reaches reads 0,
+    so its residual is 1."""
+    pr, pi = lift.phase.real, lift.phase.imag
+    dim = len(lift.image)
+    re = np.bincount(lift.image, pr * pr - pi * -pi, minlength=dim)
+    im = np.bincount(lift.image, pr * -pi + pi * pr, minlength=dim)
+    return float(np.abs(_complex(re, im) - 1.0).max(initial=0.0))
+
+
+def _square_residual(lift: SectorLift, sign: int) -> float:
+    """Worst entry of U U - sign * 1.  Column j of U U holds one entry,
+    phase[image[j]] * phase[j] in row image[image[j]]: off the diagonal that
+    entry and the missing diagonal 1 both count.  Magnitudes are numpy's
+    complex ``abs``, as ``max_abs`` takes them, not ``hypot``: they differ
+    in last bits."""
+    ahead = lift.phase[lift.image]
+    entry = _complex(*_times(ahead.real, ahead.imag, lift.phase.real, lift.phase.imag))
+    on_diagonal = lift.image[lift.image] == np.arange(len(entry))
+    dev = np.where(on_diagonal, np.abs(entry - sign), np.maximum(np.abs(entry), 1.0))
+    return float(dev.max(initial=0.0))
 
 
 def sector_lift_residuals(space: ModeSpace, sigma: int, n_max: int) -> tuple[float, float]:
     """Worst residuals of U U+ = 1 for every lattice rotation's lift and of
-    U_pi U_pi = (-1)^(2sN) for the half-turn lift, on sectors 0..n_max."""
+    U_pi U_pi = (-1)^(2sN) for the half-turn lift, on sectors 0..n_max, read
+    from each lift's image and phase arrays."""
     per_turn = space.lattice.steps_per_turn
     unitary = square = 0.0
     for n in range(n_max + 1):
-        eye = identity_matrix(build_basis(space, n, sigma)).matrix
         for steps in range(per_turn):
-            rot = _rotation(space, steps)
-            u, u_adjoint = _sector_unitary(rot, n, sigma), _sector_adjoint(rot, n, sigma)
-            unitary = max(unitary, max_abs(u @ u_adjoint - eye))
+            lift = _sector_unitary(_rotation(space, steps), n, sigma)
+            unitary = max(unitary, _unitarity_residual(lift))
             if 2 * steps == per_turn:  # the half turn squares to the 2*pi sign
-                square = max(square, max_abs(u @ u - (-1) ** (space.spin.twos_s * n) * eye))
+                square = max(square, _square_residual(lift, (-1) ** (space.spin.twos_s * n)))
     return unitary, square
 
 

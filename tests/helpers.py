@@ -3,17 +3,22 @@
 Everything here deliberately avoids the code paths it is used to verify:
 the coordinate tensors come from the permutation-sum symmetrizer instead of
 ladder operators, the DFT is an explicit double loop, and the first-quantized
-Hamiltonian acts slot by slot on index tensors.  The one exception is
+Hamiltonian acts slot by slot on index tensors.  The two exceptions are
 ``bracket_vector``, which only lays a bracket state out as a dense vector
-from the index and amplitude that ``bracket_amplitudes`` computes.
+from the index and amplitude that ``bracket_amplitudes`` computes, and
+``conjugated``, which multiplies by the sector lifts ``spinstat.symmetry``
+builds: it is the sparse triple product that the relabelled conjugations
+are checked against bit for bit.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
+import scipy.sparse as sp
 
 from spinstat.fockspace import StateVector, bracket_amplitudes, symmetrizer_oracle
 from spinstat.modes import ModeSpace
@@ -56,6 +61,21 @@ def bracket_vector(space: ModeSpace, coords, sigma: int) -> StateVector:
     if amp[0]:
         amplitudes[index[0]] = amp[0]
     return StateVector(basis, amplitudes)
+
+
+def conjugated(rot, family, member: int) -> sp.csr_matrix:
+    """U_codomain @ M @ U_domain^dagger for the rotation's sector lifts, M the
+    member ``member`` of an ``OperatorFamily``: two scipy sparse products."""
+    u_co, u_dom_adjoint = _lift(rot, family.codomain, False), _lift(rot, family.domain, True)
+    return (u_co @ family.rows(member, member + 1) @ u_dom_adjoint).tocsr()
+
+
+@functools.lru_cache(maxsize=4)
+def _lift(rot, basis, adjoint: bool) -> sp.csr_matrix:
+    """U (or U+) of ``rot`` on ``basis``, as canonical CSR, kept across the
+    members of a family."""
+    u = rot.fock_lift(basis).matrix
+    return u.conj().T.tocsr() if adjoint else u
 
 
 def random_state(basis, rng) -> StateVector:

@@ -400,8 +400,7 @@ def test_every_memo_is_empty_after_main(tmp_path, argv):
     assert held == dict.fromkeys(held, 0)
     named = {
         fockspace._build_basis_cached, fockspace.bracket_matrix, symmetry._sector_unitary,
-        symmetry._sector_adjoint, symmetry._rotation, symmetry._pair_sectors,
-        symmetry._pair_conjugation, symmetry.pair_checks,
+        symmetry._rotation, symmetry._pair_sectors, symmetry._pair_conjugation, symmetry.pair_checks,
     }
     assert named <= set(memo._MEMOS)
 
@@ -435,6 +434,21 @@ def test_default_verify_reports_are_pinned(tmp_path):
     }
     for suite, values in pinned.items():
         assert [r["value"] for r in read_json(tmp_path / f"{suite}.json")["residuals"]] == values, suite
+
+
+@pytest.mark.parametrize("lattice, twos_s, n_max, values", [
+    ({"kind": "grid2d", "L": 3}, 1, 3, [0.0, 8.005932084973443e-16, 0.0, 0.0, 0.0, 2.220446049250313e-16, 0.0, 0.0]),
+    ({"kind": "ring", "M": 8}, 3, 2, [
+        2.482534153247273e-16, 4.47411937370028e-16, 2.220446049250313e-16, 0.0,
+        1.5700924586837752e-16, 4.47411937370028e-16, 2.220446049250313e-16, 0.0,
+    ]),
+], ids=["grid3-2s1", "ring8-2s3"])
+def test_rotation_residuals_are_pinned(lattice, twos_s, n_max, values):
+    # exact floats of the rotation suite where quarter turns carry the spinor
+    # phases e^{+-i pi/4} (grid2d) or eighth turns mix real and imaginary parts
+    # (ring:8): a wrong complex product in the conjugations or lifts moves them
+    cfg = cli.RunConfig(lattice=lattice, twos_s=twos_s, n_max=n_max).validate()
+    assert [r["value"] for r in cli.suite_rotation(cfg, None).residuals] == values
 
 
 @pytest.mark.parametrize("flags, digests", [
@@ -481,6 +495,45 @@ def test_pair_and_theorem_reports_are_pinned(tmp_path, flags, digests):
     names = ("pair-operator.json", "theorem.json", "theorem_report.json")
     for name, digest in zip(names, digests):
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+def _share_first_image(rot, image, phase):
+    """Send basis state 1 where state 0 goes: one row of U gets two entries
+    and another none."""
+    if len(image) > 1:
+        image[1] = image[0]
+
+
+def _negate_moved_phase(rot, image, phase):
+    """Flip the sign of the half-turn lift's entry for the first state it
+    moves: U U is then -(-1)^(2sN) on that state's column."""
+    if 2 * rot.steps == rot.space.lattice.steps_per_turn:
+        moved = np.flatnonzero(image != np.arange(len(image)))
+        if len(moved):
+            phase[moved[0]] = -phase[moved[0]]
+
+
+@pytest.mark.parametrize("patch, check", [
+    (_share_first_image, "sector lift unitarity"),
+    (_negate_moved_phase, "half-turn lift squared vs (-1)^(2sN)"),
+], ids=["shared-image", "negated-phase"])
+def test_broken_lift_arrays_fail_their_check(tmp_path, monkeypatch, capsys, patch, check):
+    # controls for the lift residuals read from the image and phase arrays:
+    # each wrong ingredient fails its own check by O(1) in both grades
+    original = symmetry._sector_unitary
+
+    def broken(rot, n_particles, sigma):
+        lift = original(rot, n_particles, sigma)
+        image, phase = lift.image.copy(), lift.phase.copy()
+        patch(rot, image, phase)
+        return symmetry.SectorLift(image, phase)
+
+    monkeypatch.setattr(symmetry, "_sector_unitary", broken)
+    assert main(["verify", "--suite", "rotation", "--out", str(tmp_path)]) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["rotation.json"]
+    values = {r["check"]: r["value"] for r in read_json(tmp_path / "rotation.json")["residuals"]}
+    assert [values[f"{check} [sigma={sigma}]"] >= 0.1 for sigma in ("+1", "-1")] == [True, True]
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_failed_verdict_is_a_report_and_exit_one(tmp_path, monkeypatch, capsys):

@@ -4,7 +4,9 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from helpers import conjugated
 from spinstat import symmetry
 from spinstat.memo import command_scope
 from spinstat.fockspace import build_basis, identity_matrix, matrix_family, max_abs
@@ -89,6 +91,31 @@ def test_half_turn_square_report(sigma):
     basis = build_basis(RING4_HALF, 1, sigma)
     u = SpinorRotation(RING4_HALF, 2).fock_lift(basis).matrix
     assert max_abs(u @ u - identity_matrix(basis).matrix) == pytest.approx(2.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "space", [RING4_HALF, ModeSpace(Lattice.ring(8), SpinQuantum(3))], ids=["ring4-2s1", "ring8-2s3"]
+)
+def test_lift_residuals_are_the_sparse_products(space):
+    # U U+ - 1 and U U - (-1)^(2sN) from the image and phase arrays are the
+    # sparse products' residuals bit for bit, also for lifts that are broken:
+    # a repeated image sums its entries, a row no state reaches reads 1
+    per_turn = space.lattice.steps_per_turn
+    for sigma in (1, -1):
+        for n in (1, 2):
+            sign = (-1) ** (space.spin.twos_s * n)
+            eye = identity_matrix(build_basis(space, n, sigma)).matrix
+            for steps in (1, per_turn // 2):
+                lift = symmetry._sector_unitary(SpinorRotation(space, steps), n, sigma)
+                shared, negated = lift.image.copy(), lift.phase.copy()
+                shared[1] = shared[0]
+                negated[3] = -negated[3]
+                for image, phase in ((lift.image, lift.phase), (shared, lift.phase), (lift.image, negated)):
+                    broken = symmetry.SectorLift(image, phase)
+                    dim = len(image)
+                    u = sp.csc_matrix((phase, image, np.arange(dim + 1)), shape=(dim, dim)).tocsr()
+                    assert symmetry._unitarity_residual(broken) == max_abs(u @ u.conj().T.tocsr() - eye)
+                    assert symmetry._square_residual(broken, sign) == max_abs(u @ u - sign * eye)
 
 
 def test_permutation_eigencheck_examples():
@@ -338,13 +365,36 @@ def _bits(m):
 @pytest.mark.parametrize("sigma", [1, -1])
 def test_kept_conjugations_are_bitwise_member_conjugations(space, sigma):
     # the half-turn eigenvalue and the winding read member blocks of these stacks
-    # where they conjugated each member apart
-    for steps in (1, space.lattice.steps_per_turn // 2):
+    # where they conjugated each member apart; every relabelled conjugation,
+    # of the F(r) families and of the a(xi) families the field-transform
+    # identity conjugates (on N = 1, 2 in the rotation suite), is the sparse
+    # triple product bit for bit
+    annihilators = [destroy(mode, sigma) for mode in space.modes]
+    families = [family for _, family in symmetry._pair_sectors(space, sigma, 3)] + [
+        matrix_family(annihilators, build_basis(space, n, sigma), build_basis(space, n - 1, sigma))
+        for n in (1, 2)
+    ]
+    for steps in range(space.lattice.steps_per_turn):
         rot = SpinorRotation(space, steps)
-        for _, family in symmetry._pair_sectors(space, sigma, 3):
+        for family in families:
             stacked = symmetry._pair_conjugation(rot, family)
             for member in range(len(family)):
-                assert _bits(stacked.rows(member, member + 1)) == _bits(symmetry.conjugated(rot, family, member))
+                assert _bits(stacked.rows(member, member + 1)) == _bits(conjugated(rot, family, member))
+
+
+def test_relabelled_conjugation_drops_explicit_zeros_as_the_product_does():
+    # a stored zero of the stack makes no entry of U M U+, in the triple
+    # product or in its relabelling
+    domain, codomain = build_basis(RING4_HALF, 2, -1), build_basis(RING4_HALF, 1, -1)
+    family = matrix_family([destroy(mode, -1) for mode in RING4_HALF.modes], domain, codomain)
+    stack = family.stack.copy()
+    stack.data[::3] = 0.0
+    zeroed = type(family)(domain, codomain, len(family), stack)
+    rot = SpinorRotation(RING4_HALF, 1)
+    conj = symmetry._conjugated_family(rot, zeroed)
+    assert conj.stack.nnz < stack.nnz
+    for member in range(len(family)):
+        assert _bits(conj.rows(member, member + 1)) == _bits(conjugated(rot, zeroed, member))
 
 
 def test_sector_objects_are_shared_only_inside_a_command():
