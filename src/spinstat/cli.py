@@ -417,7 +417,7 @@ def suite_ideal_gas(cfg: RunConfig, rng) -> SuiteReport:
     checks = []
     for sigma in cfg.sigmas():
         cs = mode_operators(space, phi, sigma)
-        report = ideal_gas_check(spec1, space, cfg.n_particles, sigma, eps, cs, tol=spectral_tol)
+        report = ideal_gas_check(spec1, space, cfg.n_particles, sigma, eps, cs)
         tag = f"sigma={sigma:+d}"
         checks.append((f"ED spectrum vs occupancy multiset [{tag}]", report.spectral_deviation, spectral_tol))
         checks.append((f"diagonal eigenmode identity [{tag}]", report.h0_identity_residual, spectral_tol))

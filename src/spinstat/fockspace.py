@@ -10,8 +10,10 @@ everything else is verified against.
 All ladder action goes through one kernel, ``_apply_strings``, which applies
 ladder strings to a batch of occupation rows at once and drops a row as soon
 as its string vanishes, so later factors work only on the rows still alive;
-operator matrices, bracket states and the Fock lifts of mode permutations
-(``permuted_states``: rotations, spin reversal) are built on it.
+operator matrices and creation products are built on it.  Creation products
+a+(m_1)...a+(m_N)|0> of many mode lists (``_created_states``) give both the
+bracket states and the Fock lift of any mode map (``sector_lift``, a
+``SectorLift``: rotations, spin reversal); each is ranked from its list.
 Operator matrices come in families: ``matrix_family`` builds the matrices
 M_p of a list of expressions between one pair of sectors in one kernel pass,
 with the expression index as a block-row offset, into one stacked CSR
@@ -43,6 +45,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain, combinations, combinations_with_replacement, permutations
 
 import numpy as np
@@ -271,18 +274,54 @@ def _apply_strings(occ: np.ndarray, modes, daggers, sigma: int):
     return work, amp, alive
 
 
-def permuted_states(basis: FockBasis, perm) -> tuple[np.ndarray, np.ndarray]:
-    """Fock lift of a mode permutation (``perm[m]`` the image of mode m) on
-    every basis state: each state's ascending creation product with every
-    mode replaced by its image, applied to the vacuum.  Returns the index of
-    each image state and the kernel amplitude: the fermion reordering sign
-    for sigma=-1, a positive product of boson sqrt factors for sigma=+1."""
-    created = _particle_modes(basis.occupations, basis.n_particles)
-    rows, amp, alive = _apply_strings(
-        np.zeros_like(basis.occupations), np.asarray(perm)[created], True, basis.sigma
-    )
-    assert alive.all()  # creations of a permuted multiset never clash
-    return basis.rank(rows), amp
+def _created_states(basis: FockBasis, created) -> tuple[np.ndarray, np.ndarray]:
+    """a+(m_1)...a+(m_N)|0> for each row of mode indices ``created``, in any
+    order: the index of the basis state it is a multiple of, and the kernel
+    amplitude (0, and index 0, where creations clash).  The index is ranked
+    from the list itself: particle f takes the place in ascending order that
+    counts the particles g with (m_g, g) < (m_f, f)."""
+    created = np.asarray(created, dtype=np.intp)
+    rows, n = created.shape
+    _, amp, alive = _apply_strings(np.zeros((rows, basis.space.n_modes), np.int8), created, True, basis.sigma)
+    key = created * n + np.arange(n)
+    place = (key[:, None, :] < key[:, :, None]).sum(axis=2)
+    return np.where(alive, basis.dim - 1 - basis.rank_table[place, created].sum(axis=1), 0), amp
+
+
+@dataclass(frozen=True, eq=False)
+class SectorLift:
+    """The Fock lift U of a mode map on one sector.  It is monomial: column j
+    holds one entry, ``phase[j]``, in row ``image[j]``."""
+
+    image: np.ndarray
+    phase: np.ndarray
+
+    @cached_property
+    def source(self) -> np.ndarray:
+        """The state each row's entry comes from: the inverse of ``image``
+        when U is unitary, and always a permutation, so a broken lift still
+        conjugates (and fails its checks) instead of raising."""
+        return np.argsort(self.image, kind="stable")
+
+
+def sector_lift(basis: FockBasis, perm, mode_phases) -> SectorLift:
+    """The lift of the mode map m -> ``perm[m]`` whose creation operators
+    carry the phase ``mode_phases[m]``: each state's ascending creation
+    product, every factor moved and phased, applied to the vacuum and
+    divided by sqrt(prod_m n_m!)."""
+    created = _particle_modes(basis.occupations, basis.n_particles)  # each state's ascending creation list
+    image, amp = _created_states(basis, np.asarray(perm)[created])
+    phase = amp.astype(np.complex128)
+    for f in reversed(range(basis.n_particles)):  # rightmost creation acts first
+        phase *= mode_phases[created[:, f]]
+    # prod_m n_m! of each state, as the product over its particles of each
+    # one's place in its run of equal modes: exact integers either way, and
+    # no (dim x n_modes) array
+    place = np.ones_like(created)
+    for f in range(1, basis.n_particles):
+        place[:, f] += (created[:, f] == created[:, f - 1]) * place[:, f - 1]
+    phase /= np.sqrt(place.prod(axis=1).astype(np.float64))
+    return SectorLift(image, phase)
 
 
 @dataclass(frozen=True, eq=False)
@@ -605,16 +644,12 @@ def index_tuples(n_modes: int, n_particles: int) -> np.ndarray:
 
 def bracket_amplitudes(space: ModeSpace, mode_idx, sigma: int):
     """Bracket states of many coordinate tuples (rows of N mode indices) at
-    once.  Each is a multiple of one basis state: returns the sector basis and,
-    per row, that state's index and the amplitude (0 where creations clash)."""
+    once: the sector basis and, per row, ``_created_states`` (the index of the
+    one basis state it is a multiple of, and the amplitude) over sqrt(N!)."""
     mode_idx = np.asarray(mode_idx, dtype=np.intp)
-    rows, n = mode_idx.shape
+    _, n = mode_idx.shape
     basis = build_basis(space, n, check_sigma(sigma))
-    occ, amp, alive = _apply_strings(
-        np.zeros((rows, space.n_modes), dtype=np.int8), mode_idx, True, sigma
-    )
-    index = np.zeros(rows, dtype=np.intp)
-    index[alive] = basis.rank(occ[alive])
+    index, amp = _created_states(basis, mode_idx)
     return basis, index, amp / math.sqrt(math.factorial(n))
 
 

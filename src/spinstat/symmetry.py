@@ -43,14 +43,14 @@ from .fockspace import (
     FockBasis,
     OperatorFamily,
     OperatorMatrix,
-    _particle_modes,
+    SectorLift,
     bracket_amplitudes,
     build_basis,
     matrix_family,
     max_abs,
     perm_parity,
-    permuted_states,
     row_gather,
+    sector_lift,
 )
 from .memo import command_memo, kept_cache
 from .modes import Mode, ModeSpace
@@ -124,43 +124,13 @@ def _rotation(space: ModeSpace, steps: int) -> SpinorRotation:
     return SpinorRotation(space, steps)
 
 
-@dataclass(frozen=True, eq=False)
-class SectorLift:
-    """A rotation's lift U on one sector.  It is monomial: column j holds one
-    entry, ``phase[j]``, in row ``image[j]``."""
-
-    image: np.ndarray
-    phase: np.ndarray
-
-    @cached_property
-    def source(self) -> np.ndarray:
-        """The state each row's entry comes from: the inverse of ``image``
-        when U is unitary, and always a permutation, so a broken lift still
-        conjugates (and fails its checks) instead of raising."""
-        return np.argsort(self.image, kind="stable")
-
-
 @kept_cache
 def _sector_unitary(rot: SpinorRotation, n_particles: int, sigma: int) -> SectorLift:
-    """The sector lift of ``rot`` as image and phase arrays."""
-    # A rotated occupation state is built by transporting each creation
-    # operator of the defining ascending product: the creation transport
-    # carries the conjugate spinor phase e^{-i m_s theta}.
+    """The sector lift of ``rot``: each creation operator of a state's
+    ascending product is transported with the conjugate spinor phase
+    e^{-i m_s theta}."""
     basis = build_basis(rot.space, n_particles, sigma)
-    created = _particle_modes(basis.occupations, n_particles)  # each state's ascending creation list
-    rotated, amp = permuted_states(basis, rot.mode_permutation)
-    phases = np.conj(rot.field_phases)
-    vals = amp.astype(np.complex128)
-    for f in reversed(range(n_particles)):  # rightmost creation acts first
-        vals *= phases[created[:, f]]
-    # prod_m n_m! of each state, as the product over its particles of each
-    # one's place in its run of equal modes: exact integers either way, and
-    # no (dim x n_modes) array
-    place = np.ones_like(created)
-    for f in range(1, n_particles):
-        place[:, f] += (created[:, f] == created[:, f - 1]) * place[:, f - 1]
-    vals /= np.sqrt(place.prod(axis=1).astype(np.float64))
-    return SectorLift(rotated, vals)
+    return sector_lift(basis, rot.mode_permutation, np.conj(rot.field_phases))
 
 
 def _times(ar, ai, br, bi) -> tuple[np.ndarray, np.ndarray]:

@@ -6,8 +6,8 @@ ladder operators, the DFT is an explicit double loop, and the first-quantized
 Hamiltonian acts slot by slot on index tensors.  The two exceptions are
 ``bracket_vector``, which only lays a bracket state out as a dense vector
 from the index and amplitude that ``bracket_amplitudes`` computes, and
-``conjugated``, which multiplies by the sector lifts ``spinstat.symmetry``
-builds: it is the sparse triple product that the relabelled conjugations
+``conjugated``, which multiplies by the rotation lifts that
+``fockspace.sector_lift`` builds: it is the sparse triple product that the relabelled conjugations
 are checked against bit for bit.
 """
 

@@ -536,6 +536,32 @@ def test_broken_lift_arrays_fail_their_check(tmp_path, monkeypatch, capsys, patc
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_lifts_without_the_boson_normaliser_fail_unitarity(tmp_path, monkeypatch, capsys):
+    # control for the prod_m n_m! normaliser of the lift builder: without it a
+    # doubly occupied boson state has norm 2, and only sigma=+1 fails
+    original = symmetry.sector_lift
+
+    def unnormalised(basis, perm, mode_phases):
+        lift = original(basis, perm, mode_phases)
+        if basis.sigma == -1:
+            return lift
+        norms = [math.prod(map(math.factorial, occ)) for occ in basis.occupations.tolist()]
+        return symmetry.SectorLift(lift.image, lift.phase * np.sqrt(norms))
+
+    monkeypatch.setattr(symmetry, "sector_lift", unnormalised)
+    basis = fockspace.build_basis(load_config(None).validate().make_space(), 2, 1)
+    identity = symmetry.sector_lift(basis, range(basis.space.n_modes), np.ones(basis.space.n_modes))
+    assert symmetry._unitarity_residual(identity) == pytest.approx(1.0)
+    symmetry._sector_unitary.cache_clear()  # no lift kept from an earlier call is read
+    assert main(["verify", "--suite", "rotation", "--out", str(tmp_path)]) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["rotation.json"]
+    rows = {r["check"]: r for r in read_json(tmp_path / "rotation.json")["residuals"]}
+    assert rows["sector lift unitarity [sigma=+1]"]["value"] >= 0.1
+    fermions = [r for check, r in rows.items() if check.endswith("[sigma=-1]")]
+    assert fermions and all(r["value"] <= r["tol"] for r in fermions)
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_failed_verdict_is_a_report_and_exit_one(tmp_path, monkeypatch, capsys):
     # with bosons' same-point pair vanishing too, both grades are consistent
     break_boson_same_point(monkeypatch)

@@ -15,6 +15,7 @@ from spinstat.fockspace import (
     DimensionCapError,
     StateVector,
     _apply_strings,
+    bracket_amplitudes,
     bracket_matrix,
     build_basis,
     completeness_check,
@@ -182,6 +183,44 @@ def test_kernel_applies_every_hamiltonian_term_to_a_whole_sector(sigma):
         )
         assert 0 < alive.sum() < len(rows)
         assert_kernel_rows(basis, states, rows, occ, amp, alive)
+
+
+RANK_SPACES = (KERNEL_SPACES[1], KERNEL_SPACES[2])  # ring:4 2s=1 and grid2d:3 2s=0
+
+
+@st.composite
+def creation_lists(draw):
+    """A space, a grade and a few creation lists of N = 0..4 modes in any
+    order, with repeated modes only for sigma=+1."""
+    space = draw(st.sampled_from(RANK_SPACES))
+    sigma = draw(st.sampled_from((1, -1)))
+    n = draw(st.integers(0, 4))
+    one = st.lists(st.integers(0, space.n_modes - 1), min_size=n, max_size=n, unique=sigma == -1)
+    return space, sigma, draw(st.lists(one, min_size=1, max_size=6))
+
+
+@settings(max_examples=200)
+@given(creation_lists())
+@example((RANK_SPACES[0], 1, [[]]))  # N = 0: the vacuum
+@example((RANK_SPACES[0], 1, [[5, 5, 5, 5]]))  # one run of four equal bosons
+@example((RANK_SPACES[1], -1, [[8, 6, 3, 0]]))  # descending fermions
+@example((RANK_SPACES[0], -1, [[2, 7, 2], [7, 2, 0]]))  # a fermion clash (amplitude 0) beside a live list
+def test_creation_lists_are_ranked_from_the_list(batch):
+    # each list's index is basis.rank of the row the kernel builds from it,
+    # and bracket_amplitudes is bit for bit the kernel route over sqrt(N!)
+    space, sigma, lists = batch
+    created = np.array(lists, dtype=np.intp)
+    n = created.shape[1]
+    basis = build_basis(space, n, sigma)
+    occ, amp, alive = _apply_strings(np.zeros((len(lists), space.n_modes), dtype=np.int8), created, True, sigma)
+    index, created_amp = fockspace._created_states(basis, created)
+    assert np.array_equal(index[alive], basis.rank(occ[alive]))
+    assert created_amp.tobytes() == amp.tobytes()
+    want = np.zeros(len(lists), dtype=np.intp)
+    want[alive] = basis.rank(occ[alive])
+    got_basis, got_index, got_amp = bracket_amplitudes(space, created, sigma)
+    assert got_basis is basis and np.array_equal(got_index, want)
+    assert got_amp.tobytes() == (amp / math.sqrt(math.factorial(n))).tobytes()
 
 
 def test_dimension_cap(monkeypatch):

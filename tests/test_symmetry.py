@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations
@@ -91,6 +92,34 @@ def test_half_turn_square_report(sigma):
     basis = build_basis(RING4_HALF, 1, sigma)
     u = SpinorRotation(RING4_HALF, 2).fock_lift(basis).matrix
     assert max_abs(u @ u - identity_matrix(basis).matrix) == pytest.approx(2.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("space, digests", [
+    (ModeSpace(Lattice.grid2d(3), SpinQuantum(1)), {  # quarter-turn spinor phases
+        1: ("f081d7110ab1c0c1d13b6ddb5ff60d22e5063e1c560f148b64979e7ccee3831d",
+            "febcb2901ac0b835e8c9f066fa92a3f1499655d6877fc8cdcd0347b9af2c760f"),
+        -1: ("8aff51c80ca8d6639e478f228d432f8c4102239ee8f7fdbcf3f6da1c6e84e392",
+             "328cdff3808097cc845f61796547135baee9cdd7836442e8e65a96ede5f1d159"),
+    }),
+    (ModeSpace(Lattice.ring(4), SpinQuantum(3)), {  # boson runs of three: the prod_m n_m! path
+        1: ("40e65a04d23983c27acebbed75202f7926ff87a63f37efa7857241634e034104",
+            "e5e550ae8c7eebd69dc6f11d09f12a07aad9786a2ee1ae7f4c2a0b588b2b2bb7"),
+        -1: ("7d288737811b4468cb9fab781ba9210ca693d3606e6b3cc8e7794bbc8729379a",
+             "9e3cae0f034f311363b762581879b5fcaeaa90f6ddce9a3aebbba984bd63b940"),
+    }),
+], ids=["grid3-2s1", "ring4-2s3"])
+def test_lift_arrays_are_pinned(space, digests):
+    # the bytes of every rotation step's image and phase arrays on N = 0..3:
+    # the residuals read from them are pinned elsewhere, but a reordered
+    # phase product that stays inside tolerance would pass those
+    for sigma, pinned in digests.items():
+        image, phase = hashlib.sha256(), hashlib.sha256()
+        for n in range(4):
+            for steps in range(space.lattice.steps_per_turn):
+                lift = symmetry._sector_unitary(SpinorRotation(space, steps), n, sigma)
+                image.update(lift.image.tobytes())
+                phase.update(lift.phase.tobytes())
+        assert (image.hexdigest(), phase.hexdigest()) == pinned, sigma
 
 
 @pytest.mark.parametrize(
