@@ -30,6 +30,7 @@ from .fockspace import (
     completeness_check,
     every_bracket,
     index_tuples,
+    joined_pieces,
     ladder_relation_residuals,
     max_abs,
     overlap_oracle,
@@ -374,9 +375,10 @@ def suite_completeness(cfg: RunConfig, rng) -> SuiteReport:
     for sigma in cfg.sigmas():
         brackets = every_bracket(space, n, sigma)
         worst_vs_oracle = 0.0
-        for _ in range(100):
-            probe = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            worst_vs_oracle = max(worst_vs_oracle, completeness_check(brackets, probe))
+        for piece in joined_pieces([m**n] * 100):  # the probes projected and symmetrized as one stack
+            probes = [rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in piece]
+            probes = probes[0] if len(probes) == 1 else np.stack(probes)  # a probe past the budget alone
+            worst_vs_oracle = max(worst_vs_oracle, completeness_check(brackets, probes))
         probe = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         once = project_onto_symmetric(brackets, probe)
         worst_idem = max_abs(project_onto_symmetric(brackets, once) - once)
@@ -551,6 +553,17 @@ def _out_dir(cfg: RunConfig) -> Path:
     return out
 
 
+def _run_suite(name: str, cfg: RunConfig, rng) -> SuiteReport:
+    """``SUITES[name](cfg, rng)``.  A ``MemoryError`` is raised again with the
+    suite named, from outside the handler, so the failed suite's frames and
+    the arrays they hold are freed first."""
+    try:
+        return SUITES[name](cfg, rng)
+    except MemoryError as exc:
+        reason = str(exc) or "an allocation failed"
+    raise MemoryError(f"the {name} suite: {reason}")
+
+
 def cmd_verify(cfg: RunConfig) -> int:
     rng = np.random.default_rng(cfg.seed)
     reports = []
@@ -558,7 +571,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         reports.append(check_expression(cfg))
     else:
         for name in cfg.suites:
-            reports.append(SUITES[name](cfg, rng))
+            reports.append(_run_suite(name, cfg, rng))
     out = _out_dir(cfg)
     all_passed = True
     for report in reports:
@@ -731,6 +744,9 @@ def main(argv=None) -> int:
     except RuntimeError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # the last resort where no estimate refused the run first
+        print(f"out of memory: {args.command}: {str(exc) or 'an allocation failed'}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

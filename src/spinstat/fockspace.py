@@ -15,26 +15,35 @@ a+(m_1)...a+(m_N)|0> of many mode lists (``_created_states``) give both the
 bracket states and the Fock lift of any mode map (``sector_lift``, a
 ``SectorLift``: rotations, spin reversal); each is ranked from its list.
 Operator matrices come in families: ``matrix_family`` builds the matrices
-M_p of a list of expressions between one pair of sectors in one kernel pass,
-with the expression index as a block-row offset, into one stacked CSR
-vstack_p(M_p) (an ``OperatorFamily``).  Only the (term, column) pairs whose
-first (rightmost) factor survives enter the kernel: the surviving rows are
-those of a pass over every column, in the same order and with the same
-products, so no bit of any matrix moves.  A run of consecutive members is a
-row range of the stack that shares its arrays, and ``matrix_of`` is the
-one-expression family.  The graded ladder relations are checked on such
-families in lean tiles: each tile is one product of a row range with the
-right members side by side, the mirror product's blocks are moved into
-place by index arithmetic, the sigma term is added or subtracted, and the
-identity comes off the diagonal where the maximum is read, so every
-residual stays bit-identical to pair-by-pair products.
+M_p of a list of expressions on each of a list of (domain, codomain) sector
+pairs, each pair's into one stacked CSR vstack_p(M_p) (an
+``OperatorFamily``) with the expression index as a block-row offset.
+Consecutive pairs are joined up to ``JOIN_ENTRIES``: one kernel pass over
+their domain occupations side by side, each row ranked with its own
+codomain's table, and one COO -> CSR whose row ranges are the pairs'
+stacks; a pair past the budget is built alone.  Only the (term, column)
+pairs whose first (rightmost) factor survives enter the kernel: the
+surviving rows are those of a pass over every column, in the same order and
+with the same products, and each row of a join receives the entries of its
+own one-sector build, so no bit of any matrix moves.  A run of consecutive
+members is a row range of the stack that shares its arrays, and
+``matrix_of`` is the one-expression family on one sector pair.  The
+graded ladder relations are checked on such families in lean tiles: each
+tile is one product of a row range with the right members side by side,
+the mirror product's blocks are moved into place by index arithmetic, the
+sigma term is added or subtracted, and the identity comes off the diagonal
+where the maximum is read, so every residual stays bit-identical to
+pair-by-pair products.
 ``FockBasis.rank`` inverts the basis order (combinations for sigma=-1,
 multisets for sigma=+1, in lexicographic order) with the combinatorial number
 system, the usual exact-diagonalization indexing.  The overlap and
 symmetrizer oracles stay brute force and separate on purpose: they check the
-kernel instead of repeating it.  ``overlap_oracle`` takes the coordinate
-labels of many tuple pairs at once and expands each pair's delta matrix over
-every permutation (a permanent or determinant), with no call into the kernel.
+kernel instead of repeating it.  The completeness projector and the
+symmetrizer oracle take a stack of probes along a leading axis (one offset
+``bincount``, one permutation sum), each probe's entries summed as on its
+own.  ``overlap_oracle`` takes the coordinate labels of many tuple pairs at
+once and expands each pair's delta matrix over every permutation (a
+permanent or determinant), with no call into the kernel.
 
 Bases and matrices are immutable once built; functions are pure, so matrix
 assembly can be partitioned by column with no shared state.
@@ -46,7 +55,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, combinations, combinations_with_replacement, permutations
+from itertools import accumulate, chain, combinations, combinations_with_replacement, permutations
 
 import numpy as np
 import scipy.sparse as sp
@@ -57,6 +66,7 @@ from .opalgebra import OperatorExpr, check_sigma
 
 DEFAULT_DIMENSION_CAP = 2_000_000
 _KERNEL_ROWS = 4096  # rows per kernel call in matrix_family, which bounds its working arrays
+JOIN_ENTRIES = 1 << 16  # the most entries one joined family build, rotation stack or probe stack holds
 _PRODUCT_ENTRIES = 1 << 12  # structural nnz bound per stacked product in _worst_relation
 _BRACKET_COPIES = 2  # the dense bracket matrix and its conjugate transpose
 
@@ -353,14 +363,8 @@ class OperatorFamily:
 
     def rows(self, start: int, stop: int) -> sp.csr_matrix:
         """vstack(M_start, ..., M_stop-1), sharing the stack's arrays."""
-        if (start, stop) == (0, self.size):
-            return self.stack
-        d, m = self.codomain.dim, self.stack
-        ptr = m.indptr[start * d:stop * d + 1]
-        view = sp.csr_matrix(((stop - start) * d, self.domain.dim), dtype=m.dtype)
-        # assigned after construction: the constructor copies a slice of a much larger array
-        view.indptr, view.indices, view.data = ptr - ptr[0], m.indices[ptr[0]:ptr[-1]], m.data[ptr[0]:ptr[-1]]
-        return view
+        d = self.codomain.dim
+        return _row_range(self.stack, start * d, stop * d, self.domain.dim)
 
     def blocks(self, order, phases=None) -> sp.csr_matrix:
         """vstack(phases[k] * M_order[k] over k), gathered from the stack.  Each
@@ -374,6 +378,18 @@ class OperatorFamily:
         for phase, start, end in zip(() if phases is None else phases, bounds[:-1], bounds[1:]):
             data[start:end] *= phase
         return sp.csr_matrix((data, m.indices[take], indptr), shape=(len(order) * d, m.shape[1]))
+
+
+def _row_range(m: sp.csr_matrix, start: int, stop: int, n_cols: int) -> sp.csr_matrix:
+    """Rows start to stop of ``m`` as a CSR of ``n_cols`` columns (none of
+    them holds an entry past that), sharing m's indices and data."""
+    if (start, stop, n_cols) == (0, *m.shape):
+        return m
+    ptr = m.indptr[start:stop + 1]
+    view = sp.csr_matrix((stop - start, n_cols), dtype=m.dtype)
+    # assigned after construction: the constructor copies a slice of a much larger array
+    view.indptr, view.indices, view.data = ptr - ptr[0], m.indices[ptr[0]:ptr[-1]], m.data[ptr[0]:ptr[-1]]
+    return view
 
 
 def row_gather(m: sp.csr_matrix, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -403,52 +419,84 @@ def identity_matrix(basis: FockBasis) -> OperatorMatrix:
 
 def matrix_of(expr: OperatorExpr, domain: FockBasis, codomain: FockBasis) -> OperatorMatrix:
     """Column j = expr applied to basis state j of the domain sector: the
-    one-expression ``matrix_family``."""
-    return OperatorMatrix(domain, codomain, matrix_family([expr], domain, codomain).stack)
+    one-expression ``matrix_family`` on one sector."""
+    return OperatorMatrix(domain, codomain, matrix_family([expr], [(domain, codomain)])[0].stack)
 
 
-def matrix_family(exprs, domain: FockBasis, codomain: FockBasis) -> OperatorFamily:
-    """Block p, column j = exprs[p] applied to basis state j of the domain sector.
+def joined_pieces(sizes) -> list[range]:
+    """Runs of consecutive items whose sizes add up to at most
+    ``JOIN_ENTRIES``; an item larger than that is a run of its own."""
+    pieces, start, total = [], 0, 0
+    for i, size in enumerate(sizes):
+        if i > start and total + size > JOIN_ENTRIES:
+            pieces.append(range(start, i))
+            start, total = i, 0
+        total += size
+    return pieces + [range(start, len(sizes))] if len(sizes) > start else pieces
+
+
+def matrix_family(exprs, sectors) -> list[OperatorFamily]:
+    """The family of ``exprs`` on each (domain, codomain) pair of ``sectors``,
+    in order: block p, column j of a sector's stack is exprs[p] applied to
+    basis state j of its domain.
 
     Every expression must change particle number uniformly across terms by
-    exactly codomain.N - domain.N.  The terms of all expressions go through
-    the kernel together (``_kernel_batches``); the expression index is a
-    block-row offset.  scipy's COO -> CSR conversion sums duplicates after an
-    unstable per-row sort by column, so its sums follow that sort, not the
-    input order; but each row of the stack receives the same sequence of
+    exactly codomain.N - domain.N on every sector.  Consecutive sectors are
+    joined while their kernel rows and stack rows (terms x domain.dim +
+    members x codomain.dim) add up to at most ``JOIN_ENTRIES``: a join sends
+    the terms of all expressions through the kernel once over the domains'
+    occupations side by side (``_kernel_batches``), ranks each row with its
+    own codomain's table, and converts one COO to one CSR whose row ranges
+    are the sectors' stacks; the expression index is a block-row offset in
+    each.  scipy's COO -> CSR conversion sums duplicates after an unstable
+    per-row sort by column, so its sums follow that sort, not the input
+    order; but each row of a joined stack receives the same sequence of
     (column, value) entries, in the same order, as the row of the
-    one-expression build of its own expression, so it is sorted and summed
-    the same way, and every block is bitwise the ``matrix_of`` of its
-    expression.
+    one-expression build of its own expression on its own sector, so it is
+    sorted and summed the same way, and every block is bitwise the
+    ``matrix_of`` of its expression.
     """
-    exprs = list(exprs)
-    if domain.space != codomain.space:
-        raise ValueError("domain and codomain live on different mode spaces")
-    required = codomain.n_particles - domain.n_particles
-    for expr in exprs:
-        if expr.sigma != domain.sigma or domain.sigma != codomain.sigma:
-            raise ValueError("statistics grade mismatch between expression and bases")
-        shift = expr.particle_shift() if expr.terms else required
-        if shift is None:
-            raise ValueError("expression changes particle number non-uniformly")
-        if shift != required:
-            raise ValueError(
-                f"expression shifts particle number by {shift}, sectors differ by {required}"
-            )
-    return OperatorFamily(domain, codomain, len(exprs), _stacked_entries(exprs, domain, codomain))
+    exprs, sectors = list(exprs), list(sectors)
+    shifts = [expr.particle_shift() if expr.terms else None for expr in exprs]
+    for domain, codomain in sectors:
+        if not domain.space == codomain.space == sectors[0][0].space:
+            raise ValueError("the sectors live on different mode spaces")
+        required = codomain.n_particles - domain.n_particles
+        for expr, shift in zip(exprs, shifts):
+            if expr.sigma != domain.sigma or domain.sigma != codomain.sigma:
+                raise ValueError("statistics grade mismatch between expression and bases")
+            if expr.terms and shift is None:
+                raise ValueError("expression changes particle number non-uniformly")
+            if expr.terms and shift != required:
+                raise ValueError(
+                    f"expression shifts particle number by {shift}, sectors differ by {required}"
+                )
+    return [
+        family
+        for piece in joined_pieces(_join_sizes(exprs, sectors))
+        for family in _joined_families(exprs, [sectors[i] for i in piece])
+    ]
 
 
-def _kernel_batches(exprs, domain: FockBasis):
-    """Every kernel call of a family build, as (kernel row's block-row offset,
-    column, coefficient, new rows, amplitudes, alive).
+def _join_sizes(exprs, sectors) -> list[int]:
+    """Kernel rows (terms x domain.dim) plus stack rows (members x
+    codomain.dim) of each sector's family: what ``JOIN_ENTRIES`` bounds."""
+    n_terms = sum(len(expr.terms) for expr in exprs)
+    return [n_terms * domain.dim + len(exprs) * codomain.dim for domain, codomain in sectors]
+
+
+def _kernel_batches(exprs, space: ModeSpace, occ: np.ndarray, sigma: int):
+    """Every kernel call of a family build on the occupation rows ``occ``, as
+    (kernel row's block-row offset, column, coefficient, new rows,
+    amplitudes, alive).
 
     A term enters the kernel only on the columns where its first (rightmost)
-    factor survives, found once per (mode, dagger) from the domain
-    occupations by the kernel's own rule (``_factor_survives``); a term
-    without factors enters on every column.  Rows are term-major, terms
-    ascending by length and then in expression order, columns ascending,
-    at most ``_KERNEL_ROWS`` rows a call unless one term has more.  No array
-    is terms x dim.  A pair dropped here would die at the kernel's first
+    factor survives, found once per (mode, dagger) from the occupations by
+    the kernel's own rule (``_factor_survives``); a term without factors
+    enters on every column.  Rows are term-major, terms ascending by length
+    and then in expression order, columns ascending, at most
+    ``_KERNEL_ROWS`` rows a call unless one term has more.  No array is
+    terms x columns.  A pair dropped here would die at the kernel's first
     factor, so the rows alive on return are those of a pass over every
     (term, column) pair, in the same order, with the same factor products:
     the COO of the family is the same, entry for entry, and so is every bit
@@ -458,12 +506,11 @@ def _kernel_batches(exprs, domain: FockBasis):
     for p, expr in enumerate(exprs):
         for term in expr.terms:
             by_length.setdefault(len(term.factors), []).append((p, term))
-    space, occ, sigma = domain.space, domain.occupations, domain.sigma
     acting: dict[tuple[int, bool], np.ndarray] = {}  # (mode, dagger) -> the columns where it survives
 
     def columns(term) -> np.ndarray:
         if not term.factors:
-            return np.arange(domain.dim)
+            return np.arange(len(occ))
         first = term.factors[-1]
         key = (space.index(first.mode), first.dagger)
         if key not in acting:
@@ -500,21 +547,53 @@ def _kernel_batches(exprs, domain: FockBasis):
             yield call(length, batch)
 
 
-def _stacked_entries(exprs, domain: FockBasis, codomain: FockBasis) -> sp.csr_matrix:
-    """vstack of the matrices of ``exprs``, from one COO of all their entries."""
-    co = codomain.dim
-    shape = (len(exprs) * co, domain.dim)
+def _joined_families(exprs, sectors) -> list[OperatorFamily]:
+    """The families of ``exprs`` on ``sectors``, from one COO of all their
+    entries: sector s's stack is rows offset[s] to offset[s + 1] of the
+    joined CSR, and its domain's columns are columns start[s] onward of the
+    joined kernel input."""
+    domains, codomains = zip(*sectors)
+    k = len(exprs)
+    start = list(accumulate((d.dim for d in domains), initial=0))
+    offset = list(accumulate((k * c.dim for c in codomains), initial=0))
+    shape = (offset[-1], max(d.dim for d in domains))
     index = np.int32 if max(shape) < 2**31 else np.int64  # as scipy would pick, so no entry is copied to convert
+    if len(sectors) == 1:
+        occ, place = domains[0].occupations, None
+    else:
+        occ = np.concatenate([d.occupations for d in domains])
+        place = np.array(start), np.array(offset), np.array([c.dim for c in codomains])
     rows, cols, vals = [], [], []
-    for owners, columns, coeffs, occ, amp, alive in _kernel_batches(exprs, domain):
-        rows.append((codomain.rank(occ[alive]) + (owners * co)[alive]).astype(index))
-        cols.append(columns[alive].astype(index))
+    for owners, columns, coeffs, new, amp, alive in _kernel_batches(exprs, domains[0].space, occ, domains[0].sigma):
+        columns, owners, new = columns[alive], owners[alive], new[alive]
+        if place is None:
+            rows.append((codomains[0].rank(new) + owners * codomains[0].dim).astype(index))
+        else:  # each row ranked in the codomain of its column's sector
+            at, first, co = place
+            sector = np.searchsorted(at, columns, side="right") - 1
+            rows.append((_rank_rows(codomains, sector, new) + first[sector] + owners * co[sector]).astype(index))
+            columns = columns - at[sector]
+        cols.append(columns.astype(index))
         vals.append((coeffs * amp)[alive])
     if not vals:
-        return sp.csr_matrix(shape, dtype=np.complex128)
-    # each list is dropped as soon as it is joined, so the pieces and the joins do not all coexist
-    vals, rows, cols = np.concatenate(vals), np.concatenate(rows), np.concatenate(cols)
-    return sp.coo_matrix((vals, (rows, cols)), shape=shape, dtype=np.complex128).tocsr()
+        joined = sp.csr_matrix(shape, dtype=np.complex128)
+    else:
+        # each list is dropped as soon as it is joined, so the pieces and the joins do not all coexist
+        vals, rows, cols = np.concatenate(vals), np.concatenate(rows), np.concatenate(cols)
+        joined = sp.coo_matrix((vals, (rows, cols)), shape=shape, dtype=np.complex128).tocsr()
+    return [
+        OperatorFamily(d, c, k, _row_range(joined, offset[s], offset[s + 1], d.dim))
+        for s, (d, c) in enumerate(sectors)
+    ]
+
+
+def _rank_rows(codomains, sector: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Each occupation row's index in its own codomain, codomains[sector]."""
+    out = np.empty(len(rows), dtype=np.int64)
+    for s in np.unique(sector):
+        at = sector == s
+        out[at] = codomains[s].rank(rows[at])
+    return out
 
 
 def ladder_relation_residuals(
@@ -525,17 +604,23 @@ def ladder_relation_residuals(
     from those with N >= 2, and [c+_p, c+_q]_sigma = 0 from each to N + 2.
 
     The c_p and the c+_p (from the adjoint expressions, not transposes) are
-    one family each per sector, built in one ``matrix_family`` pass; each
+    one family each per sector, built in one ``matrix_family`` call per
+    expression list and join of sectors; each
     relation on each sector is a few stacked sparse products
     (``_worst_relation``).
     """
     bases = [build_basis(space, n, sigma) for n in range(n_max + 3)]
     creators = [c.dagger() for c in annihilators]
+    tops = range(n_max + 1, -1, -1)  # largest first: its build peak meets the fewest held families
+    raising = [(bases[n], bases[n + 1]) for n in tops]
     up, down = {}, {}
-    for n in reversed(range(n_max + 2)):  # largest first: its build peak meets the fewest held families
-        up[n] = matrix_family(creators, bases[n], bases[n + 1])
-        if n:
-            down[n] = matrix_family(annihilators, bases[n], bases[n - 1])
+    # the c+ and the c families of one join in turn: the small sectors in one
+    # call per expression list, each sector past the budget alone, as before
+    for piece in joined_pieces(_join_sizes(creators, raising)):
+        ns = [tops[i] for i in piece]
+        up.update(zip(ns, matrix_family(creators, [raising[i] for i in piece])))
+        ns = [n for n in ns if n]
+        down.update(zip(ns, matrix_family(annihilators, [(bases[n], bases[n - 1]) for n in ns])))
     mixed = ann = cre = 0.0
     for n in range(n_max + 1):
         mirror = (up[n - 1], down[n]) if n else None  # c+_q c_p kills the vacuum
@@ -704,19 +789,21 @@ def overlap_oracle(bras, kets, sigma: int) -> np.ndarray:
 # -- first-quantized symmetrizer and completeness ----------------------------
 
 
-def symmetrizer_oracle(tensor: np.ndarray, sigma: int) -> np.ndarray:
-    """(1/N!) sum over permutations of sigma^P times the permuted tensor.
+def symmetrizer_oracle(tensor: np.ndarray, sigma: int, probes: bool = False) -> np.ndarray:
+    """(1/N!) sum over permutations of sigma^P times the permuted tensor; with
+    ``probes`` the first axis lists tensors, each symmetrized on its own.
 
     This is the projector onto the sigma-symmetric subspace, used as the
     independent oracle for the bracket-state completeness relation.
     """
     check_sigma(sigma)
     tensor = np.asarray(tensor)
-    n = tensor.ndim
+    lead = int(probes)
+    n = tensor.ndim - lead
     out = np.zeros_like(tensor, dtype=np.complex128)
     for perm in permutations(range(n)):
         sign = 1.0 if sigma == 1 or perm_parity(perm) == 1 else -1.0
-        out += sign * np.transpose(tensor, axes=perm)
+        out += sign * np.transpose(tensor, axes=(*range(lead), *(lead + p for p in perm)))
     return out / math.factorial(n)
 
 
@@ -752,24 +839,31 @@ def bracket_matrix(space: ModeSpace, n_particles: int, sigma: int) -> np.ndarray
 
 def project_onto_symmetric(brackets, tensor: np.ndarray) -> np.ndarray:
     """Apply the resolution sum sum_x |x><x| (one measure-weighted coordinate
-    sum per slot) to a first-quantized probe tensor, given ``every_bracket``
-    of its sector.  Column x of the bracket matrix B holds one real entry,
-    amp[x] in row index[x], so B v is a bincount and B+ u is amp * u[index]."""
+    sum per slot) to a first-quantized probe tensor, or to each of a stack
+    of them along a leading axis, given ``every_bracket`` of its sector.
+    Column x of the bracket matrix B holds one real entry, amp[x] in row
+    index[x], so B v is a bincount and B+ u is amp * u[index]; probe k of a
+    stack takes the bins from k * dim on, so each bin sums the same terms
+    in the same order as a probe on its own."""
     basis, index, amp = brackets
     shape = (basis.space.n_modes,) * basis.n_particles
     tensor = np.asarray(tensor, dtype=np.complex128)
-    if tensor.shape != shape:
-        raise ValueError(f"probe must have shape {shape}")
-    terms = amp * (tensor.reshape(-1) * basis.space.lattice.cell_volume**basis.n_particles)
-    state = np.bincount(index, terms.real).astype(np.complex128)  # B v up to the last index used
-    state.imag = np.bincount(index, terms.imag)
-    return (amp * state[index]).reshape(shape)
+    if tensor.ndim - len(shape) not in (0, 1) or tensor.shape[tensor.ndim - len(shape):] != shape:
+        raise ValueError(f"probe must have shape {shape}, or a stack of them along a leading axis")
+    stack = tensor.reshape(-1, len(index))
+    bins = (np.arange(len(stack))[:, None] * basis.dim + index).ravel()
+    terms = (amp * (stack * basis.space.lattice.cell_volume**basis.n_particles)).ravel()
+    state = np.bincount(bins, terms.real).astype(np.complex128)  # B v up to the last index used
+    state.imag = np.bincount(bins, terms.imag)
+    return (amp * state[bins].reshape(stack.shape)).reshape(tensor.shape)
 
 
 def completeness_check(brackets, probe: np.ndarray) -> float:
     """Max-norm residual between the bracket-state projector and the
-    first-quantized symmetrizer applied to the same probe, given
-    ``every_bracket`` of the probe's sector."""
+    first-quantized symmetrizer applied to the same probe, or the largest
+    over a stack of probes along a leading axis, given ``every_bracket`` of
+    the probes' sector."""
+    probe = np.asarray(probe, dtype=np.complex128)
     projected = project_onto_symmetric(brackets, probe)
-    oracle = symmetrizer_oracle(np.asarray(probe, dtype=np.complex128), brackets[0].sigma)
+    oracle = symmetrizer_oracle(probe, brackets[0].sigma, probes=probe.ndim > brackets[0].n_particles)
     return max_abs(projected - oracle)

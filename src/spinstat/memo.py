@@ -50,6 +50,15 @@ class Memo:
             value = self._store[key] = self._fn(*args, **kwargs)
         return value
 
+    def store(self, value, *args):
+        """Keep ``value`` as the result for ``args`` wherever a call would
+        keep one, counted as a miss: the caller computed it on the way to
+        something larger."""
+        if self._always or _open_scopes:
+            self.misses += 1
+            self._store[args] = value
+        return value
+
     def cache_info(self) -> CacheInfo:
         return CacheInfo(self.hits, self.misses, None, len(self._store))
 

@@ -15,17 +15,20 @@ exactly (1, i, -1, -i) so half-integral spinor phases at a half turn are
 exact +-i.  The covariance checks cover every lattice rotation, projection
 and site in one call.  Their operators are families (``matrix_family``):
 a(xi) over every mode, or F(r) over every site for one projection, each
-built in one kernel pass per sector into one stacked CSR.  Each sector lift
-is monomial and is held as image and phase arrays (``SectorLift``), so each
-rotation of a sector relabels that stack's rows and columns and multiplies
-its values by two phases, with no sparse product; it is compared with a
-phased gather of the stack's blocks.  Inversion compares the stack with its
+one stacked CSR per sector, built for all sectors of an expression list in
+one call.  Each sector lift is monomial and is held as image and phase
+arrays (``SectorLift``), so a rotation of a sector relabels that stack's
+rows and columns and multiplies its values by two phases, with no sparse
+product.  The rotation steps of a family are conjugated into one stack
+(``_conjugated_stack``, up to ``fockspace.JOIN_ENTRIES`` per stack), which
+is compared with one phased gather of the family's blocks: one difference
+and one maximum for all steps.  Inversion compares the stack with its
 blocks gathered in inverted site order.
 
 Inside one command (``memo.command_scope``) the families of F(r), their
-one-step and half-turn conjugations and each grade's ``PairChecks`` record
-are built once and read by every check that needs them; outside a command
-each call builds its own.
+one-step and half-turn conjugations (kept from the rotation covariance's
+stacks) and each grade's ``PairChecks`` record are built once and read by
+every check that needs them; outside a command each call builds its own.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ from .fockspace import (
     SectorLift,
     bracket_amplitudes,
     build_basis,
+    joined_pieces,
     matrix_family,
     max_abs,
     perm_parity,
@@ -148,48 +152,77 @@ def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return out
 
 
-def _conjugated_family(rot: SpinorRotation, family: OperatorFamily) -> OperatorFamily:
-    """The family of U M_p U+ over the members M_p of ``family``, by
-    relabelling its stack.  Each lift is monomial, so row (p, i) of the
-    result is source row (p, source[i]) in its stored order, with column j
-    moved to image[j], and each entry is the one product the sparse triple
-    product kron(1, U_codomain) @ stack @ U_domain^dagger forms for it:
-    ``0 + ((0 + u * m) * conj(w))``, u the codomain lift's entry of row i, w
-    the domain lift's of column j.  Entries that come out exactly zero are
-    dropped, as that product drops them, so every array of the result is the
-    product's, bit for bit."""
+def _conjugated_stack(rots, family: OperatorFamily) -> OperatorFamily:
+    """The family of U M_p U+ over the rotations U of ``rots`` (outer) and
+    the members M_p of ``family`` (inner), by relabelling its stack: member
+    s * len(family) + p is U_s M_p U_s+.  Each lift is monomial, so row
+    (s, p, i) of the result is source row (p, source_s[i]) in its stored
+    order, with column j moved to image_s[j], and each entry is the one
+    product the sparse triple product kron(1, U_codomain) @ stack @
+    U_domain^dagger forms for it: ``0 + ((0 + u * m) * conj(w))``, u the
+    codomain lift's entry of row i, w the domain lift's of column j.
+    Entries that come out exactly zero are dropped, as that product drops
+    them, so every array of each rotation's rows is that product's, bit for
+    bit."""
     co, dom = family.codomain, family.domain
-    lift_co = _sector_unitary(rot, co.n_particles, co.sigma)
-    lift_dom = _sector_unitary(rot, dom.n_particles, dom.sigma)
-    m = family.stack
-    take, indptr = row_gather(m, (np.arange(len(family))[:, None] * co.dim + lift_co.source).ravel())
-    cols = m.indices[take]
-    u = np.repeat(np.tile(lift_co.phase[lift_co.source], len(family)), np.diff(indptr))
-    w = lift_dom.phase[cols]
-    vals = m.data[take]
+    lifts = [
+        (_sector_unitary(rot, co.n_particles, co.sigma), _sector_unitary(rot, dom.n_particles, dom.sigma))
+        for rot in rots
+    ]
+    m, members = family.stack, np.arange(len(family))[:, None] * co.dim
+    take, indptr = row_gather(m, _joined([(members + lift.source).ravel() for lift, _ in lifts]))
+    cols, vals = m.indices[take], m.data[take]
+    starts = indptr[np.arange(len(rots) + 1) * m.shape[0]]  # where each rotation's entries start
+    spans = [(lift, a, b) for (_, lift), a, b in zip(lifts, starts, starts[1:])]  # the domain lift's entries
+    u = np.repeat(_joined([np.tile(lift.phase[lift.source], len(family)) for lift, _ in lifts]), np.diff(indptr))
+    w = _joined([lift.phase[cols[a:b]] for lift, a, b in spans])
+    indices = _joined([lift.image[cols[a:b]] for lift, a, b in spans])
     xr, xi = _times(u.real, u.imag, vals.real, vals.imag)
     yr, yi = _times(xr, xi, w.real, -w.imag)
-    indices = lift_dom.image[cols].astype(m.indices.dtype)
+    indices = indices.astype(m.indices.dtype)
     kept = (yr != 0) | (yi != 0)
     if not kept.all():
         indptr = np.append(0, np.cumsum(kept))[indptr].astype(m.indptr.dtype)
         yr, yi, indices = yr[kept], yi[kept], indices[kept]
-    stack = sp.csr_matrix((_complex(yr, yi), indices, indptr), shape=m.shape)
-    return OperatorFamily(family.domain, family.codomain, len(family), stack)
+    stack = sp.csr_matrix((_complex(yr, yi), indices, indptr), shape=(len(rots) * m.shape[0], m.shape[1]))
+    return OperatorFamily(dom, co, len(rots) * len(family), stack)
+
+
+def _joined(arrays) -> np.ndarray:
+    """``np.concatenate(arrays)``, without copying a lone array."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+def _conjugated_family(rot: SpinorRotation, family: OperatorFamily) -> OperatorFamily:
+    """The family of U M_p U+ over the members M_p of ``family``: the
+    one-rotation ``_conjugated_stack``."""
+    return _conjugated_stack([rot], family)
+
+
+def _stepped(family: OperatorFamily, rots):
+    """``_conjugated_stack`` of ``family`` under each of ``rots``, as
+    (rotations, stack) over runs of consecutive rotations whose
+    conjugations' entries and rows add up to at most ``JOIN_ENTRIES``."""
+    size = family.stack.nnz + family.stack.shape[0]
+    for piece in joined_pieces([size] * len(rots)):
+        run = [rots[i] for i in piece]
+        yield run, _conjugated_stack(run, family)
 
 
 @command_memo
 def _pair_conjugation(rot: SpinorRotation, family: OperatorFamily) -> OperatorFamily:
     """``_conjugated_family`` of a family of F(r) by the one-step or the
     half-turn rotation: the rotation covariance, the half-turn eigenvalue
-    and the winding all read these, so a command makes each once."""
+    and the winding all read these, so a command makes each once.  The
+    covariance check stores here the rows of its stacked conjugation."""
     return _conjugated_family(rot, family)
 
 
 def _covariance_residual(conj: OperatorFamily, family: OperatorFamily, images, phases) -> float:
-    """Worst entry of U M_i U+ - phases[i] M_images[i] over the members M_i of
-    ``family``, with ``conj`` its ``_conjugated_family``, against a phased
-    block-row gather of the same stack."""
+    """Worst entry of conj_i - phases[i] M_images[i] over the members conj_i
+    of ``conj`` (a ``_conjugated_stack`` of ``family``, one member per
+    image), against a phased block-row gather of the family's stack: one
+    difference and one maximum however many rotations ``conj`` stacks."""
     return max_abs(conj.stack - family.blocks(images, phases))
 
 
@@ -237,18 +270,20 @@ def rotation_element_residual(space: ModeSpace, sigma: int, n_max: int = 3) -> f
     """Worst residual of U a(xi) U+ = e^{i m_s theta} a(R^{-1} xi) over every
     lattice rotation, every mode xi = (r, m_s) and sectors 1..n_max.
 
-    The a(xi) of all modes are one family per sector; the rotated side
-    gathers the blocks of the image modes, and each rotation is one stacked
-    conjugation per sector.
+    The a(xi) of all modes are one family per sector, built in one
+    ``matrix_family`` call; each family's rotations are one stacked
+    conjugation (``_stepped``), compared with one gather of the image
+    modes' blocks.
     """
     annihilators = [destroy(mode, sigma) for mode in space.modes]
+    sectors = [(build_basis(space, n, sigma), build_basis(space, n - 1, sigma)) for n in range(1, n_max + 1)]
+    rots = [_rotation(space, steps) for steps in range(space.lattice.steps_per_turn)]
     worst = 0.0
-    for n in range(1, n_max + 1):
-        family = matrix_family(annihilators, build_basis(space, n, sigma), build_basis(space, n - 1, sigma))
-        for steps in range(space.lattice.steps_per_turn):
-            rot = _rotation(space, steps)
-            conj = _conjugated_family(rot, family)
-            worst = max(worst, _covariance_residual(conj, family, rot.mode_permutation, rot.field_phases))
+    for family in matrix_family(annihilators, sectors):
+        for run, conj in _stepped(family, rots):
+            images = [i for rot in run for i in rot.mode_permutation]
+            phases = [phase for rot in run for phase in rot.field_phases]
+            worst = max(worst, _covariance_residual(conj, family, images, phases))
     return worst
 
 
@@ -294,30 +329,37 @@ def pair_operator(space: ModeSpace, twos_ms: int, site: int, sigma: int) -> Oper
 @command_memo
 def _pair_sectors(space: ModeSpace, sigma: int, n_max: int) -> tuple[tuple[int, OperatorFamily], ...]:
     """(2m_s, the family of F(r) over every site r) per projection and sector
-    N = 2..n_max, each built in one ``matrix_family`` pass, once per command."""
+    N = 2..n_max, one ``matrix_family`` call per projection, once per
+    command."""
     sites = range(space.lattice.n_sites)
+    sectors = [(build_basis(space, n, sigma), build_basis(space, n - 2, sigma)) for n in range(2, n_max + 1)]
     out = []
     for twos_ms in space.spin.projections():
         pairs = [pair_operator(space, twos_ms, site, sigma) for site in sites]
-        for n in range(2, n_max + 1):
-            family = matrix_family(pairs, build_basis(space, n, sigma), build_basis(space, n - 2, sigma))
-            out.append((twos_ms, family))
+        out.extend((twos_ms, family) for family in matrix_family(pairs, sectors))
     return tuple(out)
 
 
 def rotation_covariance_check(space: ModeSpace, sigma: int, n_max: int = 3) -> float:
     """Max residual of U F(r) U+ = e^{2 i m_s theta} F(R^{-1} r) over every lattice
-    rotation, every projection, every site r and sectors 2..n_max."""
+    rotation, every projection, every site r and sectors 2..n_max.  Each
+    family's rotations are one stacked conjugation (``_stepped``), whose
+    one-step and half-turn rows are kept for the pair checks."""
     lattice = space.lattice
+    rots = [_rotation(space, steps) for steps in range(lattice.steps_per_turn)]
     kept = {1, lattice.steps_per_turn // 2}  # the steps the pair checks read again
     worst = 0.0
     for twos_ms, family in _pair_sectors(space, sigma, n_max):
-        for steps in range(lattice.steps_per_turn):
-            rot = _rotation(space, steps)
-            conj = (_pair_conjugation if steps in kept else _conjugated_family)(rot, family)
-            phase = cis_turns(twos_ms * rot.turns)  # e^{2 i m_s theta}
-            images = [lattice.rotate_site_z(site, steps) for site in range(len(family))]
-            worst = max(worst, _covariance_residual(conj, family, images, [phase] * len(family)))
+        k = len(family)
+        for run, conj in _stepped(family, rots):
+            images = [lattice.rotate_site_z(site, rot.steps) for rot in run for site in range(k)]
+            phases = [p for rot in run for p in [cis_turns(twos_ms * rot.turns)] * k]  # e^{2 i m_s theta}
+            worst = max(worst, _covariance_residual(conj, family, images, phases))
+            for s, rot in enumerate(run):
+                if rot.steps in kept:  # copied out of a stack of several, so the rest of it is freed
+                    rows = conj.rows(s * k, (s + 1) * k)
+                    step = OperatorFamily(family.domain, family.codomain, k, rows.copy() if len(run) > 1 else rows)
+                    _pair_conjugation.store(step, rot, family)
     return worst
 
 
@@ -463,8 +505,10 @@ def pair_checks(space: ModeSpace, sigma: int, n_max: int = 3) -> PairChecks:
         even_part = max_abs(mirrored + family.stack)
         inversion = max(inversion, max_abs(mirrored - family.stack) if sigma == 1 else even_part)
         even = max(even, even_part)
+    for tm, fams in families.items():
         same = destroy(Mode(origin, tm), sigma) * destroy(Mode(origin, tm), sigma)
-        same_point[tm] = max(same_point[tm], max_abs(matrix_family([same], family.domain, family.codomain).stack))
+        for family in matrix_family([same], [(f.domain, f.codomain) for f in fams]):
+            same_point[tm] = max(same_point[tm], max_abs(family.stack))
     eigen = {tm: _half_turn_eigenvalue(fams, probe) for tm, fams in families.items()}
     return PairChecks(
         space=space,

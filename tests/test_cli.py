@@ -306,30 +306,36 @@ def _count_calls(monkeypatch, home, name) -> list:
     return calls
 
 
+def _sector_builds(builds) -> list:
+    """(expressions, domain, codomain) of every sector of every ``matrix_family`` call."""
+    return [(tuple(exprs), domain, codomain) for exprs, sectors in builds for domain, codomain in sectors]
+
+
 def test_rotation_suite_builds_each_matrix_once(monkeypatch):
     cfg = load_config(None).validate()  # CLI defaults: ring:4, 2s=1 (8 modes), both grades, n_max=3
     builds = _count_calls(monkeypatch, fockspace, "matrix_family")
     report = cli.suite_rotation(cfg, None)
     assert report.passed
-    # per grade: one family of a(xi) over the 8 modes on N = 1, 2 and one of
-    # F(r) over the 4 sites per projection on N = 2, 3
-    assert len(builds) == 2 * (2 + 2 * 2) == 12
-    assert sorted(len(exprs) for exprs, _, _ in builds) == [4] * 8 + [8] * 4
-    assert sum(len(exprs) for exprs, _, _ in builds) == 64  # the matrices, one each
-    families = {(tuple(exprs), domain, codomain) for exprs, domain, codomain in builds}
-    assert len(families) == len(builds)  # no (family, sector) twice
+    # per grade: one call building the family of a(xi) over the 8 modes on
+    # N = 1, 2 and one per projection building F(r) over the 4 sites on N = 2, 3
+    assert [(len(exprs), len(sectors)) for exprs, sectors in builds] == [(8, 2), (4, 2), (4, 2)] * 2
+    sectors = _sector_builds(builds)
+    assert len(sectors) == 2 * (2 + 2 * 2) == 12
+    assert sorted(len(exprs) for exprs, _, _ in sectors) == [4] * 8 + [8] * 4
+    assert sum(len(exprs) for exprs, _, _ in sectors) == 64  # the matrices, one each
+    assert len(set(sectors)) == len(sectors)  # no (family, sector) twice
 
 
 def test_ladder_relations_build_each_ladder_matrix_once(monkeypatch):
     cfg = load_config(None).validate()  # CLI defaults: ring:4, 2s=1 (8 modes), both grades, n_max=3
     builds = _count_calls(monkeypatch, fockspace, "matrix_family")
     cli.suite_commutators(cfg, None)
-    # per grade: one family of the 8 annihilators on each of N = 1..4 and
-    # one of the 8 creators on each of N = 0..4
-    assert len(builds) == 2 * (4 + 5)
-    assert [len(exprs) for exprs, _, _ in builds] == [8] * 18
-    families = {(tuple(exprs), domain, codomain) for exprs, domain, codomain in builds}
-    assert len(families) == len(builds)  # no (family, sector) twice
+    # per grade: one call building the family of the 8 creators on each of
+    # N = 0..4 and one building that of the 8 annihilators on each of N = 1..4
+    assert [(len(exprs), len(sectors)) for exprs, sectors in builds] == [(8, 5), (8, 4)] * 2
+    sectors = _sector_builds(builds)
+    assert len(sectors) == 2 * (4 + 5)
+    assert len(set(sectors)) == len(sectors)  # no (family, sector) twice
     orderings = _count_calls(monkeypatch, opalgebra, "normal_order")
     cli.suite_ideal_gas(cfg, None)
     assert orderings == []
@@ -341,21 +347,25 @@ def test_pair_suites_build_each_pair_matrix_once(monkeypatch, suite, total):
     builds = _count_calls(monkeypatch, fockspace, "matrix_family")
     assert suite(cfg, None).passed
     # per grade, projection and N = 2, 3: one family of F(r) over the 4 sites and
-    # one same-point pair (24 and 20 builds when each identity was computed apart)
-    assert sorted(len(exprs) for exprs, _, _ in builds) == [1] * (total // 2) + [4] * (total // 2)
-    families = {(tuple(exprs), domain, codomain) for exprs, domain, codomain in builds}
-    assert len(families) == len(builds) == total  # no (expression list, sector) twice
+    # one same-point pair (24 and 20 builds when each identity was computed apart),
+    # each expression list on N = 2, 3 in one call
+    assert [len(sectors) for _, sectors in builds] == [2] * (total // 2)
+    sectors = _sector_builds(builds)
+    assert sorted(len(exprs) for exprs, _, _ in sectors) == [1] * (total // 2) + [4] * (total // 2)
+    assert len(set(sectors)) == len(sectors) == total  # no (expression list, sector) twice
 
 
 def test_default_verify_builds_each_family_once_for_every_suite(tmp_path, monkeypatch):
     builds = _count_calls(monkeypatch, fockspace, "matrix_family")
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["verify", "--out", str(tmp_path / "o")]) == 0
-    # 84 when each suite built its own: the rotation, pair-operator and theorem
-    # suites share the F(r) families (8 per grade), the pair-operator and
-    # theorem suites the same-point pairs (4 per grade)
-    assert len(builds) == 60
-    built = Counter((tuple(exprs), domain, codomain) for exprs, domain, codomain in builds)
+    # 84 sector builds when each suite built its own: the rotation, pair-operator
+    # and theorem suites share the F(r) families (8 per grade), the
+    # pair-operator and theorem suites the same-point pairs (4 per grade); 60
+    # calls when each made one call per sector, 22 with one per expression list
+    assert len(builds) == 22
+    assert len(_sector_builds(builds)) == 60
+    built = Counter(_sector_builds(builds))
     repeats = {
         (exprs, domain.sigma, domain.n_particles, codomain.n_particles): n
         for (exprs, domain, codomain), n in built.items() if n > 1
@@ -967,6 +977,21 @@ def test_memory_probe_reads_the_address_space_limit():
     )
     assert child.returncode == 0, child.stderr
     assert 0 < int(child.stdout) < 1_500_000_000  # the limit less what the child already maps
+
+
+def test_running_out_of_memory_exits_2_naming_the_command_and_suite(tmp_path):
+    # ring:16, 2s=7: the rotation suite's sectors of 128 modes (N = 3 holds
+    # about 350,000 states of 128 occupations each) need more than 350 MB of
+    # address space; that ended in rc 1 and a numpy MemoryError traceback
+    out = tmp_path / "o"
+    child = _limited_child(
+        "from spinstat.cli import main\nsys.exit(main(sys.argv[1:]))", 350_000_000,
+        "verify", "--suite", "rotation", "--lattice", "ring:16", "--twos-s", "7", "--out", str(out),
+    )
+    assert child.returncode == 2, child.stderr
+    assert child.stderr.startswith("out of memory: verify: the rotation suite: ")
+    assert "Traceback" not in child.stderr
+    assert not out.exists()
 
 
 def test_completeness_at_n4_runs_under_the_address_space_limit(tmp_path):

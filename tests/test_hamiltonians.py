@@ -136,8 +136,8 @@ def test_eigenmode_stack_holds_one_projection_share_of_mixed_eigenmodes(twos_s, 
     _, phi = one_particle_spectrum(spec, lattice, spin)
     _, mixed = np.linalg.eigh(one_body_matrix(spec, lattice, spin))
     two, one = build_basis(space, 2, sigma), build_basis(space, 1, sigma)
-    lifted_nnz = matrix_family(mode_operators(space, phi, sigma), two, one).stack.nnz
-    mixed_nnz = matrix_family(mode_operators(space, mixed, sigma), two, one).stack.nnz
+    lifted_nnz = matrix_family(mode_operators(space, phi, sigma), [(two, one)])[0].stack.nnz
+    mixed_nnz = matrix_family(mode_operators(space, mixed, sigma), [(two, one)])[0].stack.nnz
     assert 0 < lifted_nnz * spin.multiplicity <= mixed_nnz
 
 

@@ -10,7 +10,15 @@ import scipy.sparse as sp
 from helpers import conjugated
 from spinstat import symmetry
 from spinstat.memo import command_scope
-from spinstat.fockspace import build_basis, identity_matrix, matrix_family, max_abs
+from spinstat import fockspace
+from spinstat.fockspace import (
+    build_basis,
+    completeness_check,
+    every_bracket,
+    identity_matrix,
+    matrix_family,
+    max_abs,
+)
 from spinstat.modes import Lattice, Mode, ModeSpace, SpinQuantum
 from spinstat.opalgebra import destroy, normal_order
 from spinstat.symmetry import (
@@ -236,7 +244,7 @@ def test_rotation_covariance_quarter_turn(sigma):
 def test_stacked_covariance_residual_catches_wrong_images_and_phases(sigma):
     # a(xi) on N = 2 -> 1 under a quarter turn of ring:4, all modes in one stacked conjugation
     domain, codomain = build_basis(RING4_HALF, 2, sigma), build_basis(RING4_HALF, 1, sigma)
-    family = matrix_family([destroy(mode, sigma) for mode in RING4_HALF.modes], domain, codomain)
+    family = matrix_family([destroy(mode, sigma) for mode in RING4_HALF.modes], [(domain, codomain)])[0]
     rot = SpinorRotation(RING4_HALF, 1)
     images, phases = list(rot.mode_permutation), list(rot.field_phases)
     conj = symmetry._conjugated_family(rot, family)
@@ -342,10 +350,17 @@ def _pair_builds(space, sigma, sectors):
     return builds
 
 
+def _sector_builds(calls) -> Counter:
+    """(expression list, domain) of every sector of every ``matrix_family`` call."""
+    return Counter((tuple(exprs), domain) for exprs, sectors in calls for domain, _ in sectors)
+
+
 def test_parity_covariance_builds_each_pair_matrix_once(monkeypatch):
     calls = _count_calls(monkeypatch, "matrix_family")
     assert pair_checks(RING4_HALF, -1, n_max=3).inversion_residual <= 1e-12
-    assert Counter((tuple(exprs), domain) for exprs, domain, _ in calls) == _pair_builds(RING4_HALF, -1, (2, 3))
+    assert _sector_builds(calls) == _pair_builds(RING4_HALF, -1, (2, 3))
+    # one call per expression list: F(r) and the same-point pair per projection, on N = 2, 3 at once
+    assert len(calls) == 2 * 2
     # on rings the same-point pair is no member of the family: site 0 inverts to M/2
     assert _same_point(RING4_HALF, 1, -1) != pair_operator(RING4_HALF, 1, 0, -1)
 
@@ -365,11 +380,11 @@ def test_theorem_report_checks_origin_once_per_grade_and_projection(monkeypatch)
     theorem_report(RING4_HALF, n_max=3)
     # one pair record per grade, whose same-point pair is built once per projection and sector
     assert records == [(RING4_HALF, 1, 3), (RING4_HALF, -1, 3)]
-    same_point = Counter((exprs[0], domain) for exprs, domain, _ in families if len(exprs) == 1)
-    assert same_point == Counter({
-        (_same_point(RING4_HALF, tm, sigma), build_basis(RING4_HALF, n, sigma)): 1
+    same_point = {key: n for key, n in _sector_builds(families).items() if len(key[0]) == 1}
+    assert same_point == {
+        ((_same_point(RING4_HALF, tm, sigma),), build_basis(RING4_HALF, n, sigma)): 1
         for sigma in (1, -1) for tm in (1, -1) for n in (2, 3)
-    })
+    }
 
 
 def test_theorem_report_builds_each_even_inversion_pair_matrix_once(monkeypatch):
@@ -379,9 +394,50 @@ def test_theorem_report_builds_each_even_inversion_pair_matrix_once(monkeypatch)
     # per grade and projection, on N = 2, one family of F(r) over every site,
     # read by the inversion checks, the half-turn eigenvalue at the probe and
     # the winding along the probe's orbit, and one same-point pair
-    assert Counter((tuple(exprs), domain) for exprs, domain, _ in families) == (
-        _pair_builds(space, 1, (2,)) + _pair_builds(space, -1, (2,))
-    )
+    assert _sector_builds(families) == _pair_builds(space, 1, (2,)) + _pair_builds(space, -1, (2,))
+    assert len(families) == 2 * 4 * 2  # one sector, so one call per expression list and sector
+
+
+def _per_step_maxima(space, sigma, n_max=3):
+    """The field-transform and pair-covariance residuals with one
+    conjugation, one difference and one maximum per rotation step."""
+    rots = [SpinorRotation(space, steps) for steps in range(space.lattice.steps_per_turn)]
+    annihilators = [destroy(mode, sigma) for mode in space.modes]
+    element = covariance = 0.0
+    for n in range(1, n_max + 1):
+        family = matrix_family(annihilators, [(build_basis(space, n, sigma), build_basis(space, n - 1, sigma))])[0]
+        for rot in rots:
+            conj = symmetry._conjugated_family(rot, family)
+            residual = symmetry._covariance_residual(conj, family, rot.mode_permutation, rot.field_phases)
+            element = max(element, residual)
+    for twos_ms, family in symmetry._pair_sectors(space, sigma, n_max):
+        for rot in rots:
+            images = [space.lattice.rotate_site_z(site, rot.steps) for site in range(len(family))]
+            phases = [cis_turns(twos_ms * rot.turns)] * len(family)
+            conj = symmetry._conjugated_family(rot, family)
+            covariance = max(covariance, symmetry._covariance_residual(conj, family, images, phases))
+    return element, covariance
+
+
+@pytest.mark.parametrize(
+    "space", [RING4_HALF, ModeSpace(Lattice.grid2d(3), SpinQuantum(1))], ids=["ring4-2s1", "grid3-2s1"]
+)
+def test_stacked_compares_return_the_per_step_and_per_probe_maxima(space):
+    rng = np.random.default_rng(7)
+    rots = [SpinorRotation(space, steps) for steps in range(space.lattice.steps_per_turn)]
+    for sigma in (1, -1):
+        for _, family in symmetry._pair_sectors(space, sigma, 3):
+            assert len(list(symmetry._stepped(family, rots))) == 1  # every rotation in one stack
+        stacked = (rotation_element_residual(space, sigma), rotation_covariance_check(space, sigma))
+        assert stacked == _per_step_maxima(space, sigma)
+        for n in (2, 3):
+            brackets = every_bracket(space, n, sigma)
+            shape = (space.n_modes,) * n
+            probes = rng.standard_normal((100, *shape)) + 1j * rng.standard_normal((100, *shape))
+            pieces = fockspace.joined_pieces([probes[0].size] * len(probes))
+            assert len(pieces) < len(probes)  # some probes share a stack
+            by_piece = max(completeness_check(brackets, probes[piece.start:piece.stop]) for piece in pieces)
+            assert by_piece == max(completeness_check(brackets, probe) for probe in probes)
 
 
 def _bits(m):
@@ -397,25 +453,28 @@ def test_kept_conjugations_are_bitwise_member_conjugations(space, sigma):
     # where they conjugated each member apart; every relabelled conjugation,
     # of the F(r) families and of the a(xi) families the field-transform
     # identity conjugates (on N = 1, 2 in the rotation suite), is the sparse
-    # triple product bit for bit
+    # triple product bit for bit, and so is each rotation's row range of the
+    # conjugation stacked over every rotation
     annihilators = [destroy(mode, sigma) for mode in space.modes]
-    families = [family for _, family in symmetry._pair_sectors(space, sigma, 3)] + [
-        matrix_family(annihilators, build_basis(space, n, sigma), build_basis(space, n - 1, sigma))
-        for n in (1, 2)
-    ]
-    for steps in range(space.lattice.steps_per_turn):
-        rot = SpinorRotation(space, steps)
-        for family in families:
+    families = [family for _, family in symmetry._pair_sectors(space, sigma, 3)] + matrix_family(
+        annihilators, [(build_basis(space, n, sigma), build_basis(space, n - 1, sigma)) for n in (1, 2)]
+    )
+    rots = [SpinorRotation(space, steps) for steps in range(space.lattice.steps_per_turn)]
+    for family in families:
+        every = symmetry._conjugated_stack(rots, family)
+        for steps, rot in enumerate(rots):
             stacked = symmetry._pair_conjugation(rot, family)
             for member in range(len(family)):
-                assert _bits(stacked.rows(member, member + 1)) == _bits(conjugated(rot, family, member))
+                want = _bits(conjugated(rot, family, member))
+                assert _bits(stacked.rows(member, member + 1)) == want
+                assert _bits(every.rows(steps * len(family) + member, steps * len(family) + member + 1)) == want
 
 
 def test_relabelled_conjugation_drops_explicit_zeros_as_the_product_does():
     # a stored zero of the stack makes no entry of U M U+, in the triple
     # product or in its relabelling
     domain, codomain = build_basis(RING4_HALF, 2, -1), build_basis(RING4_HALF, 1, -1)
-    family = matrix_family([destroy(mode, -1) for mode in RING4_HALF.modes], domain, codomain)
+    family = matrix_family([destroy(mode, -1) for mode in RING4_HALF.modes], [(domain, codomain)])[0]
     stack = family.stack.copy()
     stack.data[::3] = 0.0
     zeroed = type(family)(domain, codomain, len(family), stack)
