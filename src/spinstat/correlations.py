@@ -38,15 +38,6 @@ def _pair_correlations(state: StateVector, pairs) -> np.ndarray:
     return np.array(sums, dtype=np.complex128)
 
 
-def pair_correlation(state: StateVector, xi1: Mode, xi2: Mode) -> complex:
-    """Sum the wave function over all coordinates after the first two.
-
-    For N=2 this is the wave function itself; swapping the two arguments
-    multiplies the result by the statistics grade.
-    """
-    return complex(_pair_correlations(state, [(xi1, xi2)])[0])
-
-
 def antipodal_profile(state: StateVector, twos_ms: int) -> np.ndarray:
     """r -> F((r, m_s), (-r, m_s)) over all sites; odd or even under r -> -r
     according to the statistics grade."""

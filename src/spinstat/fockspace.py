@@ -18,10 +18,13 @@ Operator matrices come in families: ``matrix_family`` builds the matrices
 M_p of a list of expressions on each of a list of (domain, codomain) sector
 pairs, each pair's into one stacked CSR vstack_p(M_p) (an
 ``OperatorFamily``) with the expression index as a block-row offset.
-Consecutive pairs are joined up to ``JOIN_ENTRIES``: one kernel pass over
-their domain occupations side by side, each row ranked with its own
-codomain's table, and one COO -> CSR whose row ranges are the pairs'
-stacks; a pair past the budget is built alone.  Only the (term, column)
+Every build is one join of consecutive pairs, up to ``JOIN_ENTRIES`` (a
+pair past the budget is a join of one): one kernel pass over their domain
+occupations side by side, each row ranked with its own codomain's table,
+and one COO -> CSR whose row ranges are the pairs' stacks.  One splitter,
+``joined_pieces``, cuts every such run: the joins of a build, its kernel
+calls (at ``_KERNEL_ROWS`` rows), the rotation stacks of ``symmetry`` and
+the probe stacks of the completeness check.  Only the (term, column)
 pairs whose first (rightmost) factor survives enter the kernel: the
 surviving rows are those of a pass over every column, in the same order and
 with the same products, and each row of a join receives the entries of its
@@ -413,26 +416,29 @@ def max_abs(matrix: sp.spmatrix | np.ndarray) -> float:
     return float(np.abs(arr).max()) if arr.size else 0.0
 
 
-def identity_matrix(basis: FockBasis) -> OperatorMatrix:
-    return OperatorMatrix(basis, basis, sp.identity(basis.dim, dtype=np.complex128, format="csr"))
-
-
 def matrix_of(expr: OperatorExpr, domain: FockBasis, codomain: FockBasis) -> OperatorMatrix:
     """Column j = expr applied to basis state j of the domain sector: the
     one-expression ``matrix_family`` on one sector."""
     return OperatorMatrix(domain, codomain, matrix_family([expr], [(domain, codomain)])[0].stack)
 
 
-def joined_pieces(sizes) -> list[range]:
-    """Runs of consecutive items whose sizes add up to at most
-    ``JOIN_ENTRIES``; an item larger than that is a run of its own."""
+def joined_pieces(sizes, budget: int | None = None) -> list[range]:
+    """Runs of consecutive items whose sizes add up to at most ``budget``
+    (``JOIN_ENTRIES``, read at each call, by default); an item larger than
+    that is a run of its own."""
+    budget = JOIN_ENTRIES if budget is None else budget
     pieces, start, total = [], 0, 0
     for i, size in enumerate(sizes):
-        if i > start and total + size > JOIN_ENTRIES:
+        if i > start and total + size > budget:
             pieces.append(range(start, i))
             start, total = i, 0
         total += size
     return pieces + [range(start, len(sizes))] if len(sizes) > start else pieces
+
+
+def joined(arrays) -> np.ndarray:
+    """``np.concatenate(arrays)``, without copying a lone array."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
 def matrix_family(exprs, sectors) -> list[OperatorFamily]:
@@ -494,13 +500,13 @@ def _kernel_batches(exprs, space: ModeSpace, occ: np.ndarray, sigma: int):
     factor survives, found once per (mode, dagger) from the occupations by
     the kernel's own rule (``_factor_survives``); a term without factors
     enters on every column.  Rows are term-major, terms ascending by length
-    and then in expression order, columns ascending, at most
-    ``_KERNEL_ROWS`` rows a call unless one term has more.  No array is
-    terms x columns.  A pair dropped here would die at the kernel's first
-    factor, so the rows alive on return are those of a pass over every
-    (term, column) pair, in the same order, with the same factor products:
-    the COO of the family is the same, entry for entry, and so is every bit
-    of its CSR.
+    and then in expression order, columns ascending, cut by ``joined_pieces``
+    into calls of at most ``_KERNEL_ROWS`` rows unless one term has more.
+    No array is terms x columns.  A pair dropped here would die at the
+    kernel's first factor, so the rows alive on return are those of a pass
+    over every (term, column) pair, in the same order, with the same factor
+    products: the COO of the family is the same, entry for entry, and so is
+    every bit of its CSR.
     """
     by_length: dict[int, list] = {}
     for p, expr in enumerate(exprs):
@@ -517,13 +523,13 @@ def _kernel_batches(exprs, space: ModeSpace, occ: np.ndarray, sigma: int):
             acting[key] = np.flatnonzero(_factor_survives(occ[:, key[0]], first.dagger, sigma))
         return acting[key]
 
-    def call(length, batch):
+    def call(length, batch):  # its arrays are the caller's alone once it returns
         owners, terms, cols = zip(*batch)
         counts = [len(c) for c in cols]
         factors = [f for t in terms for f in t.factors]
         modes = np.array([space.index(f.mode) for f in factors], dtype=np.intp)
         daggers = np.array([f.dagger for f in factors], dtype=bool)
-        cols = np.concatenate(cols)
+        cols = joined(cols)
         new, amp, alive = _apply_strings(
             occ[cols],
             np.repeat(modes.reshape(len(terms), length), counts, axis=0),
@@ -533,18 +539,9 @@ def _kernel_batches(exprs, space: ModeSpace, occ: np.ndarray, sigma: int):
         return np.repeat(owners, counts), cols, np.repeat([t.coeff for t in terms], counts), new, amp, alive
 
     for length, items in sorted(by_length.items()):
-        batch, rows = [], 0
-        for p, term in items:
-            cols = columns(term)
-            if not len(cols):
-                continue
-            if batch and rows + len(cols) > _KERNEL_ROWS:
-                yield call(length, batch)
-                batch, rows = [], 0
-            batch.append((p, term, cols))
-            rows += len(cols)
-        if batch:
-            yield call(length, batch)
+        items = [(p, term, c) for p, term in items if len(c := columns(term))]
+        for piece in joined_pieces([len(c) for _, _, c in items], _KERNEL_ROWS):
+            yield call(length, [items[i] for i in piece])
 
 
 def _joined_families(exprs, sectors) -> list[OperatorFamily]:
@@ -558,31 +555,24 @@ def _joined_families(exprs, sectors) -> list[OperatorFamily]:
     offset = list(accumulate((k * c.dim for c in codomains), initial=0))
     shape = (offset[-1], max(d.dim for d in domains))
     index = np.int32 if max(shape) < 2**31 else np.int64  # as scipy would pick, so no entry is copied to convert
-    if len(sectors) == 1:
-        occ, place = domains[0].occupations, None
-    else:
-        occ = np.concatenate([d.occupations for d in domains])
-        place = np.array(start), np.array(offset), np.array([c.dim for c in codomains])
+    at, first, co = np.array(start), np.array(offset), np.array([c.dim for c in codomains])
+    occ = joined([d.occupations for d in domains])
     rows, cols, vals = [], [], []
     for owners, columns, coeffs, new, amp, alive in _kernel_batches(exprs, domains[0].space, occ, domains[0].sigma):
         columns, owners, new = columns[alive], owners[alive], new[alive]
-        if place is None:
-            rows.append((codomains[0].rank(new) + owners * codomains[0].dim).astype(index))
-        else:  # each row ranked in the codomain of its column's sector
-            at, first, co = place
-            sector = np.searchsorted(at, columns, side="right") - 1
-            rows.append((_rank_rows(codomains, sector, new) + first[sector] + owners * co[sector]).astype(index))
-            columns = columns - at[sector]
-        cols.append(columns.astype(index))
+        # each row ranked in the codomain of its column's sector
+        sector = np.searchsorted(at, columns, side="right") - 1
+        rows.append((_rank_rows(codomains, sector, new) + first[sector] + owners * co[sector]).astype(index))
+        cols.append((columns - at[sector]).astype(index))
         vals.append((coeffs * amp)[alive])
     if not vals:
-        joined = sp.csr_matrix(shape, dtype=np.complex128)
+        stack = sp.csr_matrix(shape, dtype=np.complex128)
     else:
         # each list is dropped as soon as it is joined, so the pieces and the joins do not all coexist
-        vals, rows, cols = np.concatenate(vals), np.concatenate(rows), np.concatenate(cols)
-        joined = sp.coo_matrix((vals, (rows, cols)), shape=shape, dtype=np.complex128).tocsr()
+        vals, rows, cols = joined(vals), joined(rows), joined(cols)
+        stack = sp.coo_matrix((vals, (rows, cols)), shape=shape, dtype=np.complex128).tocsr()
     return [
-        OperatorFamily(d, c, k, _row_range(joined, offset[s], offset[s + 1], d.dim))
+        OperatorFamily(d, c, k, _row_range(stack, offset[s], offset[s + 1], d.dim))
         for s, (d, c) in enumerate(sectors)
     ]
 
@@ -590,7 +580,7 @@ def _joined_families(exprs, sectors) -> list[OperatorFamily]:
 def _rank_rows(codomains, sector: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Each occupation row's index in its own codomain, codomains[sector]."""
     out = np.empty(len(rows), dtype=np.int64)
-    for s in np.unique(sector):
+    for s in np.flatnonzero(np.bincount(sector, minlength=len(codomains))):
         at = sector == s
         out[at] = codomains[s].rank(rows[at])
     return out
@@ -624,16 +614,16 @@ def ladder_relation_residuals(
     mixed = ann = cre = 0.0
     for n in range(n_max + 1):
         mirror = (up[n - 1], down[n]) if n else None  # c+_q c_p kills the vacuum
-        mixed = max(mixed, _worst_relation(down[n + 1], up[n], sigma, mirror, eye=True))
+        mixed = max(mixed, _worst_relation(down[n + 1], up[n], sigma, mirror))
         if n >= 2:
             ann = max(ann, _worst_relation(down[n - 1], down[n], sigma, like=True))
         cre = max(cre, _worst_relation(up[n + 1], up[n], sigma, like=True))
     return mixed, ann, cre
 
 
-def _worst_relation(lefts, rights, sigma: int, mirror=None, like=False, eye=False) -> float:
+def _worst_relation(lefts, rights, sigma: int, mirror=None, like=False) -> float:
     """Worst entry, over all p and q, of lefts[p] @ rights[q] - sigma * m[q] @ m'[p],
-    less delta_pq times the identity when ``eye``; (m, m') is ``mirror``, or
+    less delta_pq times the identity unless ``like``; (m, m') is ``mirror``, or
     (lefts, rights) when ``like``, and then R_qp = -sigma R_pq, so only q >= p runs.
     Every argument is an ``OperatorFamily``.
 
@@ -667,7 +657,7 @@ def _worst_relation(lefts, rights, sigma: int, mirror=None, like=False, eye=Fals
                 back = rel if like and i == j else back_left[j] @ back_right[i]
                 back = _swap_blocks(back, (q1 - q0, p1 - p0))
                 rel = rel - back if sigma == 1 else rel + back
-            worst = max(worst, _max_abs_less_identity(rel) if eye and i == j else max_abs(rel))
+            worst = max(worst, max_abs(rel) if like or i != j else _max_abs_less_identity(rel))
     return worst
 
 

@@ -1,7 +1,8 @@
 """Memos that live no longer than one command.
 
 ``cli.main`` runs each command inside ``command_scope()``.  Two kinds of
-memo take part, both keyed by the call's arguments:
+memo take part, both keyed by the call's arguments and filled only by
+calls:
 
 - ``command_memo``: stores results only while a scope is open.  Outside a
   scope every call computes afresh, so library code and tests that call a
@@ -48,15 +49,6 @@ class Memo:
         except KeyError:
             self.misses += 1
             value = self._store[key] = self._fn(*args, **kwargs)
-        return value
-
-    def store(self, value, *args):
-        """Keep ``value`` as the result for ``args`` wherever a call would
-        keep one, counted as a miss: the caller computed it on the way to
-        something larger."""
-        if self._always or _open_scopes:
-            self.misses += 1
-            self._store[args] = value
         return value
 
     def cache_info(self) -> CacheInfo:

@@ -26,9 +26,9 @@ and one maximum for all steps.  Inversion compares the stack with its
 blocks gathered in inverted site order.
 
 Inside one command (``memo.command_scope``) the families of F(r), their
-one-step and half-turn conjugations (kept from the rotation covariance's
-stacks) and each grade's ``PairChecks`` record are built once and read by
-every check that needs them; outside a command each call builds its own.
+one-step and half-turn conjugations (each made by the pair check that reads
+it) and each grade's ``PairChecks`` record are built once and read by every
+check that needs them; outside a command each call builds its own.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ from .fockspace import (
     SectorLift,
     bracket_amplitudes,
     build_basis,
+    joined,
     joined_pieces,
     matrix_family,
     max_abs,
@@ -170,13 +171,13 @@ def _conjugated_stack(rots, family: OperatorFamily) -> OperatorFamily:
         for rot in rots
     ]
     m, members = family.stack, np.arange(len(family))[:, None] * co.dim
-    take, indptr = row_gather(m, _joined([(members + lift.source).ravel() for lift, _ in lifts]))
+    take, indptr = row_gather(m, joined([(members + lift.source).ravel() for lift, _ in lifts]))
     cols, vals = m.indices[take], m.data[take]
     starts = indptr[np.arange(len(rots) + 1) * m.shape[0]]  # where each rotation's entries start
     spans = [(lift, a, b) for (_, lift), a, b in zip(lifts, starts, starts[1:])]  # the domain lift's entries
-    u = np.repeat(_joined([np.tile(lift.phase[lift.source], len(family)) for lift, _ in lifts]), np.diff(indptr))
-    w = _joined([lift.phase[cols[a:b]] for lift, a, b in spans])
-    indices = _joined([lift.image[cols[a:b]] for lift, a, b in spans])
+    u = np.repeat(joined([np.tile(lift.phase[lift.source], len(family)) for lift, _ in lifts]), np.diff(indptr))
+    w = joined([lift.phase[cols[a:b]] for lift, a, b in spans])
+    indices = joined([lift.image[cols[a:b]] for lift, a, b in spans])
     xr, xi = _times(u.real, u.imag, vals.real, vals.imag)
     yr, yi = _times(xr, xi, w.real, -w.imag)
     indices = indices.astype(m.indices.dtype)
@@ -186,17 +187,6 @@ def _conjugated_stack(rots, family: OperatorFamily) -> OperatorFamily:
         yr, yi, indices = yr[kept], yi[kept], indices[kept]
     stack = sp.csr_matrix((_complex(yr, yi), indices, indptr), shape=(len(rots) * m.shape[0], m.shape[1]))
     return OperatorFamily(dom, co, len(rots) * len(family), stack)
-
-
-def _joined(arrays) -> np.ndarray:
-    """``np.concatenate(arrays)``, without copying a lone array."""
-    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
-
-
-def _conjugated_family(rot: SpinorRotation, family: OperatorFamily) -> OperatorFamily:
-    """The family of U M_p U+ over the members M_p of ``family``: the
-    one-rotation ``_conjugated_stack``."""
-    return _conjugated_stack([rot], family)
 
 
 def _stepped(family: OperatorFamily, rots):
@@ -211,11 +201,10 @@ def _stepped(family: OperatorFamily, rots):
 
 @command_memo
 def _pair_conjugation(rot: SpinorRotation, family: OperatorFamily) -> OperatorFamily:
-    """``_conjugated_family`` of a family of F(r) by the one-step or the
-    half-turn rotation: the rotation covariance, the half-turn eigenvalue
-    and the winding all read these, so a command makes each once.  The
-    covariance check stores here the rows of its stacked conjugation."""
-    return _conjugated_family(rot, family)
+    """The family of U F(r) U+ over the members F(r) of ``family``, U the
+    one-step or the half-turn rotation, as read by the winding and the
+    half-turn eigenvalue: once per command."""
+    return _conjugated_stack([rot], family)
 
 
 def _covariance_residual(conj: OperatorFamily, family: OperatorFamily, images, phases) -> float:
@@ -343,11 +332,9 @@ def _pair_sectors(space: ModeSpace, sigma: int, n_max: int) -> tuple[tuple[int, 
 def rotation_covariance_check(space: ModeSpace, sigma: int, n_max: int = 3) -> float:
     """Max residual of U F(r) U+ = e^{2 i m_s theta} F(R^{-1} r) over every lattice
     rotation, every projection, every site r and sectors 2..n_max.  Each
-    family's rotations are one stacked conjugation (``_stepped``), whose
-    one-step and half-turn rows are kept for the pair checks."""
+    family's rotations are one stacked conjugation (``_stepped``)."""
     lattice = space.lattice
     rots = [_rotation(space, steps) for steps in range(lattice.steps_per_turn)]
-    kept = {1, lattice.steps_per_turn // 2}  # the steps the pair checks read again
     worst = 0.0
     for twos_ms, family in _pair_sectors(space, sigma, n_max):
         k = len(family)
@@ -355,11 +342,6 @@ def rotation_covariance_check(space: ModeSpace, sigma: int, n_max: int = 3) -> f
             images = [lattice.rotate_site_z(site, rot.steps) for rot in run for site in range(k)]
             phases = [p for rot in run for p in [cis_turns(twos_ms * rot.turns)] * k]  # e^{2 i m_s theta}
             worst = max(worst, _covariance_residual(conj, family, images, phases))
-            for s, rot in enumerate(run):
-                if rot.steps in kept:  # copied out of a stack of several, so the rest of it is freed
-                    rows = conj.rows(s * k, (s + 1) * k)
-                    step = OperatorFamily(family.domain, family.codomain, k, rows.copy() if len(run) > 1 else rows)
-                    _pair_conjugation.store(step, rot, family)
     return worst
 
 

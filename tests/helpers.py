@@ -8,7 +8,9 @@ Hamiltonian acts slot by slot on index tensors.  The two exceptions are
 from the index and amplitude that ``bracket_amplitudes`` computes, and
 ``conjugated``, which multiplies by the rotation lifts that
 ``fockspace.sector_lift`` builds: it is the sparse triple product that the relabelled conjugations
-are checked against bit for bit.
+are checked against bit for bit.  ``identity_matrix`` and ``pair_correlation``
+are references no command needs: the sector identity as CSR, and the
+one-pair reading of the batched correlation that ``antipodal_profile`` uses.
 """
 
 from __future__ import annotations
@@ -20,8 +22,9 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
-from spinstat.fockspace import StateVector, bracket_amplitudes, symmetrizer_oracle
-from spinstat.modes import ModeSpace
+from spinstat.correlations import _pair_correlations
+from spinstat.fockspace import OperatorMatrix, StateVector, bracket_amplitudes, symmetrizer_oracle
+from spinstat.modes import Mode, ModeSpace
 
 
 def occ_apply(
@@ -76,6 +79,19 @@ def _lift(rot, basis, adjoint: bool) -> sp.csr_matrix:
     members of a family."""
     u = rot.fock_lift(basis).matrix
     return u.conj().T.tocsr() if adjoint else u
+
+
+def identity_matrix(basis) -> OperatorMatrix:
+    return OperatorMatrix(basis, basis, sp.identity(basis.dim, dtype=np.complex128, format="csr"))
+
+
+def pair_correlation(state: StateVector, xi1: Mode, xi2: Mode) -> complex:
+    """Sum the wave function over all coordinates after the first two.
+
+    For N=2 this is the wave function itself; swapping the two arguments
+    multiplies the result by the statistics grade.
+    """
+    return complex(_pair_correlations(state, [(xi1, xi2)])[0])
 
 
 def random_state(basis, rng) -> StateVector:

@@ -12,10 +12,10 @@ from itertools import permutations, product
 
 import numpy as np
 
-from helpers import bracket_vector, random_state, state_coordinate_tensor
+from helpers import bracket_vector, pair_correlation, random_state, state_coordinate_tensor
 from spinstat import cli
 from spinstat.cli import RunConfig, main
-from spinstat.correlations import pair_correlation, relative_parity_spectrum
+from spinstat.correlations import relative_parity_spectrum
 from spinstat.fockspace import (
     build_basis,
     every_bracket,

@@ -388,11 +388,11 @@ def test_default_verify_builds_each_pair_record_once(tmp_path):
     after = [m.cache_info() for m in memos]
     # per grade: one record, built by the pair-operator suite and read by the
     # theorem suite; its F(r) families (2 projections x N = 2, 3), built by the
-    # rotation suite; their one-step and half-turn conjugations, made by the
-    # rotation covariance and read by the half-turn eigenvalue (all 4 families)
-    # and the winding (the 2 on N = 2)
+    # rotation suite; their conjugations, each made once by the check that
+    # reads it: the half-turn eigenvalue (all 4 families) and the winding
+    # (the one-step rotation of the 2 on N = 2)
     assert [(a.misses - b.misses, a.hits - b.hits) for a, b in zip(after, before)] == [
-        (2, 2), (2, 2), (2 * 4 * 2, 2 * (4 + 2)),
+        (2, 2), (2, 2), (2 * (4 + 2), 0),
     ]
 
 

@@ -3,8 +3,8 @@ from itertools import permutations, product
 import numpy as np
 import pytest
 
-from helpers import bracket_vector, dft_oracle, random_state, state_coordinate_tensor
-from spinstat.correlations import antipodal_profile, pair_correlation, relative_parity_spectrum
+from helpers import bracket_vector, dft_oracle, pair_correlation, random_state, state_coordinate_tensor
+from spinstat.correlations import antipodal_profile, relative_parity_spectrum
 from spinstat.fockspace import StateVector, build_basis, overlap_oracle, perm_parity
 from spinstat.hamiltonians import OneBodySpec, TwoBodySpec, build_many_body, diagonalize
 from spinstat.modes import Lattice, Mode, ModeSpace, SpinQuantum

@@ -9,7 +9,7 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import bracket_vector, occ_apply, random_state, state_coordinate_tensor
+from helpers import bracket_vector, identity_matrix, occ_apply, random_state, state_coordinate_tensor
 from spinstat import fockspace
 from spinstat.fockspace import (
     DimensionCapError,
@@ -20,7 +20,6 @@ from spinstat.fockspace import (
     build_basis,
     completeness_check,
     every_bracket,
-    identity_matrix,
     ladder_relation_residuals,
     matrix_family,
     matrix_of,

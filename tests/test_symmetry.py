@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from helpers import conjugated
+from helpers import conjugated, identity_matrix
 from spinstat import symmetry
 from spinstat.memo import command_scope
 from spinstat import fockspace
@@ -15,7 +15,6 @@ from spinstat.fockspace import (
     build_basis,
     completeness_check,
     every_bracket,
-    identity_matrix,
     matrix_family,
     max_abs,
 )
@@ -235,7 +234,7 @@ def test_rotation_covariance_quarter_turn(sigma):
     rot = SpinorRotation(RING4_HALF, 1)
     family = pair_checks(RING4_HALF, sigma, n_max=2).families[1][0]
     images = [RING4_HALF.lattice.rotate_site_z(site, 1) for site in range(4)]
-    conj = symmetry._conjugated_family(rot, family)
+    conj = symmetry._conjugated_stack([rot], family)
     assert symmetry._covariance_residual(conj, family, images, [1j] * 4) <= 1e-12
     assert symmetry._covariance_residual(conj, family, images, [1] * 4) > 0.5
 
@@ -247,7 +246,7 @@ def test_stacked_covariance_residual_catches_wrong_images_and_phases(sigma):
     family = matrix_family([destroy(mode, sigma) for mode in RING4_HALF.modes], [(domain, codomain)])[0]
     rot = SpinorRotation(RING4_HALF, 1)
     images, phases = list(rot.mode_permutation), list(rot.field_phases)
-    conj = symmetry._conjugated_family(rot, family)
+    conj = symmetry._conjugated_stack([rot], family)
     assert symmetry._covariance_residual(conj, family, images, phases) <= 1e-12
     # distinct modes' a(xi) have disjoint supports with entries of magnitude >= 1
     shifted = images[1:] + images[:1]
@@ -407,14 +406,14 @@ def _per_step_maxima(space, sigma, n_max=3):
     for n in range(1, n_max + 1):
         family = matrix_family(annihilators, [(build_basis(space, n, sigma), build_basis(space, n - 1, sigma))])[0]
         for rot in rots:
-            conj = symmetry._conjugated_family(rot, family)
+            conj = symmetry._conjugated_stack([rot], family)
             residual = symmetry._covariance_residual(conj, family, rot.mode_permutation, rot.field_phases)
             element = max(element, residual)
     for twos_ms, family in symmetry._pair_sectors(space, sigma, n_max):
         for rot in rots:
             images = [space.lattice.rotate_site_z(site, rot.steps) for site in range(len(family))]
             phases = [cis_turns(twos_ms * rot.turns)] * len(family)
-            conj = symmetry._conjugated_family(rot, family)
+            conj = symmetry._conjugated_stack([rot], family)
             covariance = max(covariance, symmetry._covariance_residual(conj, family, images, phases))
     return element, covariance
 
@@ -479,7 +478,7 @@ def test_relabelled_conjugation_drops_explicit_zeros_as_the_product_does():
     stack.data[::3] = 0.0
     zeroed = type(family)(domain, codomain, len(family), stack)
     rot = SpinorRotation(RING4_HALF, 1)
-    conj = symmetry._conjugated_family(rot, zeroed)
+    conj = symmetry._conjugated_stack([rot], zeroed)
     assert conj.stack.nnz < stack.nnz
     for member in range(len(family)):
         assert _bits(conj.rows(member, member + 1)) == _bits(conjugated(rot, zeroed, member))
