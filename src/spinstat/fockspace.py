@@ -1,52 +1,39 @@
 """Concrete Fock-space machinery.
 
-Occupation bases per statistics grade, exact ladder-operator action with
-bosonic sqrt factors or fermionic parity signs, sparse matrices of symbolic
-operator expressions, product-of-creation bracket states (each the index and
-amplitude of the one basis state it is a multiple of), and the
-first-quantized cross-checks (the overlap and symmetrizer oracles) that
-everything else is verified against.
+Every Fock state is held in one format, its ascending creation list: the
+modes m_1 <= ... <= m_N of a+(m_1)...a+(m_N)|0>, a mode repeated by its
+occupancy.  A ``FockBasis`` is the (dim, N) array of the lists of one
+(N, sigma) sector as its enumeration makes them (combinations for sigma=-1,
+multisets for sigma=+1, in lexicographic order), and ``FockBasis.rank``, the
+one ranking path, inverts that order with the combinatorial number system.
 
-All ladder action goes through one kernel, ``_apply_strings``, which applies
-ladder strings to a batch of occupation rows at once and drops a row as soon
-as its string vanishes, so later factors work only on the rows still alive;
-operator matrices and creation products are built on it.  Creation products
-a+(m_1)...a+(m_N)|0> of many mode lists (``_created_states``) give both the
-bracket states and the Fock lift of any mode map (``sector_lift``, a
-``SectorLift``: rotations, spin reversal); each is ranked from its list.
-Operator matrices come in families: ``matrix_family`` builds the matrices
-M_p of a list of expressions on each of a list of (domain, codomain) sector
-pairs, each pair's into one stacked CSR vstack_p(M_p) (an
-``OperatorFamily``) with the expression index as a block-row offset.
-Every build is one join of consecutive pairs, up to ``JOIN_ENTRIES`` (a
-pair past the budget is a join of one): one kernel pass over their domain
-occupations side by side, each row ranked with its own codomain's table,
-and one COO -> CSR whose row ranges are the pairs' stacks.  One splitter,
-``joined_pieces``, cuts every such run: the joins of a build, its kernel
-calls (at ``_KERNEL_ROWS`` rows), the rotation stacks of ``symmetry`` and
-the probe stacks of the completeness check.  Only the (term, column)
-pairs whose first (rightmost) factor survives enter the kernel: the
-surviving rows are those of a pass over every column, in the same order and
-with the same products, and each row of a join receives the entries of its
-own one-sector build, so no bit of any matrix moves.  A run of consecutive
-members is a row range of the stack that shares its arrays, and
-``matrix_of`` is the one-expression family on one sector pair.  The
-graded ladder relations are checked on such families in lean tiles: each
-tile is one product of a row range with the right members side by side,
-the mirror product's blocks are moved into place by index arithmetic, the
-sigma term is added or subtracted, and the identity comes off the diagonal
-where the maximum is read, so every residual stays bit-identical to
-pair-by-pair products.
-``FockBasis.rank`` inverts the basis order (combinations for sigma=-1,
-multisets for sigma=+1, in lexicographic order) with the combinatorial number
-system, the usual exact-diagonalization indexing.  The overlap and
-symmetrizer oracles stay brute force and separate on purpose: they check the
-kernel instead of repeating it.  The completeness projector and the
-symmetrizer oracle take a stack of probes along a leading axis (one offset
-``bincount``, one permutation sum), each probe's entries summed as on its
-own.  ``overlap_oracle`` takes the coordinate labels of many tuple pairs at
-once and expands each pair's delta matrix over every permutation (a
-permanent or determinant), with no call into the kernel.
+All ladder action goes through one kernel, ``_apply_strings``, which steps a
+batch of lists, padded with an empty-slot marker, through their ladder
+strings with bosonic sqrt factors or fermionic parity signs, and drops a row
+as soon as its string vanishes.  Operator matrices come in families:
+``matrix_family`` builds the matrices M_p of a list of expressions on each
+of a list of (domain, codomain) sector pairs, each pair's into one stacked
+CSR vstack_p(M_p) (an ``OperatorFamily``).  Every build is one join of
+consecutive pairs, up to ``JOIN_ENTRIES``: one kernel pass over their domain
+lists side by side, each row ranked in its own codomain, and one COO -> CSR
+whose row ranges are the pairs' stacks; only the (term, column) pairs whose
+rightmost factor survives enter the kernel, and each row of a join receives
+the entries of its own one-sector build, so no bit of any matrix moves.  One
+splitter, ``joined_pieces``, cuts every such run: the joins of a build, its
+kernel calls, the rotation stacks of ``symmetry`` and the probe stacks of
+the completeness check.  The graded ladder relations are checked on such
+families in lean tiles whose residuals are bit-identical to pair-by-pair
+products.
+
+Creation products of many mode lists in any order (``_created_states``)
+take no kernel pass: each amplitude is read from the list itself, and each
+index is the rank of the sorted list.  They give both the bracket states
+(each the index and amplitude of the one basis state it is a multiple of)
+and the Fock lift of any mode map (``sector_lift``: rotations, spin
+reversal), so a lift shares no code path with the kernel it is checked
+against.  The overlap and symmetrizer oracles stay brute force and separate
+on purpose; the completeness projector and the symmetrizer oracle take a
+stack of probes along a leading axis, each probe summed as on its own.
 
 Bases and matrices are immutable once built; functions are pure, so matrix
 assembly can be partitioned by column with no shared state.
@@ -148,11 +135,6 @@ def sector_dimension(n_modes: int, n_particles: int, sigma: int) -> int:
     return math.comb(n_modes + n_particles - 1, n_particles)
 
 
-def _particle_modes(rows: np.ndarray, n_particles: int) -> np.ndarray:
-    """Each row's occupied modes, ascending and repeated by occupancy: (rows, N)."""
-    return np.repeat(np.nonzero(rows)[1], rows[rows > 0]).reshape(len(rows), n_particles)
-
-
 def _rank_table(n_modes: int, n_particles: int, sigma: int) -> np.ndarray:
     """Entry [s, j]: C(top - e, N - s) for particle s in mode j, e = j + s for
     sigma=+1 and e = j for sigma=-1; a state with these strictly increasing
@@ -172,30 +154,30 @@ def _rank_table(n_modes: int, n_particles: int, sigma: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class FockBasis:
-    """Every occupation vector of one (N, sigma) sector, in a fixed order.
-
-    States are enumerated as combinations (sigma=-1) or multisets (sigma=+1)
-    of occupied mode indices in ascending mode order, so the N=1 sector
-    ordering coincides with the mode ordering.
-    """
+    """Every state of one (N, sigma) sector as its ascending creation list,
+    one row of ``modes`` each, in lexicographic order: combinations for
+    sigma=-1, multisets for sigma=+1, so the N=1 sector's order is the mode
+    order.  ``modes`` is the enumeration's own array, in the smallest signed
+    int type whose maximum, the kernel's empty-slot marker, exceeds every
+    mode index."""
 
     space: ModeSpace
     sigma: int
     n_particles: int
-    occupations: np.ndarray  # (dim, n_modes) small ints
+    modes: np.ndarray  # (dim, N) ascending mode indices
     rank_table: np.ndarray = field(repr=False)
 
     @property
     def dim(self) -> int:
-        return self.occupations.shape[0]
+        return len(self.modes)
 
     def occ_tuple(self, i: int) -> tuple[int, ...]:
-        return tuple(int(x) for x in self.occupations[i])
+        """The occupancy of each mode in state i."""
+        return tuple(np.bincount(self.modes[i], minlength=self.space.n_modes).tolist())
 
-    def rank(self, rows: np.ndarray) -> np.ndarray:
-        """Sector index of each occupation row of this sector."""
-        slots = _particle_modes(np.asarray(rows), self.n_particles)
-        after = self.rank_table[np.arange(self.n_particles), slots].sum(axis=1)
+    def rank(self, lists: np.ndarray) -> np.ndarray:
+        """Sector index of each ascending creation list (one per row) of this sector."""
+        after = self.rank_table[np.arange(self.n_particles), lists].sum(axis=1)
         return self.dim - 1 - after
 
 
@@ -204,13 +186,10 @@ def _build_basis_cached(space: ModeSpace, n_particles: int, sigma: int) -> FockB
     m = space.n_modes
     dim = sector_dimension(m, n_particles, sigma)
     chooser = combinations if sigma == -1 else combinations_with_replacement
-    picked = np.fromiter(
-        chain.from_iterable(chooser(range(m), n_particles)), dtype=np.intp, count=dim * n_particles
-    ).reshape(dim, n_particles)
-    occs = np.zeros((dim, m), dtype=np.int8 if n_particles < 128 else np.int64)
-    np.add.at(occs, (np.arange(dim)[:, None], picked), 1)
-    occs.setflags(write=False)
-    return FockBasis(space, sigma, n_particles, occs, _rank_table(m, n_particles, sigma))
+    lists = chain.from_iterable(chooser(range(m), n_particles))
+    picked = np.fromiter(lists, dtype=np.min_scalar_type(-(m + 1)), count=dim * n_particles).reshape(dim, n_particles)
+    picked.setflags(write=False)
+    return FockBasis(space, sigma, n_particles, picked, _rank_table(m, n_particles, sigma))
 
 
 def build_basis(space: ModeSpace, n_particles: int, sigma: int) -> FockBasis:
@@ -246,40 +225,47 @@ def _factor_survives(n, dag, sigma: int):
     return n != dag if sigma == -1 else dag | (n > 0)
 
 
-def _apply_strings(occ: np.ndarray, modes, daggers, sigma: int):
-    """Apply one ladder string to each occupation row, rightmost factor first.
+def _apply_strings(lists: np.ndarray, modes: np.ndarray, daggers: np.ndarray, sigma: int):
+    """Apply one ladder string to each creation list, rightmost factor first.
 
-    Factor f of row r creates (``daggers[r, f]``) or annihilates a particle
-    in mode ``modes[r, f]``; an (L,) ``modes`` or ``daggers`` is shared by
-    all rows.  sigma=+1 gives sqrt(n+1) / sqrt(n) factors; sigma=-1 allows
-    occupancy 0/1 and gives the parity sign of the occupied modes before the
-    target.  Returns (new rows, real amplitudes, alive); a row whose string
-    vanishes has alive False and amplitude 0, and is not stepped further.
+    Row r of ``lists`` is an ascending creation list, padded at its end with
+    the empty-slot marker (the maximum of its dtype, above every mode index);
+    factor f of its string creates (``daggers[r, f]``) or annihilates a
+    particle in mode ``modes[r, f]``.  The occupancy of mode m is the count
+    of m in the row; sigma=+1 gives sqrt(n+1) / sqrt(n) factors, sigma=-1
+    allows occupancy 0/1 and gives the parity sign of the particles in modes
+    below m.  A creation fills an empty slot and an annihilation empties its
+    mode's first slot, in rows widened to the most particles any string
+    reaches; each surviving row is sorted at the end.  Returns (new lists,
+    real amplitudes, alive); a row whose string vanishes has alive False and
+    amplitude 0, and is not stepped further.
 
     Each factor works only on the rows still alive, held as an index array,
-    so the parity sums and square roots of a string are paid only up to the
+    so the counts and square roots of a string are paid only up to the
     factor that kills it; a live row's amplitude is the same product, in the
     same factor order, as if no row had been dropped.
     """
-    k, m = occ.shape
-    modes = np.broadcast_to(modes, (k, np.shape(modes)[-1]))
-    daggers = np.broadcast_to(daggers, modes.shape)
-    top = occ.max(initial=0) + modes.shape[1]
-    work = occ.astype(np.int8 if top < 128 else np.int64)
+    k = len(lists)
+    empty = np.iinfo(lists.dtype).max
+    reach = np.where(daggers[:, ::-1], 1, -1).cumsum(axis=1).max(initial=0)
+    work = _widened(lists, lists.shape[1] + reach)
     live = np.arange(k)
     live_amp = np.ones(k)
     for f in reversed(range(modes.shape[1])):
-        idx, dag = modes[live, f], daggers[live, f]
-        n = work[live, idx]
+        idx, dag, rows = modes[live, f], daggers[live, f], work[live]
+        n = (rows == idx[:, None]).sum(axis=1)
         keep = _factor_survives(n, dag, sigma)
         if not keep.all():
-            live, idx, dag, n, live_amp = live[keep], idx[keep], dag[keep], n[keep], live_amp[keep]
+            live, idx, dag, rows, n, live_amp = live[keep], idx[keep], dag[keep], rows[keep], n[keep], live_amp[keep]
+        if not len(live):  # nothing left to step, maybe not even a slot
+            break
         if sigma == -1:
-            below = np.arange(m) < idx[:, None]
-            live_amp *= 1 - 2 * ((work[live] * below).sum(axis=1) & 1)
+            live_amp *= 1 - 2 * ((rows < idx[:, None]).sum(axis=1) & 1)
         else:
             live_amp *= np.sqrt(n.astype(np.float64) + dag)
-        work[live, idx] += 2 * dag.astype(work.dtype) - 1
+        slot = (rows == np.where(dag, empty, idx)[:, None]).argmax(axis=1)  # the first empty slot, or idx's
+        work[live, slot] = np.where(dag, idx, empty)
+    work[live] = np.sort(work[live], axis=1)
     amp = np.zeros(k)
     amp[live] = live_amp
     alive = np.zeros(k, dtype=bool)
@@ -287,18 +273,34 @@ def _apply_strings(occ: np.ndarray, modes, daggers, sigma: int):
     return work, amp, alive
 
 
+def _widened(lists: np.ndarray, width: int) -> np.ndarray:
+    """A copy of ``lists`` with empty slots appended up to ``width`` columns."""
+    out = np.full((len(lists), width), np.iinfo(lists.dtype).max, dtype=lists.dtype)
+    out[:, :lists.shape[1]] = lists
+    return out
+
+
 def _created_states(basis: FockBasis, created) -> tuple[np.ndarray, np.ndarray]:
     """a+(m_1)...a+(m_N)|0> for each row of mode indices ``created``, in any
-    order: the index of the basis state it is a multiple of, and the kernel
-    amplitude (0, and index 0, where creations clash).  The index is ranked
-    from the list itself: particle f takes the place in ascending order that
-    counts the particles g with (m_g, g) < (m_f, f)."""
+    order: the index of the basis state it is a multiple of, and the
+    amplitude, both read from the list alone.  A fermion list's amplitude is
+    the parity of its inversions, and 0 (index 0) on a repeated mode; a
+    boson list's is the product, rightmost factor first, of
+    sqrt(1 + #{g > f : m_g = m_f}): the factors the ladder kernel
+    multiplies, in its order.  The index is ``basis.rank`` of the sorted
+    list."""
     created = np.asarray(created, dtype=np.intp)
     rows, n = created.shape
-    _, amp, alive = _apply_strings(np.zeros((rows, basis.space.n_modes), np.int8), created, True, basis.sigma)
-    key = created * n + np.arange(n)
-    place = (key[:, None, :] < key[:, :, None]).sum(axis=2)
-    return np.where(alive, basis.dim - 1 - basis.rank_table[place, created].sum(axis=1), 0), amp
+    f, g = np.triu_indices(n, 1)
+    same = created[:, f] == created[:, g]  # one column per pair f < g
+    if basis.sigma == -1:
+        inversions = (created[:, f] > created[:, g]).sum(axis=1)
+        amp = np.where(same.any(axis=1), 0.0, 1.0 - 2 * (inversions & 1))
+    else:
+        amp = np.ones(rows)
+        for k in reversed(range(n)):
+            amp *= np.sqrt(same[:, f == k].sum(axis=1) + 1.0)
+    return np.where(amp != 0, basis.rank(np.sort(created, axis=1)), 0), amp
 
 
 @dataclass(frozen=True, eq=False)
@@ -322,7 +324,7 @@ def sector_lift(basis: FockBasis, perm, mode_phases) -> SectorLift:
     carry the phase ``mode_phases[m]``: each state's ascending creation
     product, every factor moved and phased, applied to the vacuum and
     divided by sqrt(prod_m n_m!)."""
-    created = _particle_modes(basis.occupations, basis.n_particles)  # each state's ascending creation list
+    created = basis.modes
     image, amp = _created_states(basis, np.asarray(perm)[created])
     phase = amp.astype(np.complex128)
     for f in reversed(range(basis.n_particles)):  # rightmost creation acts first
@@ -330,7 +332,7 @@ def sector_lift(basis: FockBasis, perm, mode_phases) -> SectorLift:
     # prod_m n_m! of each state, as the product over its particles of each
     # one's place in its run of equal modes: exact integers either way, and
     # no (dim x n_modes) array
-    place = np.ones_like(created)
+    place = np.ones(created.shape, dtype=np.int64)
     for f in range(1, basis.n_particles):
         place[:, f] += (created[:, f] == created[:, f - 1]) * place[:, f - 1]
     phase /= np.sqrt(place.prod(axis=1).astype(np.float64))
@@ -491,18 +493,19 @@ def _join_sizes(exprs, sectors) -> list[int]:
     return [n_terms * domain.dim + len(exprs) * codomain.dim for domain, codomain in sectors]
 
 
-def _kernel_batches(exprs, space: ModeSpace, occ: np.ndarray, sigma: int):
-    """Every kernel call of a family build on the occupation rows ``occ``, as
+def _kernel_batches(exprs, space: ModeSpace, lists: np.ndarray, sigma: int):
+    """Every kernel call of a family build on the creation lists ``lists``, as
     (kernel row's block-row offset, column, coefficient, new rows,
     amplitudes, alive).
 
     A term enters the kernel only on the columns where its first (rightmost)
-    factor survives, found once per (mode, dagger) from the occupations by
-    the kernel's own rule (``_factor_survives``); a term without factors
-    enters on every column.  Rows are term-major, terms ascending by length
-    and then in expression order, columns ascending, cut by ``joined_pieces``
-    into calls of at most ``_KERNEL_ROWS`` rows unless one term has more.
-    No array is terms x columns.  A pair dropped here would die at the
+    factor survives, found once per (mode, dagger) from the count of the
+    mode in each list by the kernel's own rule (``_factor_survives``); a
+    term without factors enters on every column.  Rows are term-major,
+    terms ascending by length and then in expression order, columns
+    ascending, cut by ``joined_pieces`` into calls of at most
+    ``_KERNEL_ROWS`` rows unless one term has more.  No array is terms x
+    columns.  A pair dropped here would die at the
     kernel's first factor, so the rows alive on return are those of a pass
     over every (term, column) pair, in the same order, with the same factor
     products: the COO of the family is the same, entry for entry, and so is
@@ -516,11 +519,11 @@ def _kernel_batches(exprs, space: ModeSpace, occ: np.ndarray, sigma: int):
 
     def columns(term) -> np.ndarray:
         if not term.factors:
-            return np.arange(len(occ))
+            return np.arange(len(lists))
         first = term.factors[-1]
         key = (space.index(first.mode), first.dagger)
         if key not in acting:
-            acting[key] = np.flatnonzero(_factor_survives(occ[:, key[0]], first.dagger, sigma))
+            acting[key] = np.flatnonzero(_factor_survives((lists == key[0]).sum(axis=1), first.dagger, sigma))
         return acting[key]
 
     def call(length, batch):  # its arrays are the caller's alone once it returns
@@ -531,7 +534,7 @@ def _kernel_batches(exprs, space: ModeSpace, occ: np.ndarray, sigma: int):
         daggers = np.array([f.dagger for f in factors], dtype=bool)
         cols = joined(cols)
         new, amp, alive = _apply_strings(
-            occ[cols],
+            lists[cols],
             np.repeat(modes.reshape(len(terms), length), counts, axis=0),
             np.repeat(daggers.reshape(len(terms), length), counts, axis=0),
             sigma,
@@ -548,7 +551,7 @@ def _joined_families(exprs, sectors) -> list[OperatorFamily]:
     """The families of ``exprs`` on ``sectors``, from one COO of all their
     entries: sector s's stack is rows offset[s] to offset[s + 1] of the
     joined CSR, and its domain's columns are columns start[s] onward of the
-    joined kernel input."""
+    joined kernel input, every domain's lists padded to the widest N."""
     domains, codomains = zip(*sectors)
     k = len(exprs)
     start = list(accumulate((d.dim for d in domains), initial=0))
@@ -556,9 +559,10 @@ def _joined_families(exprs, sectors) -> list[OperatorFamily]:
     shape = (offset[-1], max(d.dim for d in domains))
     index = np.int32 if max(shape) < 2**31 else np.int64  # as scipy would pick, so no entry is copied to convert
     at, first, co = np.array(start), np.array(offset), np.array([c.dim for c in codomains])
-    occ = joined([d.occupations for d in domains])
+    width = max(d.n_particles for d in domains)
+    lists = joined([_widened(d.modes, width) for d in domains])
     rows, cols, vals = [], [], []
-    for owners, columns, coeffs, new, amp, alive in _kernel_batches(exprs, domains[0].space, occ, domains[0].sigma):
+    for owners, columns, coeffs, new, amp, alive in _kernel_batches(exprs, domains[0].space, lists, domains[0].sigma):
         columns, owners, new = columns[alive], owners[alive], new[alive]
         # each row ranked in the codomain of its column's sector
         sector = np.searchsorted(at, columns, side="right") - 1
@@ -578,11 +582,12 @@ def _joined_families(exprs, sectors) -> list[OperatorFamily]:
 
 
 def _rank_rows(codomains, sector: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Each occupation row's index in its own codomain, codomains[sector]."""
+    """Each sorted list's index in its own codomain, codomains[sector], read
+    from its first codomain.N slots."""
     out = np.empty(len(rows), dtype=np.int64)
     for s in np.flatnonzero(np.bincount(sector, minlength=len(codomains))):
         at = sector == s
-        out[at] = codomains[s].rank(rows[at])
+        out[at] = codomains[s].rank(rows[at, :codomains[s].n_particles])
     return out
 
 

@@ -254,9 +254,8 @@ def _projection_blocks(ham: OperatorMatrix) -> tuple[list[np.ndarray], list]:
     if basis.dim == 0:
         return [], []
     space = basis.space
-    counts = basis.occupations.reshape(
-        basis.dim, space.lattice.n_sites, space.spin.multiplicity
-    ).sum(axis=1)
+    projections = np.arange(space.spin.multiplicity)  # mode index = site * multiplicity + projection
+    counts = (basis.modes[:, :, None] % len(projections) == projections).sum(axis=1)
     keys, labels = np.unique(counts, axis=0, return_inverse=True)
     labels = labels.ravel()
     coo = ham.matrix.tocoo()

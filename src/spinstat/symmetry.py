@@ -25,10 +25,10 @@ is compared with one phased gather of the family's blocks: one difference
 and one maximum for all steps.  Inversion compares the stack with its
 blocks gathered in inverted site order.
 
-Inside one command (``memo.command_scope``) the families of F(r), their
-one-step and half-turn conjugations (each made by the pair check that reads
-it) and each grade's ``PairChecks`` record are built once and read by every
-check that needs them; outside a command each call builds its own.
+Inside one command (``memo.command_scope``) the families of F(r) and each
+grade's ``PairChecks`` record are built once and read by every check that
+needs them (the record's one-step and half-turn conjugations are made by the
+check that reads them); outside a command each call builds its own.
 """
 
 from __future__ import annotations
@@ -199,14 +199,6 @@ def _stepped(family: OperatorFamily, rots):
         yield run, _conjugated_stack(run, family)
 
 
-@command_memo
-def _pair_conjugation(rot: SpinorRotation, family: OperatorFamily) -> OperatorFamily:
-    """The family of U F(r) U+ over the members F(r) of ``family``, U the
-    one-step or the half-turn rotation, as read by the winding and the
-    half-turn eigenvalue: once per command."""
-    return _conjugated_stack([rot], family)
-
-
 def _covariance_residual(conj: OperatorFamily, family: OperatorFamily, images, phases) -> float:
     """Worst entry of conj_i - phases[i] M_images[i] over the members conj_i
     of ``conj`` (a ``_conjugated_stack`` of ``family``, one member per
@@ -370,7 +362,7 @@ def _half_turn_eigenvalue(families, member: int) -> tuple[complex | None, float]
     origin) is itself part of the argument."""
     space = families[0].domain.space
     rot = _rotation(space, space.lattice.steps_per_turn // 2)
-    a_mats = [_pair_conjugation(rot, family).rows(member, member + 1) for family in families]
+    a_mats = [_conjugated_stack([rot], family).rows(member, member + 1) for family in families]
     b_mats = [family.rows(member, member + 1) for family in families]
     lam = _dominant_ratio(a_mats, b_mats)
     if lam is None:
@@ -393,7 +385,7 @@ def _orbit_winding(family, orbit) -> WindingResult:
     e^{2 i m_s theta_step}; unwrapping the measured arguments over the turn
     recovers the integer 2 m_s.
     """
-    stepped = _pair_conjugation(_rotation(family.domain.space, 1), family)
+    stepped = _conjugated_stack([_rotation(family.domain.space, 1)], family)
     total_angle = 0.0
     worst = 0.0
     for k, site in enumerate(orbit):

@@ -55,6 +55,14 @@ def occ_apply(
     return occ[:idx] + (n - 1,) + occ[idx + 1:], math.sqrt(n)
 
 
+def occupations(basis) -> np.ndarray:
+    """The (dim, n_modes) occupation matrix of a basis, counted from its
+    creation lists: the dense reference of the states ``basis.modes`` lists."""
+    occ = np.zeros((basis.dim, basis.space.n_modes), dtype=np.int64)
+    np.add.at(occ, (np.arange(basis.dim)[:, None], basis.modes), 1)
+    return occ
+
+
 def bracket_vector(space: ModeSpace, coords, sigma: int) -> StateVector:
     """(1/sqrt(N!)) a+(xi_1) ... a+(xi_N) |0> over its sector: the multiple
     of one basis state that ``bracket_amplitudes`` gives, as a dense vector.

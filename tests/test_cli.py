@@ -17,7 +17,7 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from spinstat import cli, correlations, fockspace, hamiltonians, memo, opalgebra, symmetry
-from helpers import break_boson_same_point
+from helpers import break_boson_same_point, occupations
 from spinstat.cli import load_config, main
 from spinstat.hamiltonians import OneBodySpec, one_particle_spectrum
 from spinstat.modes import Lattice, SpinQuantum
@@ -380,20 +380,22 @@ def test_default_verify_builds_each_family_once_for_every_suite(tmp_path, monkey
     }
 
 
-def test_default_verify_builds_each_pair_record_once(tmp_path):
-    memos = (symmetry.pair_checks, symmetry._pair_sectors, symmetry._pair_conjugation)
+def test_default_verify_builds_each_pair_record_once(tmp_path, monkeypatch):
+    memos = (symmetry.pair_checks, symmetry._pair_sectors)
+    conjugations = _count_calls(monkeypatch, symmetry, "_conjugated_stack")
     before = [m.cache_info() for m in memos]
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["verify", "--out", str(tmp_path / "o")]) == 0
     after = [m.cache_info() for m in memos]
     # per grade: one record, built by the pair-operator suite and read by the
     # theorem suite; its F(r) families (2 projections x N = 2, 3), built by the
-    # rotation suite; their conjugations, each made once by the check that
-    # reads it: the half-turn eigenvalue (all 4 families) and the winding
-    # (the one-step rotation of the 2 on N = 2)
-    assert [(a.misses - b.misses, a.hits - b.hits) for a, b in zip(after, before)] == [
-        (2, 2), (2, 2), (2 * (4 + 2), 0),
-    ]
+    # rotation suite
+    assert [(a.misses - b.misses, a.hits - b.hits) for a, b in zip(after, before)] == [(2, 2), (2, 2)]
+    # the one-rotation conjugations, each made once by the check that reads
+    # it: the half-turn eigenvalue (all 4 families) and the winding (the
+    # one-step rotation of the 2 on N = 2); the rotation suite stacks all 4
+    # rotations of a family in one conjugation
+    assert sum(len(rots) == 1 for rots, _ in conjugations) == 2 * (4 + 2)
 
 
 @pytest.mark.parametrize("argv", [
@@ -410,7 +412,7 @@ def test_every_memo_is_empty_after_main(tmp_path, argv):
     assert held == dict.fromkeys(held, 0)
     named = {
         fockspace._build_basis_cached, fockspace.bracket_matrix, symmetry._sector_unitary,
-        symmetry._rotation, symmetry._pair_sectors, symmetry._pair_conjugation, symmetry.pair_checks,
+        symmetry._rotation, symmetry._pair_sectors, symmetry.pair_checks,
     }
     assert named <= set(memo._MEMOS)
 
@@ -555,7 +557,7 @@ def test_lifts_without_the_boson_normaliser_fail_unitarity(tmp_path, monkeypatch
         lift = original(basis, perm, mode_phases)
         if basis.sigma == -1:
             return lift
-        norms = [math.prod(map(math.factorial, occ)) for occ in basis.occupations.tolist()]
+        norms = [math.prod(map(math.factorial, occ)) for occ in occupations(basis).tolist()]
         return symmetry.SectorLift(lift.image, lift.phase * np.sqrt(norms))
 
     monkeypatch.setattr(symmetry, "sector_lift", unnormalised)
@@ -981,8 +983,9 @@ def test_memory_probe_reads_the_address_space_limit():
 
 def test_running_out_of_memory_exits_2_naming_the_command_and_suite(tmp_path):
     # ring:16, 2s=7: the rotation suite's sectors of 128 modes (N = 3 holds
-    # about 350,000 states of 128 occupations each) need more than 350 MB of
-    # address space; that ended in rc 1 and a numpy MemoryError traceback
+    # about 350,000 states, and a lift of them is kept for each of the 16
+    # rotations) need more than 350 MB of address space; that ended in rc 1
+    # and a numpy MemoryError traceback
     out = tmp_path / "o"
     child = _limited_child(
         "from spinstat.cli import main\nsys.exit(main(sys.argv[1:]))", 350_000_000,

@@ -9,7 +9,7 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import bracket_vector, identity_matrix, occ_apply, random_state, state_coordinate_tensor
+from helpers import bracket_vector, identity_matrix, occ_apply, occupations, random_state, state_coordinate_tensor
 from spinstat import fockspace
 from spinstat.fockspace import (
     DimensionCapError,
@@ -40,6 +40,7 @@ from spinstat.hamiltonians import (
 )
 from spinstat.modes import Lattice, ModeSpace, SpinQuantum
 from spinstat.opalgebra import LadderOp, OperatorExpr, OperatorTerm, create, destroy, normal_order
+from spinstat.symmetry import SpinorRotation
 
 SPACE4 = ModeSpace(Lattice.ring(2), SpinQuantum(1))  # 4 modes
 RNG = np.random.default_rng(7)
@@ -65,8 +66,9 @@ def test_basis_enumeration_order():
     basis2 = build_basis(SPACE4, 2, -1)
     assert basis2.occ_tuple(0) == (1, 1, 0, 0)
     assert basis2.occ_tuple(5) == (0, 0, 1, 1)
-    counts = build_basis(SPACE4, 2, 1).occupations.sum(axis=1)
+    counts = occupations(build_basis(SPACE4, 2, 1)).sum(axis=1)
     assert set(counts.tolist()) == {2}
+    assert basis2.modes.tolist() == [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]
 
 
 @pytest.mark.parametrize("lattice", [Lattice.ring(4), Lattice.grid2d(3)])
@@ -76,7 +78,7 @@ def test_rank_inverts_enumeration(lattice, sigma, twos_s):
     space = ModeSpace(lattice, SpinQuantum(twos_s))
     for n in range(4):
         basis = build_basis(space, n, sigma)
-        assert np.array_equal(basis.rank(basis.occupations), np.arange(basis.dim))
+        assert np.array_equal(basis.rank(basis.modes), np.arange(basis.dim))
 
 
 KERNEL_SPACES = (
@@ -115,14 +117,18 @@ def scalar_string(occ: tuple[int, ...], string, sigma: int):
     return occ, factor
 
 
-def assert_kernel_rows(basis, states, strings, occ, amp, alive):
+def assert_kernel_rows(basis, states, strings, lists, amp, alive):
+    """Each kernel row against ``scalar_string``: a live row is the ascending
+    creation list of the reference occupation, then empty slots."""
+    empty = np.iinfo(basis.modes.dtype).max
     for row, (state, string) in enumerate(zip(states, strings)):
         want = scalar_string(basis.occ_tuple(state), string, basis.sigma)
         if want is None:
             assert not alive[row] and amp[row] == 0.0
         else:
             assert alive[row] and amp[row] == want[1]
-            assert tuple(occ[row].tolist()) == want[0]
+            created = [m for m, n in enumerate(want[0]) for _ in range(n)]
+            assert lists[row].tolist() == created + [empty] * (lists.shape[1] - len(created))
 
 
 # one batch of length-3 strings on the first basis state, in which rows die at
@@ -155,8 +161,8 @@ def test_kernel_matches_scalar_reference(batch):
     length = len(strings[0])
     modes = np.array([[idx for idx, _ in s] for s in strings], dtype=np.intp).reshape(len(states), length)
     daggers = np.array([[dag for _, dag in s] for s in strings], dtype=bool).reshape(len(states), length)
-    occ, amp, alive = _apply_strings(basis.occupations[states], modes, daggers, basis.sigma)
-    assert_kernel_rows(basis, states, strings, occ, amp, alive)
+    lists, amp, alive = _apply_strings(basis.modes[states], modes, daggers, basis.sigma)
+    assert_kernel_rows(basis, states, strings, lists, amp, alive)
 
 
 @pytest.mark.parametrize("sigma", [1, -1])
@@ -174,14 +180,14 @@ def test_kernel_applies_every_hamiltonian_term_to_a_whole_sector(sigma):
     for strings in by_length.values():  # every term on every basis row, one call per string length
         states = list(range(basis.dim)) * len(strings)
         rows = [s for s in strings for _ in range(basis.dim)]
-        occ, amp, alive = _apply_strings(
-            np.tile(basis.occupations, (len(strings), 1)),
+        lists, amp, alive = _apply_strings(
+            np.tile(basis.modes, (len(strings), 1)),
             np.array([[idx for idx, _ in s] for s in rows], dtype=np.intp),
             np.array([[dag for _, dag in s] for s in rows], dtype=bool),
             sigma,
         )
         assert 0 < alive.sum() < len(rows)
-        assert_kernel_rows(basis, states, rows, occ, amp, alive)
+        assert_kernel_rows(basis, states, rows, lists, amp, alive)
 
 
 RANK_SPACES = (KERNEL_SPACES[1], KERNEL_SPACES[2])  # ring:4 2s=1 and grid2d:3 2s=0
@@ -205,18 +211,21 @@ def creation_lists(draw):
 @example((RANK_SPACES[1], -1, [[8, 6, 3, 0]]))  # descending fermions
 @example((RANK_SPACES[0], -1, [[2, 7, 2], [7, 2, 0]]))  # a fermion clash (amplitude 0) beside a live list
 def test_creation_lists_are_ranked_from_the_list(batch):
-    # each list's index is basis.rank of the row the kernel builds from it,
-    # and bracket_amplitudes is bit for bit the kernel route over sqrt(N!)
+    # each list's index is basis.rank of the list the kernel builds from the
+    # vacuum with its creations, its amplitude is the kernel's bit for bit,
+    # and bracket_amplitudes is that route over sqrt(N!)
     space, sigma, lists = batch
     created = np.array(lists, dtype=np.intp)
     n = created.shape[1]
     basis = build_basis(space, n, sigma)
-    occ, amp, alive = _apply_strings(np.zeros((len(lists), space.n_modes), dtype=np.int8), created, True, sigma)
+    vacuum = np.empty((len(lists), 0), dtype=basis.modes.dtype)
+    built, amp, alive = _apply_strings(vacuum, created, np.ones(created.shape, dtype=bool), sigma)
+    assert built.shape == (len(lists), n)
     index, created_amp = fockspace._created_states(basis, created)
-    assert np.array_equal(index[alive], basis.rank(occ[alive]))
+    assert np.array_equal(index[alive], basis.rank(built[alive]))
     assert created_amp.tobytes() == amp.tobytes()
     want = np.zeros(len(lists), dtype=np.intp)
-    want[alive] = basis.rank(occ[alive])
+    want[alive] = basis.rank(built[alive])
     got_basis, got_index, got_amp = bracket_amplitudes(space, created, sigma)
     assert got_basis is basis and np.array_equal(got_index, want)
     assert got_amp.tobytes() == (amp / math.sqrt(math.factorial(n))).tobytes()
@@ -557,6 +566,61 @@ def test_family_blocks_match_every_column_scalar_reference(family_input):
     for family, (domain, codomain) in zip(families, sectors):
         assert (family.domain, family.codomain) == (domain, codomain)
         assert family.stack.shape == (len(exprs) * codomain.dim, domain.dim)
+        for p, expr in enumerate(exprs):
+            assert csr_bits(family.rows(p, p + 1)) == csr_bits(reference_matrix(expr, domain, codomain))
+
+
+RING64 = ModeSpace(Lattice.ring(64), SpinQuantum(1))  # 128 modes: mode 127 is the last int8 value
+
+
+def reference_lift(basis, perm, mode_phases):
+    """The lift of the mode map m -> perm[m] with creation phases, built with
+    ``occ_apply`` from the vacuum: each state's image index and phase."""
+    m = basis.space.n_modes
+    where = {tuple(occ): i for i, occ in enumerate(occupations(basis).tolist())}
+    image, phase = [], []
+    for created in basis.modes.tolist():
+        occ, amp = (0,) * m, 1.0 + 0j
+        for mode in reversed(created):
+            occ, step = occ_apply(occ, perm[mode], True, basis.sigma)
+            amp *= step * mode_phases[mode]
+        image.append(where[occ])
+        phase.append(amp / math.sqrt(math.prod(math.factorial(n) for n in occ)))
+    return np.array(image), np.array(phase)
+
+
+@pytest.mark.parametrize("sigma", [1, -1])
+def test_lists_at_128_modes_keep_the_empty_marker_apart_from_mode_127(sigma):
+    # the empty marker is the largest value of the list dtype; at 128 modes
+    # int8's 127 would be mode 127, so the lists are int16
+    basis = build_basis(RING64, 2, sigma)
+    assert basis.modes.dtype == np.int16 and basis.modes.max() == 127
+    states = [basis.dim - 1, int(basis.rank(np.array([[0, 127]]))[0]), int(basis.rank(np.array([[126, 127]]))[0])]
+    # one batch of length-2 strings, every dagger pattern, on and around mode 127
+    strings = [
+        [(127, True), (127, False)], [(127, False), (126, True)], [(126, True), (127, True)],
+        [(127, False), (126, False)], [(0, False), (127, True)], [(125, True), (126, False)],
+    ]
+    rows = [(state, string) for state in states for string in strings]
+    modes = np.array([[idx for idx, _ in string] for _, string in rows], dtype=np.intp)
+    daggers = np.array([[dag for _, dag in string] for _, string in rows], dtype=bool)
+    lists, amp, alive = _apply_strings(basis.modes[[state for state, _ in rows]], modes, daggers, sigma)
+    assert lists.shape == (len(rows), 4)  # N = 2 and the two creations of one string
+    assert 0 < alive.sum() < len(rows)
+    assert_kernel_rows(basis, [state for state, _ in rows], [string for _, string in rows], lists, amp, alive)
+    # the one-step rotation's lift, against occ_apply from the vacuum
+    rot = SpinorRotation(RING64, 1)
+    phases = np.conj(rot.field_phases)
+    lift = fockspace.sector_lift(basis, rot.mode_permutation, phases)
+    image, phase = reference_lift(basis, rot.mode_permutation, phases)
+    assert np.array_equal(lift.image, image)
+    assert np.max(np.abs(lift.phase - phase)) <= 1e-15
+    # one join of sectors with N = 0, 2 and 1: each domain's lists padded to N = 2
+    sectors = [(build_basis(RING64, n, sigma),) * 2 for n in (0, 2, 1)]
+    a, c = (lambda m: create(RING64.mode_at(m), sigma)), (lambda m: destroy(RING64.mode_at(m), sigma))
+    exprs = [a(127) * c(126) + a(0) * c(127), a(127) * a(126) * c(0) * c(127)]
+    assert len(fockspace.joined_pieces(fockspace._join_sizes(exprs, sectors))) == 1
+    for family, (domain, codomain) in zip(matrix_family(exprs, sectors), sectors):
         for p, expr in enumerate(exprs):
             assert csr_bits(family.rows(p, p + 1)) == csr_bits(reference_matrix(expr, domain, codomain))
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from helpers import fq_hamiltonian_apply, random_state
+from helpers import fq_hamiltonian_apply, occupations, random_state
 from spinstat import hamiltonians
 from spinstat.fockspace import (
     DimensionCapError,
@@ -238,8 +238,9 @@ def projection_labels(basis) -> list[tuple[int, ...]]:
     """Each basis state's particle count per spin projection."""
     space = basis.space
     twos_ms = np.array([mode.twos_ms for mode in space.modes])
+    occ = occupations(basis)
     return [
-        tuple(int(basis.occupations[i, twos_ms == tm].sum()) for tm in space.spin.projections())
+        tuple(int(occ[i, twos_ms == tm].sum()) for tm in space.spin.projections())
         for i in range(basis.dim)
     ]
 

@@ -462,7 +462,7 @@ def test_kept_conjugations_are_bitwise_member_conjugations(space, sigma):
     for family in families:
         every = symmetry._conjugated_stack(rots, family)
         for steps, rot in enumerate(rots):
-            stacked = symmetry._pair_conjugation(rot, family)
+            stacked = symmetry._conjugated_stack([rot], family)
             for member in range(len(family)):
                 want = _bits(conjugated(rot, family, member))
                 assert _bits(stacked.rows(member, member + 1)) == want
