@@ -51,7 +51,7 @@ from .hamiltonians import (
     one_particle_spectrum,
 )
 from .memo import command_scope
-from .modes import Lattice, ModeSpace, SpinQuantum
+from .modes import SIZE_KEYS, Lattice, ModeSpace, SpinQuantum
 from .opalgebra import COEFF_TOL, destroy, expr_residual, parse_expr
 from .symmetry import (
     IncompatibleRotationError,
@@ -115,7 +115,7 @@ def _finite(value) -> bool:
 class RunConfig:
     """Everything a run needs; validated before any computation starts."""
 
-    lattice: dict = field(default_factory=lambda: {"kind": "ring", "M": 4})
+    lattice: dict = field(default_factory=lambda: Lattice("ring", 4).describe())
     twos_s: int = 1
     sigma: object = "both"  # +1, -1, or "both"
     n_particles: int = 2
@@ -147,13 +147,13 @@ class RunConfig:
 
     def make_lattice(self) -> Lattice:
         kind = self.lattice.get("kind")
-        key = {"ring": "M", "grid2d": "L"}.get(kind)
+        key = SIZE_KEYS.get(kind)
         if key is None:
             raise ConfigError(f"unknown lattice kind {kind!r}")
         if not _is_json(self.lattice.get(key), "int"):
             raise self._type_error("lattice", f"an object with an integer {key!r}")
         try:
-            return (Lattice.ring if kind == "ring" else Lattice.grid2d)(self.lattice[key])
+            return Lattice(kind, self.lattice[key])
         except ValueError as exc:
             raise ConfigError(f"bad lattice spec {self.lattice}: {exc}") from exc
 
@@ -260,7 +260,7 @@ def _parse_sigma(text: str):
 
 def _parse_lattice_flag(text: str) -> dict:
     kind, _, size = text.partition(":")
-    key = {"ring": "M", "grid2d": "L"}.get(kind)
+    key = SIZE_KEYS.get(kind)
     if key is None or not size.isdigit():
         raise ConfigError(f"bad --lattice value {text!r}; use ring:M or grid2d:L")
     return {"kind": kind, key: int(size)}

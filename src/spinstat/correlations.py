@@ -32,9 +32,8 @@ def _pair_correlations(state: StateVector, pairs) -> np.ndarray:
     live = amp != 0
     terms = np.zeros(len(rows), dtype=np.complex128)
     terms[live] = amp[live] * state.amplitudes[index[live]]
-    weight = space.lattice.cell_volume ** (n - 2)
     # summed one term at a time, in coordinate order: np.sum would move the last bits
-    sums = [sum(row, 0j) * weight for row in terms.reshape(len(heads), -1).tolist()]
+    sums = [sum(row, 0j) for row in terms.reshape(len(heads), -1).tolist()]
     return np.array(sums, dtype=np.complex128)
 
 

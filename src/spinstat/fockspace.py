@@ -10,10 +10,11 @@ one ranking path, inverts that order with the combinatorial number system.
 All ladder action goes through one kernel, ``_apply_strings``, which steps a
 batch of lists, padded with an empty-slot marker, through their ladder
 strings with bosonic sqrt factors or fermionic parity signs, and drops a row
-as soon as its string vanishes.  Operator matrices come in families:
-``matrix_family`` builds the matrices M_p of a list of expressions on each
-of a list of (domain, codomain) sector pairs, each pair's into one stacked
-CSR vstack_p(M_p) (an ``OperatorFamily``).  Every build is one join of
+as soon as its string vanishes.  An operator between two sectors is always
+an ``OperatorFamily``: the stacked CSR vstack_p(M_p) of one or more members,
+a single operator (``matrix_of``, a Hamiltonian, a lift) being a family of
+one.  ``matrix_family`` builds the matrices M_p of a list of expressions on
+each of a list of (domain, codomain) sector pairs.  Every build is one join of
 consecutive pairs, up to ``JOIN_ENTRIES``: one kernel pass over their domain
 lists side by side, each row ranked in its own codomain, and one COO -> CSR
 whose row ranges are the pairs' stacks; only the (term, column) pairs whose
@@ -340,28 +341,15 @@ def sector_lift(basis: FockBasis, perm, mode_phases) -> SectorLift:
 
 
 @dataclass(frozen=True, eq=False)
-class OperatorMatrix:
-    """Sparse matrix of an operator expression between two sectors."""
-
-    domain: FockBasis
-    codomain: FockBasis
-    matrix: sp.csr_matrix
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.matrix.shape
-
-
-@dataclass(frozen=True, eq=False)
 class OperatorFamily:
-    """The matrices M_p of a list of operator expressions between one pair of
-    sectors, held once as the stacked CSR vstack_p(M_p): M_p is rows
-    p * codomain.dim to (p + 1) * codomain.dim of ``stack``."""
+    """The matrices M_p of a list of operators between one pair of sectors,
+    held once as the stacked CSR vstack_p(M_p): M_p is rows p * codomain.dim
+    to (p + 1) * codomain.dim of ``matrix``; one operator is a family of one."""
 
     domain: FockBasis
     codomain: FockBasis
     size: int
-    stack: sp.csr_matrix
+    matrix: sp.csr_matrix
 
     def __len__(self) -> int:
         return self.size
@@ -369,13 +357,13 @@ class OperatorFamily:
     def rows(self, start: int, stop: int) -> sp.csr_matrix:
         """vstack(M_start, ..., M_stop-1), sharing the stack's arrays."""
         d = self.codomain.dim
-        return _row_range(self.stack, start * d, stop * d, self.domain.dim)
+        return _row_range(self.matrix, start * d, stop * d, self.domain.dim)
 
     def blocks(self, order, phases=None) -> sp.csr_matrix:
         """vstack(phases[k] * M_order[k] over k), gathered from the stack.  Each
         block is multiplied by its phase as a scalar, as ``phase * M`` is: numpy
         multiplies complex arrays elementwise in other last bits."""
-        d, m = self.codomain.dim, self.stack
+        d, m = self.codomain.dim, self.matrix
         order = np.asarray(order, dtype=np.intp)
         take, indptr = row_gather(m, (order[:, None] * d + np.arange(d)).ravel())
         data = m.data[take]
@@ -418,10 +406,10 @@ def max_abs(matrix: sp.spmatrix | np.ndarray) -> float:
     return float(np.abs(arr).max()) if arr.size else 0.0
 
 
-def matrix_of(expr: OperatorExpr, domain: FockBasis, codomain: FockBasis) -> OperatorMatrix:
+def matrix_of(expr: OperatorExpr, domain: FockBasis, codomain: FockBasis) -> OperatorFamily:
     """Column j = expr applied to basis state j of the domain sector: the
-    one-expression ``matrix_family`` on one sector."""
-    return OperatorMatrix(domain, codomain, matrix_family([expr], [(domain, codomain)])[0].stack)
+    one-expression ``matrix_family`` on one sector, a family of one member."""
+    return matrix_family([expr], [(domain, codomain)])[0]
 
 
 def joined_pieces(sizes, budget: int | None = None) -> list[range]:
@@ -643,7 +631,7 @@ def _worst_relation(lefts, rights, sigma: int, mirror=None, like=False) -> float
     families = [f for f in ((lefts, rights), None if like else mirror) if f]
     pair = 1  # per stored entry of ls[p] in column k, the stored entries of row k of rs[q]
     for ls, rs in families:
-        lengths = np.diff(rs.stack.indptr).reshape(len(rs), rs.codomain.dim).astype(float)
+        lengths = np.diff(rs.matrix.indptr).reshape(len(rs), rs.codomain.dim).astype(float)
         pair = max(pair, int((_column_hits(ls) @ lengths.T).max(initial=0)))
     side = max(1, math.isqrt(_PRODUCT_ENTRIES // pair))
     tiles = [(i, min(i + side, len(lefts))) for i in range(0, len(lefts), side)]
@@ -673,7 +661,7 @@ def _side_by_side(family: OperatorFamily, tile: tuple[int, int]) -> sp.csr_matri
 
 def _column_hits(family: OperatorFamily) -> np.ndarray:
     """Entry [p, k]: the stored entries of member p in column k, as floats."""
-    m, cols = family.stack, family.stack.shape[1]
+    m, cols = family.matrix, family.matrix.shape[1]
     cells = _entry_rows(m).astype(np.intp) // family.codomain.dim * cols + m.indices[:m.nnz]
     return np.bincount(cells, minlength=len(family) * cols).reshape(len(family), cols).astype(float)
 
@@ -847,7 +835,7 @@ def project_onto_symmetric(brackets, tensor: np.ndarray) -> np.ndarray:
         raise ValueError(f"probe must have shape {shape}, or a stack of them along a leading axis")
     stack = tensor.reshape(-1, len(index))
     bins = (np.arange(len(stack))[:, None] * basis.dim + index).ravel()
-    terms = (amp * (stack * basis.space.lattice.cell_volume**basis.n_particles)).ravel()
+    terms = (amp * stack).ravel()
     state = np.bincount(bins, terms.real).astype(np.complex128)  # B v up to the last index used
     state.imag = np.bincount(bins, terms.imag)
     return (amp * state[bins].reshape(stack.shape)).reshape(tensor.shape)

@@ -33,7 +33,7 @@ import scipy.sparse as sp
 from .fockspace import (
     DimensionCapError,
     FockBasis,
-    OperatorMatrix,
+    OperatorFamily,
     StateVector,
     _available_memory,
     build_basis,
@@ -91,8 +91,9 @@ class TwoBodySpec:
 
     def unmatched_distances(self, lattice: Lattice) -> list[float]:
         """Table distances that no pair of lattice sites is apart by."""
-        n = lattice.n_sites
-        found = {lattice.site_distance(i, j) for i in range(n) for j in range(n)}
+        # site 0 (a ring's first site, a grid's corner) lies at every pairwise
+        # distance from some other site, so it sees every distance of the lattice
+        found = {lattice.site_distance(0, j) for j in range(lattice.n_sites)}
         return [d for d, _ in self.table if all(abs(d - x) > DISTANCE_TOL for x in found)]
 
 
@@ -181,7 +182,7 @@ def many_body_expr(
 
 def build_many_body(
     spec1: OneBodySpec, spec2: TwoBodySpec | None, basis: FockBasis
-) -> OperatorMatrix:
+) -> OperatorFamily:
     """The full Hamiltonian matrix on one particle-number sector."""
     expr = many_body_expr(spec1, spec2, basis.space, basis.sigma)
     return matrix_of(expr, basis, basis)
@@ -245,7 +246,7 @@ class SpectrumResult:
 _BLOCK_WORK_ARRAYS = 6  # dense block, LAPACK workspace, residual and Gram temporaries
 
 
-def _projection_blocks(ham: OperatorMatrix) -> tuple[list[np.ndarray], list]:
+def _projection_blocks(ham: OperatorFamily) -> tuple[list[np.ndarray], list]:
     """Ascending basis indices of each block of equal particle count per spin
     projection, blocks in ascending count-vector order, and each block's count
     vector as a tuple.  One block holding the whole sector, labelled None, if
@@ -311,7 +312,7 @@ def _is_mirror(gathered: sp.csr_matrix, image, sign, partner: slice, block: slic
     )
 
 
-def diagonalize(ham: OperatorMatrix) -> SpectrumResult:
+def diagonalize(ham: OperatorFamily) -> SpectrumResult:
     """Exact eigendecomposition with a verified residual contract.
 
     H is split into blocks of fixed particle count per spin projection, which
@@ -336,7 +337,8 @@ def diagonalize(ham: OperatorMatrix) -> SpectrumResult:
     (``_available_memory``).  A NaN anywhere fails every comparison.
     """
     if (
-        ham.domain.n_particles != ham.codomain.n_particles
+        len(ham) != 1
+        or ham.domain.n_particles != ham.codomain.n_particles
         or ham.domain.sigma != ham.codomain.sigma
     ):
         raise ValueError("can only diagonalize a square same-sector matrix")

@@ -2,11 +2,13 @@
 
 A mode is one single-particle degree of freedom: a lattice site paired with a
 spin projection.  Spin quantities are stored doubled (2s and 2m_s) so every
-phase exponent stays integer valued.  The unit-cell volume is fixed to 1,
-which turns continuum deltas into Kronecker deltas and integrals into plain
-site sums, so every identity checked downstream is exact and finite.
+phase exponent stays integer valued.  The unit-cell volume is fixed to 1, and
+is no setting: it turns continuum deltas into Kronecker deltas and integrals
+into plain site sums, so every identity checked downstream is exact and finite.
 
-All values here are immutable after construction and safe to share.
+A lattice is the value (kind, size); its site and mode counts are computed
+from those, so a size is checked against a cap before any site or mode list
+is built.  All values here are immutable after construction and safe to share.
 """
 
 from __future__ import annotations
@@ -44,65 +46,54 @@ class SpinQuantum:
         return abs(twos_ms) <= self.twos_s and (twos_ms - self.twos_s) % 2 == 0
 
 
+SIZE_KEYS = {"ring": "M", "grid2d": "L"}  # the config key of each lattice kind's size
+
+
 @dataclass(frozen=True)
 class Lattice:
-    """Finite centrosymmetric site set with exact inversion and z-rotation maps.
+    """Finite centrosymmetric site set with exact inversion and z-rotation maps,
+    determined by its kind and size.
 
-    kind "ring":   M sites (M even) at angles 2*pi*k/M, stored as 1-tuples (k,).
+    kind "ring":   M = size sites (M even) at angles 2*pi*k/M, stored as 1-tuples (k,).
                    The rotation group is generated by one step of 2*pi/M.
-    kind "grid2d": an odd L x L block of integer points centred on the origin,
-                   open boundaries; rotations are quarter turns.
+    kind "grid2d": an odd L x L (L = size) block of integer points centred on
+                   the origin, open boundaries; rotations are quarter turns.
 
     Evenness / oddness is required so that inversion r -> -r and the half-turn
     rotation are exact bijections on the site list.
     """
 
     kind: str
-    sites: tuple[tuple[int, ...], ...]
-    cell_volume: float = 1.0
+    size: int
 
     def __post_init__(self) -> None:
-        if self.kind not in ("ring", "grid2d"):
+        if self.kind not in SIZE_KEYS:
             raise ValueError(f"unknown lattice kind {self.kind!r}")
-        if self.cell_volume <= 0:
-            raise ValueError("cell_volume must be positive")
-        if len(set(self.sites)) != len(self.sites):
-            raise ValueError("duplicate sites")
         if self.kind == "ring":
-            m = len(self.sites)
-            if m < 2 or m % 2:
-                raise ValueError(f"ring needs an even number of sites >= 2, got {m}")
-            if self.sites != tuple((k,) for k in range(m)):
-                raise ValueError("ring sites must be (0,), (1,), ..., (M-1,)")
-        else:
-            n = len(self.sites)
-            l = math.isqrt(n)
-            if l * l != n or l % 2 == 0:
-                raise ValueError(f"grid2d needs an odd LxL site count, got {n}")
-            h = (l - 1) // 2
-            expected = tuple(
-                (x, y) for x in range(-h, h + 1) for y in range(-h, h + 1)
-            )
-            if self.sites != expected:
-                raise ValueError("grid2d sites must be the centred L x L block in lexicographic order")
-        # inversion must close on the site list (centrosymmetry)
-        for i in range(len(self.sites)):
-            self.invert_site(i)
+            if self.size < 2 or self.size % 2:
+                raise ValueError(f"ring needs an even number of sites >= 2, got {self.size}")
+        elif self.size < 1 or self.size % 2 == 0:
+            raise ValueError(f"grid2d side must be odd and >= 1, got {self.size}")
 
     @classmethod
     def ring(cls, m: int) -> "Lattice":
-        return cls("ring", tuple((k,) for k in range(m)))
+        return cls("ring", m)
 
     @classmethod
     def grid2d(cls, l: int) -> "Lattice":
-        if l < 1 or l % 2 == 0:
-            raise ValueError(f"grid2d side must be odd and >= 1, got {l}")
-        h = (l - 1) // 2
-        return cls("grid2d", tuple((x, y) for x in range(-h, h + 1) for y in range(-h, h + 1)))
+        return cls("grid2d", l)
+
+    @cached_property
+    def sites(self) -> tuple[tuple[int, ...], ...]:
+        """Site coordinates: (k,) on a ring; (x, y) in lexicographic order on a grid."""
+        if self.kind == "ring":
+            return tuple((k,) for k in range(self.size))
+        h = (self.size - 1) // 2
+        return tuple((x, y) for x in range(-h, h + 1) for y in range(-h, h + 1))
 
     @property
     def n_sites(self) -> int:
-        return len(self.sites)
+        return self.size if self.kind == "ring" else self.size * self.size
 
     @cached_property
     def _site_index(self) -> dict[tuple[int, ...], int]:
@@ -121,11 +112,10 @@ class Lattice:
 
     def invert_site(self, site: int) -> int:
         """Site index of -r; involutive, fixes the origin where present."""
-        coords = self.sites[site]
         if self.kind == "ring":
-            m = self.n_sites
-            return (coords[0] + m // 2) % m
-        return self.site_index((-coords[0], -coords[1]))
+            return (site + self.size // 2) % self.size
+        x, y = self.sites[site]
+        return self.site_index((-x, -y))
 
     def rotate_site_z(self, site: int, steps: int) -> int:
         """Site index of the z-rotation image of ``site`` by ``steps`` elementary steps.
@@ -135,8 +125,7 @@ class Lattice:
         Half a turn coincides with invert_site on either lattice.
         """
         if self.kind == "ring":
-            m = self.n_sites
-            return (self.sites[site][0] + steps) % m
+            return (site + steps) % self.size
         x, y = self.sites[site]
         for _ in range(steps % 4):
             x, y = y, -x
@@ -163,9 +152,8 @@ class Lattice:
     def site_distance(self, i: int, j: int) -> float:
         """Inter-site distance: arc steps on a ring, Euclidean on a grid."""
         if self.kind == "ring":
-            m = self.n_sites
-            d = abs(self.sites[i][0] - self.sites[j][0])
-            return float(min(d, m - d))
+            d = abs(i - j)
+            return float(min(d, self.size - d))
         (x1, y1), (x2, y2) = self.sites[i], self.sites[j]
         return math.hypot(x1 - x2, y1 - y2)
 
@@ -177,9 +165,7 @@ class Lattice:
         return None
 
     def describe(self) -> dict:
-        if self.kind == "ring":
-            return {"kind": "ring", "M": self.n_sites}
-        return {"kind": "grid2d", "L": math.isqrt(self.n_sites)}
+        return {"kind": self.kind, SIZE_KEYS[self.kind]: self.size}
 
 
 @dataclass(frozen=True)
@@ -223,7 +209,7 @@ class ModeSpace:
 
     @property
     def n_modes(self) -> int:
-        return len(self.modes)
+        return self.lattice.n_sites * self.spin.multiplicity
 
     def index(self, mode: Mode) -> int:
         try:

@@ -45,7 +45,6 @@ import scipy.sparse as sp
 from .fockspace import (
     FockBasis,
     OperatorFamily,
-    OperatorMatrix,
     SectorLift,
     bracket_amplitudes,
     build_basis,
@@ -113,13 +112,13 @@ class SpinorRotation:
             cis_turns(Fraction(m.twos_ms, 2) * self.turns) for m in self.space.modes
         )
 
-    def fock_lift(self, basis: FockBasis) -> OperatorMatrix:
+    def fock_lift(self, basis: FockBasis) -> OperatorFamily:
         """The sector unitary implementing this rotation on Fock states, as
         canonical CSR built from the lift's image and phase arrays."""
         lift = _sector_unitary(self, basis.n_particles, basis.sigma)
         dim = basis.dim
         csc = sp.csc_matrix((lift.phase, lift.image, np.arange(dim + 1)), shape=(dim, dim))
-        return OperatorMatrix(basis, basis, csc.tocsr())
+        return OperatorFamily(basis, basis, 1, csc.tocsr())
 
 
 @command_memo
@@ -170,7 +169,7 @@ def _conjugated_stack(rots, family: OperatorFamily) -> OperatorFamily:
         (_sector_unitary(rot, co.n_particles, co.sigma), _sector_unitary(rot, dom.n_particles, dom.sigma))
         for rot in rots
     ]
-    m, members = family.stack, np.arange(len(family))[:, None] * co.dim
+    m, members = family.matrix, np.arange(len(family))[:, None] * co.dim
     take, indptr = row_gather(m, joined([(members + lift.source).ravel() for lift, _ in lifts]))
     cols, vals = m.indices[take], m.data[take]
     starts = indptr[np.arange(len(rots) + 1) * m.shape[0]]  # where each rotation's entries start
@@ -193,7 +192,7 @@ def _stepped(family: OperatorFamily, rots):
     """``_conjugated_stack`` of ``family`` under each of ``rots``, as
     (rotations, stack) over runs of consecutive rotations whose
     conjugations' entries and rows add up to at most ``JOIN_ENTRIES``."""
-    size = family.stack.nnz + family.stack.shape[0]
+    size = family.matrix.nnz + family.matrix.shape[0]
     for piece in joined_pieces([size] * len(rots)):
         run = [rots[i] for i in piece]
         yield run, _conjugated_stack(run, family)
@@ -204,7 +203,7 @@ def _covariance_residual(conj: OperatorFamily, family: OperatorFamily, images, p
     of ``conj`` (a ``_conjugated_stack`` of ``family``, one member per
     image), against a phased block-row gather of the family's stack: one
     difference and one maximum however many rotations ``conj`` stacks."""
-    return max_abs(conj.stack - family.blocks(images, phases))
+    return max_abs(conj.matrix - family.blocks(images, phases))
 
 
 def _unitarity_residual(lift: SectorLift) -> float:
@@ -476,13 +475,13 @@ def pair_checks(space: ModeSpace, sigma: int, n_max: int = 3) -> PairChecks:
     for tm, family in _pair_sectors(space, sigma, n_max):
         families[tm].append(family)
         mirrored = family.blocks(inverted)
-        even_part = max_abs(mirrored + family.stack)
-        inversion = max(inversion, max_abs(mirrored - family.stack) if sigma == 1 else even_part)
+        even_part = max_abs(mirrored + family.matrix)
+        inversion = max(inversion, max_abs(mirrored - family.matrix) if sigma == 1 else even_part)
         even = max(even, even_part)
     for tm, fams in families.items():
         same = destroy(Mode(origin, tm), sigma) * destroy(Mode(origin, tm), sigma)
         for family in matrix_family([same], [(f.domain, f.codomain) for f in fams]):
-            same_point[tm] = max(same_point[tm], max_abs(family.stack))
+            same_point[tm] = max(same_point[tm], max_abs(family.matrix))
     eigen = {tm: _half_turn_eigenvalue(fams, probe) for tm, fams in families.items()}
     return PairChecks(
         space=space,

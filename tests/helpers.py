@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from spinstat.correlations import _pair_correlations
-from spinstat.fockspace import OperatorMatrix, StateVector, bracket_amplitudes, symmetrizer_oracle
+from spinstat.fockspace import OperatorFamily, StateVector, bracket_amplitudes, symmetrizer_oracle
 from spinstat.modes import Mode, ModeSpace
 
 
@@ -89,8 +89,8 @@ def _lift(rot, basis, adjoint: bool) -> sp.csr_matrix:
     return u.conj().T.tocsr() if adjoint else u
 
 
-def identity_matrix(basis) -> OperatorMatrix:
-    return OperatorMatrix(basis, basis, sp.identity(basis.dim, dtype=np.complex128, format="csr"))
+def identity_matrix(basis) -> OperatorFamily:
+    return OperatorFamily(basis, basis, 1, sp.identity(basis.dim, dtype=np.complex128, format="csr"))
 
 
 def pair_correlation(state: StateVector, xi1: Mode, xi2: Mode) -> complex:

@@ -20,7 +20,7 @@ from spinstat import cli, correlations, fockspace, hamiltonians, memo, opalgebra
 from helpers import break_boson_same_point, occupations
 from spinstat.cli import load_config, main
 from spinstat.hamiltonians import OneBodySpec, one_particle_spectrum
-from spinstat.modes import Lattice, SpinQuantum
+from spinstat.modes import SIZE_KEYS, Lattice, SpinQuantum
 
 
 def read_json(path: Path) -> dict:
@@ -166,6 +166,15 @@ def test_internal_value_error_is_not_a_config_error(tmp_path, monkeypatch):
     monkeypatch.setitem(cli.SUITES, "theorem", broken)
     with pytest.raises(ValueError, match="winding undefined"):
         main(["verify", "--suite", "theorem", "--out", str(tmp_path / "o")])
+
+
+@pytest.mark.parametrize("spec", [{"kind": "ring", "M": 6}, {"kind": "grid2d", "L": 5}])
+def test_lattice_specs_round_trip_through_the_size_keys(spec):
+    kind = spec["kind"]
+    lattice = cli.RunConfig(lattice=spec).make_lattice()
+    assert lattice == Lattice(kind, spec[SIZE_KEYS[kind]])
+    assert lattice.describe() == spec
+    assert cli._parse_lattice_flag(f"{kind}:{lattice.size}") == spec
 
 
 def test_bad_lattice_flag_is_config_error(tmp_path, capsys):
@@ -979,6 +988,19 @@ def test_memory_probe_reads_the_address_space_limit():
     )
     assert child.returncode == 0, child.stderr
     assert 0 < int(child.stdout) < 1_500_000_000  # the limit less what the child already maps
+
+
+@pytest.mark.parametrize("command", ["diagonalize", "correlate"])
+def test_huge_lattice_is_refused_by_the_cap_before_any_site_list(tmp_path, command):
+    # ring:1000000 at 2s=1 has 2,000,000 modes and an N=2 sector far past the
+    # dimension cap; counting them from the size alone refuses it at once,
+    # where building the mode list first took seconds and hundreds of MB
+    child = _limited_child(
+        "from spinstat.cli import main\nsys.exit(main(sys.argv[1:]))", 350_000_000,
+        command, "--lattice", "ring:1000000", "--sigma", "-1", "--out", str(tmp_path / "o"),
+    )
+    assert child.returncode == 2, child.stderr
+    assert "over the cap" in child.stderr
 
 
 def test_running_out_of_memory_exits_2_naming_the_command_and_suite(tmp_path):

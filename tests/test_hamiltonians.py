@@ -10,7 +10,7 @@ from helpers import fq_hamiltonian_apply, occupations, random_state
 from spinstat import hamiltonians
 from spinstat.fockspace import (
     DimensionCapError,
-    OperatorMatrix,
+    OperatorFamily,
     bracket_matrix,
     build_basis,
     matrix_family,
@@ -82,7 +82,7 @@ def test_eigenvectors_orthonormal_under_measure():
     space = ModeSpace(lattice, spin)
     _, phi = one_particle_spectrum(OneBodySpec(hop_t=1.0, onsite_u=0.2), lattice, spin)
     for q in range(space.n_modes):
-        norm = space.lattice.cell_volume * sum(abs(phi[i, q]) ** 2 for i in range(space.n_modes))
+        norm = sum(abs(phi[i, q]) ** 2 for i in range(space.n_modes))
         assert norm == pytest.approx(1.0)
     gram = phi.conj().T @ phi
     assert np.max(np.abs(gram - np.eye(space.n_modes))) <= 1e-12
@@ -136,8 +136,8 @@ def test_eigenmode_stack_holds_one_projection_share_of_mixed_eigenmodes(twos_s, 
     _, phi = one_particle_spectrum(spec, lattice, spin)
     _, mixed = np.linalg.eigh(one_body_matrix(spec, lattice, spin))
     two, one = build_basis(space, 2, sigma), build_basis(space, 1, sigma)
-    lifted_nnz = matrix_family(mode_operators(space, phi, sigma), [(two, one)])[0].stack.nnz
-    mixed_nnz = matrix_family(mode_operators(space, mixed, sigma), [(two, one)])[0].stack.nnz
+    lifted_nnz = matrix_family(mode_operators(space, phi, sigma), [(two, one)])[0].matrix.nnz
+    mixed_nnz = matrix_family(mode_operators(space, mixed, sigma), [(two, one)])[0].matrix.nnz
     assert 0 < lifted_nnz * spin.multiplicity <= mixed_nnz
 
 
@@ -222,15 +222,46 @@ def test_diagonalize_contracts():
 def test_diagonalize_rejects_non_hermitian():
     space = ModeSpace(Lattice.ring(2), SpinQuantum(0))
     basis = build_basis(space, 1, -1)
-    bad = OperatorMatrix(basis, basis, sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)))
+    bad = OperatorFamily(basis, basis, 1, sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)))
     with pytest.raises(ValueError):
         diagonalize(bad)
+
+
+def test_diagonalize_refuses_a_family_of_more_than_one_member():
+    basis = build_basis(ModeSpace(Lattice.ring(4), SpinQuantum(0)), 1, 1)
+    eye = sp.identity(basis.dim, dtype=np.complex128, format="csr")
+    with pytest.raises(ValueError, match="square same-sector"):
+        diagonalize(OperatorFamily(basis, basis, 2, sp.vstack([eye, eye], format="csr")))
+
+
+@pytest.mark.parametrize(
+    "lattice",
+    [Lattice.ring(2), Lattice.ring(12), Lattice.ring(14),
+     Lattice.grid2d(1), Lattice.grid2d(3), Lattice.grid2d(5), Lattice.grid2d(9)],
+    ids=lambda lattice: f"{lattice.kind}{lattice.size}",
+)
+def test_interaction_keys_are_matched_from_one_site(monkeypatch, lattice):
+    # the distances seen from site 0 are, bit for bit, those of all site pairs
+    n = lattice.n_sites
+    every_pair = {lattice.site_distance(i, j) for i in range(n) for j in range(n)}
+    seen = []
+    measure = Lattice.site_distance
+
+    def counted(self, i, j):
+        seen.append(measure(self, i, j))
+        return seen[-1]
+
+    monkeypatch.setattr(Lattice, "site_distance", counted)
+    spec = TwoBodySpec.from_dict({**{d: 1.0 for d in every_pair}, 0.5: 1.0})
+    assert spec.unmatched_distances(lattice) == [0.5]
+    assert set(seen) == every_pair
+    assert len(seen) <= n
 
 
 def test_diagonalize_diagonal_matrix():
     space = ModeSpace(Lattice.ring(4), SpinQuantum(0))
     basis = build_basis(space, 1, 1)
-    diag = OperatorMatrix(basis, basis, sp.csr_matrix(np.diag([3.0, -1.0, 2.0, 0.0]).astype(complex)))
+    diag = OperatorFamily(basis, basis, 1, sp.csr_matrix(np.diag([3.0, -1.0, 2.0, 0.0]).astype(complex)))
     assert diagonalize(diag).eigenvalues == pytest.approx([-1.0, 0.0, 2.0, 3.0])
 
 
@@ -356,7 +387,7 @@ def test_mirror_differing_in_one_ulp_is_solved(monkeypatch):
     coo = ham.matrix.tocoo()
     i, j = next((i, j) for i, j in zip(coo.row, coo.col) if i != j and labels[i] == (2, 1))
     mat[i, j] = mat[j, i] = np.nextafter(mat[i, j].real, np.inf)
-    nudged = OperatorMatrix(ham.domain, ham.codomain, mat.tocsr())
+    nudged = OperatorFamily(ham.domain, ham.codomain, 1, mat.tocsr())
     calls.clear()
     result = diagonalize(nudged)
     assert calls == [20, 90, 90]  # the (3,0) block still mirrors (0,3)
@@ -388,7 +419,7 @@ def test_complex_hermitian_blocks_solve_in_complex_arithmetic():
     labels = projection_labels(basis)
     same_block = np.array([[li == lj for lj in labels] for li in labels])
     mat = sp.csr_matrix(np.where(same_block, random_hermitian(basis.dim), 0))
-    ham = OperatorMatrix(basis, basis, mat)
+    ham = OperatorFamily(basis, basis, 1, mat)
     result = diagonalize(ham)
     assert_exact_spectrum(ham, result)
     assert all(len(block_labels_of(v, labels)) == 1 for v in result.eigenvectors)
@@ -407,7 +438,7 @@ def test_entry_between_blocks_solves_the_sector_as_one_block(coupling):
         bump[i, j] = bump[j, i] = 0.25
         hop = build_many_body(OneBodySpec(hop_t=1.0, onsite_u=0.2), None, basis).matrix
         mat = hop + sp.csr_matrix(bump)
-    ham = OperatorMatrix(basis, basis, mat)
+    ham = OperatorFamily(basis, basis, 1, mat)
     result = diagonalize(ham)
     assert_exact_spectrum(ham, result)
     assert any(len(block_labels_of(v, labels)) > 1 for v in result.eigenvectors)
@@ -416,7 +447,7 @@ def test_entry_between_blocks_solves_the_sector_as_one_block(coupling):
 def test_equal_eigenvalues_keep_block_order():
     basis = build_basis(ModeSpace(Lattice.ring(4), SpinQuantum(1)), 2, -1)
     labels = projection_labels(basis)
-    result = diagonalize(OperatorMatrix(basis, basis, sp.csr_matrix((basis.dim, basis.dim))))
+    result = diagonalize(OperatorFamily(basis, basis, 1, sp.csr_matrix((basis.dim, basis.dim))))
     order = [block_labels_of(v, labels).pop() for v in result.eigenvectors]
     assert order == [(0, 2)] * 6 + [(1, 1)] * 16 + [(2, 0)] * 6
 
@@ -427,7 +458,7 @@ def test_diagonalize_fails_a_nan_in_every_comparison(monkeypatch):
     broken = ham.matrix.copy()
     broken.data[0] = np.nan
     with pytest.raises(ValueError, match="not Hermitian"):
-        diagonalize(OperatorMatrix(basis, basis, broken))
+        diagonalize(OperatorFamily(basis, basis, 1, broken))
     # a solver that returns NaN eigenpairs fails the residual and Gram contract
     monkeypatch.setattr(np.linalg, "eigh", lambda a: (np.full(len(a), np.nan), np.full(a.shape, np.nan)))
     with pytest.raises(RuntimeError, match="residual contract"):

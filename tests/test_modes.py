@@ -93,9 +93,9 @@ def test_lattice_validation():
     with pytest.raises(ValueError):
         Lattice.grid2d(2)  # even grids are not centrosymmetric
     with pytest.raises(ValueError):
-        Lattice("ring", ((0,), (2,)))
+        Lattice("ring", 3)
     with pytest.raises(ValueError):
-        Lattice("triangle", ((0,),))
+        Lattice("triangle", 3)
 
 
 def test_edges():

@@ -474,12 +474,12 @@ def test_relabelled_conjugation_drops_explicit_zeros_as_the_product_does():
     # product or in its relabelling
     domain, codomain = build_basis(RING4_HALF, 2, -1), build_basis(RING4_HALF, 1, -1)
     family = matrix_family([destroy(mode, -1) for mode in RING4_HALF.modes], [(domain, codomain)])[0]
-    stack = family.stack.copy()
+    stack = family.matrix.copy()
     stack.data[::3] = 0.0
     zeroed = type(family)(domain, codomain, len(family), stack)
     rot = SpinorRotation(RING4_HALF, 1)
     conj = symmetry._conjugated_stack([rot], zeroed)
-    assert conj.stack.nnz < stack.nnz
+    assert conj.matrix.nnz < stack.nnz
     for member in range(len(family)):
         assert _bits(conj.rows(member, member + 1)) == _bits(conjugated(rot, zeroed, member))
 
