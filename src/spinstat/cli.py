@@ -27,6 +27,7 @@ from .fockspace import (
     DimensionCapError,
     bracket_amplitudes,
     build_basis,
+    capped_dimension,
     completeness_check,
     every_bracket,
     index_tuples,
@@ -330,6 +331,9 @@ def _pair_n_max(cfg: RunConfig, suite: str) -> int:
 def suite_commutators(cfg: RunConfig, rng) -> SuiteReport:
     space = cfg.make_space()
     tol = _tol(cfg, "commutators")
+    for sigma in cfg.sigmas():  # the sectors N <= n_max + 2 the relations read, before any per-mode build
+        for n in range(cfg.n_max + 3):
+            capped_dimension(space, n, sigma)
     checks = []
     for sigma in cfg.sigmas():
         worst_mixed, worst_ann, worst_cre = ladder_relation_residuals(

@@ -193,15 +193,23 @@ def _build_basis_cached(space: ModeSpace, n_particles: int, sigma: int) -> FockB
     return FockBasis(space, sigma, n_particles, picked, _rank_table(m, n_particles, sigma))
 
 
-def build_basis(space: ModeSpace, n_particles: int, sigma: int) -> FockBasis:
-    """Enumerate the (N, sigma) sector; refuses to build past
-    ``DEFAULT_DIMENSION_CAP`` states, read at each call."""
+def capped_dimension(space: ModeSpace, n_particles: int, sigma: int) -> int:
+    """The (N, sigma) sector's size, computed without enumerating it; raises
+    ``DimensionCapError`` past ``DEFAULT_DIMENSION_CAP`` states, read at each
+    call."""
     dim = sector_dimension(space.n_modes, n_particles, check_sigma(sigma))
     if dim > DEFAULT_DIMENSION_CAP:
         raise DimensionCapError(
             f"sector N={n_particles}, sigma={sigma:+d} has {dim} states,"
             f" over the cap {DEFAULT_DIMENSION_CAP}"
         )
+    return dim
+
+
+def build_basis(space: ModeSpace, n_particles: int, sigma: int) -> FockBasis:
+    """Enumerate the (N, sigma) sector; refuses to build past the cap
+    (``capped_dimension``)."""
+    capped_dimension(space, n_particles, sigma)
     return _build_basis_cached(space, n_particles, sigma)
 
 

@@ -36,10 +36,13 @@ from .fockspace import (
     OperatorFamily,
     StateVector,
     _available_memory,
+    _entry_rows,
+    _row_range,
     build_basis,
     ladder_relation_residuals,
     matrix_of,
     max_abs,
+    row_gather,
     sector_lift,
 )
 from .modes import Lattice, Mode, ModeSpace, SpinQuantum
@@ -188,18 +191,35 @@ def build_many_body(
     return matrix_of(expr, basis, basis)
 
 
+@dataclass(frozen=True, eq=False)
+class MirroredBlock:
+    """The eigenvectors of a mirrored block, kept as a recipe: row q of its
+    columns is row ``rows[q]`` of its partner's columns times ``signs[q]``."""
+
+    partner: int
+    rows: np.ndarray
+    signs: np.ndarray
+
+    def gather(self, partner_vectors: np.ndarray, columns=slice(None)) -> np.ndarray:
+        """``columns`` (an index or a slice) of this block, from the partner's array."""
+        out = partner_vectors[self.rows, columns]
+        out.T[...] *= self.signs  # row q times signs[q], for one column or many
+        return out
+
+
 class BlockEigenvectors(Sequence):
     """The eigenvectors of a blocked solve, kept as one array of columns per
-    block; a mirrored block's columns are its partner's, signed and permuted
-    into its own ascending basis order.  The k-th ``StateVector`` is built
-    when it is read, by scattering its block column into a zero complex
-    vector over the whole sector, so a caller that reads one vector never
-    pays for the others."""
+    solved block; a mirrored block keeps only its ``MirroredBlock`` recipe,
+    and its columns are gathered from the partner's, signed, when they are
+    read, so the sector holds one copy of each pair's vectors.  The k-th
+    ``StateVector`` is built when it is read, by scattering its block column
+    into a zero complex vector over the whole sector, so a caller that reads
+    one vector never pays for the others."""
 
     def __init__(self, basis: FockBasis, blocks, vectors, order: np.ndarray) -> None:
         self._basis = basis
         self._blocks = tuple(blocks)  # ascending basis indices of each block
-        self._vectors = tuple(vectors)  # eigh's eigenvector columns of each block
+        self._vectors = tuple(vectors)  # eigh's columns of each solved block, or a MirroredBlock
         self._order = order  # k-th vector -> its column in block order
         self._starts = np.cumsum([0] + [len(idx) for idx in self._blocks])
 
@@ -209,8 +229,12 @@ class BlockEigenvectors(Sequence):
     def __getitem__(self, k: int) -> StateVector:
         column = int(self._order[k])
         b = int(np.searchsorted(self._starts, column, side="right")) - 1
+        vectors, column = self._vectors[b], column - self._starts[b]
         amplitudes = np.zeros(self._basis.dim, dtype=np.complex128)
-        amplitudes[self._blocks[b]] = self._vectors[b][:, column - self._starts[b]]
+        if isinstance(vectors, MirroredBlock):
+            amplitudes[self._blocks[b]] = vectors.gather(self._vectors[vectors.partner], column)
+        else:
+            amplitudes[self._blocks[b]] = vectors[:, column]
         return StateVector(self._basis, amplitudes)
 
 
@@ -221,8 +245,9 @@ class SpectrumResult:
     Every eigenvector lies inside one block of fixed particle count per spin
     projection (the whole sector when H mixes those counts), so a degenerate
     level spread over several blocks comes back as its block components, not
-    as an arbitrary mixture of them.  ``eigenvectors`` keeps only the
-    per-block arrays and builds each ``StateVector`` when it is read.
+    as an arbitrary mixture of them.  ``eigenvectors`` keeps only the arrays
+    of the solved blocks, and the recipe of each mirrored block, and builds
+    each ``StateVector`` when it is read.
     Eigenvalues are merged with a stable sort: equal values keep block order,
     blocks ascending by count vector (the count at 2m_s = +2s first).  A
     mirrored block repeats its partner's eigenvalues bit for bit, so the
@@ -230,7 +255,7 @@ class SpectrumResult:
     split over blocks that are not mirrors can differ in the last bits and are
     ordered by those bits, so reruns return the same states on the same
     machine with the same BLAS and BLAS thread count; another thread count can
-    change the state picked inside such a level.
+    change the state picked inside such a level, and the eigenvalue bits.
     """
 
     basis: FockBasis
@@ -243,24 +268,21 @@ class SpectrumResult:
         return float(self.eigenvalues[0])
 
 
-_BLOCK_WORK_ARRAYS = 6  # dense block, LAPACK workspace, residual and Gram temporaries
+_SOLVE_ARRAYS = 5  # the dense block, LAPACK's copy of it, its 2 n^2 workspace and eigh's output
 
 
-def _projection_blocks(ham: OperatorFamily) -> tuple[list[np.ndarray], list]:
+def _projection_blocks(mat: sp.csr_matrix, basis: FockBasis) -> tuple[list[np.ndarray], list]:
     """Ascending basis indices of each block of equal particle count per spin
     projection, blocks in ascending count-vector order, and each block's count
     vector as a tuple.  One block holding the whole sector, labelled None, if
     any stored entry of H joins two different counts."""
-    basis = ham.domain
     if basis.dim == 0:
         return [], []
-    space = basis.space
-    projections = np.arange(space.spin.multiplicity)  # mode index = site * multiplicity + projection
+    projections = np.arange(basis.space.spin.multiplicity)  # mode index = site * multiplicity + projection
     counts = (basis.modes[:, :, None] % len(projections) == projections).sum(axis=1)
     keys, labels = np.unique(counts, axis=0, return_inverse=True)
     labels = labels.ravel()
-    coo = ham.matrix.tocoo()
-    if np.any(labels[coo.row] != labels[coo.col]):
+    if np.any(labels[_entry_rows(mat)] != labels[mat.indices[:mat.nnz]]):
         return [np.arange(basis.dim)], [None]
     order = np.argsort(labels, kind="stable")
     blocks = np.split(order, np.cumsum(np.bincount(labels))[:-1])
@@ -289,27 +311,53 @@ def _spin_reversal(basis: FockBasis, order: np.ndarray) -> tuple[np.ndarray, np.
     return position[lift.image[order]], np.sign(lift.phase.real[order])
 
 
-def _is_mirror(gathered: sp.csr_matrix, image, sign, partner: slice, block: slice) -> bool:
-    """Whether the stored entries of the block in rows ``block`` of the
-    gathered matrix equal, bit for bit, those of the partner's rows moved to
-    the image positions and multiplied by the signs of both states."""
-    n = gathered.shape[0]
+def _gathered(mat: sp.csr_matrix, order: np.ndarray, starts: np.ndarray, real: bool) -> sp.csr_matrix:
+    """H's rows in the concatenated block ``order``, each row's entries in H's
+    stored order and each column counted from the start of its block, which
+    is the row's: rows starts[b] to starts[b + 1] are block b itself."""
+    local = np.empty(len(order), dtype=mat.indices.dtype)
+    local[order] = np.arange(len(order)) - np.repeat(starts[:-1], np.diff(starts))
+    take, indptr = row_gather(mat, order)
+    data = (mat.data.real if real else mat.data)[take]
+    width = int(np.diff(starts).max(initial=0))
+    return sp.csr_matrix((data, local[mat.indices[take]], indptr), shape=(len(order), width))
 
-    def entries(rows: slice):
-        span = slice(gathered.indptr[rows.start], gathered.indptr[rows.stop])
-        row = np.repeat(np.arange(rows.start, rows.stop), np.diff(gathered.indptr[rows.start:rows.stop + 1]))
-        return row, gathered.indices[span], gathered.data[span]
 
-    row, col, val = entries(partner)
-    moved_keys, moved = image[row] * n + image[col], val * (sign[row] * sign[col])
-    row, col, val = entries(block)
-    keys = row * n + col
+def _is_mirror(partner: sp.csr_matrix, block: sp.csr_matrix, image: np.ndarray, sign: np.ndarray) -> bool:
+    """Whether the stored entries of ``block`` equal, bit for bit, those of
+    ``partner`` moved to rows and columns ``image`` and multiplied by the
+    ``sign`` of both states."""
+    n = block.shape[0]
+    row, col = _entry_rows(partner), partner.indices
+    moved_keys, moved = image[row] * n + image[col], partner.data * (sign[row] * sign[col])
+    keys = _entry_rows(block).astype(np.intp) * n + block.indices
     if len(keys) != len(moved_keys):
         return False
     a, b = np.argsort(moved_keys), np.argsort(keys)
     return np.array_equal(moved_keys[a], keys[b]) and np.array_equal(
-        moved[a].view(np.int64), val[b].view(np.int64)
+        moved[a].view(np.int64), block.data[b].view(np.int64)
     )
+
+
+def _worst_residual(sub: sp.csr_matrix, vectors: np.ndarray, values: np.ndarray) -> float:
+    """max_k ||H_b v_k - lambda_k v_k||, from two dense temporaries."""
+    residual = sub @ vectors
+    residual -= vectors * values
+    squares = residual.real  # the array itself when it is real
+    squares *= squares
+    if np.iscomplexobj(residual):
+        imag = residual.imag
+        imag *= imag
+        squares += imag
+    return float(np.sqrt(np.add.reduce(squares, axis=0)).max())
+
+
+def _worst_gram_entry(vectors: np.ndarray) -> float:
+    """max |V^dagger V - 1|, taken in place on the Gram matrix."""
+    gram = vectors.conj().T @ vectors  # conj() is the array itself when it is real
+    gram.flat[::len(gram) + 1] -= 1
+    np.abs(gram, out=gram)
+    return float(gram.real.max())
 
 
 def diagonalize(ham: OperatorFamily) -> SpectrumResult:
@@ -318,23 +366,27 @@ def diagonalize(ham: OperatorFamily) -> SpectrumResult:
     H is split into blocks of fixed particle count per spin projection, which
     every Hamiltonian of ``build_many_body`` conserves (hopping is
     spin-diagonal, the interaction density-density); the split is checked on
-    the stored entries, so any Hermitian matrix is solved exactly.  H is
-    permuted once into the concatenated block order (and its real part taken
-    once, when every stored entry is real), so each block is a contiguous
-    diagonal range of that one gather: its entries are moved, not computed,
-    and each dense block is the one a per-block gather would give.  Each block
-    gets a dense ``eigh``, except a mirrored block: one whose reversed count
-    vector labels an earlier block, its partner.  When the mirrored block's
-    stored entries equal the partner's moved by the spin-reversal lift and
-    multiplied by the signs of both states, bit for bit, it takes the
-    partner's eigenvalues and the signed, permuted partner columns; any other
-    block, mirrored or not, is solved.  Every block's residual
-    ||H_b v - lambda v|| is taken with the sparse block, and its Gram check
-    run.  Only the per-block eigenvector arrays are kept
-    (``BlockEigenvectors``).  Raises
-    ``DimensionCapError`` when those arrays and the largest block's working
-    arrays would not fit in the memory the process can still take
-    (``_available_memory``).  A NaN anywhere fails every comparison.
+    the stored entries, so any Hermitian matrix is solved exactly.  H's rows
+    are gathered once into the concatenated block order (and its real part
+    taken once, when every stored entry is real), so each block is a
+    contiguous range of rows of that one gather: its entries are moved, not
+    computed, and each dense block is the one a per-block gather would give.
+    Each block gets a dense ``eigh``, except a mirrored block: one whose
+    reversed count vector labels an earlier block, its partner.  When the
+    mirrored block's stored entries equal the partner's moved by the
+    spin-reversal lift and multiplied by the signs of both states, bit for
+    bit, it takes the partner's eigenvalues and keeps only the recipe of its
+    vectors (``MirroredBlock``): the signed, permuted partner columns are
+    built when they are read.  Any other block, mirrored or not, is solved.
+    Every block's residual ||H_b v - lambda v|| is taken with the sparse
+    block, and its Gram check run, on the whole block with at most two dense
+    temporaries; a mirrored block is checked on a gathered copy that is
+    dropped before the next block.  Raises ``DimensionCapError`` when what
+    is held would not fit in the memory the process can still take
+    (``_available_memory``): the solved blocks' eigenvectors, five arrays the
+    size of the largest block for its eigensolve (the dense block, LAPACK's
+    copy of it, its workspace of two and eigh's output) and the gathered
+    sparse copy.  A NaN anywhere fails every comparison.
     """
     if (
         len(ham) != 1
@@ -348,44 +400,46 @@ def diagonalize(ham: OperatorFamily) -> SpectrumResult:
         raise ValueError("matrix is not Hermitian to tolerance")
     real = not np.any(mat.data.imag)
     dim = ham.domain.dim
-    blocks, labels = _projection_blocks(ham)
+    blocks, labels = _projection_blocks(mat, ham.domain)
+    order = np.concatenate(blocks) if blocks else np.zeros(0, dtype=np.intp)
+    starts = np.cumsum([0] + [len(idx) for idx in blocks])
+    gathered = _gathered(mat, order, starts, real)
+    views = [_row_range(gathered, a, b, b - a) for a, b in zip(starts[:-1], starts[1:])]
+    mirrors = {}
+    partners = _mirror_partners(labels)
+    if partners:
+        image, sign = _spin_reversal(ham.domain, order)
+        for b, p in partners.items():
+            mine, theirs = slice(starts[b], starts[b + 1]), slice(starts[p], starts[p + 1])
+            if _is_mirror(views[p], views[b], image[theirs] - starts[b], sign[theirs]):
+                mirrors[b] = MirroredBlock(p, image[mine] - starts[p], sign[mine])
     largest = max((len(idx) for idx in blocks), default=0)
-    itemsize = 8 if real else 16
-    needed = itemsize * (sum(len(idx) ** 2 for idx in blocks) + _BLOCK_WORK_ARRAYS * largest * largest)
+    solved = sum(len(idx) ** 2 for b, idx in enumerate(blocks) if b not in mirrors)
+    held = gathered.data.nbytes + gathered.indices.nbytes + gathered.indptr.nbytes
+    needed = (8 if real else 16) * (solved + _SOLVE_ARRAYS * largest * largest) + held
     free = _available_memory()
     if free is not None and needed > free:
         raise DimensionCapError(
             f"diagonalizing {dim} states (largest block {largest}) needs an estimated"
             f" {needed:,} bytes of dense storage; {free:,} bytes of memory are free"
         )
-    order = np.concatenate(blocks) if blocks else np.zeros(0, dtype=np.intp)
-    gathered = mat[order][:, order]  # block b is the diagonal range starts[b]:starts[b + 1]
-    if real:
-        gathered = gathered.real
-    starts = np.cumsum([0] + [len(idx) for idx in blocks])
-    spans = [slice(a, b) for a, b in zip(starts[:-1], starts[1:])]
-    partners = _mirror_partners(labels)
-    if partners:
-        image, sign = _spin_reversal(ham.domain, order)
     values, vectors = [], []
     residual = 0.0
-    for b, span in enumerate(spans):
-        sub = gathered[span, span]
-        p = partners.get(b)
-        if p is not None and _is_mirror(gathered, image, sign, spans[p], span):
-            # row q of this block is row image[q] of the partner, signed
-            evals = values[p]
-            evecs = vectors[p][image[span] - spans[p].start]
-            evecs *= sign[span, None]
-        else:
+    for b, sub in enumerate(views):
+        mirror = mirrors.get(b)
+        if mirror is None:
             evals, evecs = np.linalg.eigh(sub.toarray())
-        block_residual = float(np.linalg.norm(sub @ evecs - evecs * evals, axis=0).max())
-        gram = evecs.conj().T @ evecs - np.eye(len(evals))
-        if not (block_residual <= SPECTRUM_TOL * scale and np.max(np.abs(gram)) <= SPECTRUM_TOL):
+            vectors.append(evecs)
+        else:
+            evals = values[mirror.partner]
+            evecs = mirror.gather(vectors[mirror.partner])  # checked, then dropped
+            vectors.append(mirror)
+        values.append(evals)
+        block_residual = _worst_residual(sub, evecs, evals)
+        if not (block_residual <= SPECTRUM_TOL * scale and _worst_gram_entry(evecs) <= SPECTRUM_TOL):
             raise RuntimeError("eigensolver failed its residual contract")
         residual = max(residual, block_residual)
-        values.append(evals)
-        vectors.append(evecs)
+        del evecs
     evals = np.concatenate(values) if values else np.zeros(0)
     order = np.argsort(evals, kind="stable")
     eigenvectors = BlockEigenvectors(ham.domain, blocks, vectors, order)

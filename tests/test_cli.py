@@ -1003,6 +1003,21 @@ def test_huge_lattice_is_refused_by_the_cap_before_any_site_list(tmp_path, comma
     assert "over the cap" in child.stderr
 
 
+def test_commutators_size_every_sector_before_any_mode_expression(tmp_path, monkeypatch, capsys):
+    # ring:1000000 at 2s=1 has 2,000,000 modes; the sectors the ladder
+    # relations read are sized from the mode count first, so the N=2 sector is
+    # refused before one destroy(m) is built, where an expression per mode ran
+    # out of memory
+    calls = []
+    destroy = cli.destroy
+    monkeypatch.setattr(cli, "destroy", lambda *args: calls.append(args) or destroy(*args))
+    assert main(["verify", "--suite", "commutators", "--lattice", "ring:1000000", "--out", str(tmp_path / "o")]) == 2
+    assert "over the cap" in capsys.readouterr().err
+    assert calls == []
+    assert main(["verify", "--suite", "commutators", "--out", str(tmp_path / "small")]) == 0
+    assert calls  # the count sees the suite's expressions when it runs
+
+
 def test_running_out_of_memory_exits_2_naming_the_command_and_suite(tmp_path):
     # ring:16, 2s=7: the rotation suite's sectors of 128 modes (N = 3 holds
     # about 350,000 states, and a lift of them is kept for each of the 16

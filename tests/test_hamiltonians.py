@@ -16,6 +16,7 @@ from spinstat.fockspace import (
     matrix_family,
     matrix_of,
     max_abs,
+    sector_lift,
 )
 from spinstat.hamiltonians import (
     OneBodySpec,
@@ -30,7 +31,7 @@ from spinstat.hamiltonians import (
     one_body_matrix,
     one_particle_spectrum,
 )
-from spinstat.modes import Lattice, ModeSpace, SpinQuantum
+from spinstat.modes import Lattice, Mode, ModeSpace, SpinQuantum
 from spinstat.opalgebra import OperatorExpr, create, destroy
 
 RNG = np.random.default_rng(11)
@@ -394,6 +395,38 @@ def test_mirror_differing_in_one_ulp_is_solved(monkeypatch):
     assert_exact_spectrum(nudged, result)
 
 
+def test_mirrored_blocks_keep_no_copy_of_their_vectors():
+    ham = hubbard_ring(6, 1, -1, 3)  # blocks (0,3)/(1,2)/(2,1)/(3,0): 20/90/90/20
+    basis = ham.domain
+    diagonalize(ham)  # the kept caches it fills are not the result's
+    tracemalloc.start()
+    try:
+        result = diagonalize(ham)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # the two solved blocks' real vectors, and O(dim) arrays besides; a signed
+    # copy of each mirrored block would add 8 * (20^2 + 90^2) more
+    assert 8 * (20**2 + 90**2) <= held < 8 * (20**2 + 90**2) + 100 * basis.dim
+    space = basis.space
+    lift = sector_lift(basis, [space.index(Mode(m.site, -m.twos_ms)) for m in space.modes], np.ones(space.n_modes))
+    sign = np.sign(lift.phase.real)
+    labels = projection_labels(basis)
+    levels = {}
+    for value, vec in zip(result.eigenvalues, result.eigenvectors):
+        levels.setdefault((block_labels_of(vec, labels).pop(), value), []).append(vec.amplitudes)
+    mirrored = [(label, value) for label, value in levels if label in ((2, 1), (3, 0))]
+    assert sum(len(levels[key]) for key in mirrored) == 90 + 20
+    for label, value in mirrored:
+        rows = np.array([of == label for of in labels])
+        for mine, theirs in zip(levels[label, value], levels[label[::-1], value], strict=True):
+            # row s of a mirrored vector is the partner's row image[s], signed
+            expected = np.zeros(basis.dim)
+            expected[rows] = sign[rows] * theirs.real[lift.image[rows]]
+            assert np.array_equal(mine.real.view(np.int64), expected.view(np.int64))
+            assert not np.any(mine.imag)
+
+
 @pytest.mark.parametrize("sigma", [1, -1])
 def test_wrong_spin_reversal_solves_every_block(monkeypatch, sigma):
     # control: a spin reversal that is the identity map mirrors no block, so
@@ -468,11 +501,13 @@ def test_diagonalize_fails_a_nan_in_every_comparison(monkeypatch):
 def test_diagonalize_refuses_past_free_memory(monkeypatch):
     basis = build_basis(ModeSpace(Lattice.ring(4), SpinQuantum(1)), 2, -1)  # blocks 6/16/6
     ham = build_many_body(OneBodySpec(hop_t=1.0), None, basis)
-    monkeypatch.setattr(hamiltonians, "_available_memory", lambda: 14_911)
-    # real per-block eigenvectors 8 * (6^2 + 16^2 + 6^2) + six real 16 x 16 working arrays
-    with pytest.raises(DimensionCapError, match="28 states .* 14,912 bytes"):
+    monkeypatch.setattr(hamiltonians, "_available_memory", lambda: 13_843)
+    # the solved blocks' real eigenvectors 8 * (6^2 + 16^2), five real 16 x 16
+    # arrays of the largest eigensolve, and the gathered sparse copy of the 96
+    # stored entries: 8 * 96 data, 4 * 96 indices and 4 * 29 indptr bytes
+    with pytest.raises(DimensionCapError, match="28 states .* 13,844 bytes"):
         diagonalize(ham)
-    monkeypatch.setattr(hamiltonians, "_available_memory", lambda: 14_912)
+    monkeypatch.setattr(hamiltonians, "_available_memory", lambda: 13_844)
     assert diagonalize(ham).basis is basis
     monkeypatch.setattr(hamiltonians, "_available_memory", lambda: None)
     assert diagonalize(ham).basis is basis
