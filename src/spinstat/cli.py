@@ -318,6 +318,16 @@ def _require_states(space: ModeSpace, n_particles: int, sigma: int) -> int:
     return dim
 
 
+def _size_sectors(cfg: RunConfig, space: ModeSpace, top: int, *more: int) -> None:
+    """Size sectors N = 0..top and ``more`` of every grade the run checks
+    against the cap (``capped_dimension``), before any per-mode build or
+    solve reads them.  Fermion sectors past n_modes hold no states."""
+    for sigma in cfg.sigmas():
+        last = min(top, space.n_modes) if sigma == -1 else top
+        for n in (*more, *range(last + 1)):
+            capped_dimension(space, n, sigma)
+
+
 def _pair_n_max(cfg: RunConfig, suite: str) -> int:
     """Largest sector of the pair checks: the pair operator maps N to N - 2."""
     if cfg.n_max < 2:
@@ -331,9 +341,7 @@ def _pair_n_max(cfg: RunConfig, suite: str) -> int:
 def suite_commutators(cfg: RunConfig, rng) -> SuiteReport:
     space = cfg.make_space()
     tol = _tol(cfg, "commutators")
-    for sigma in cfg.sigmas():  # the sectors N <= n_max + 2 the relations read, before any per-mode build
-        for n in range(cfg.n_max + 3):
-            capped_dimension(space, n, sigma)
+    _size_sectors(cfg, space, cfg.n_max + 2)  # the relations read N <= n_max + 2
     checks = []
     for sigma in cfg.sigmas():
         worst_mixed, worst_ann, worst_cre = ladder_relation_residuals(
@@ -416,6 +424,7 @@ def suite_ideal_gas(cfg: RunConfig, rng) -> SuiteReport:
     space = cfg.make_space()
     for sigma in cfg.sigmas():
         _require_states(space, cfg.n_particles, sigma)
+    _size_sectors(cfg, space, min(cfg.n_max, 3) + 2, cfg.n_particles)  # the eigenmode relations read N <= n_max + 2
     spec1 = cfg.one_body()
     spectral_tol = _tol(cfg, "ideal-gas")
     mode_tol = cfg.tol if cfg.tol is not None else MODE_COMMUTATOR_TOL
@@ -440,6 +449,7 @@ def suite_rotation(cfg: RunConfig, rng) -> SuiteReport:
     tol = _tol(cfg, "rotation")
     n_pair = _pair_n_max(cfg, "rotation")
     n_top = min(n_pair, 2)
+    _size_sectors(cfg, space, n_pair)
     checks = []
     for sigma in cfg.sigmas():
         elem = rotation_element_residual(space, sigma, n_top)

@@ -598,8 +598,12 @@ def ladder_relation_residuals(
     one family each per sector, built in one ``matrix_family`` call per
     expression list and join of sectors; each
     relation on each sector is a few stacked sparse products
-    (``_worst_relation``).
+    (``_worst_relation``).  For sigma=-1 the sectors past n_modes hold no
+    states and add nothing, so the relations stop there, the two empty
+    sectors above it kept as codomains.
     """
+    if sigma == -1:
+        n_max = min(n_max, space.n_modes)
     bases = [build_basis(space, n, sigma) for n in range(n_max + 3)]
     creators = [c.dagger() for c in annihilators]
     tops = range(n_max + 1, -1, -1)  # largest first: its build peak meets the fewest held families

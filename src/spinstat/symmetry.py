@@ -6,8 +6,9 @@ diagonal spinor phases e^{i m_s theta}; its Fock-space lift conjugates every
 operator matrix.  The pair operator F(r) = a(-r, m_s) a(r, m_s) picks up a
 factor sigma under inversion and a phase e^{2 i m_s theta} under rotation, so
 conjugating with the half-turn rotation turns it into an eigenvalue problem
-whose eigenvalue is (-1)^(2s) * sigma.  The theorem report assembles those
-measured ingredients into a verdict for each statistics grade.
+whose eigenvalue is (-1)^(2s) * sigma.  Each grade's ``PairChecks`` record
+reads its verdict from those measured ingredients, and the theorem report
+combines the records of both grades.
 
 Rotations are counted in whole lattice steps, so every angle is an exact
 rational fraction of a full turn; phases at quarter turns are produced
@@ -121,13 +122,6 @@ class SpinorRotation:
         return OperatorFamily(basis, basis, 1, csc.tocsr())
 
 
-@command_memo
-def _rotation(space: ModeSpace, steps: int) -> SpinorRotation:
-    """``SpinorRotation(space, steps)``, one object per command, so that its
-    mode permutation and field phases are worked out once."""
-    return SpinorRotation(space, steps)
-
-
 @kept_cache
 def _sector_unitary(rot: SpinorRotation, n_particles: int, sigma: int) -> SectorLift:
     """The sector lift of ``rot``: each creation operator of a state's
@@ -188,22 +182,22 @@ def _conjugated_stack(rots, family: OperatorFamily) -> OperatorFamily:
     return OperatorFamily(dom, co, len(rots) * len(family), stack)
 
 
-def _stepped(family: OperatorFamily, rots):
-    """``_conjugated_stack`` of ``family`` under each of ``rots``, as
-    (rotations, stack) over runs of consecutive rotations whose
-    conjugations' entries and rows add up to at most ``JOIN_ENTRIES``."""
+def _covariance(family: OperatorFamily, rots, moves) -> float:
+    """Worst entry of U M_p U+ - phase_p M_image_p over the rotations U of
+    ``rots`` and the members M_p of ``family``; ``moves`` holds each
+    rotation's (images, phases), one of each per member.  Consecutive
+    rotations whose conjugations' entries and rows add up to at most
+    ``JOIN_ENTRIES`` are one ``_conjugated_stack``, compared with one phased
+    block-row gather of the family's stack: one difference and one maximum
+    per stack."""
     size = family.matrix.nnz + family.matrix.shape[0]
+    worst = 0.0
     for piece in joined_pieces([size] * len(rots)):
-        run = [rots[i] for i in piece]
-        yield run, _conjugated_stack(run, family)
-
-
-def _covariance_residual(conj: OperatorFamily, family: OperatorFamily, images, phases) -> float:
-    """Worst entry of conj_i - phases[i] M_images[i] over the members conj_i
-    of ``conj`` (a ``_conjugated_stack`` of ``family``, one member per
-    image), against a phased block-row gather of the family's stack: one
-    difference and one maximum however many rotations ``conj`` stacks."""
-    return max_abs(conj.matrix - family.blocks(images, phases))
+        images = [i for k in piece for i in moves[k][0]]
+        phases = [p for k in piece for p in moves[k][1]]
+        conj = _conjugated_stack([rots[k] for k in piece], family)
+        worst = max(worst, max_abs(conj.matrix - family.blocks(images, phases)))
+    return worst
 
 
 def _unitarity_residual(lift: SectorLift) -> float:
@@ -236,12 +230,13 @@ def sector_lift_residuals(space: ModeSpace, sigma: int, n_max: int) -> tuple[flo
     U_pi U_pi = (-1)^(2sN) for the half-turn lift, on sectors 0..n_max, read
     from each lift's image and phase arrays."""
     per_turn = space.lattice.steps_per_turn
+    rots = [SpinorRotation(space, steps) for steps in range(per_turn)]
     unitary = square = 0.0
     for n in range(n_max + 1):
-        for steps in range(per_turn):
-            lift = _sector_unitary(_rotation(space, steps), n, sigma)
+        for rot in rots:
+            lift = _sector_unitary(rot, n, sigma)
             unitary = max(unitary, _unitarity_residual(lift))
-            if 2 * steps == per_turn:  # the half turn squares to the 2*pi sign
+            if 2 * rot.steps == per_turn:  # the half turn squares to the 2*pi sign
                 square = max(square, _square_residual(lift, (-1) ** (space.spin.twos_s * n)))
     return unitary, square
 
@@ -252,18 +247,16 @@ def rotation_element_residual(space: ModeSpace, sigma: int, n_max: int = 3) -> f
 
     The a(xi) of all modes are one family per sector, built in one
     ``matrix_family`` call; each family's rotations are one stacked
-    conjugation (``_stepped``), compared with one gather of the image
+    conjugation (``_covariance``), compared with one gather of the image
     modes' blocks.
     """
     annihilators = [destroy(mode, sigma) for mode in space.modes]
     sectors = [(build_basis(space, n, sigma), build_basis(space, n - 1, sigma)) for n in range(1, n_max + 1)]
-    rots = [_rotation(space, steps) for steps in range(space.lattice.steps_per_turn)]
+    rots = [SpinorRotation(space, steps) for steps in range(space.lattice.steps_per_turn)]
+    moves = [(rot.mode_permutation, rot.field_phases) for rot in rots]
     worst = 0.0
     for family in matrix_family(annihilators, sectors):
-        for run, conj in _stepped(family, rots):
-            images = [i for rot in run for i in rot.mode_permutation]
-            phases = [phase for rot in run for phase in rot.field_phases]
-            worst = max(worst, _covariance_residual(conj, family, images, phases))
+        worst = max(worst, _covariance(family, rots, moves))
     return worst
 
 
@@ -307,37 +300,40 @@ def pair_operator(space: ModeSpace, twos_ms: int, site: int, sigma: int) -> Oper
 
 
 @command_memo
-def _pair_sectors(space: ModeSpace, sigma: int, n_max: int) -> tuple[tuple[int, OperatorFamily], ...]:
-    """(2m_s, the family of F(r) over every site r) per projection and sector
-    N = 2..n_max, one ``matrix_family`` call per projection, once per
-    command."""
+def _pair_sectors(space: ModeSpace, sigma: int, n_max: int) -> dict[int, list[OperatorFamily]]:
+    """2m_s -> the families of F(r) over every site r on sectors N =
+    2..n_max, one ``matrix_family`` call per projection, once per command."""
     sites = range(space.lattice.n_sites)
     sectors = [(build_basis(space, n, sigma), build_basis(space, n - 2, sigma)) for n in range(2, n_max + 1)]
-    out = []
-    for twos_ms in space.spin.projections():
-        pairs = [pair_operator(space, twos_ms, site, sigma) for site in sites]
-        out.extend((twos_ms, family) for family in matrix_family(pairs, sectors))
-    return tuple(out)
+    return {
+        tm: matrix_family([pair_operator(space, tm, site, sigma) for site in sites], sectors)
+        for tm in space.spin.projections()
+    }
 
 
 def rotation_covariance_check(space: ModeSpace, sigma: int, n_max: int = 3) -> float:
     """Max residual of U F(r) U+ = e^{2 i m_s theta} F(R^{-1} r) over every lattice
     rotation, every projection, every site r and sectors 2..n_max.  Each
-    family's rotations are one stacked conjugation (``_stepped``)."""
+    family's rotations are one stacked conjugation (``_covariance``)."""
     lattice = space.lattice
-    rots = [_rotation(space, steps) for steps in range(lattice.steps_per_turn)]
+    sites = range(lattice.n_sites)
+    rots = [SpinorRotation(space, steps) for steps in range(lattice.steps_per_turn)]
     worst = 0.0
-    for twos_ms, family in _pair_sectors(space, sigma, n_max):
-        k = len(family)
-        for run, conj in _stepped(family, rots):
-            images = [lattice.rotate_site_z(site, rot.steps) for rot in run for site in range(k)]
-            phases = [p for rot in run for p in [cis_turns(twos_ms * rot.turns)] * k]  # e^{2 i m_s theta}
-            worst = max(worst, _covariance_residual(conj, family, images, phases))
+    for twos_ms, families in _pair_sectors(space, sigma, n_max).items():
+        moves = [  # F(r) -> e^{2 i m_s theta} F(R^{-1} r)
+            ([lattice.rotate_site_z(site, rot.steps) for site in sites], [cis_turns(twos_ms * rot.turns)] * len(sites))
+            for rot in rots
+        ]
+        for family in families:
+            worst = max(worst, _covariance(family, rots, moves))
     return worst
 
 
-def _dominant_ratio(a_mats, b_mats) -> complex | None:
-    """Ratio A/B at the largest-magnitude entry of B, or None if B vanishes."""
+def _ratio_residual(a_mats, b_mats) -> tuple[complex | None, float]:
+    """lambda = A/B at the largest-magnitude entry of the B's, and the
+    residual max |A - lambda B| over the pairs (A, B).  Where every B
+    vanishes (no entry past ``PHASE_TOL``) lambda is None and the residual
+    is max |A|."""
     best_abs, best_loc = 0.0, None
     for k, b in enumerate(b_mats):
         coo = b.tocoo()
@@ -348,9 +344,10 @@ def _dominant_ratio(a_mats, b_mats) -> complex | None:
             best_abs = abs(coo.data[i])
             best_loc = (k, int(coo.row[i]), int(coo.col[i]))
     if best_loc is None or best_abs <= PHASE_TOL:
-        return None
+        return None, max(max_abs(a) for a in a_mats)
     k, r, c = best_loc
-    return complex(a_mats[k][r, c] / b_mats[k][r, c])
+    lam = complex(a_mats[k][r, c] / b_mats[k][r, c])
+    return lam, max(max_abs(a - lam * b) for a, b in zip(a_mats, b_mats))
 
 
 def _half_turn_eigenvalue(families, member: int) -> tuple[complex | None, float]:
@@ -360,13 +357,11 @@ def _half_turn_eigenvalue(families, member: int) -> tuple[complex | None, float]
     is None and the residual is |U F U+|: that vanishing (sigma=-1 at the
     origin) is itself part of the argument."""
     space = families[0].domain.space
-    rot = _rotation(space, space.lattice.steps_per_turn // 2)
-    a_mats = [_conjugated_stack([rot], family).rows(member, member + 1) for family in families]
-    b_mats = [family.rows(member, member + 1) for family in families]
-    lam = _dominant_ratio(a_mats, b_mats)
-    if lam is None:
-        return None, max(max_abs(a) for a in a_mats)
-    return lam, max(max_abs(a - lam * b) for a, b in zip(a_mats, b_mats))
+    rot = SpinorRotation(space, space.lattice.steps_per_turn // 2)
+    return _ratio_residual(
+        [_conjugated_stack([rot], family).rows(member, member + 1) for family in families],
+        [family.rows(member, member + 1) for family in families],
+    )
 
 
 @dataclass(frozen=True)
@@ -384,17 +379,15 @@ def _orbit_winding(family, orbit) -> WindingResult:
     e^{2 i m_s theta_step}; unwrapping the measured arguments over the turn
     recovers the integer 2 m_s.
     """
-    stepped = _conjugated_stack([_rotation(family.domain.space, 1)], family)
+    stepped = _conjugated_stack([SpinorRotation(family.domain.space, 1)], family)
     total_angle = 0.0
     worst = 0.0
     for k, site in enumerate(orbit):
         nxt = orbit[(k + 1) % len(orbit)]
-        f_next = family.rows(nxt, nxt + 1)
-        conj = stepped.rows(site, site + 1)
-        phase = _dominant_ratio([conj], [f_next])
+        phase, residual = _ratio_residual([stepped.rows(site, site + 1)], [family.rows(nxt, nxt + 1)])
         if phase is None:
             return WindingResult(None, worst, 0.0)
-        worst = max(worst, max_abs(conj - phase * f_next))
+        worst = max(worst, residual)
         total_angle += cmath.phase(phase)
     winding = round(total_angle / (2.0 * math.pi))
     defect = abs(total_angle - 2.0 * math.pi * winding)
@@ -420,12 +413,18 @@ def origin_pair_site(space: ModeSpace) -> int:
 
 @dataclass(frozen=True)
 class PairChecks:
-    """Steps (c) and (e) for one grade on sectors N = 2..n_max.
+    """Steps (c) and (e) for one grade on sectors N = 2..n_max, and the
+    grade's verdict read from them.
 
     Every value is read from two matrices per (2m_s, N), each built once: the
     family of F(r) over every site, and the same-point pair
     a(0, m_s) a(0, m_s).  On rings the latter is no member of the family,
     since the inversion image of site 0 is M/2.
+
+    The grade is consistent when, for half-integral spin, a nonzero winding
+    never coexists with a finite same-point pair amplitude (single-valuedness),
+    and for integral spin, when it does not force every inversion-even
+    relative amplitude to vanish.
     """
 
     space: ModeSpace
@@ -458,6 +457,52 @@ class PairChecks:
         orbit = [self.space.lattice.rotate_site_z(self.probe, k) for k in range(per_turn)]
         return {tm: _orbit_winding(families[0], orbit) for tm, families in self.families.items()}
 
+    @property
+    def lambda_measured(self) -> complex | None:
+        lams = list(self.lambdas.values())
+        return None if None in lams else lams[0]
+
+    @property
+    def lambda_residual(self) -> float:
+        """The worst half-turn residual, and where lambda was measured, how
+        far the projections are from agreeing on it."""
+        lam, residual = self.lambda_measured, max(self.lambda_residuals.values())
+        if lam is None:
+            return residual
+        return max(residual, max(abs(v - lam) for v in self.lambdas.values()))
+
+    @property
+    def origin_vanishes(self) -> bool:
+        return all(self.same_point_vanishes(tm) for tm in self.same_point)
+
+    @property
+    def lambda_indeterminate_at_origin(self) -> bool:
+        # F(origin) is the same-point pair, so lambda is read from the same
+        # matrices there and is undetermined exactly when they vanish
+        return self.origin_vanishes
+
+    @property
+    def winding_by_twos_ms(self) -> dict[int, int | None]:
+        return {tm: w.winding for tm, w in self.windings.items()}
+
+    @property
+    def winding_residual(self) -> float:
+        return max(max(w.max_step_residual, w.angle_defect) for w in self.windings.values())
+
+    @property
+    def even_inversion_amplitudes_vanish(self) -> bool:
+        return self.even_inversion_norm <= PHASE_TOL
+
+    @property
+    def single_valued_conflict(self) -> bool:
+        return any(w.winding != 0 for w in self.windings.values()) and not self.origin_vanishes
+
+    @property
+    def consistent(self) -> bool:
+        if self.space.spin.is_half_integral:
+            return not self.single_valued_conflict
+        return not self.even_inversion_amplitudes_vanish
+
 
 @command_memo
 def pair_checks(space: ModeSpace, sigma: int, n_max: int = 3) -> PairChecks:
@@ -469,16 +514,15 @@ def pair_checks(space: ModeSpace, sigma: int, n_max: int = 3) -> PairChecks:
     probe = theorem_probe_site(space)
     origin = origin_pair_site(space)
     inverted = [space.lattice.invert_site(site) for site in range(space.lattice.n_sites)]
-    families = {tm: [] for tm in space.spin.projections()}
+    families = _pair_sectors(space, sigma, n_max)
     same_point = dict.fromkeys(families, 0.0)
     inversion = even = 0.0
-    for tm, family in _pair_sectors(space, sigma, n_max):
-        families[tm].append(family)
-        mirrored = family.blocks(inverted)
-        even_part = max_abs(mirrored + family.matrix)
-        inversion = max(inversion, max_abs(mirrored - family.matrix) if sigma == 1 else even_part)
-        even = max(even, even_part)
     for tm, fams in families.items():
+        for family in fams:
+            mirrored = family.blocks(inverted)
+            even_part = max_abs(mirrored + family.matrix)
+            inversion = max(inversion, max_abs(mirrored - family.matrix) if sigma == 1 else even_part)
+            even = max(even, even_part)
         same = destroy(Mode(origin, tm), sigma) * destroy(Mode(origin, tm), sigma)
         for family in matrix_family([same], [(f.domain, f.codomain) for f in fams]):
             same_point[tm] = max(same_point[tm], max_abs(family.matrix))
@@ -500,31 +544,11 @@ def pair_checks(space: ModeSpace, sigma: int, n_max: int = 3) -> PairChecks:
 
 
 @dataclass(frozen=True)
-class SigmaVerdict:
-    sigma: int
-    lambda_measured: complex | None
-    lambda_expected: float
-    lambda_residual: float
-    origin_vanishes: bool
-    winding_by_twos_ms: dict[int, int | None]
-    winding_residual: float
-    even_inversion_amplitudes_vanish: bool
-    single_valued_conflict: bool
-    consistent: bool
-
-    @property
-    def lambda_indeterminate_at_origin(self) -> bool:
-        # F(origin) is the same-point pair, so lambda is read from the same
-        # matrices there and is undetermined exactly when they vanish
-        return self.origin_vanishes
-
-
-@dataclass(frozen=True)
 class TheoremReport:
     twos_s: int
     lattice: dict
     n_max: int
-    per_sigma: dict[int, SigmaVerdict]
+    per_sigma: dict[int, PairChecks]
     verdict_sigma: int | None
     failure: str | None  # why no verdict was reached
 
@@ -550,37 +574,6 @@ class TheoremReport:
         return out
 
 
-def _sigma_verdict(checks: PairChecks) -> SigmaVerdict:
-    """One grade's verdict, combined from its ``PairChecks``.
-
-    The grade is consistent when, for half-integral spin, a nonzero winding
-    never coexists with a finite same-point pair amplitude (single-valuedness),
-    and for integral spin, when it does not force every inversion-even
-    relative amplitude to vanish.
-    """
-    lams = list(checks.lambdas.values())
-    lam = None if None in lams else lams[0]
-    lam_residual = max(checks.lambda_residuals.values())
-    if lam is not None:  # the projections must agree on one lambda
-        lam_residual = max(lam_residual, max(abs(v - lam) for v in lams))
-    origin_vanishes = all(checks.same_point_vanishes(tm) for tm in checks.same_point)
-    windings = checks.windings
-    conflict = any(w.winding != 0 for w in windings.values()) and not origin_vanishes
-    even_vanish = checks.even_inversion_norm <= PHASE_TOL
-    return SigmaVerdict(
-        sigma=checks.sigma,
-        lambda_measured=lam,
-        lambda_expected=checks.lambda_expected,
-        lambda_residual=lam_residual,
-        origin_vanishes=origin_vanishes,
-        winding_by_twos_ms={tm: w.winding for tm, w in windings.items()},
-        winding_residual=max(max(w.max_step_residual, w.angle_defect) for w in windings.values()),
-        even_inversion_amplitudes_vanish=even_vanish,
-        single_valued_conflict=conflict,
-        consistent=not conflict if checks.space.spin.is_half_integral else not even_vanish,
-    )
-
-
 def theorem_report(space: ModeSpace, n_max: int = 3) -> TheoremReport:
     """Combine the ``PairChecks`` of both grades into the spin-statistics verdict.
 
@@ -590,7 +583,9 @@ def theorem_report(space: ModeSpace, n_max: int = 3) -> TheoremReport:
     satisfy (-1)^(2s) * sigma = 1; where that fails, ``verdict_sigma`` is
     None and ``failure`` says why.
     """
-    per_sigma = {sigma: _sigma_verdict(pair_checks(space, sigma, n_max)) for sigma in (1, -1)}
+    per_sigma = {sigma: pair_checks(space, sigma, n_max) for sigma in (1, -1)}
+    for record in per_sigma.values():
+        record.windings  # read for every spin: a lattice too coarse to resolve them is refused
     survivors = [sigma for sigma, v in per_sigma.items() if v.consistent]
     vanished = [sigma for sigma, v in per_sigma.items() if v.lambda_measured is None]
     if vanished:

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -421,9 +422,9 @@ def test_every_memo_is_empty_after_main(tmp_path, argv):
     assert held == dict.fromkeys(held, 0)
     named = {
         fockspace._build_basis_cached, fockspace.bracket_matrix, symmetry._sector_unitary,
-        symmetry._rotation, symmetry._pair_sectors, symmetry.pair_checks,
+        symmetry._pair_sectors, symmetry.pair_checks,
     }
-    assert named <= set(memo._MEMOS)
+    assert named == set(memo._MEMOS)  # a rotation is a value, not a memo
 
 
 def test_orthonormality_suite_makes_one_oracle_call_per_sector(monkeypatch):
@@ -1016,6 +1017,46 @@ def test_commutators_size_every_sector_before_any_mode_expression(tmp_path, monk
     assert calls == []
     assert main(["verify", "--suite", "commutators", "--out", str(tmp_path / "small")]) == 0
     assert calls  # the count sees the suite's expressions when it runs
+
+
+@pytest.mark.parametrize("suite, home, name", [
+    ("ideal-gas", cli, "one_particle_spectrum"),  # the dense site matrix and its eigh
+    ("rotation", symmetry, "destroy"),  # one a(xi) per mode for the field-transform identity
+])
+def test_suites_size_every_sector_before_any_per_mode_build(tmp_path, monkeypatch, capsys, suite, home, name):
+    # ring:1000000 at 2s=1 has 2,000,000 modes: the N=2 sector is refused at
+    # the cap before the site matrix is solved (14.6 TiB) or one expression
+    # per mode is built, where both runs ran out of memory
+    def reached(*args, **kwargs):
+        raise AssertionError(f"{name} reached")
+
+    monkeypatch.setattr(home, name, reached)
+    argv = ["verify", "--suite", suite, "--out", str(tmp_path / "o")]
+    assert main([*argv, "--lattice", "ring:1000000"]) == 2
+    assert "over the cap" in capsys.readouterr().err
+    with pytest.raises(AssertionError, match="reached"):
+        main(argv)  # a run that passes the cap does reach it
+
+
+def test_fermion_relations_stop_at_the_last_nonempty_sector(monkeypatch):
+    # ring:4, 2s=1 has 8 modes: every sigma=-1 sector past N = 8 is empty, so
+    # n_max = 200 checks what n_max = 8 checks, on the bases N = 0..10
+    cfg = load_config(None).validate()
+    builds = _count_calls(monkeypatch, fockspace, "build_basis")
+    values = {}
+    for n_max in (8, 200):
+        builds.clear()
+        report = cli.suite_commutators(replace(cfg, sigma=-1, n_max=n_max), None)
+        assert report.passed
+        values[n_max] = [r["value"] for r in report.residuals]
+        assert len(builds) <= 8 + 3
+    assert values[8] == values[200]
+    # and for eigenmode annihilators, whose residuals are not all zero
+    space = cfg.make_space()
+    phi = one_particle_spectrum(OneBodySpec(hop_t=1.0, onsite_u=(0.3, -0.7, 0.2, 0.9)), space.lattice, space.spin)[1]
+    cs = hamiltonians.mode_operators(space, phi, -1)
+    residuals = [fockspace.ladder_relation_residuals(space, cs, -1, n_max) for n_max in (8, 200)]
+    assert residuals[0] == residuals[1] and max(residuals[0]) > 0
 
 
 def test_running_out_of_memory_exits_2_naming_the_command_and_suite(tmp_path):

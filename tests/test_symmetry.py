@@ -234,9 +234,8 @@ def test_rotation_covariance_quarter_turn(sigma):
     rot = SpinorRotation(RING4_HALF, 1)
     family = pair_checks(RING4_HALF, sigma, n_max=2).families[1][0]
     images = [RING4_HALF.lattice.rotate_site_z(site, 1) for site in range(4)]
-    conj = symmetry._conjugated_stack([rot], family)
-    assert symmetry._covariance_residual(conj, family, images, [1j] * 4) <= 1e-12
-    assert symmetry._covariance_residual(conj, family, images, [1] * 4) > 0.5
+    assert symmetry._covariance(family, [rot], [(images, [1j] * 4)]) <= 1e-12
+    assert symmetry._covariance(family, [rot], [(images, [1] * 4)]) > 0.5
 
 
 @pytest.mark.parametrize("sigma", [1, -1])
@@ -246,13 +245,12 @@ def test_stacked_covariance_residual_catches_wrong_images_and_phases(sigma):
     family = matrix_family([destroy(mode, sigma) for mode in RING4_HALF.modes], [(domain, codomain)])[0]
     rot = SpinorRotation(RING4_HALF, 1)
     images, phases = list(rot.mode_permutation), list(rot.field_phases)
-    conj = symmetry._conjugated_stack([rot], family)
-    assert symmetry._covariance_residual(conj, family, images, phases) <= 1e-12
+    assert symmetry._covariance(family, [rot], [(images, phases)]) <= 1e-12
     # distinct modes' a(xi) have disjoint supports with entries of magnitude >= 1
     shifted = images[1:] + images[:1]
-    assert symmetry._covariance_residual(conj, family, shifted, phases) >= 1
+    assert symmetry._covariance(family, [rot], [(shifted, phases)]) >= 1
     flipped = phases[:-1] + [-phases[-1]]
-    assert symmetry._covariance_residual(conj, family, images, flipped) >= 1
+    assert symmetry._covariance(family, [rot], [(images, flipped)]) >= 1
 
 
 @pytest.mark.parametrize("sigma", [1, -1])
@@ -406,28 +404,30 @@ def _per_step_maxima(space, sigma, n_max=3):
     for n in range(1, n_max + 1):
         family = matrix_family(annihilators, [(build_basis(space, n, sigma), build_basis(space, n - 1, sigma))])[0]
         for rot in rots:
-            conj = symmetry._conjugated_stack([rot], family)
-            residual = symmetry._covariance_residual(conj, family, rot.mode_permutation, rot.field_phases)
+            residual = symmetry._covariance(family, [rot], [(rot.mode_permutation, rot.field_phases)])
             element = max(element, residual)
-    for twos_ms, family in symmetry._pair_sectors(space, sigma, n_max):
-        for rot in rots:
-            images = [space.lattice.rotate_site_z(site, rot.steps) for site in range(len(family))]
-            phases = [cis_turns(twos_ms * rot.turns)] * len(family)
-            conj = symmetry._conjugated_stack([rot], family)
-            covariance = max(covariance, symmetry._covariance_residual(conj, family, images, phases))
+    for twos_ms, families in symmetry._pair_sectors(space, sigma, n_max).items():
+        for family in families:
+            for rot in rots:
+                images = [space.lattice.rotate_site_z(site, rot.steps) for site in range(len(family))]
+                phases = [cis_turns(twos_ms * rot.turns)] * len(family)
+                covariance = max(covariance, symmetry._covariance(family, [rot], [(images, phases)]))
     return element, covariance
 
 
 @pytest.mark.parametrize(
     "space", [RING4_HALF, ModeSpace(Lattice.grid2d(3), SpinQuantum(1))], ids=["ring4-2s1", "grid3-2s1"]
 )
-def test_stacked_compares_return_the_per_step_and_per_probe_maxima(space):
+def test_stacked_compares_return_the_per_step_and_per_probe_maxima(space, monkeypatch):
     rng = np.random.default_rng(7)
     rots = [SpinorRotation(space, steps) for steps in range(space.lattice.steps_per_turn)]
+    conjugations = _count_calls(monkeypatch, "_conjugated_stack")
     for sigma in (1, -1):
-        for _, family in symmetry._pair_sectors(space, sigma, 3):
-            assert len(list(symmetry._stepped(family, rots))) == 1  # every rotation in one stack
-        stacked = (rotation_element_residual(space, sigma), rotation_covariance_check(space, sigma))
+        conjugations.clear()
+        covariance = rotation_covariance_check(space, sigma)
+        n_families = sum(len(fams) for fams in symmetry._pair_sectors(space, sigma, 3).values())
+        assert [len(run) for run, _ in conjugations] == [len(rots)] * n_families  # every rotation in one stack
+        stacked = (rotation_element_residual(space, sigma), covariance)
         assert stacked == _per_step_maxima(space, sigma)
         for n in (2, 3):
             brackets = every_bracket(space, n, sigma)
@@ -455,7 +455,7 @@ def test_kept_conjugations_are_bitwise_member_conjugations(space, sigma):
     # triple product bit for bit, and so is each rotation's row range of the
     # conjugation stacked over every rotation
     annihilators = [destroy(mode, sigma) for mode in space.modes]
-    families = [family for _, family in symmetry._pair_sectors(space, sigma, 3)] + matrix_family(
+    families = [family for fams in symmetry._pair_sectors(space, sigma, 3).values() for family in fams] + matrix_family(
         annihilators, [(build_basis(space, n, sigma), build_basis(space, n - 1, sigma)) for n in (1, 2)]
     )
     rots = [SpinorRotation(space, steps) for steps in range(space.lattice.steps_per_turn)]
@@ -486,16 +486,17 @@ def test_relabelled_conjugation_drops_explicit_zeros_as_the_product_does():
 
 def test_sector_objects_are_shared_only_inside_a_command():
     assert pair_checks(RING4_HALF, -1, 3) is not pair_checks(RING4_HALF, -1, 3)
-    assert symmetry._rotation(RING4_HALF, 1) is not symmetry._rotation(RING4_HALF, 1)
+    # a rotation is a value, so equal rotations share one kept lift
+    assert SpinorRotation(RING4_HALF, 1) == SpinorRotation(RING4_HALF, 1)
     with command_scope():
         record = pair_checks(RING4_HALF, -1, 3)
         with command_scope():  # an inner scope shares the outer one's objects
             assert pair_checks(RING4_HALF, -1, 3) is record
         assert pair_checks(RING4_HALF, -1, 3) is record
-        assert symmetry._rotation(RING4_HALF, 1) is symmetry._rotation(RING4_HALF, 1)
+        lift = symmetry._sector_unitary(SpinorRotation(RING4_HALF, 1), 2, -1)
+        assert symmetry._sector_unitary(SpinorRotation(RING4_HALF, 1), 2, -1) is lift
         # the record reads the families the rotation covariance check built
-        families = [family for _, family in symmetry._pair_sectors(RING4_HALF, -1, 3)]
-        assert [f for fams in record.families.values() for f in fams] == families
+        assert record.families is symmetry._pair_sectors(RING4_HALF, -1, 3)
     assert symmetry.pair_checks.cache_info().currsize == 0
     assert symmetry._pair_sectors.cache_info().currsize == 0
 
@@ -560,7 +561,7 @@ def test_theorem_report_json_schema():
 
 
 def test_theorem_report_records_a_pair_that_vanishes_at_the_probe(monkeypatch):
-    monkeypatch.setattr(symmetry, "_dominant_ratio", lambda a_mats, b_mats: None)
+    monkeypatch.setattr(symmetry, "_ratio_residual", lambda a_mats, b_mats: (None, 0.0))
     report = theorem_report(RING4_HALF, n_max=2)
     assert report.verdict_sigma is None
     assert report.failure == "pair operator vanished at the probe site for sigma in [1, -1]"
