@@ -18,8 +18,10 @@ each of a list of (domain, codomain) sector pairs.  Every build is one join of
 consecutive pairs, up to ``JOIN_ENTRIES``: one kernel pass over their domain
 lists side by side, each row ranked in its own codomain, and one COO -> CSR
 whose row ranges are the pairs' stacks; only the (term, column) pairs whose
-rightmost factor survives enter the kernel, and each row of a join receives
-the entries of its own one-sector build, so no bit of any matrix moves.  One
+first-acting annihilators (the string's rightmost factors up to its first
+creator) all find a particle, or whose rightmost creator acts, enter the
+kernel, and each row of a join receives the entries of its own one-sector
+build, so no bit of any matrix moves.  One
 splitter, ``joined_pieces``, cuts every such run: the joins of a build, its
 kernel calls, the rotation stacks of ``symmetry`` and the probe stacks of
 the completeness check.  The graded ladder relations are checked on such
@@ -44,9 +46,10 @@ from __future__ import annotations
 
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import accumulate, chain, combinations, combinations_with_replacement, permutations
+from functools import cached_property, partial, reduce
+from itertools import accumulate, chain, combinations, combinations_with_replacement, permutations, takewhile
 
 import numpy as np
 import scipy.sparse as sp
@@ -57,6 +60,7 @@ from .opalgebra import OperatorExpr, check_sigma
 
 DEFAULT_DIMENSION_CAP = 2_000_000
 _KERNEL_ROWS = 4096  # rows per kernel call in matrix_family, which bounds its working arrays
+_INDEX_SLOTS = 1 << 16  # list slots per piece of the kernel prefilter's mode index, so its order fits uint16
 JOIN_ENTRIES = 1 << 16  # the most entries one joined family build, rotation stack or probe stack holds
 _PRODUCT_ENTRIES = 1 << 12  # structural nnz bound per stacked product in _worst_relation
 _BRACKET_COPIES = 2  # the dense bracket matrix and its conjugate transpose
@@ -262,14 +266,14 @@ def _apply_strings(lists: np.ndarray, modes: np.ndarray, daggers: np.ndarray, si
     live_amp = np.ones(k)
     for f in reversed(range(modes.shape[1])):
         idx, dag, rows = modes[live, f], daggers[live, f], work[live]
-        n = (rows == idx[:, None]).sum(axis=1)
+        n = _slot_count(rows, np.equal, idx)
         keep = _factor_survives(n, dag, sigma)
         if not keep.all():
             live, idx, dag, rows, n, live_amp = live[keep], idx[keep], dag[keep], rows[keep], n[keep], live_amp[keep]
         if not len(live):  # nothing left to step, maybe not even a slot
             break
         if sigma == -1:
-            live_amp *= 1 - 2 * ((rows < idx[:, None]).sum(axis=1) & 1)
+            live_amp *= 1 - 2 * (_slot_count(rows, np.less, idx) & 1)
         else:
             live_amp *= np.sqrt(n.astype(np.float64) + dag)
         slot = (rows == np.where(dag, empty, idx)[:, None]).argmax(axis=1)  # the first empty slot, or idx's
@@ -280,6 +284,16 @@ def _apply_strings(lists: np.ndarray, modes: np.ndarray, daggers: np.ndarray, si
     alive = np.zeros(k, dtype=bool)
     alive[live] = True
     return work, amp, alive
+
+
+def _slot_count(rows: np.ndarray, compare, idx: np.ndarray) -> np.ndarray:
+    """Per row r, how many of its slots s have compare(rows[r, s], idx[r]),
+    summed one slot column at a time: a numpy reduce over the 2- to 5-wide
+    slot axis is slower."""
+    count = np.zeros(len(rows), dtype=np.intp)
+    for column in rows.T:
+        count += compare(column, idx)
+    return count
 
 
 def _widened(lists: np.ndarray, width: int) -> np.ndarray:
@@ -494,32 +508,50 @@ def _kernel_batches(exprs, space: ModeSpace, lists: np.ndarray, sigma: int):
     (kernel row's block-row offset, column, coefficient, new rows,
     amplitudes, alive).
 
-    A term enters the kernel only on the columns where its first (rightmost)
-    factor survives, found once per (mode, dagger) from the count of the
-    mode in each list by the kernel's own rule (``_factor_survives``); a
-    term without factors enters on every column.  Rows are term-major,
-    terms ascending by length and then in expression order, columns
-    ascending, cut by ``joined_pieces`` into calls of at most
+    A term enters the kernel only on the columns where its first-acting
+    annihilation run (its rightmost factors, up to its first creator) finds
+    every particle it removes: each mode m of the run is held in the list at
+    least as often as a(m) appears in the run, which is the kernel's own
+    rule (``_factor_survives``) for each step of the run.  A term whose
+    rightmost factor is a creator enters where that factor survives (a
+    fermion's mode empty, a boson's anywhere), and a term without factors
+    on every column.  The columns are read from one mode index of
+    the lists (``_mode_index``), once per run or fermion creator.  Rows are
+    term-major, terms ascending by length and then in expression order,
+    columns ascending, cut by ``joined_pieces`` into calls of at most
     ``_KERNEL_ROWS`` rows unless one term has more.  No array is terms x
-    columns.  A pair dropped here would die at the
-    kernel's first factor, so the rows alive on return are those of a pass
-    over every (term, column) pair, in the same order, with the same factor
-    products: the COO of the family is the same, entry for entry, and so is
-    every bit of its CSR.
+    columns.  A pair dropped here would die within the kernel's first run,
+    so the rows alive on return are those of a pass over every (term,
+    column) pair, in the same order, with the same factor products: the COO
+    of the family is the same, entry for entry, and so is every bit of its
+    CSR.
     """
     by_length: dict[int, list] = {}
     for p, expr in enumerate(exprs):
         for term in expr.terms:
             by_length.setdefault(len(term.factors), []).append((p, term))
-    acting: dict[tuple[int, bool], np.ndarray] = {}  # (mode, dagger) -> the columns where it survives
+    everywhere = np.arange(len(lists))
+    holding = _mode_index(lists, space.n_modes, sigma)
+    # a fermion creator's mode, or an annihilation run's ascending (mode, count)
+    # pairs -> the columns where it survives
+    acting: dict[int | tuple, np.ndarray] = {}
 
     def columns(term) -> np.ndarray:
-        if not term.factors:
-            return np.arange(len(lists))
-        first = term.factors[-1]
-        key = (space.index(first.mode), first.dagger)
+        first = term.factors[-1] if term.factors else None
+        if first is None or first.dagger and sigma == 1:  # a boson creator always acts
+            return everywhere
+        if first.dagger:
+            key = space.index(first.mode)
+        else:
+            run = takewhile(lambda f: not f.dagger, reversed(term.factors))
+            key = tuple(sorted(Counter(space.index(f.mode) for f in run).items()))
         if key not in acting:
-            acting[key] = np.flatnonzero(_factor_survives((lists == key[0]).sum(axis=1), first.dagger, sigma))
+            if first.dagger:  # a fermion creator needs its mode empty
+                empty = np.ones(len(lists), dtype=bool)
+                empty[holding(key, 1)] = False
+                acting[key] = np.flatnonzero(empty)
+            else:
+                acting[key] = reduce(partial(np.intersect1d, assume_unique=True), (holding(*mc) for mc in key))
         return acting[key]
 
     def call(length, batch):  # its arrays are the caller's alone once it returns
@@ -543,6 +575,35 @@ def _kernel_batches(exprs, space: ModeSpace, lists: np.ndarray, sigma: int):
             yield call(length, [items[i] for i in piece])
 
 
+def _mode_index(lists: np.ndarray, n_modes: int, sigma: int):
+    """``holding(m, count)``: the rows of ``lists`` that hold mode m at least
+    ``count`` times, ascending.
+
+    The lists are indexed in pieces of whole rows, at most ``_INDEX_SLOTS``
+    slots each: one stable argsort of a piece's flattened lists, after which
+    the slots holding m are one range of it and a row's repeats of m are
+    adjacent.  Each piece's order fits uint16, so the index holds two bytes
+    per slot and no argsort output is larger than one piece.  It is built at
+    the first call, so a build whose terms need no count sorts nothing."""
+    width = lists.shape[1]
+    span = _INDEX_SLOTS // max(width, 1)
+    pieces = []  # (first row, order, where each mode's range starts) per piece
+
+    def holding(m: int, count: int) -> np.ndarray:
+        if not pieces:
+            modes = np.arange(n_modes + 1, dtype=lists.dtype)
+            for start in range(0, max(len(lists), 1), span):
+                flat = lists[start:start + span].ravel()
+                order = np.argsort(flat, kind="stable").astype(np.uint16)
+                pieces.append((start, order, np.searchsorted(flat[order], modes)))
+        rows = joined([(order[b[m]:b[m + 1]] // width).astype(np.intp) + start for start, order, b in pieces])
+        if count > 1:  # a row's count-th slot of m, count - 1 places after its first
+            rows = rows[count - 1:][rows[count - 1:] == rows[:len(rows) - count + 1]]
+        return rows if sigma == -1 else rows[np.diff(rows, prepend=-1) != 0]
+
+    return holding
+
+
 def _joined_families(exprs, sectors) -> list[OperatorFamily]:
     """The families of ``exprs`` on ``sectors``, from one COO of all their
     entries: sector s's stack is rows offset[s] to offset[s + 1] of the
@@ -556,7 +617,7 @@ def _joined_families(exprs, sectors) -> list[OperatorFamily]:
     index = np.int32 if max(shape) < 2**31 else np.int64  # as scipy would pick, so no entry is copied to convert
     at, first, co = np.array(start), np.array(offset), np.array([c.dim for c in codomains])
     width = max(d.n_particles for d in domains)
-    lists = joined([_widened(d.modes, width) for d in domains])
+    lists = joined([d.modes if d.n_particles == width else _widened(d.modes, width) for d in domains])
     rows, cols, vals = [], [], []
     for owners, columns, coeffs, new, amp, alive in _kernel_batches(exprs, domains[0].space, lists, domains[0].sigma):
         columns, owners, new = columns[alive], owners[alive], new[alive]
@@ -580,8 +641,12 @@ def _joined_families(exprs, sectors) -> list[OperatorFamily]:
 def _rank_rows(codomains, sector: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Each sorted list's index in its own codomain, codomains[sector], read
     from its first codomain.N slots."""
+    receiving = np.flatnonzero(np.bincount(sector, minlength=len(codomains)))
+    if len(receiving) == 1:  # one codomain receives every row: no mask, no copy
+        codomain = codomains[receiving[0]]
+        return codomain.rank(rows[:, :codomain.n_particles])
     out = np.empty(len(rows), dtype=np.int64)
-    for s in np.flatnonzero(np.bincount(sector, minlength=len(codomains))):
+    for s in receiving:
         at = sector == s
         out[at] = codomains[s].rank(rows[at, :codomains[s].n_particles])
     return out

@@ -46,7 +46,7 @@ from .fockspace import (
     sector_lift,
 )
 from .modes import Lattice, Mode, ModeSpace, SpinQuantum
-from .opalgebra import OperatorExpr, create, destroy
+from .opalgebra import LadderOp, OperatorExpr, OperatorTerm, destroy
 
 HERMITICITY_TOL = 1e-12
 SPECTRUM_TOL = 1e-9
@@ -153,23 +153,38 @@ def mode_operator_check(space: ModeSpace, annihilators, sigma: int, n_max: int) 
     return max(ladder_relation_residuals(space, annihilators, sigma, n_max))
 
 
+def _term(coeff, factors) -> OperatorTerm:
+    """coeff times the product of ``factors``, with the coefficient bits of
+    ``coeff * (f_1 * ... * f_k)``: the factors' unit coefficient times coeff,
+    a complex product that can change the sign of a zero part."""
+    return OperatorTerm((1 + 0j) * complex(coeff), factors)
+
+
+def _ladders(space: ModeSpace) -> tuple[list[LadderOp], list[LadderOp]]:
+    """The creator and the annihilator of each mode, in mode order."""
+    return [LadderOp(m, True) for m in space.modes], [LadderOp(m, False) for m in space.modes]
+
+
 def one_body_expr(space: ModeSpace, h: np.ndarray, sigma: int) -> OperatorExpr:
-    """sum_{xi xi'} h[xi, xi'] a+(xi) a(xi')."""
-    modes = space.modes
-    return OperatorExpr.sum_of(sigma, (
-        complex(h[i, j]) * (create(modes[i], sigma) * destroy(modes[j], sigma))
-        for i, j in zip(*np.nonzero(h))
+    """sum_{xi xi'} h[xi, xi'] a+(xi) a(xi'), one term per nonzero entry in
+    row-major order."""
+    up, down = _ladders(space)
+    rows, cols = np.nonzero(h)
+    return OperatorExpr(sigma, tuple(
+        _term(h[i, j], (up[i], down[j])) for i, j in zip(rows.tolist(), cols.tolist())
     ))
 
 
 def interaction_expr(space: ModeSpace, spec2: TwoBodySpec, sigma: int) -> OperatorExpr:
-    """(1/2) sum over ordered mode pairs of V(|r-r'|) a+ a+' a' a, literal ordering."""
-    lattice = space.lattice
-    pairs = [(mi, mj, spec2.value(lattice.site_distance(mi.site, mj.site)))
-             for mi in space.modes for mj in space.modes]
-    return OperatorExpr.sum_of(sigma, (
-        (0.5 * v) * (create(mi, sigma) * create(mj, sigma) * destroy(mj, sigma) * destroy(mi, sigma))
-        for mi, mj, v in pairs if v != 0.0
+    """(1/2) sum over ordered mode pairs of V(|r-r'|) a+ a+' a' a, literal
+    ordering, without the pairs whose V is 0."""
+    lattice, modes = space.lattice, space.modes
+    up, down = _ladders(space)
+    sites = range(lattice.n_sites)
+    v = [[spec2.value(lattice.site_distance(a, b)) for b in sites] for a in sites]
+    return OperatorExpr(sigma, tuple(
+        _term(0.5 * v[mi.site][mj.site], (up[i], up[j], down[j], down[i]))
+        for i, mi in enumerate(modes) for j, mj in enumerate(modes) if v[mi.site][mj.site] != 0.0
     ))
 
 

@@ -649,6 +649,26 @@ def test_mirrored_spectrum_outputs_are_pinned(tmp_path):
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
+def test_benchmark_hamiltonian_bytes_are_pinned(tmp_path):
+    # the hubbard benchmark's build, ring:10, N=3 (1,140 states, 180 terms),
+    # with a fixed potential: H's entries and the basis take no BLAS, so
+    # their bytes are the same on every machine
+    cfg = {
+        "lattice": {"kind": "ring", "M": 10}, "twos_s": 1, "sigma": -1, "N": 3, "V": {"0": 4.0, "1": 1.0},
+        "onsite_U": [0.25, -0.5, 0.75, 0.125, -0.875, 0.375, -0.25, 0.5, -0.75, 0.625],
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["diagonalize", "--config", str(path), "--dump-matrix", "--dump-basis", "--out", str(out)]) == 0
+    pinned = {
+        "hamiltonian.csv": "d301cbc5aa3165936e91d32052cb46a0b9c770cead05ff3e999223c6ac85feeb",
+        "basis.csv": "6604e11aa85ff578b87361dce3c0a92782a54d824f0a05eb9103bffc8a8fe320",
+    }
+    for name, digest in pinned.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--suite", "rotation", "--n-max", "1"],
     ["correlate", "--lattice", "ring:4", "--twos-s", "0", "--sigma", "-1", "-N", "1"],

@@ -570,6 +570,56 @@ def test_family_blocks_match_every_column_scalar_reference(family_input):
             assert csr_bits(family.rows(p, p + 1)) == csr_bits(reference_matrix(expr, domain, codomain))
 
 
+def every_pair_matrix(expr, domain, codomain):
+    """The matrix of ``expr`` from one kernel call per term on every domain
+    column, nothing filtered out first: its entries in the kernel's term order
+    (ascending by length), columns ascending, summed by the same COO-to-CSR
+    conversion."""
+    space, dim = domain.space, domain.dim
+    rows, cols, vals = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=complex)]
+    for term in sorted(expr.terms, key=lambda t: len(t.factors)) if dim else ():  # no rows to rank
+        length = len(term.factors)
+        new, amp, alive = _apply_strings(
+            domain.modes,
+            np.array([[space.index(f.mode) for f in term.factors]] * dim, dtype=np.intp).reshape(dim, length),
+            np.array([[f.dagger for f in term.factors]] * dim, dtype=bool).reshape(dim, length),
+            domain.sigma,
+        )
+        rows.append(codomain.rank(new[alive, :codomain.n_particles]))
+        cols.append(np.flatnonzero(alive))
+        vals.append((term.coeff * amp)[alive])
+    coo = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(codomain.dim, dim), dtype=np.complex128,
+    )
+    return coo.tocsr()
+
+
+_REPEAT = [(0, False), (0, False)]  # a(m) a(m): a fermion never survives it, a boson needs n_m >= 2
+
+
+@settings(max_examples=150)
+@given(random_families())
+@example(_example_family(KERNEL_SPACES[0], 1, (2, 3), -2, (1.0, _REPEAT)))  # n_m = 1 dies, n_m = 2 and 3 live
+@example(_example_family(KERNEL_SPACES[0], -1, (2, 3), -2, (1.0, _REPEAT)))  # the fermion repeat
+@example(_example_family(KERNEL_SPACES[1], -1, (2, 3), -2, (1.0, [(2, False), (5, False)])))  # a(p) a(q)
+@example(_example_family(KERNEL_SPACES[1], 1, (2, 3), -2, (1.0, [(2, False), (5, False)]), (2.0, _REPEAT)))
+@example(_example_family(  # the vacuum: lists of width 0, every grade of first factor
+    KERNEL_SPACES[0], -1, (0,), 0, (0.5, []), (1.0, [(1, True), (2, False)]), (1.0, [(1, False), (1, True)]),
+))
+@example(_example_family(KERNEL_SPACES[0], 1, (0,), 1, (1.0, [(3, True)]), (1.0, [(1, True), (1, True), (1, False)])))
+@example(_example_family(  # an empty fermion sector beside a full one in one join
+    KERNEL_SPACES[0], -1, (5, 2), 0, (1.0, [(1, True), (1, False)]), (1.0, [(1, False), (2, True)]),
+))
+def test_prefilter_matches_a_pass_of_every_term_on_every_column(family_input):
+    # only the (term, column) pairs whose first annihilations all find a
+    # particle enter the kernel; the matrix is that of a pass of every pair
+    sectors, exprs = family_input
+    for family, (domain, codomain) in zip(matrix_family(exprs, sectors), sectors):
+        for p, expr in enumerate(exprs):
+            assert csr_bits(family.rows(p, p + 1)) == csr_bits(every_pair_matrix(expr, domain, codomain))
+
+
 RING64 = ModeSpace(Lattice.ring(64), SpinQuantum(1))  # 128 modes: mode 127 is the last int8 value
 
 
@@ -625,10 +675,11 @@ def test_lists_at_128_modes_keep_the_empty_marker_apart_from_mode_127(sigma):
             assert csr_bits(family.rows(p, p + 1)) == csr_bits(reference_matrix(expr, domain, codomain))
 
 
-def test_hamiltonian_build_sends_only_rows_whose_first_factor_survives(monkeypatch):
+def test_hamiltonian_build_sends_only_rows_whose_first_annihilations_survive(monkeypatch):
     # ring:10, 2s=1, sigma=-1, N=3 (1,140 states) with V = {0: 4, 1: 1} and a
     # seeded on-site potential: 180 terms, which over every column would be
-    # 205,200 kernel rows
+    # 205,200 kernel rows; 30,780 where each term's rightmost factor survives,
+    # and 12,060 where both annihilators of a+ a+ a a find their particles
     rng = random.Random(7)
     space = ModeSpace(Lattice.ring(10), SpinQuantum(1))
     spec1 = OneBodySpec(hop_t=1.0, onsite_u=tuple(rng.uniform(-1.0, 1.0) for _ in range(10)))
@@ -642,7 +693,7 @@ def test_hamiltonian_build_sends_only_rows_whose_first_factor_survives(monkeypat
 
     monkeypatch.setattr(fockspace, "_apply_strings", counted)
     build_many_body(spec1, TwoBodySpec.from_dict({0: 4.0, 1: 1.0}), basis)
-    assert sum(rows for rows, _ in calls) == 30_780
+    assert sum(rows for rows, _ in calls) == 12_060
     assert sum(alive for _, alive in calls) == 11_340
     assert max(rows for rows, _ in calls) <= fockspace._KERNEL_ROWS
 

@@ -259,6 +259,57 @@ def test_interaction_keys_are_matched_from_one_site(monkeypatch, lattice):
     assert len(seen) <= n
 
 
+def algebraic_one_body_expr(space, h, sigma):
+    """sum h[xi, xi'] a+(xi) a(xi') built through ``OperatorExpr`` products,
+    each term complex(h) * (a+ a)."""
+    modes = space.modes
+    return OperatorExpr.sum_of(sigma, (
+        complex(h[i, j]) * (create(modes[i], sigma) * destroy(modes[j], sigma)) for i, j in zip(*np.nonzero(h))
+    ))
+
+
+def algebraic_many_body_expr(spec1, spec2, space, sigma):
+    """The Hamiltonian built through ``OperatorExpr`` products: the one-body
+    terms, then each interaction term (V / 2) * (a+ a+' a' a)."""
+    modes = space.modes
+    one_body = algebraic_one_body_expr(space, one_body_matrix(spec1, space.lattice, space.spin), sigma)
+    pairs = [(mi, mj, spec2.value(space.lattice.site_distance(mi.site, mj.site))) for mi in modes for mj in modes]
+    return one_body + OperatorExpr.sum_of(sigma, (
+        (0.5 * v) * (create(mi, sigma) * create(mj, sigma) * destroy(mj, sigma) * destroy(mi, sigma))
+        for mi, mj, v in pairs if v != 0.0
+    ))
+
+
+def term_bits(expr):
+    return expr.sigma, [(t.coeff.real.hex(), t.coeff.imag.hex(), t.factors) for t in expr.terms]
+
+
+@pytest.mark.parametrize("sigma", [1, -1])
+@pytest.mark.parametrize("lattice, twos_s, spec1, spec2, n_terms", [
+    # the benchmark's Hubbard ring: 60 one-body and 120 interaction terms
+    (Lattice.ring(10), 1, OneBodySpec(onsite_u=tuple(np.linspace(-1.0, 1.0, 10))), {0: 4.0, 1: 1.0}, 180),
+    # signed zeros in the potential and the table, a negative hopping
+    (Lattice.ring(4), 2, OneBodySpec(hop_t=-0.5, onsite_u=(0.0, -0.0, 0.25, -1.5)), {0: -2.0, 2: 0.5}, 102),
+    (Lattice.grid2d(3), 0, OneBodySpec(onsite_u=-0.0), {0: 1.0, 1: -0.0, 2 ** 0.5: 0.75}, 49),
+], ids=["ring10", "ring4", "grid3"])
+def test_hamiltonian_terms_match_the_algebraic_construction(sigma, lattice, twos_s, spec1, spec2, n_terms):
+    # the same terms, in the same order, with the same coefficient bits
+    space, spec2 = ModeSpace(lattice, SpinQuantum(twos_s)), TwoBodySpec.from_dict(spec2)
+    built = many_body_expr(spec1, spec2, space, sigma)
+    assert term_bits(built) == term_bits(algebraic_many_body_expr(spec1, spec2, space, sigma))
+    assert len(built.terms) == n_terms
+
+
+def test_one_body_terms_keep_the_algebraic_coefficient_bits():
+    # a complex matrix whose parts hold signed zeros: the product with the
+    # factors' unit coefficient turns 2 - 0j into 2 + 0j, and so does the build
+    space = ModeSpace(Lattice.ring(2), SpinQuantum(0))
+    h = np.array([[complex(2.0, -0.0), complex(-0.0, 0.5)], [complex(-0.0, -0.5), complex(-1.0, -0.0)]])
+    built = hamiltonians.one_body_expr(space, h, -1)
+    assert term_bits(built) == term_bits(algebraic_one_body_expr(space, h, -1))
+    assert built.terms[0].coeff.imag.hex() == "0x0.0p+0"
+
+
 def test_diagonalize_diagonal_matrix():
     space = ModeSpace(Lattice.ring(4), SpinQuantum(0))
     basis = build_basis(space, 1, 1)
