@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import locale  # noqa: F401  argparse's message lookup loads it on first use; loaded here, in start-up
 import math
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -21,8 +22,10 @@ from itertools import permutations as iter_permutations
 from pathlib import Path
 
 import numpy as np
+import numpy.random  # noqa: F401  numpy loads it on first use; loaded here, in start-up, not in a check
 
 from . import correlations as corr
+from .csr import max_abs
 from .fockspace import (
     DimensionCapError,
     bracket_amplitudes,
@@ -33,7 +36,6 @@ from .fockspace import (
     index_tuples,
     joined_pieces,
     ladder_relation_residuals,
-    max_abs,
     overlap_oracle,
     symmetrizer_oracle,
     project_onto_symmetric,
@@ -631,13 +633,14 @@ def cmd_diagonalize(cfg: RunConfig) -> int:
         header = tuple(f"n{i}" for i in range(space.n_modes))
         _write_csv(out / "basis.csv", header, (basis.occ_tuple(i) for i in range(basis.dim)))
     if cfg.dump_matrix:
-        coo = ham.matrix.tocoo()
-        order = np.lexsort((coo.col, coo.row))
+        mat = ham.matrix
+        rows = mat.entry_rows()
+        order = np.lexsort((mat.indices, rows))
         _write_csv(
             out / "hamiltonian.csv",
             ("row", "col", "re", "im"),
             (
-                (int(coo.row[k]), int(coo.col[k]), float(coo.data[k].real), float(coo.data[k].imag))
+                (int(rows[k]), int(mat.indices[k]), float(mat.data[k].real), float(mat.data[k].imag))
                 for k in order
             ),
         )

@@ -12,6 +12,7 @@ statistics grade.
 from __future__ import annotations
 
 import numpy as np
+import numpy.fft  # noqa: F401  numpy loads it on first use; loaded here, in start-up, not in a command
 
 from .fockspace import StateVector, bracket_amplitudes, index_tuples
 from .modes import Mode

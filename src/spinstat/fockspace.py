@@ -17,7 +17,8 @@ one.  ``matrix_family`` builds the matrices M_p of a list of expressions on
 each of a list of (domain, codomain) sector pairs.  Every build is one join of
 consecutive pairs, up to ``JOIN_ENTRIES``: one kernel pass over their domain
 lists side by side, each row ranked in its own codomain, and one COO -> CSR
-whose row ranges are the pairs' stacks; only the (term, column) pairs whose
+(``csr.from_coo``, duplicates summed in input order) whose row ranges are
+the pairs' stacks; only the (term, column) pairs whose
 first-acting annihilators (the string's rightmost factors up to its first
 creator) all find a particle, or whose rightmost creator acts, enter the
 kernel, and each row of a join receives the entries of its own one-sector
@@ -52,8 +53,21 @@ from functools import cached_property, partial, reduce
 from itertools import accumulate, chain, combinations, combinations_with_replacement, permutations, takewhile
 
 import numpy as np
-import scipy.sparse as sp
 
+from .csr import (
+    CSR,
+    cell_ids,
+    cell_sums,
+    empty,
+    factor,
+    from_coo,
+    index_dtype,
+    max_abs,
+    product_keys,
+    row_gather,
+    swap_blocks,
+    swapped_keys,
+)
 from .memo import kept_cache
 from .modes import ModeSpace
 from .opalgebra import OperatorExpr, check_sigma
@@ -371,17 +385,17 @@ class OperatorFamily:
     domain: FockBasis
     codomain: FockBasis
     size: int
-    matrix: sp.csr_matrix
+    matrix: CSR
 
     def __len__(self) -> int:
         return self.size
 
-    def rows(self, start: int, stop: int) -> sp.csr_matrix:
+    def rows(self, start: int, stop: int) -> CSR:
         """vstack(M_start, ..., M_stop-1), sharing the stack's arrays."""
         d = self.codomain.dim
-        return _row_range(self.matrix, start * d, stop * d, self.domain.dim)
+        return self.matrix.row_range(start * d, stop * d, self.domain.dim)
 
-    def blocks(self, order, phases=None) -> sp.csr_matrix:
+    def blocks(self, order, phases=None) -> CSR:
         """vstack(phases[k] * M_order[k] over k), gathered from the stack.  Each
         block is multiplied by its phase as a scalar, as ``phase * M`` is: numpy
         multiplies complex arrays elementwise in other last bits."""
@@ -392,40 +406,7 @@ class OperatorFamily:
         bounds = indptr[np.arange(len(order) + 1) * d]
         for phase, start, end in zip(() if phases is None else phases, bounds[:-1], bounds[1:]):
             data[start:end] *= phase
-        return sp.csr_matrix((data, m.indices[take], indptr), shape=(len(order) * d, m.shape[1]))
-
-
-def _row_range(m: sp.csr_matrix, start: int, stop: int, n_cols: int) -> sp.csr_matrix:
-    """Rows start to stop of ``m`` as a CSR of ``n_cols`` columns (none of
-    them holds an entry past that), sharing m's indices and data."""
-    if (start, stop, n_cols) == (0, *m.shape):
-        return m
-    ptr = m.indptr[start:stop + 1]
-    view = sp.csr_matrix((stop - start, n_cols), dtype=m.dtype)
-    # assigned after construction: the constructor copies a slice of a much larger array
-    view.indptr, view.indices, view.data = ptr - ptr[0], m.indices[ptr[0]:ptr[-1]], m.data[ptr[0]:ptr[-1]]
-    return view
-
-
-def row_gather(m: sp.csr_matrix, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Where the entries of ``rows`` of ``m`` sit in its data and indices,
-    row after row and each row in its stored order, and the indptr of the
-    matrix of those rows."""
-    starts = m.indptr[rows]
-    counts = m.indptr[rows + 1] - starts
-    ends = np.cumsum(counts)
-    take = np.repeat(starts - ends + counts, counts) + np.arange(counts.sum())
-    return take, np.append(0, ends).astype(m.indptr.dtype)
-
-
-def max_abs(matrix: sp.spmatrix | np.ndarray) -> float:
-    """Largest absolute entry; 0.0 for an empty matrix."""
-    if sp.issparse(matrix):
-        compressed = matrix.format in ("csr", "csc")
-        data = matrix.data[:matrix.nnz] if compressed else matrix.tocoo().data
-        return float(np.abs(data).max()) if data.size else 0.0
-    arr = np.asarray(matrix)
-    return float(np.abs(arr).max()) if arr.size else 0.0
+        return CSR(indptr, m.indices[take], data, (len(order) * d, m.shape[1]))
 
 
 def matrix_of(expr: OperatorExpr, domain: FockBasis, codomain: FockBasis) -> OperatorFamily:
@@ -466,13 +447,12 @@ def matrix_family(exprs, sectors) -> list[OperatorFamily]:
     occupations side by side (``_kernel_batches``), ranks each row with its
     own codomain's table, and converts one COO to one CSR whose row ranges
     are the sectors' stacks; the expression index is a block-row offset in
-    each.  scipy's COO -> CSR conversion sums duplicates after an unstable
-    per-row sort by column, so its sums follow that sort, not the input
-    order; but each row of a joined stack receives the same sequence of
-    (column, value) entries, in the same order, as the row of the
-    one-expression build of its own expression on its own sector, so it is
-    sorted and summed the same way, and every block is bitwise the
-    ``matrix_of`` of its expression.
+    each.  The COO -> CSR conversion (``csr.from_coo``) sums the entries of
+    one cell in input order, from the first, so a lone entry keeps its bits;
+    each row of a joined stack receives the same sequence of (column, value)
+    entries, in the same order, as the row of the one-expression build of
+    its own expression on its own sector, so it is summed the same way, and
+    every block is bitwise the ``matrix_of`` of its expression.
     """
     exprs, sectors = list(exprs), list(sectors)
     shifts = [expr.particle_shift() if expr.terms else None for expr in exprs]
@@ -614,7 +594,7 @@ def _joined_families(exprs, sectors) -> list[OperatorFamily]:
     start = list(accumulate((d.dim for d in domains), initial=0))
     offset = list(accumulate((k * c.dim for c in codomains), initial=0))
     shape = (offset[-1], max(d.dim for d in domains))
-    index = np.int32 if max(shape) < 2**31 else np.int64  # as scipy would pick, so no entry is copied to convert
+    index = index_dtype(*shape)  # the stack's own index type, so no entry is copied to convert
     at, first, co = np.array(start), np.array(offset), np.array([c.dim for c in codomains])
     width = max(d.n_particles for d in domains)
     lists = joined([d.modes if d.n_particles == width else _widened(d.modes, width) for d in domains])
@@ -627,13 +607,13 @@ def _joined_families(exprs, sectors) -> list[OperatorFamily]:
         cols.append((columns - at[sector]).astype(index))
         vals.append((coeffs * amp)[alive])
     if not vals:
-        stack = sp.csr_matrix(shape, dtype=np.complex128)
+        stack = empty(shape)
     else:
         # each list is dropped as soon as it is joined, so the pieces and the joins do not all coexist
         vals, rows, cols = joined(vals), joined(rows), joined(cols)
-        stack = sp.coo_matrix((vals, (rows, cols)), shape=shape, dtype=np.complex128).tocsr()
+        stack = from_coo(rows, cols, vals.astype(np.complex128, copy=False), shape)
     return [
-        OperatorFamily(d, c, k, _row_range(stack, offset[s], offset[s + 1], d.dim))
+        OperatorFamily(d, c, k, stack.row_range(offset[s], offset[s + 1], d.dim))
         for s, (d, c) in enumerate(sectors)
     ]
 
@@ -701,9 +681,11 @@ def _worst_relation(lefts, rights, sigma: int, mirror=None, like=False) -> float
     the left stack with the right members side by side, in (p, q) block
     layout; its structural nnz bound stays under ``_PRODUCT_ENTRIES`` unless
     it is one pair.  The mirror term is one product the same way, in (q, p)
-    block layout, whose blocks ``_swap_blocks`` moves to (p, q).  The sigma
-    term is added or subtracted, not multiplied, and the identity comes off
-    the diagonal where the maximum is read.
+    block layout, whose terms are moved to the (p, q) cells they add to.
+    Both products are expanded into their terms in SMMP order, and share one
+    set of cell ids: each is summed by cells from zero, as a sparse product
+    sums it, and the sigma term is then added or subtracted, not multiplied.
+    The identity comes off the diagonal where the maximum is read.
     """
     families = [f for f in ((lefts, rights), None if like else mirror) if f]
     pair = 1  # per stored entry of ls[p] in column k, the stored entries of row k of rs[q]
@@ -712,71 +694,60 @@ def _worst_relation(lefts, rights, sigma: int, mirror=None, like=False) -> float
         pair = max(pair, int((_column_hits(ls) @ lengths.T).max(initial=0)))
     side = max(1, math.isqrt(_PRODUCT_ENTRIES // pair))
     tiles = [(i, min(i + side, len(lefts))) for i in range(0, len(lefts), side)]
-    left = [lefts.rows(*tile) for tile in tiles]
-    right = [_side_by_side(rights, tile) for tile in tiles]
-    back_left, back_right = left, right
-    if mirror:
-        back_left = [mirror[0].rows(*tile) for tile in tiles]
-        back_right = [_side_by_side(mirror[1], tile) for tile in tiles]
+    right = [factor(_side_by_side(rights, tile)) for tile in tiles]
+    held = [factor(lefts.rows(*tile)) for tile in tiles] if like else None  # the (j, i) products read them
+    back_left = [factor(mirror[0].rows(*tile)) for tile in tiles] if mirror else None
     worst = 0.0
     for i, (p0, p1) in enumerate(tiles):
+        left = held[i] if like else factor(lefts.rows(p0, p1))
+        back_right = factor(_side_by_side(mirror[1], (p0, p1))) if mirror else None
         for j in range(i if like else 0, len(tiles)):
             q0, q1 = tiles[j]
-            rel = left[i] @ right[j]
+            shape = (left.shape[0], right[j].shape[1])
+            terms = [product_keys(left, right[j])]
             if like or mirror:
-                back = rel if like and i == j else back_left[j] @ back_right[i]
-                back = _swap_blocks(back, (q1 - q0, p1 - p0))
-                rel = rel - back if sigma == 1 else rel + back
-            worst = max(worst, max_abs(rel) if like or i != j else _max_abs_less_identity(rel))
+                if like:
+                    back = terms[0] if i == j else product_keys(held[j], right[i])
+                else:
+                    back = product_keys(back_left[j], back_right)
+                grid = (q1 - q0, p1 - p0)
+                back_shape = (shape[0] // grid[1] * grid[0], shape[1] // grid[0] * grid[1])
+                terms.append((swapped_keys(back[0], grid, back_shape), *back[1:]))
+                del back
+            ids, ordered, starts = cell_ids(*(keys for keys, _, _ in terms))
+            rel, *back_sum = [cell_sums(at, re, im, len(starts)) for at, (_, re, im) in zip(ids, terms)]
+            del terms, ids
+            if back_sum:
+                rel = rel - back_sum[0] if sigma == 1 else rel + back_sum[0]
+            if like or i != j:
+                worst = max(worst, max_abs(rel))
+            else:
+                cells = ordered.take(starts)
+                worst = max(worst, _max_abs_less_identity(rel, *np.divmod(cells, shape[1]), shape[0]))
     return worst
 
 
-def _side_by_side(family: OperatorFamily, tile: tuple[int, int]) -> sp.csr_matrix:
+def _side_by_side(family: OperatorFamily, tile: tuple[int, int]) -> CSR:
     """hstack(M_p over p in range(*tile)), moved out of the stack."""
-    return _swap_blocks(family.rows(*tile), (tile[1] - tile[0], 1))
+    return swap_blocks(family.rows(*tile), (tile[1] - tile[0], 1))
 
 
 def _column_hits(family: OperatorFamily) -> np.ndarray:
     """Entry [p, k]: the stored entries of member p in column k, as floats."""
     m, cols = family.matrix, family.matrix.shape[1]
-    cells = _entry_rows(m).astype(np.intp) // family.codomain.dim * cols + m.indices[:m.nnz]
+    cells = m.entry_rows().astype(np.intp) // family.codomain.dim * cols + m.indices
     return np.bincount(cells, minlength=len(family) * cols).reshape(len(family), cols).astype(float)
 
 
-def _swap_blocks(m: sp.csr_matrix, grid: tuple[int, int]) -> sp.csr_matrix:
-    """Move block (i, j) of ``m``, a grid[0] x grid[1] grid of equal blocks, to
-    (j, i), each block unchanged: hstack(M_i) from vstack(M_i) for a (k, 1)
-    grid, or a product's (q, p) block layout to (p, q).  Entries are moved,
-    not recomputed, and each row keeps its entries' relative order."""
-    (gr, gc), (rows, cols) = grid, m.shape
-    if gr == gc == 1:
-        return m
-    a, c = rows // gr, cols // gc
-    shape = (gc * a, gr * c)
-    if m.nnz == 0:
-        return sp.csr_matrix(shape, dtype=m.dtype)
-    i, r = np.divmod(_entry_rows(m), a)
-    j, col = np.divmod(m.indices[:m.nnz], c)
-    target = j * a + r  # the new row of each entry; a stable sort keeps each row's order
-    order = np.argsort(target, kind="stable")
-    indptr = np.zeros(shape[0] + 1, dtype=m.indptr.dtype)
-    np.cumsum(np.bincount(target, minlength=shape[0]), out=indptr[1:])
-    return sp.csr_matrix((m.data[order], (i * c + col)[order], indptr), shape=shape)
-
-
-def _entry_rows(m: sp.csr_matrix) -> np.ndarray:
-    """The row of each stored entry of a CSR, in the index dtype."""
-    return np.repeat(np.arange(m.shape[0], dtype=m.indices.dtype), np.diff(m.indptr))
-
-
-def _max_abs_less_identity(m: sp.csr_matrix) -> float:
-    """max_abs(m - identity) for a square CSR without duplicate entries, read
-    from its stored entries; a diagonal entry it does not store reads 1."""
-    diagonal = np.flatnonzero(m.indices[:m.nnz] == _entry_rows(m))
-    size = np.abs(m.data[:m.nnz])
-    size[diagonal] = np.abs(m.data[diagonal] - 1)
+def _max_abs_less_identity(values: np.ndarray, rows: np.ndarray, cols: np.ndarray, n_rows: int) -> float:
+    """max_abs(m - identity) for the square matrix whose cells (rows, cols)
+    hold ``values``, one value per cell; a diagonal cell it does not hold
+    reads 1."""
+    diagonal = np.flatnonzero(rows == cols)
+    size = np.abs(values)
+    size[diagonal] = np.abs(values[diagonal] - 1)
     worst = float(size.max()) if size.size else 0.0
-    return max(worst, 1.0) if len(diagonal) < m.shape[0] else worst
+    return max(worst, 1.0) if len(diagonal) < n_rows else worst
 
 
 # -- bracket states and overlaps --------------------------------------------

@@ -28,21 +28,17 @@ from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 
 import numpy as np
-import scipy.sparse as sp
 
+from .csr import CSR, max_abs, max_abs_less_adjoint, max_abs_of_sum, row_gather
 from .fockspace import (
     DimensionCapError,
     FockBasis,
     OperatorFamily,
     StateVector,
     _available_memory,
-    _entry_rows,
-    _row_range,
     build_basis,
     ladder_relation_residuals,
     matrix_of,
-    max_abs,
-    row_gather,
     sector_lift,
 )
 from .modes import Lattice, Mode, ModeSpace, SpinQuantum
@@ -286,7 +282,7 @@ class SpectrumResult:
 _SOLVE_ARRAYS = 5  # the dense block, LAPACK's copy of it, its 2 n^2 workspace and eigh's output
 
 
-def _projection_blocks(mat: sp.csr_matrix, basis: FockBasis) -> tuple[list[np.ndarray], list]:
+def _projection_blocks(mat: CSR, basis: FockBasis) -> tuple[list[np.ndarray], list]:
     """Ascending basis indices of each block of equal particle count per spin
     projection, blocks in ascending count-vector order, and each block's count
     vector as a tuple.  One block holding the whole sector, labelled None, if
@@ -297,7 +293,7 @@ def _projection_blocks(mat: sp.csr_matrix, basis: FockBasis) -> tuple[list[np.nd
     counts = (basis.modes[:, :, None] % len(projections) == projections).sum(axis=1)
     keys, labels = np.unique(counts, axis=0, return_inverse=True)
     labels = labels.ravel()
-    if np.any(labels[_entry_rows(mat)] != labels[mat.indices[:mat.nnz]]):
+    if np.any(labels[mat.entry_rows()] != labels[mat.indices]):
         return [np.arange(basis.dim)], [None]
     order = np.argsort(labels, kind="stable")
     blocks = np.split(order, np.cumsum(np.bincount(labels))[:-1])
@@ -326,7 +322,7 @@ def _spin_reversal(basis: FockBasis, order: np.ndarray) -> tuple[np.ndarray, np.
     return position[lift.image[order]], np.sign(lift.phase.real[order])
 
 
-def _gathered(mat: sp.csr_matrix, order: np.ndarray, starts: np.ndarray, real: bool) -> sp.csr_matrix:
+def _gathered(mat: CSR, order: np.ndarray, starts: np.ndarray, real: bool) -> CSR:
     """H's rows in the concatenated block ``order``, each row's entries in H's
     stored order and each column counted from the start of its block, which
     is the row's: rows starts[b] to starts[b + 1] are block b itself."""
@@ -335,17 +331,17 @@ def _gathered(mat: sp.csr_matrix, order: np.ndarray, starts: np.ndarray, real: b
     take, indptr = row_gather(mat, order)
     data = (mat.data.real if real else mat.data)[take]
     width = int(np.diff(starts).max(initial=0))
-    return sp.csr_matrix((data, local[mat.indices[take]], indptr), shape=(len(order), width))
+    return CSR(indptr, local[mat.indices[take]], data, (len(order), width))
 
 
-def _is_mirror(partner: sp.csr_matrix, block: sp.csr_matrix, image: np.ndarray, sign: np.ndarray) -> bool:
+def _is_mirror(partner: CSR, block: CSR, image: np.ndarray, sign: np.ndarray) -> bool:
     """Whether the stored entries of ``block`` equal, bit for bit, those of
     ``partner`` moved to rows and columns ``image`` and multiplied by the
     ``sign`` of both states."""
     n = block.shape[0]
-    row, col = _entry_rows(partner), partner.indices
+    row, col = partner.entry_rows(), partner.indices
     moved_keys, moved = image[row] * n + image[col], partner.data * (sign[row] * sign[col])
-    keys = _entry_rows(block).astype(np.intp) * n + block.indices
+    keys = block.entry_rows().astype(np.intp) * n + block.indices
     if len(keys) != len(moved_keys):
         return False
     a, b = np.argsort(moved_keys), np.argsort(keys)
@@ -354,7 +350,7 @@ def _is_mirror(partner: sp.csr_matrix, block: sp.csr_matrix, image: np.ndarray, 
     )
 
 
-def _worst_residual(sub: sp.csr_matrix, vectors: np.ndarray, values: np.ndarray) -> float:
+def _worst_residual(sub: CSR, vectors: np.ndarray, values: np.ndarray) -> float:
     """max_k ||H_b v_k - lambda_k v_k||, from two dense temporaries."""
     residual = sub @ vectors
     residual -= vectors * values
@@ -409,9 +405,9 @@ def diagonalize(ham: OperatorFamily) -> SpectrumResult:
         or ham.domain.sigma != ham.codomain.sigma
     ):
         raise ValueError("can only diagonalize a square same-sector matrix")
-    mat = ham.matrix.tocsr()
+    mat = ham.matrix
     scale = max(1.0, max_abs(mat))
-    if not max_abs(mat - mat.conj().T) <= HERMITICITY_TOL * scale:  # a NaN fails too
+    if not max_abs_less_adjoint(mat) <= HERMITICITY_TOL * scale:  # a NaN fails too
         raise ValueError("matrix is not Hermitian to tolerance")
     real = not np.any(mat.data.imag)
     dim = ham.domain.dim
@@ -419,7 +415,7 @@ def diagonalize(ham: OperatorFamily) -> SpectrumResult:
     order = np.concatenate(blocks) if blocks else np.zeros(0, dtype=np.intp)
     starts = np.cumsum([0] + [len(idx) for idx in blocks])
     gathered = _gathered(mat, order, starts, real)
-    views = [_row_range(gathered, a, b, b - a) for a, b in zip(starts[:-1], starts[1:])]
+    views = [gathered.row_range(a, b, b - a) for a, b in zip(starts[:-1], starts[1:])]
     mirrors = {}
     partners = _mirror_partners(labels)
     if partners:
@@ -504,7 +500,7 @@ def ideal_gas_check(
     diag_expr = OperatorExpr.sum_of(
         sigma, (complex(eps[q]) * (cq.dagger() * cq) for q, cq in enumerate(annihilators))
     )
-    h0_residual = max_abs(matrix_of(diag_expr, basis, basis).matrix - ham.matrix)
+    h0_residual = max_abs_of_sum(matrix_of(diag_expr, basis, basis).matrix, ham.matrix, -1)
 
     return IdealGasReport(
         sigma=sigma,

@@ -15,12 +15,12 @@ rational fraction of a full turn; phases at quarter turns are produced
 exactly (1, i, -1, -i) so half-integral spinor phases at a half turn are
 exact +-i.  The covariance checks cover every lattice rotation, projection
 and site in one call.  Their operators are families (``matrix_family``):
-a(xi) over every mode, or F(r) over every site for one projection, each
-one stacked CSR per sector, built for all sectors of an expression list in
-one call.  Each sector lift is monomial and is held as image and phase
-arrays (``SectorLift``), so a rotation of a sector relabels that stack's
-rows and columns and multiplies its values by two phases, with no sparse
-product.  The rotation steps of a family are conjugated into one stack
+a(xi) over every mode, or F(r) over every projection and site (each
+projection's family a row range of its stack), each one stacked CSR per
+sector, built for all sectors of an expression list in one call.  Each
+sector lift is monomial and is held as image and phase arrays
+(``SectorLift``), so a rotation of a sector relabels that stack's rows and
+columns and multiplies its values by two phases, with no sparse product.  The rotation steps of a family are conjugated into one stack
 (``_conjugated_stack``, up to ``fockspace.JOIN_ENTRIES`` per stack), which
 is compared with one phased gather of the family's blocks: one difference
 and one maximum for all steps.  Inversion compares the stack with its
@@ -36,13 +36,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
+from .csr import CSR, complex_array, index_dtype, max_abs, max_abs_of_sum, row_gather, times
 from .fockspace import (
     FockBasis,
     OperatorFamily,
@@ -52,9 +52,7 @@ from .fockspace import (
     joined,
     joined_pieces,
     matrix_family,
-    max_abs,
     perm_parity,
-    row_gather,
     sector_lift,
 )
 from .memo import command_memo, kept_cache
@@ -115,11 +113,15 @@ class SpinorRotation:
 
     def fock_lift(self, basis: FockBasis) -> OperatorFamily:
         """The sector unitary implementing this rotation on Fock states, as
-        canonical CSR built from the lift's image and phase arrays."""
+        CSR built from the lift's image and phase arrays: row i holds the
+        entry of each state j with image[j] = i, in ascending j."""
         lift = _sector_unitary(self, basis.n_particles, basis.sigma)
         dim = basis.dim
-        csc = sp.csc_matrix((lift.phase, lift.image, np.arange(dim + 1)), shape=(dim, dim))
-        return OperatorFamily(basis, basis, 1, csc.tocsr())
+        index = index_dtype(dim)
+        indptr = np.zeros(dim + 1, dtype=index)
+        np.cumsum(np.bincount(lift.image, minlength=dim), out=indptr[1:])
+        source = lift.source.astype(index)
+        return OperatorFamily(basis, basis, 1, CSR(indptr, source, lift.phase[source], (dim, dim)))
 
 
 @kept_cache
@@ -132,18 +134,11 @@ def _sector_unitary(rot: SpinorRotation, n_particles: int, sigma: int) -> Sector
 
 
 def _times(ar, ai, br, bi) -> tuple[np.ndarray, np.ndarray]:
-    """a * b accumulated onto zero, as scipy's sparse product forms each
-    single-term entry: ``0 + (a * b)`` in its real arithmetic.  numpy's
-    complex multiply differs from it in last bits, and the ``0 +`` turns a
-    -0.0 into the 0.0 the product stores."""
-    return 0.0 + (ar * br - ai * bi), 0.0 + (ar * bi + ai * br)
-
-
-def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """The complex array of these parts, each copied bit for bit."""
-    out = np.empty(len(re), dtype=np.complex128)
-    out.real, out.imag = re, im
-    return out
+    """a * b accumulated onto zero, as a sparse product forms each
+    single-term entry: ``0 + (a * b)`` in real arithmetic (``csr.times``).
+    The ``0 +`` turns a -0.0 into the 0.0 the product stores."""
+    re, im = times(ar, ai, br, bi)
+    return 0.0 + re, 0.0 + im
 
 
 def _conjugated_stack(rots, family: OperatorFamily) -> OperatorFamily:
@@ -178,7 +173,7 @@ def _conjugated_stack(rots, family: OperatorFamily) -> OperatorFamily:
     if not kept.all():
         indptr = np.append(0, np.cumsum(kept))[indptr].astype(m.indptr.dtype)
         yr, yi, indices = yr[kept], yi[kept], indices[kept]
-    stack = sp.csr_matrix((_complex(yr, yi), indices, indptr), shape=(len(rots) * m.shape[0], m.shape[1]))
+    stack = CSR(indptr, indices, complex_array(yr, yi), (len(rots) * m.shape[0], m.shape[1]))
     return OperatorFamily(dom, co, len(rots) * len(family), stack)
 
 
@@ -196,7 +191,7 @@ def _covariance(family: OperatorFamily, rots, moves) -> float:
         images = [i for k in piece for i in moves[k][0]]
         phases = [p for k in piece for p in moves[k][1]]
         conj = _conjugated_stack([rots[k] for k in piece], family)
-        worst = max(worst, max_abs(conj.matrix - family.blocks(images, phases)))
+        worst = max(worst, max_abs_of_sum(conj.matrix, family.blocks(images, phases), -1))
     return worst
 
 
@@ -209,7 +204,7 @@ def _unitarity_residual(lift: SectorLift) -> float:
     dim = len(lift.image)
     re = np.bincount(lift.image, pr * pr - pi * -pi, minlength=dim)
     im = np.bincount(lift.image, pr * -pi + pi * pr, minlength=dim)
-    return float(np.abs(_complex(re, im) - 1.0).max(initial=0.0))
+    return float(np.abs(complex_array(re, im) - 1.0).max(initial=0.0))
 
 
 def _square_residual(lift: SectorLift, sign: int) -> float:
@@ -219,7 +214,7 @@ def _square_residual(lift: SectorLift, sign: int) -> float:
     complex ``abs``, as ``max_abs`` takes them, not ``hypot``: they differ
     in last bits."""
     ahead = lift.phase[lift.image]
-    entry = _complex(*_times(ahead.real, ahead.imag, lift.phase.real, lift.phase.imag))
+    entry = complex_array(*_times(ahead.real, ahead.imag, lift.phase.real, lift.phase.imag))
     on_diagonal = lift.image[lift.image] == np.arange(len(entry))
     dev = np.where(on_diagonal, np.abs(entry - sign), np.maximum(np.abs(entry), 1.0))
     return float(dev.max(initial=0.0))
@@ -302,13 +297,19 @@ def pair_operator(space: ModeSpace, twos_ms: int, site: int, sigma: int) -> Oper
 @command_memo
 def _pair_sectors(space: ModeSpace, sigma: int, n_max: int) -> dict[int, list[OperatorFamily]]:
     """2m_s -> the families of F(r) over every site r on sectors N =
-    2..n_max, one ``matrix_family`` call per projection, once per command."""
+    2..n_max, once per command.  Every projection's F(r) are built in one
+    ``matrix_family`` call, each projection's family a row range of its
+    sector's stack."""
     sites = range(space.lattice.n_sites)
     sectors = [(build_basis(space, n, sigma), build_basis(space, n - 2, sigma)) for n in range(2, n_max + 1)]
-    return {
-        tm: matrix_family([pair_operator(space, tm, site, sigma) for site in sites], sectors)
-        for tm in space.spin.projections()
-    }
+    projections = space.spin.projections()
+    stacks = matrix_family([pair_operator(space, tm, site, sigma) for tm in projections for site in sites], sectors)
+    return {tm: [_members(stack, k * len(sites), len(sites)) for stack in stacks] for k, tm in enumerate(projections)}
+
+
+def _members(family: OperatorFamily, first: int, count: int) -> OperatorFamily:
+    """Members first to first + count of ``family``, as a family sharing its arrays."""
+    return OperatorFamily(family.domain, family.codomain, count, family.rows(first, first + count))
 
 
 def rotation_covariance_check(space: ModeSpace, sigma: int, n_max: int = 3) -> float:
@@ -336,18 +337,17 @@ def _ratio_residual(a_mats, b_mats) -> tuple[complex | None, float]:
     is max |A|."""
     best_abs, best_loc = 0.0, None
     for k, b in enumerate(b_mats):
-        coo = b.tocoo()
-        if coo.nnz == 0:
+        if b.nnz == 0:
             continue
-        i = int(np.argmax(np.abs(coo.data)))
-        if abs(coo.data[i]) > best_abs:
-            best_abs = abs(coo.data[i])
-            best_loc = (k, int(coo.row[i]), int(coo.col[i]))
+        i = int(np.argmax(np.abs(b.data)))
+        if abs(b.data[i]) > best_abs:
+            best_abs = abs(b.data[i])
+            best_loc = (k, int(b.entry_rows()[i]), int(b.indices[i]))
     if best_loc is None or best_abs <= PHASE_TOL:
         return None, max(max_abs(a) for a in a_mats)
     k, r, c = best_loc
-    lam = complex(a_mats[k][r, c] / b_mats[k][r, c])
-    return lam, max(max_abs(a - lam * b) for a, b in zip(a_mats, b_mats))
+    lam = complex(a_mats[k].entry(r, c) / b_mats[k].entry(r, c))
+    return lam, max(max_abs_of_sum(a, replace(b, data=b.data * lam), -1) for a, b in zip(a_mats, b_mats))
 
 
 def _half_turn_eigenvalue(families, member: int) -> tuple[complex | None, float]:
@@ -508,7 +508,8 @@ class PairChecks:
 def pair_checks(space: ModeSpace, sigma: int, n_max: int = 3) -> PairChecks:
     """Build the pair families and same-point matrices of one grade once and
     read every value of steps (c) and (e) from them; a command builds the
-    record once and every suite reads it."""
+    record once and every suite reads it.  The same-point pairs of every
+    projection are one ``matrix_family`` call."""
     if n_max < 2:
         raise ValueError("pair checks need sectors up to at least N=2")
     probe = theorem_probe_site(space)
@@ -517,15 +518,16 @@ def pair_checks(space: ModeSpace, sigma: int, n_max: int = 3) -> PairChecks:
     families = _pair_sectors(space, sigma, n_max)
     same_point = dict.fromkeys(families, 0.0)
     inversion = even = 0.0
-    for tm, fams in families.items():
+    for fams in families.values():
         for family in fams:
             mirrored = family.blocks(inverted)
-            even_part = max_abs(mirrored + family.matrix)
-            inversion = max(inversion, max_abs(mirrored - family.matrix) if sigma == 1 else even_part)
+            even_part = max_abs_of_sum(mirrored, family.matrix, 1)
+            inversion = max(inversion, max_abs_of_sum(mirrored, family.matrix, -1) if sigma == 1 else even_part)
             even = max(even, even_part)
-        same = destroy(Mode(origin, tm), sigma) * destroy(Mode(origin, tm), sigma)
-        for family in matrix_family([same], [(f.domain, f.codomain) for f in fams]):
-            same_point[tm] = max(same_point[tm], max_abs(family.matrix))
+    same = [destroy(Mode(origin, tm), sigma) * destroy(Mode(origin, tm), sigma) for tm in families]
+    for stack in matrix_family(same, [(f.domain, f.codomain) for f in next(iter(families.values()))]):
+        for k, tm in enumerate(families):
+            same_point[tm] = max(same_point[tm], max_abs(stack.rows(k, k + 1)))
     eigen = {tm: _half_turn_eigenvalue(fams, probe) for tm, fams in families.items()}
     return PairChecks(
         space=space,

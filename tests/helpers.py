@@ -8,8 +8,11 @@ Hamiltonian acts slot by slot on index tensors.  The two exceptions are
 from the index and amplitude that ``bracket_amplitudes`` computes, and
 ``conjugated``, which multiplies by the rotation lifts that
 ``fockspace.sector_lift`` builds: it is the sparse triple product that the relabelled conjugations
-are checked against bit for bit.  ``identity_matrix`` and ``pair_correlation``
-are references no command needs: the sector identity as CSR, and the
+are checked against bit for bit.  scipy.sparse is the reference for spinstat's
+own CSR record: ``to_scipy`` copies a record into scipy's CSR bit for bit,
+and ``sparse_max_abs`` reads the largest entry of a scipy matrix as spinstat
+reads a record's.  ``identity_matrix`` and ``pair_correlation`` are
+references no command needs: the sector identity as scipy CSR, and the
 one-pair reading of the batched correlation that ``antipodal_profile`` uses.
 """
 
@@ -23,7 +26,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from spinstat.correlations import _pair_correlations
-from spinstat.fockspace import OperatorFamily, StateVector, bracket_amplitudes, symmetrizer_oracle
+from spinstat.csr import CSR
+from spinstat.fockspace import StateVector, bracket_amplitudes, symmetrizer_oracle
 from spinstat.modes import Mode, ModeSpace
 
 
@@ -74,23 +78,35 @@ def bracket_vector(space: ModeSpace, coords, sigma: int) -> StateVector:
     return StateVector(basis, amplitudes)
 
 
+def to_scipy(m: CSR) -> sp.csr_matrix:
+    """A record as scipy's CSR, each array copied bit for bit."""
+    return sp.csr_matrix((m.data.copy(), m.indices.copy(), m.indptr.copy()), shape=m.shape)
+
+
+def sparse_max_abs(m) -> float:
+    """Largest absolute stored entry of a scipy sparse matrix; 0.0 for none."""
+    data = m.data[:m.nnz] if m.format in ("csr", "csc") else m.tocoo().data
+    return float(np.abs(data).max()) if data.size else 0.0
+
+
 def conjugated(rot, family, member: int) -> sp.csr_matrix:
     """U_codomain @ M @ U_domain^dagger for the rotation's sector lifts, M the
     member ``member`` of an ``OperatorFamily``: two scipy sparse products."""
     u_co, u_dom_adjoint = _lift(rot, family.codomain, False), _lift(rot, family.domain, True)
-    return (u_co @ family.rows(member, member + 1) @ u_dom_adjoint).tocsr()
+    return (u_co @ to_scipy(family.rows(member, member + 1)) @ u_dom_adjoint).tocsr()
 
 
 @functools.lru_cache(maxsize=4)
 def _lift(rot, basis, adjoint: bool) -> sp.csr_matrix:
-    """U (or U+) of ``rot`` on ``basis``, as canonical CSR, kept across the
-    members of a family."""
-    u = rot.fock_lift(basis).matrix
+    """U (or U+) of ``rot`` on ``basis``, as canonical scipy CSR, kept across
+    the members of a family."""
+    u = to_scipy(rot.fock_lift(basis).matrix)
     return u.conj().T.tocsr() if adjoint else u
 
 
-def identity_matrix(basis) -> OperatorFamily:
-    return OperatorFamily(basis, basis, 1, sp.identity(basis.dim, dtype=np.complex128, format="csr"))
+def identity_matrix(basis) -> sp.csr_matrix:
+    """The identity of a sector as scipy CSR."""
+    return sp.identity(basis.dim, dtype=np.complex128, format="csr")
 
 
 def pair_correlation(state: StateVector, xi1: Mode, xi2: Mode) -> complex:

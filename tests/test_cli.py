@@ -327,11 +327,11 @@ def test_rotation_suite_builds_each_matrix_once(monkeypatch):
     report = cli.suite_rotation(cfg, None)
     assert report.passed
     # per grade: one call building the family of a(xi) over the 8 modes on
-    # N = 1, 2 and one per projection building F(r) over the 4 sites on N = 2, 3
-    assert [(len(exprs), len(sectors)) for exprs, sectors in builds] == [(8, 2), (4, 2), (4, 2)] * 2
+    # N = 1, 2 and one building F(r) over both projections and the 4 sites on N = 2, 3
+    assert [(len(exprs), len(sectors)) for exprs, sectors in builds] == [(8, 2), (8, 2)] * 2
     sectors = _sector_builds(builds)
-    assert len(sectors) == 2 * (2 + 2 * 2) == 12
-    assert sorted(len(exprs) for exprs, _, _ in sectors) == [4] * 8 + [8] * 4
+    assert len(sectors) == 2 * (2 + 2) == 8
+    assert sorted(len(exprs) for exprs, _, _ in sectors) == [8] * 8
     assert sum(len(exprs) for exprs, _, _ in sectors) == 64  # the matrices, one each
     assert len(set(sectors)) == len(sectors)  # no (family, sector) twice
 
@@ -351,17 +351,18 @@ def test_ladder_relations_build_each_ladder_matrix_once(monkeypatch):
     assert orderings == []
 
 
-@pytest.mark.parametrize("suite, total", [(cli.suite_pair_operator, 16), (cli.suite_theorem, 16)])
+@pytest.mark.parametrize("suite, total", [(cli.suite_pair_operator, 8), (cli.suite_theorem, 8)])
 def test_pair_suites_build_each_pair_matrix_once(monkeypatch, suite, total):
     cfg = load_config(None).validate()  # CLI defaults: ring:4, 2s=1, both grades, n_max=3
     builds = _count_calls(monkeypatch, fockspace, "matrix_family")
     assert suite(cfg, None).passed
-    # per grade, projection and N = 2, 3: one family of F(r) over the 4 sites and
-    # one same-point pair (24 and 20 builds when each identity was computed apart),
-    # each expression list on N = 2, 3 in one call
+    # per grade and N = 2, 3: one family of F(r) over both projections and the
+    # 4 sites and one of the same-point pairs of both projections (16 builds
+    # with one call per projection, 24 and 20 when each identity was computed
+    # apart), each expression list on N = 2, 3 in one call
     assert [len(sectors) for _, sectors in builds] == [2] * (total // 2)
     sectors = _sector_builds(builds)
-    assert sorted(len(exprs) for exprs, _, _ in sectors) == [1] * (total // 2) + [4] * (total // 2)
+    assert sorted(len(exprs) for exprs, _, _ in sectors) == [2] * (total // 2) + [8] * (total // 2)
     assert len(set(sectors)) == len(sectors) == total  # no (expression list, sector) twice
 
 
@@ -370,11 +371,12 @@ def test_default_verify_builds_each_family_once_for_every_suite(tmp_path, monkey
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["verify", "--out", str(tmp_path / "o")]) == 0
     # 84 sector builds when each suite built its own: the rotation, pair-operator
-    # and theorem suites share the F(r) families (8 per grade), the
-    # pair-operator and theorem suites the same-point pairs (4 per grade); 60
-    # calls when each made one call per sector, 22 with one per expression list
-    assert len(builds) == 22
-    assert len(_sector_builds(builds)) == 60
+    # and theorem suites share the F(r) families, the pair-operator and theorem
+    # suites the same-point pairs; 60 calls when each made one call per
+    # sector, 22 with one per expression list and projection, 18 with one per
+    # expression list over every projection (52 sector builds)
+    assert len(builds) == 18
+    assert len(_sector_builds(builds)) == 52
     built = Counter(_sector_builds(builds))
     repeats = {
         (exprs, domain.sigma, domain.n_particles, codomain.n_particles): n
@@ -1107,3 +1109,34 @@ def test_completeness_at_n4_runs_under_the_address_space_limit(tmp_path):
     )
     assert child.returncode == 0, child.stderr
     assert json.loads((out / "completeness.json").read_text())["passed"]
+
+
+CI_HUBBARD = {
+    "lattice": {"kind": "ring", "M": 10}, "twos_s": 1, "sigma": -1, "N": 3, "V": {"0": 4.0, "1": 1.0},
+    "onsite_U": [0.25, -0.5, 0.75, 0.125, -0.875, 0.375, -0.25, 0.5, -0.75, 0.625],
+}
+
+
+def test_commands_run_without_scipy(tmp_path):
+    # scipy is a test dependency only: importing the CLI loads no scipy
+    # module, and with scipy blocked the default verify and the CI Hubbard
+    # diagonalize and correlate commands still exit 0
+    config = tmp_path / "hubbard.json"
+    config.write_text(json.dumps(CI_HUBBARD))
+    code = (
+        "import sys\n"
+        "import spinstat.cli as cli\n"
+        "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], 'scipy loaded'\n"
+        "sys.modules['scipy'] = None\n"
+        "out, config = sys.argv[1], sys.argv[2]\n"
+        "for argv in (['verify', '--out', out + '/verify'],\n"
+        "             ['diagonalize', '--config', config, '--eigenvectors', '--dump-matrix', '--out', out + '/h'],\n"
+        "             ['correlate', '--config', config, '--out', out + '/h']):\n"
+        "    assert cli.main(argv) == 0, argv\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1")
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path), str(config)], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "h" / "hamiltonian.csv").exists() and (tmp_path / "h" / "profile.csv").exists()

@@ -9,7 +9,16 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import bracket_vector, identity_matrix, occ_apply, occupations, random_state, state_coordinate_tensor
+from helpers import (
+    bracket_vector,
+    identity_matrix,
+    occ_apply,
+    occupations,
+    random_state,
+    sparse_max_abs,
+    state_coordinate_tensor,
+    to_scipy,
+)
 from spinstat import fockspace
 from spinstat.fockspace import (
     DimensionCapError,
@@ -301,7 +310,7 @@ def test_fermion_annihilate_empty_mode_is_zero():
     x, y = SPACE4.mode_at(0), SPACE4.mode_at(1)
     state = bracket_vector(SPACE4, (x,), -1)
     down = matrix_of(destroy(y, -1), state.basis, build_basis(SPACE4, 0, -1))
-    assert np.linalg.norm(down.matrix @ state.amplitudes) == 0.0
+    assert np.linalg.norm(down.matrix.toarray() @ state.amplitudes) == 0.0
 
 
 def test_boson_sqrt_factor_against_symbolic_oracle():
@@ -311,7 +320,7 @@ def test_boson_sqrt_factor_against_symbolic_oracle():
     two = bracket_vector(SPACE4, (x, x), 1)  # exactly the n=2 occupation state
     assert np.linalg.norm(two.amplitudes) == pytest.approx(1.0)
     up = matrix_of(create(x, 1), two.basis, build_basis(SPACE4, 3, 1))
-    three = np.linalg.norm(up.matrix @ two.amplitudes)
+    three = np.linalg.norm(up.matrix.toarray() @ two.amplitudes)
     assert three == pytest.approx(math.sqrt(3.0))
     string = OperatorExpr.identity(1)
     for _ in range(3):
@@ -332,8 +341,8 @@ def test_ladder_matrix_adjointness(sigma):
     for mode in SPACE4.modes:
         u = random_state(basis3, RNG)
         v = random_state(basis2, RNG)
-        up = matrix_of(create(mode, sigma), basis2, basis3).matrix
-        down = matrix_of(destroy(mode, sigma), basis3, basis2).matrix
+        up = matrix_of(create(mode, sigma), basis2, basis3).matrix.toarray()
+        down = matrix_of(destroy(mode, sigma), basis3, basis2).matrix.toarray()
         lhs = np.vdot(u.amplitudes, up @ v.amplitudes)
         rhs = np.vdot(down @ u.amplitudes, v.amplitudes)
         assert lhs == pytest.approx(rhs, abs=1e-12)
@@ -343,15 +352,15 @@ def test_ladder_matrix_adjointness(sigma):
 def test_matrix_commutation_relations(sigma):
     for n in range(3):
         basis = build_basis(SPACE4, n, sigma)
-        eye = identity_matrix(basis).matrix
+        eye = identity_matrix(basis)
         for a in SPACE4.modes:
             for b in SPACE4.modes:
                 comm = destroy(a, sigma) * create(b, sigma) - sigma * (
                     create(b, sigma) * destroy(a, sigma)
                 )
-                mat = matrix_of(comm, basis, basis).matrix
+                mat = to_scipy(matrix_of(comm, basis, basis).matrix)
                 delta = 1.0 if a == b else 0.0
-                assert max_abs(mat - delta * eye) <= 1e-12
+                assert sparse_max_abs(mat - delta * eye) <= 1e-12
 
 
 @pytest.mark.parametrize("sigma", [1, -1])
@@ -375,9 +384,9 @@ def naive_ladder_residuals(space, annihilators, sigma, n_max):
     """The three graded relations pair by pair: every (p, q) and sector gets
     products of its own, with no stacking and no mirror skip."""
     bases = [build_basis(space, n, sigma) for n in range(n_max + 3)]
-    down = [{n: matrix_of(c, bases[n], bases[n - 1]).matrix for n in range(1, n_max + 2)}
+    down = [{n: to_scipy(matrix_of(c, bases[n], bases[n - 1]).matrix) for n in range(1, n_max + 2)}
             for c in annihilators]
-    up = [{n: matrix_of(c.dagger(), bases[n], bases[n + 1]).matrix for n in range(n_max + 2)}
+    up = [{n: to_scipy(matrix_of(c.dagger(), bases[n], bases[n + 1]).matrix) for n in range(n_max + 2)}
           for c in annihilators]
     mixed = ann = cre = 0.0
     for p, q in product(range(len(annihilators)), repeat=2):
@@ -386,13 +395,13 @@ def naive_ladder_residuals(space, annihilators, sigma, n_max):
             if n:
                 rel = rel - sigma * (up[q][n - 1] @ down[p][n])
             if p == q:
-                rel = rel - identity_matrix(bases[n]).matrix
-            mixed = max(mixed, max_abs(rel))
+                rel = rel - identity_matrix(bases[n])
+            mixed = max(mixed, sparse_max_abs(rel))
             if n >= 2:
                 rel = down[p][n - 1] @ down[q][n] - sigma * (down[q][n - 1] @ down[p][n])
-                ann = max(ann, max_abs(rel))
+                ann = max(ann, sparse_max_abs(rel))
             rel = up[p][n + 1] @ up[q][n] - sigma * (up[q][n + 1] @ up[p][n])
-            cre = max(cre, max_abs(rel))
+            cre = max(cre, sparse_max_abs(rel))
     return mixed, ann, cre
 
 
@@ -763,8 +772,8 @@ def test_joined_family_builds_stay_within_the_memory_of_one_sector_at_a_time(sig
 
 def test_matrix_of_identity_and_number():
     basis = build_basis(SPACE4, 2, 1)
-    assert max_abs(matrix_of(OperatorExpr.identity(1), basis, basis).matrix
-                   - identity_matrix(basis).matrix) == 0.0
+    assert sparse_max_abs(to_scipy(matrix_of(OperatorExpr.identity(1), basis, basis).matrix)
+                          - identity_matrix(basis)) == 0.0
     for i, mode in enumerate(SPACE4.modes):
         num = matrix_of(create(mode, 1) * destroy(mode, 1), basis, basis).matrix.toarray()
         # brute force: the diagonal occupation count of mode i
@@ -792,7 +801,7 @@ def test_matrix_adjoint_matches_formal_adjoint():
     e = (1 + 2j) * (create(x, -1) * create(y, -1) * destroy(y, -1))
     m = matrix_of(e, basis1, basis2)
     m_dag = matrix_of(e.dagger(), basis2, basis1)
-    assert max_abs(m.matrix.conj().T - m_dag.matrix) <= 1e-14
+    assert sparse_max_abs(to_scipy(m.matrix).conj().T - to_scipy(m_dag.matrix)) <= 1e-14
 
 
 @pytest.mark.parametrize("sigma", [1, -1])

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import re
 import tracemalloc
@@ -6,7 +7,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from helpers import fq_hamiltonian_apply, occupations, random_state
+from helpers import fq_hamiltonian_apply, occupations, random_state, sparse_max_abs, to_scipy
+from spinstat.csr import CSR
 from spinstat import hamiltonians
 from spinstat.fockspace import (
     DimensionCapError,
@@ -163,7 +165,7 @@ def test_many_body_n1_equals_one_particle(sigma):
     basis = build_basis(space, 1, sigma)
     many = build_many_body(spec, TwoBodySpec.contact(2.0), basis)
     one = one_body_matrix(spec, lattice, spin)
-    assert max_abs(many.matrix - sp.csr_matrix(one)) <= 1e-12
+    assert sparse_max_abs(to_scipy(many.matrix) - sp.csr_matrix(one)) <= 1e-12
 
 
 def test_boson_contact_spectrum_frozen():
@@ -182,7 +184,7 @@ def test_fermion_contact_is_inert_for_spinless():
     spec = OneBodySpec(hop_t=1.0)
     with_v = build_many_body(spec, TwoBodySpec.contact(3.0), basis)
     without = build_many_body(spec, None, basis)
-    assert max_abs(with_v.matrix - without.matrix) == 0.0
+    assert sparse_max_abs(to_scipy(with_v.matrix) - to_scipy(without.matrix)) == 0.0
 
 
 def test_contact_couples_opposite_spins():
@@ -204,7 +206,8 @@ def test_hermiticity_and_number_conservation(sigma):
     spec1 = OneBodySpec(hop_t=0.8, onsite_u=(0.1, -0.2, 0.3, 0.0))
     spec2 = TwoBodySpec.from_dict({0: 1.0, 1: -0.4})
     ham = build_many_body(spec1, spec2, basis)
-    assert max_abs(ham.matrix - ham.matrix.conj().T) <= 1e-12
+    mat = to_scipy(ham.matrix)
+    assert sparse_max_abs(mat - mat.conj().T) <= 1e-12
     # every term creates as many particles as it annihilates
     assert many_body_expr(spec1, spec2, space, sigma).particle_shift() == 0
 
@@ -223,7 +226,7 @@ def test_diagonalize_contracts():
 def test_diagonalize_rejects_non_hermitian():
     space = ModeSpace(Lattice.ring(2), SpinQuantum(0))
     basis = build_basis(space, 1, -1)
-    bad = OperatorFamily(basis, basis, 1, sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)))
+    bad = OperatorFamily(basis, basis, 1, record(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)))
     with pytest.raises(ValueError):
         diagonalize(bad)
 
@@ -232,7 +235,7 @@ def test_diagonalize_refuses_a_family_of_more_than_one_member():
     basis = build_basis(ModeSpace(Lattice.ring(4), SpinQuantum(0)), 1, 1)
     eye = sp.identity(basis.dim, dtype=np.complex128, format="csr")
     with pytest.raises(ValueError, match="square same-sector"):
-        diagonalize(OperatorFamily(basis, basis, 2, sp.vstack([eye, eye], format="csr")))
+        diagonalize(OperatorFamily(basis, basis, 2, record(sp.vstack([eye, eye], format="csr"))))
 
 
 @pytest.mark.parametrize(
@@ -313,7 +316,7 @@ def test_one_body_terms_keep_the_algebraic_coefficient_bits():
 def test_diagonalize_diagonal_matrix():
     space = ModeSpace(Lattice.ring(4), SpinQuantum(0))
     basis = build_basis(space, 1, 1)
-    diag = OperatorFamily(basis, basis, 1, sp.csr_matrix(np.diag([3.0, -1.0, 2.0, 0.0]).astype(complex)))
+    diag = OperatorFamily(basis, basis, 1, record(np.diag([3.0, -1.0, 2.0, 0.0]).astype(complex)))
     assert diagonalize(diag).eigenvalues == pytest.approx([-1.0, 0.0, 2.0, 3.0])
 
 
@@ -435,11 +438,11 @@ def test_mirror_differing_in_one_ulp_is_solved(monkeypatch):
     diagonalize(ham)
     assert calls == [20, 90]
     labels = projection_labels(ham.domain)
-    mat = ham.matrix.tolil()
-    coo = ham.matrix.tocoo()
+    mat = to_scipy(ham.matrix).tolil()
+    coo = to_scipy(ham.matrix).tocoo()
     i, j = next((i, j) for i, j in zip(coo.row, coo.col) if i != j and labels[i] == (2, 1))
     mat[i, j] = mat[j, i] = np.nextafter(mat[i, j].real, np.inf)
-    nudged = OperatorFamily(ham.domain, ham.codomain, 1, mat.tocsr())
+    nudged = OperatorFamily(ham.domain, ham.codomain, 1, record(mat.tocsr()))
     calls.clear()
     result = diagonalize(nudged)
     assert calls == [20, 90, 90]  # the (3,0) block still mirrors (0,3)
@@ -493,6 +496,12 @@ def test_wrong_spin_reversal_solves_every_block(monkeypatch, sigma):
     assert_exact_spectrum(ham, result)
 
 
+def record(m) -> CSR:
+    """A scipy CSR, or a dense array, as spinstat's CSR record."""
+    m = sp.csr_matrix(m)
+    return CSR(m.indptr, m.indices, m.data.astype(np.complex128), m.shape)
+
+
 def random_hermitian(dim: int) -> np.ndarray:
     a = RNG.normal(size=(dim, dim)) + 1j * RNG.normal(size=(dim, dim))
     return a + a.conj().T
@@ -502,7 +511,7 @@ def test_complex_hermitian_blocks_solve_in_complex_arithmetic():
     basis = build_basis(ModeSpace(Lattice.ring(4), SpinQuantum(1)), 2, -1)
     labels = projection_labels(basis)
     same_block = np.array([[li == lj for lj in labels] for li in labels])
-    mat = sp.csr_matrix(np.where(same_block, random_hermitian(basis.dim), 0))
+    mat = record(np.where(same_block, random_hermitian(basis.dim), 0))
     ham = OperatorFamily(basis, basis, 1, mat)
     result = diagonalize(ham)
     assert_exact_spectrum(ham, result)
@@ -515,14 +524,14 @@ def test_entry_between_blocks_solves_the_sector_as_one_block(coupling):
     basis = build_basis(ModeSpace(Lattice.ring(4), SpinQuantum(1)), 2, -1)
     labels = projection_labels(basis)
     if coupling == "random complex":
-        mat = sp.csr_matrix(random_hermitian(basis.dim))
+        mat = random_hermitian(basis.dim)
     else:
         i, j = 0, labels.index(next(x for x in labels if x != labels[0]))
         bump = np.zeros((basis.dim,) * 2)
         bump[i, j] = bump[j, i] = 0.25
         hop = build_many_body(OneBodySpec(hop_t=1.0, onsite_u=0.2), None, basis).matrix
-        mat = hop + sp.csr_matrix(bump)
-    ham = OperatorFamily(basis, basis, 1, mat)
+        mat = to_scipy(hop) + sp.csr_matrix(bump)
+    ham = OperatorFamily(basis, basis, 1, record(mat))
     result = diagonalize(ham)
     assert_exact_spectrum(ham, result)
     assert any(len(block_labels_of(v, labels)) > 1 for v in result.eigenvectors)
@@ -531,7 +540,7 @@ def test_entry_between_blocks_solves_the_sector_as_one_block(coupling):
 def test_equal_eigenvalues_keep_block_order():
     basis = build_basis(ModeSpace(Lattice.ring(4), SpinQuantum(1)), 2, -1)
     labels = projection_labels(basis)
-    result = diagonalize(OperatorFamily(basis, basis, 1, sp.csr_matrix((basis.dim, basis.dim))))
+    result = diagonalize(OperatorFamily(basis, basis, 1, record(sp.csr_matrix((basis.dim, basis.dim), dtype=complex))))
     order = [block_labels_of(v, labels).pop() for v in result.eigenvectors]
     assert order == [(0, 2)] * 6 + [(1, 1)] * 16 + [(2, 0)] * 6
 
@@ -539,8 +548,9 @@ def test_equal_eigenvalues_keep_block_order():
 def test_diagonalize_fails_a_nan_in_every_comparison(monkeypatch):
     basis = build_basis(ModeSpace(Lattice.ring(4), SpinQuantum(1)), 2, -1)
     ham = build_many_body(OneBodySpec(hop_t=1.0), None, basis)
-    broken = ham.matrix.copy()
-    broken.data[0] = np.nan
+    data = ham.matrix.data.copy()
+    data[0] = np.nan
+    broken = dataclasses.replace(ham.matrix, data=data)
     with pytest.raises(ValueError, match="not Hermitian"):
         diagonalize(OperatorFamily(basis, basis, 1, broken))
     # a solver that returns NaN eigenpairs fails the residual and Gram contract
@@ -633,7 +643,7 @@ def test_bracket_action_reproduces_first_quantized_hamiltonian(sigma):
     ham = build_many_body(spec1, spec2, basis)
     state = random_state(basis, RNG)
     b = bracket_matrix(space, n, sigma)
-    lhs = (b.conj().T @ (ham.matrix @ state.amplitudes)).reshape((space.n_modes,) * n)
+    lhs = (b.conj().T @ (ham.matrix.toarray() @ state.amplitudes)).reshape((space.n_modes,) * n)
     tensor = (b.conj().T @ state.amplitudes).reshape((space.n_modes,) * n)
     h_mode = one_body_matrix(spec1, lattice, spin)
     rhs = fq_hamiltonian_apply(space, h_mode, spec2, tensor)

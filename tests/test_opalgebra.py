@@ -198,7 +198,7 @@ def test_vacuum_expectation_matches_matrix_element(sigma, factors):
         return
     vac = build_basis(SPACE, 0, sigma)
     mat = matrix_of(expr, vac, vac).matrix
-    assert symbolic == pytest.approx(complex(mat[0, 0]), abs=1e-12)
+    assert symbolic == pytest.approx(complex(mat.toarray()[0, 0]), abs=1e-12)
 
 
 def test_parse_round_trip():

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 from collections import Counter
 from fractions import Fraction
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from helpers import conjugated, identity_matrix
+from helpers import conjugated, identity_matrix, sparse_max_abs, to_scipy
 from spinstat import symmetry
 from spinstat.memo import command_scope
 from spinstat import fockspace
@@ -16,7 +17,6 @@ from spinstat.fockspace import (
     completeness_check,
     every_bracket,
     matrix_family,
-    max_abs,
 )
 from spinstat.modes import Lattice, Mode, ModeSpace, SpinQuantum
 from spinstat.opalgebra import destroy, normal_order
@@ -52,7 +52,7 @@ def test_zero_rotation_is_identity():
     assert all(p == 1 for p in rot.field_phases)
     for sigma in (1, -1):
         basis = build_basis(RING4_HALF, 2, sigma)
-        assert max_abs(rot.fock_lift(basis).matrix - identity_matrix(basis).matrix) == 0.0
+        assert sparse_max_abs(to_scipy(rot.fock_lift(basis).matrix) - identity_matrix(basis)) == 0.0
 
 
 def test_half_turn_spinor_phases_are_exact():
@@ -75,9 +75,9 @@ def test_field_transform_element_identity(sigma, twos_s):
 @pytest.mark.parametrize("sigma", [1, -1])
 def test_lift_is_homomorphism(sigma):
     basis = build_basis(RING4_HALF, 2, sigma)
-    u1 = SpinorRotation(RING4_HALF, 1).fock_lift(basis).matrix
-    u2 = SpinorRotation(RING4_HALF, 2).fock_lift(basis).matrix
-    assert max_abs(u1 @ u1 - u2) <= 1e-12
+    u1 = to_scipy(SpinorRotation(RING4_HALF, 1).fock_lift(basis).matrix)
+    u2 = to_scipy(SpinorRotation(RING4_HALF, 2).fock_lift(basis).matrix)
+    assert sparse_max_abs(u1 @ u1 - u2) <= 1e-12
 
 
 def test_full_turn_lift_is_spinor_sign():
@@ -85,8 +85,8 @@ def test_full_turn_lift_is_spinor_sign():
     basis1 = build_basis(RING4_HALF, 1, -1)
     basis2 = build_basis(RING4_HALF, 2, -1)
     full = SpinorRotation(RING4_HALF, 4)
-    assert max_abs(full.fock_lift(basis1).matrix + identity_matrix(basis1).matrix) <= 1e-12
-    assert max_abs(full.fock_lift(basis2).matrix - identity_matrix(basis2).matrix) <= 1e-12
+    assert sparse_max_abs(to_scipy(full.fock_lift(basis1).matrix) + identity_matrix(basis1)) <= 1e-12
+    assert sparse_max_abs(to_scipy(full.fock_lift(basis2).matrix) - identity_matrix(basis2)) <= 1e-12
 
 
 @pytest.mark.parametrize("sigma", [1, -1])
@@ -97,8 +97,8 @@ def test_half_turn_square_report(sigma):
         assert unitary <= 1e-12 and square <= 1e-12
     # the sign +1 on a half-integral one-particle sector misses by 2
     basis = build_basis(RING4_HALF, 1, sigma)
-    u = SpinorRotation(RING4_HALF, 2).fock_lift(basis).matrix
-    assert max_abs(u @ u - identity_matrix(basis).matrix) == pytest.approx(2.0, abs=1e-12)
+    u = to_scipy(SpinorRotation(RING4_HALF, 2).fock_lift(basis).matrix)
+    assert sparse_max_abs(u @ u - identity_matrix(basis)) == pytest.approx(2.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("space, digests", [
@@ -140,7 +140,7 @@ def test_lift_residuals_are_the_sparse_products(space):
     for sigma in (1, -1):
         for n in (1, 2):
             sign = (-1) ** (space.spin.twos_s * n)
-            eye = identity_matrix(build_basis(space, n, sigma)).matrix
+            eye = identity_matrix(build_basis(space, n, sigma))
             for steps in (1, per_turn // 2):
                 lift = symmetry._sector_unitary(SpinorRotation(space, steps), n, sigma)
                 shared, negated = lift.image.copy(), lift.phase.copy()
@@ -150,8 +150,8 @@ def test_lift_residuals_are_the_sparse_products(space):
                     broken = symmetry.SectorLift(image, phase)
                     dim = len(image)
                     u = sp.csc_matrix((phase, image, np.arange(dim + 1)), shape=(dim, dim)).tocsr()
-                    assert symmetry._unitarity_residual(broken) == max_abs(u @ u.conj().T.tocsr() - eye)
-                    assert symmetry._square_residual(broken, sign) == max_abs(u @ u - sign * eye)
+                    assert symmetry._unitarity_residual(broken) == sparse_max_abs(u @ u.conj().T.tocsr() - eye)
+                    assert symmetry._square_residual(broken, sign) == sparse_max_abs(u @ u - sign * eye)
 
 
 def test_permutation_eigencheck_examples():
@@ -337,13 +337,14 @@ def _same_point(space, tm, sigma):
 
 
 def _pair_builds(space, sigma, sectors):
-    """One family of F(r) over every site and one same-point pair per (2m_s, N)."""
+    """Per N, one family of F(r) over every projection and site, and one of
+    the same-point pair of every projection."""
+    projections, sites = space.spin.projections(), range(space.lattice.n_sites)
     builds = Counter()
-    for tm in space.spin.projections():
-        for n in sectors:
-            domain = build_basis(space, n, sigma)
-            builds[tuple(pair_operator(space, tm, site, sigma) for site in range(space.lattice.n_sites)), domain] += 1
-            builds[(_same_point(space, tm, sigma),), domain] += 1
+    for n in sectors:
+        domain = build_basis(space, n, sigma)
+        builds[tuple(pair_operator(space, tm, site, sigma) for tm in projections for site in sites), domain] += 1
+        builds[tuple(_same_point(space, tm, sigma) for tm in projections), domain] += 1
     return builds
 
 
@@ -356,10 +357,28 @@ def test_parity_covariance_builds_each_pair_matrix_once(monkeypatch):
     calls = _count_calls(monkeypatch, "matrix_family")
     assert pair_checks(RING4_HALF, -1, n_max=3).inversion_residual <= 1e-12
     assert _sector_builds(calls) == _pair_builds(RING4_HALF, -1, (2, 3))
-    # one call per expression list: F(r) and the same-point pair per projection, on N = 2, 3 at once
-    assert len(calls) == 2 * 2
+    # one call per expression list, F(r) and the same-point pairs of every projection, on N = 2, 3 at once
+    assert len(calls) == 2
     # on rings the same-point pair is no member of the family: site 0 inverts to M/2
     assert _same_point(RING4_HALF, 1, -1) != pair_operator(RING4_HALF, 1, 0, -1)
+
+
+def test_pair_records_index_each_sector_join_once_for_every_projection(monkeypatch):
+    # ring:4, 2s=3 has four projections; its F(r) families and same-point
+    # pairs on N = 2, 3 are one join each, so each is indexed once, where
+    # one build per projection indexed them eight times
+    calls = []
+    original = fockspace._mode_index
+
+    def counted(*args):
+        calls.append(args[0].shape)
+        return original(*args)
+
+    monkeypatch.setattr(fockspace, "_mode_index", counted)
+    for sigma in (1, -1):
+        calls.clear()
+        pair_checks(ModeSpace(Lattice.ring(4), SpinQuantum(3)), sigma, n_max=3)
+        assert len(calls) == 2, sigma
 
 
 def test_full_turn_winding_builds_each_pair_matrix_once(monkeypatch):
@@ -375,12 +394,12 @@ def test_theorem_report_checks_origin_once_per_grade_and_projection(monkeypatch)
     records = _count_calls(monkeypatch, "pair_checks")
     families = _count_calls(monkeypatch, "matrix_family")
     theorem_report(RING4_HALF, n_max=3)
-    # one pair record per grade, whose same-point pair is built once per projection and sector
+    # one pair record per grade, whose same-point pairs are built once per sector
     assert records == [(RING4_HALF, 1, 3), (RING4_HALF, -1, 3)]
-    same_point = {key: n for key, n in _sector_builds(families).items() if len(key[0]) == 1}
+    same_point = {key: n for key, n in _sector_builds(families).items() if len(key[0]) == 2}
     assert same_point == {
-        ((_same_point(RING4_HALF, tm, sigma),), build_basis(RING4_HALF, n, sigma)): 1
-        for sigma in (1, -1) for tm in (1, -1) for n in (2, 3)
+        (tuple(_same_point(RING4_HALF, tm, sigma) for tm in (1, -1)), build_basis(RING4_HALF, n, sigma)): 1
+        for sigma in (1, -1) for n in (2, 3)
     }
 
 
@@ -388,11 +407,11 @@ def test_theorem_report_builds_each_even_inversion_pair_matrix_once(monkeypatch)
     space = ModeSpace(Lattice.ring(8), SpinQuantum(3))
     families = _count_calls(monkeypatch, "matrix_family")
     theorem_report(space, n_max=2)
-    # per grade and projection, on N = 2, one family of F(r) over every site,
+    # per grade, on N = 2, one family of F(r) over every projection and site,
     # read by the inversion checks, the half-turn eigenvalue at the probe and
-    # the winding along the probe's orbit, and one same-point pair
+    # the winding along the probe's orbit, and one of the same-point pairs
     assert _sector_builds(families) == _pair_builds(space, 1, (2,)) + _pair_builds(space, -1, (2,))
-    assert len(families) == 2 * 4 * 2  # one sector, so one call per expression list and sector
+    assert len(families) == 2 * 2  # one call per expression list, for all 4 projections
 
 
 def _per_step_maxima(space, sigma, n_max=3):
@@ -474,8 +493,9 @@ def test_relabelled_conjugation_drops_explicit_zeros_as_the_product_does():
     # product or in its relabelling
     domain, codomain = build_basis(RING4_HALF, 2, -1), build_basis(RING4_HALF, 1, -1)
     family = matrix_family([destroy(mode, -1) for mode in RING4_HALF.modes], [(domain, codomain)])[0]
-    stack = family.matrix.copy()
-    stack.data[::3] = 0.0
+    data = family.matrix.data.copy()
+    data[::3] = 0.0
+    stack = dataclasses.replace(family.matrix, data=data)
     zeroed = type(family)(domain, codomain, len(family), stack)
     rot = SpinorRotation(RING4_HALF, 1)
     conj = symmetry._conjugated_stack([rot], zeroed)
