@@ -351,19 +351,20 @@ def test_ladder_relations_build_each_ladder_matrix_once(monkeypatch):
     assert orderings == []
 
 
-@pytest.mark.parametrize("suite, total", [(cli.suite_pair_operator, 8), (cli.suite_theorem, 8)])
+@pytest.mark.parametrize("suite, total", [(cli.suite_pair_operator, 16), (cli.suite_theorem, 16)])
 def test_pair_suites_build_each_pair_matrix_once(monkeypatch, suite, total):
     cfg = load_config(None).validate()  # CLI defaults: ring:4, 2s=1, both grades, n_max=3
     builds = _count_calls(monkeypatch, fockspace, "matrix_family")
     assert suite(cfg, None).passed
-    # per grade and N = 2, 3: one family of F(r) over both projections and the
-    # 4 sites and one of the same-point pairs of both projections (16 builds
-    # with one call per projection, 24 and 20 when each identity was computed
-    # apart), each expression list on N = 2, 3 in one call
-    assert [len(sectors) for _, sectors in builds] == [2] * (total // 2)
+    # `total` pair families, one per grade, N = 2, 3, projection and kind: F(r)
+    # over the 4 sites and the same-point pair (24 and 20 when each identity was
+    # computed apart). Both projections of a kind are one expression list, so
+    # total // 2 sector builds (one per projection before), and each list on
+    # N = 2, 3 is built in one call
+    assert [len(sectors) for _, sectors in builds] == [2] * (total // 4)
     sectors = _sector_builds(builds)
-    assert sorted(len(exprs) for exprs, _, _ in sectors) == [2] * (total // 2) + [8] * (total // 2)
-    assert len(set(sectors)) == len(sectors) == total  # no (expression list, sector) twice
+    assert sorted(len(exprs) for exprs, _, _ in sectors) == [2] * (total // 4) + [8] * (total // 4)
+    assert len(set(sectors)) == len(sectors) == total // 2  # no (expression list, sector) twice
 
 
 def test_default_verify_builds_each_family_once_for_every_suite(tmp_path, monkeypatch):
