@@ -14,9 +14,10 @@ stands for:
 - Products are expanded in the term order of the SMMP algorithm (sparse
   matrix multiplication package, Bank & Douglas, Adv. Comput. Math. 1, 63
   (1993)): row i of A, its entries in stored order, each with row k of B in
-  stored order (``product_keys``).  Each complex term is formed in real
-  arithmetic as (ar br - ai bi, ar bi + ai br) (``times``), and each cell is
-  summed from zero in that order (``cell_sums``).
+  stored order (``product_terms``, as positions into A's and B's entries).
+  Each complex term is formed in real arithmetic as (ar br - ai bi, ar bi +
+  ai br) (``times``, ``term_values``), and each cell is summed from zero in
+  that order (``cell_sums``).
 - A sum or difference of two matrices sums each one's entries of a cell
   from zero in stored order, and then adds or subtracts the two
   (``max_abs_of_sum``); it is only ever read through its largest entry.
@@ -25,7 +26,10 @@ stands for:
 
 Group ids for the cells of a product or a sum are shared by every term list
 that adds to the cells (``cell_ids``), so a product, its mirror term and
-their difference take one sort and one ``bincount`` per term list.
+their difference take one sort and one ``bincount`` per term list.  Term
+positions and cell ids depend only on sparsity patterns: products of other
+matrices stored with the same patterns reuse them and only gather, multiply
+and sum.
 """
 
 from __future__ import annotations
@@ -113,21 +117,24 @@ def index_dtype(*sizes: int):
     return np.int32 if max(sizes, default=0) < 2**31 else np.int64
 
 
-def from_coo(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, shape: tuple[int, int]) -> CSR:
-    """The CSR of the entries (rows[k], cols[k], vals[k]): rows ascending,
-    each row's columns ascending, the entries of one cell summed in input
-    order from the first, so a lone entry keeps its bits and a sum that
-    cancels is stored as an explicit zero."""
-    index = index_dtype(*shape, len(vals))
-    if not len(vals):
-        return empty(shape, vals.dtype)
-    key = rows.astype(np.int64)
-    key *= shape[1]
-    key += cols
+def from_coo(keys: list[np.ndarray], values: list[np.ndarray], shape: tuple[int, int]) -> CSR:
+    """The CSR of the entries whose cells are ``keys`` (row * n_cols +
+    column, int64) and whose values are ``values``, each given as a list of
+    pieces in input order: rows ascending, each row's columns ascending, the
+    entries of one cell summed in input order from the first, so a lone
+    entry keeps its bits and a sum that cancels is stored as an explicit
+    zero.  Both lists are emptied as they are joined, so where the caller
+    keeps no other reference to the pieces the build holds at most the
+    values twice, the keys and one sort order: 48 bytes per complex entry."""
+    data = _joined(values)
+    key = _joined(keys)
+    index = index_dtype(*shape, len(data))
+    if not len(data):
+        return empty(shape, data.dtype)
     order = np.argsort(key, kind="stable")  # timsort: a build's entries come in long sorted runs
-    data = vals.take(order)
+    data = data.take(order)
+    key = key.take(order)
     del order
-    key.sort(kind="stable")  # in place: the keys taken in that order
     new = np.empty(len(key), dtype=bool)
     new[0] = True
     np.not_equal(key[1:], key[:-1], out=new[1:])
@@ -142,6 +149,13 @@ def from_coo(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, shape: tuple[
     rows *= shape[1]
     np.subtract(key, rows, out=key)  # the columns
     return CSR(indptr, key.astype(index), data, shape)
+
+
+def _joined(pieces: list[np.ndarray]) -> np.ndarray:
+    """The pieces end to end (a lone piece itself), the list emptied."""
+    out = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+    pieces.clear()
+    return out
 
 
 def _run_sums(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -214,54 +228,44 @@ def complex_array(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class Factor:
-    """One side of sparse products, its arrays laid out once for
-    ``product_keys``: each entry's row and column, each row's start and
-    length, and the real and imaginary parts, contiguous.  ``imag`` is None
-    where every imaginary part is zero and every real part finite: each
-    term's imaginary part is then a zero, which leaves every sum from zero
-    at +0.0, and its real part ar br - ai bi differs from ar br at most in
-    the sign of a zero, which leaves every sum from zero as it is, so the
-    real products alone give every bit of the sums."""
-
-    shape: tuple[int, int]
-    rows: np.ndarray
-    cols: np.ndarray
-    starts: np.ndarray
-    lengths: np.ndarray
-    real: np.ndarray
-    imag: np.ndarray | None
+def real_only(data: np.ndarray) -> bool:
+    """Whether every imaginary part of ``data`` is zero and every real part
+    finite.  A product of two such factors may be formed from the real parts
+    alone (``term_values``): each term's imaginary part is then a zero, which
+    leaves every sum from zero at +0.0, and its real part ar br - ai bi
+    differs from ar br at most in the sign of a zero, which leaves every sum
+    from zero as it is."""
+    return not data.imag.any() and bool(np.isfinite(data.real).all())
 
 
-def factor(m: CSR) -> Factor:
-    real, imag = np.ascontiguousarray(m.data.real), np.ascontiguousarray(m.data.imag)
-    if not imag.any() and np.isfinite(real).all():
-        imag = None
-    return Factor(m.shape, m.entry_rows(), m.indices, m.indptr[:-1], np.diff(m.indptr), real, imag)
-
-
-def product_keys(a: Factor, b: Factor) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Every term a_ik b_kj of a @ b in SMMP order, as its cell's key
-    i * n_cols + j (int32 where every key fits, else int64), its real part
-    and its imaginary part; the imaginary parts are None where both
-    factors' are (see ``Factor``)."""
-    counts = b.lengths.take(a.cols)
+def product_terms(a: CSR, b: CSR) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every term a_ik b_kj of a @ b in SMMP order: the position of a_ik
+    among a's stored entries, that of b_kj among b's, and the key i * n_cols
+    + j of its cell (int32 where every key fits, else int64).  The positions
+    depend only on the two sparsity patterns, so one expansion serves every
+    pair of matrices stored as these two."""
+    counts = np.diff(b.indptr).take(a.indices)
     live = np.flatnonzero(counts)  # the entries of a whose row of b holds any entry
     counts = counts.take(live)
     ends = np.cumsum(counts)
-    which = np.repeat(live, counts)
-    take = np.repeat(b.starts.take(a.cols.take(live)) - ends + counts, counts)
-    take += np.arange(len(take))
-    keys = np.multiply(a.rows.take(which), b.shape[1], dtype=index_dtype(a.shape[0] * b.shape[1]))
-    keys += b.cols.take(take)
-    ar, br = a.real.take(which), b.real.take(take)
-    if a.imag is None and b.imag is None:
-        ar *= br
-        return keys, ar, None
-    ai = np.zeros(len(which)) if a.imag is None else a.imag.take(which)
-    bi = np.zeros(len(take)) if b.imag is None else b.imag.take(take)
-    return keys, *times(ar, ai, br, bi)
+    left = np.repeat(live, counts)
+    right = np.repeat(b.indptr.take(a.indices.take(live)) - ends + counts, counts)
+    right += np.arange(len(right))
+    keys = np.multiply(a.entry_rows().take(left), b.shape[1], dtype=index_dtype(a.shape[0] * b.shape[1]))
+    keys += b.indices.take(right)
+    return left, right, keys
+
+
+def term_values(a: np.ndarray, b: np.ndarray, left: np.ndarray, right: np.ndarray, real: bool):
+    """The products a[left] * b[right] of two complex data arrays, formed in
+    real arithmetic (``times``), as real and imaginary parts; where ``real``
+    (both arrays ``real_only``) only the real parts are multiplied, and the
+    imaginary parts are None."""
+    if real:
+        re = a.real.take(left)
+        re *= b.real.take(right)
+        return re, None
+    return times(a.real.take(left), a.imag.take(left), b.real.take(right), b.imag.take(right))
 
 
 def swapped_keys(keys: np.ndarray, grid: tuple[int, int], shape: tuple[int, int]) -> np.ndarray:

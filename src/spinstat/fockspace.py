@@ -59,14 +59,14 @@ from .csr import (
     cell_ids,
     cell_sums,
     empty,
-    factor,
     from_coo,
-    index_dtype,
     max_abs,
-    product_keys,
+    product_terms,
+    real_only,
     row_gather,
     swap_blocks,
     swapped_keys,
+    term_values,
 )
 from .memo import kept_cache
 from .modes import ModeSpace
@@ -594,24 +594,20 @@ def _joined_families(exprs, sectors) -> list[OperatorFamily]:
     start = list(accumulate((d.dim for d in domains), initial=0))
     offset = list(accumulate((k * c.dim for c in codomains), initial=0))
     shape = (offset[-1], max(d.dim for d in domains))
-    index = index_dtype(*shape)  # the stack's own index type, so no entry is copied to convert
     at, first, co = np.array(start), np.array(offset), np.array([c.dim for c in codomains])
     width = max(d.n_particles for d in domains)
     lists = joined([d.modes if d.n_particles == width else _widened(d.modes, width) for d in domains])
-    rows, cols, vals = [], [], []
+    keys, vals = [], []  # each batch's cells (row * n_cols + column) and values
     for owners, columns, coeffs, new, amp, alive in _kernel_batches(exprs, domains[0].space, lists, domains[0].sigma):
         columns, owners, new = columns[alive], owners[alive], new[alive]
         # each row ranked in the codomain of its column's sector
         sector = np.searchsorted(at, columns, side="right") - 1
-        rows.append((_rank_rows(codomains, sector, new) + first[sector] + owners * co[sector]).astype(index))
-        cols.append((columns - at[sector]).astype(index))
-        vals.append((coeffs * amp)[alive])
-    if not vals:
-        stack = empty(shape)
-    else:
-        # each list is dropped as soon as it is joined, so the pieces and the joins do not all coexist
-        vals, rows, cols = joined(vals), joined(rows), joined(cols)
-        stack = from_coo(rows, cols, vals.astype(np.complex128, copy=False), shape)
+        key = _rank_rows(codomains, sector, new) + first[sector] + owners * co[sector]
+        key *= shape[1]
+        key += columns - at[sector]
+        keys.append(key)
+        vals.append((coeffs * amp)[alive].astype(np.complex128, copy=False))
+    stack = from_coo(keys, vals, shape) if vals else empty(shape)  # from_coo empties both lists
     return [
         OperatorFamily(d, c, k, stack.row_range(offset[s], offset[s + 1], d.dim))
         for s, (d, c) in enumerate(sectors)
@@ -686,6 +682,12 @@ def _worst_relation(lefts, rights, sigma: int, mirror=None, like=False) -> float
     set of cell ids: each is summed by cells from zero, as a sparse product
     sums it, and the sigma term is then added or subtracted, not multiplied.
     The identity comes off the diagonal where the maximum is read.
+
+    Term positions and cell ids depend only on the four operands' sparsity
+    patterns (``_RelationPlan``), and members of a family often share one
+    (every eigenmode of a spin projection, say): tiles are grouped by their
+    operands' patterns, and each group is expanded and sorted once, its
+    tiles then each gathered, multiplied and summed with the same bits.
     """
     families = [f for f in ((lefts, rights), None if like else mirror) if f]
     pair = 1  # per stored entry of ls[p] in column k, the stored entries of row k of rs[q]
@@ -694,37 +696,98 @@ def _worst_relation(lefts, rights, sigma: int, mirror=None, like=False) -> float
         pair = max(pair, int((_column_hits(ls) @ lengths.T).max(initial=0)))
     side = max(1, math.isqrt(_PRODUCT_ENTRIES // pair))
     tiles = [(i, min(i + side, len(lefts))) for i in range(0, len(lefts), side)]
-    right = [factor(_side_by_side(rights, tile)) for tile in tiles]
-    held = [factor(lefts.rows(*tile)) for tile in tiles] if like else None  # the (j, i) products read them
-    back_left = [factor(mirror[0].rows(*tile)) for tile in tiles] if mirror else None
-    worst = 0.0
-    for i, (p0, p1) in enumerate(tiles):
-        left = held[i] if like else factor(lefts.rows(p0, p1))
-        back_right = factor(_side_by_side(mirror[1], (p0, p1))) if mirror else None
+    left = [lefts.rows(*tile) for tile in tiles]
+    right = [_side_by_side(rights, tile) for tile in tiles]
+    back_left, back_right = left, right  # the (j, i) products of ``like`` read them
+    if mirror and not like:
+        back_left = [mirror[0].rows(*tile) for tile in tiles]
+        back_right = [_side_by_side(mirror[1], tile) for tile in tiles]
+    operands = [left, right] if back_left is left else [left, right, back_left, back_right]
+    layouts = [_layout_ids(ms) for ms in operands]
+    real = [[real_only(m.data) for m in ms] for ms in operands]
+    if len(operands) == 2:
+        layouts, real = layouts * 2, real * 2
+    groups: dict[tuple, list[tuple[int, int]]] = {}
+    for i in range(len(tiles)):
         for j in range(i if like else 0, len(tiles)):
-            q0, q1 = tiles[j]
-            shape = (left.shape[0], right[j].shape[1])
-            terms = [product_keys(left, right[j])]
-            if like or mirror:
-                if like:
-                    back = terms[0] if i == j else product_keys(held[j], right[i])
-                else:
-                    back = product_keys(back_left[j], back_right)
-                grid = (q1 - q0, p1 - p0)
-                back_shape = (shape[0] // grid[1] * grid[0], shape[1] // grid[0] * grid[1])
-                terms.append((swapped_keys(back[0], grid, back_shape), *back[1:]))
-                del back
-            ids, ordered, starts = cell_ids(*(keys for keys, _, _ in terms))
-            rel, *back_sum = [cell_sums(at, re, im, len(starts)) for at, (_, re, im) in zip(ids, terms)]
-            del terms, ids
-            if back_sum:
-                rel = rel - back_sum[0] if sigma == 1 else rel + back_sum[0]
-            if like or i != j:
-                worst = max(worst, max_abs(rel))
-            else:
-                cells = ordered.take(starts)
-                worst = max(worst, _max_abs_less_identity(rel, *np.divmod(cells, shape[1]), shape[0]))
+            key = (layouts[0][i], layouts[1][j], layouts[2][j], layouts[3][i], i == j)
+            groups.setdefault(key, []).append((i, j))
+    worst = 0.0
+    for pairs in groups.values():
+        plan = None
+        for i, j in pairs:
+            rel = (left[i], right[j], real[0][i] and real[1][j])
+            back = (back_left[j], back_right[i], real[2][j] and real[3][i]) if like or mirror else None
+            if plan is None:
+                grid = (tiles[j][1] - tiles[j][0], tiles[i][1] - tiles[i][0])
+                plan = _RelationPlan.of(rel[:2], None if back is None else back[:2], grid, like and i == j)
+            worst = max(worst, plan.worst(rel, back, sigma, identity=not like and i == j))
     return worst
+
+
+@dataclass(frozen=True, eq=False)
+class _RelationPlan:
+    """The terms of one relation tile as positions into its operands' stored
+    entries, and their shared cell ids: ``rel`` and ``back`` are (left
+    positions, right positions, ids) of the tile product and of its sigma
+    term (None where there is none), ``cells`` the key row * n_cols + col
+    of each cell."""
+
+    rel: tuple[np.ndarray, np.ndarray, np.ndarray]
+    back: tuple[np.ndarray, np.ndarray, np.ndarray] | None
+    cells: np.ndarray
+    shape: tuple[int, int]
+
+    @classmethod
+    def of(cls, rel, back, grid: tuple[int, int], shared: bool) -> _RelationPlan:
+        """The plan of rel[0] @ rel[1] and of back[0] @ back[1], a product in
+        the ``grid`` block layout of the swapped tile (the same terms as the
+        tile product where ``shared``), its terms moved to the cells they add
+        to."""
+        shape = (rel[0].shape[0], rel[1].shape[1])
+        terms = [product_terms(*rel)]
+        if back is not None:
+            a, b, keys = terms[0] if shared else product_terms(*back)
+            back_shape = (shape[0] // grid[1] * grid[0], shape[1] // grid[0] * grid[1])
+            terms.append((a, b, swapped_keys(keys, grid, back_shape)))
+        ids, ordered, starts = cell_ids(*(keys for _, _, keys in terms))
+        rel, *back = [(a, b, at) for (a, b, _), at in zip(terms, ids)]
+        return cls(rel, back[0] if back else None, ordered.take(starts), shape)
+
+    def worst(self, rel, back, sigma: int, identity: bool) -> float:
+        """max_abs of the tile's relation, less the identity where
+        ``identity``; ``rel`` and ``back`` are (left, right, real) of the
+        operands stored in this plan's patterns (``real``: both
+        ``real_only``)."""
+        a, b, real = rel
+        left, right, ids = self.rel
+        total = cell_sums(ids, *term_values(a.data, b.data, left, right, real), len(self.cells))
+        if back is not None:
+            a, b, real = back
+            left, right, ids = self.back
+            back_sum = cell_sums(ids, *term_values(a.data, b.data, left, right, real), len(self.cells))
+            total = total - back_sum if sigma == 1 else total + back_sum
+        if not identity:
+            return max_abs(total)
+        return _max_abs_less_identity(total, *np.divmod(self.cells, self.shape[1]), self.shape[0])
+
+
+def _layout_ids(matrices) -> list[int]:
+    """One id per distinct sparsity pattern among ``matrices`` (shape,
+    indptr and indices), in order of first appearance."""
+    firsts: list[CSR] = []
+    ids = []
+    for m in matrices:
+        same = (
+            n for n, f in enumerate(firsts)
+            if f.shape == m.shape and f.nnz == m.nnz
+            and np.array_equal(f.indptr, m.indptr) and np.array_equal(f.indices, m.indices)
+        )
+        n = next(same, len(firsts))
+        if n == len(firsts):
+            firsts.append(m)
+        ids.append(n)
+    return ids
 
 
 def _side_by_side(family: OperatorFamily, tile: tuple[int, int]) -> CSR:

@@ -47,6 +47,16 @@ def coo_entries(draw, real=False, max_side=6):
     return rows, cols, np.array(values, dtype=np.complex128).reshape(len(cells)), shape
 
 
+def build(rows, cols, vals, shape, pieces=1):
+    """spinstat's COO -> CSR of these entries, handed over in ``pieces`` runs."""
+    keys = rows.astype(np.int64) * shape[1] + cols
+    cuts = np.linspace(0, len(vals), pieces + 1).astype(int)[1:-1]
+    keys, vals = np.split(keys, cuts), np.split(vals, cuts)
+    m = csr.from_coo(keys, vals, shape)
+    assert keys == [] and vals == []  # the pieces are the build's once handed over
+    return m
+
+
 def scipy_build(rows, cols, vals, shape):
     return sp.coo_matrix((vals, (rows, cols)), shape=shape, dtype=np.complex128).tocsr()
 
@@ -63,7 +73,8 @@ def entries(rows, cols, *values, shape=(2, 2)):
 @example(entries([0, 0], [1, 1], 1.5, -1.5))  # a sum that cancels stays stored
 @example(entries([1, 0, 1, 1], [1, 0, 0, 1], 0.1, 0.0, 0.3, 0.2, shape=(3, 2)))  # row 2 empty, duplicates in order
 def test_from_coo_is_scipys_conversion(coo):
-    assert bits(csr.from_coo(*coo)) == bits(scipy_build(*coo))
+    assert bits(build(*coo)) == bits(scipy_build(*coo))
+    assert bits(build(*coo, pieces=3)) == bits(scipy_build(*coo))
 
 
 def default_families(sigma):
@@ -84,12 +95,13 @@ def test_real_families_rebuild_as_scipy_builds_them(sigma):
         vals = np.concatenate([m.data * 0.25, m.data * 0.75])
         order = rng.permutation(len(vals))
         coo = rows[order], cols[order], vals[order], m.shape
-        assert bits(csr.from_coo(*coo)) == bits(scipy_build(*coo))
+        assert bits(build(*coo)) == bits(scipy_build(*coo))
 
 
 def product_cells(a, b):
     """The stored cells of a @ b from spinstat's product: sorted keys and values."""
-    keys, re, im = csr.product_keys(csr.factor(a), csr.factor(b))
+    left, right, keys = csr.product_terms(a, b)
+    re, im = csr.term_values(a.data, b.data, left, right, csr.real_only(a.data) and csr.real_only(b.data))
     (ids,), ordered, starts = csr.cell_ids(keys)
     values = csr.cell_sums(ids, re, im, len(starts))
     return ordered.take(starts), values.astype(np.complex128)
@@ -109,13 +121,13 @@ def product_pairs(draw):
     right = list(draw(coo_entries(real=real or draw(st.booleans()))))
     right[0] = right[0] % left[3][1]  # rows of the right factor within the left's columns
     right[3] = (left[3][1], right[3][1])
-    return csr.from_coo(*left), csr.from_coo(*right)
+    return build(*left), build(*right)
 
 
 @settings(max_examples=80)
 @given(product_pairs())
-@example((csr.from_coo(*entries([0, 0], [0, 1], 2.0, 3.0)), csr.from_coo(*entries([0, 1], [1, 1], 0.5, -1.0 / 3.0))))
-@example((csr.from_coo(*entries([0], [0], complex(1.0, -0.0))), csr.from_coo(*entries([0], [0], complex(-0.0, -0.0)))))
+@example((build(*entries([0, 0], [0, 1], 2.0, 3.0)), build(*entries([0, 1], [1, 1], 0.5, -1.0 / 3.0))))
+@example((build(*entries([0], [0], complex(1.0, -0.0))), build(*entries([0], [0], complex(-0.0, -0.0)))))
 def test_products_are_scipys_smmp_sums(pair):
     # cells whose sum is zero are dropped by scipy's product and read 0 either way
     a, b = pair
@@ -144,7 +156,7 @@ def test_products_of_real_families_are_scipys(sigma):
 def test_sums_read_scipys_largest_entry(x, y, sign):
     shape = x[3]
     y = (y[0] % shape[0], y[1] % shape[1], y[2], shape)
-    a, b = csr.from_coo(*x), csr.from_coo(*y)
+    a, b = build(*x), build(*y)
     want = sparse_max_abs(to_scipy(a) + to_scipy(b) if sign > 0 else to_scipy(a) - to_scipy(b))
     assert csr.max_abs_of_sum(a, b, sign) == want
     # each row's entries in reverse order, as a relabelled conjugation may store them
@@ -155,7 +167,7 @@ def test_sums_read_scipys_largest_entry(x, y, sign):
 
 @given(coo_entries())
 def test_adjoint_difference_and_dense_form_are_scipys(coo):
-    m = csr.from_coo(*coo)
+    m = build(*coo)
     s = to_scipy(m)
     assert m.toarray().tobytes() == s.toarray().tobytes()
     if m.shape[0] == m.shape[1]:
@@ -168,7 +180,7 @@ def test_adjoint_difference_and_dense_form_are_scipys(coo):
 
 @given(coo_entries(max_side=5), st.integers(1, 4), st.data())
 def test_row_ranges_gathers_and_block_swaps_are_scipys(coo, n_cols, data):
-    m = csr.from_coo(*coo)
+    m = build(*coo)
     s = to_scipy(m)
     start = data.draw(st.integers(0, m.shape[0]))
     stop = data.draw(st.integers(start, m.shape[0]))
