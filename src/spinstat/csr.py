@@ -58,7 +58,8 @@ class CSR:
 
     def keys(self) -> np.ndarray:
         """row * n_cols + column of each stored entry, as int64."""
-        return self.entry_rows().astype(np.int64) * self.shape[1] + self.indices
+        firsts = np.arange(0, self.shape[0] * self.shape[1], self.shape[1], dtype=np.int64)
+        return np.repeat(firsts, np.diff(self.indptr)) + self.indices
 
     def row_range(self, start: int, stop: int, n_cols: int | None = None) -> CSR:
         """Rows start to stop as a CSR of ``n_cols`` columns (none of them
@@ -88,23 +89,28 @@ class CSR:
         """This matrix times a dense matrix.  Each row's entries are padded to
         the longest row's count (a padded entry is 0 in column 0) and
         multiplied with the rows of ``dense`` they select, one batched
-        product per run of rows, so each run's gathered rows hold about as
-        many numbers as ``dense``."""
+        product per run of rows; each run's gathered rows hold about as
+        many numbers as ``dense``, and at most about ``_GATHERED``, so they
+        stay in a core's cache."""
         lengths = np.diff(self.indptr)
         width = int(lengths.max(initial=0))
         out = np.zeros((self.shape[0], dense.shape[1]), dtype=np.result_type(self.data, dense))
         if not width:
             return out
         pos = np.arange(width)
-        step = max(1, len(dense) // width)
+        valid = pos < lengths[:, None]
+        at = np.where(valid, self.indptr[:-1, None] + pos, 0)
+        cols = np.where(valid, self.indices[at], 0)
+        vals = np.where(valid, self.data[at], 0)[:, None, :]
+        del valid, at
+        step = max(1, min(len(dense), _GATHERED // max(dense.shape[1], 1)) // width)
         for start in range(0, self.shape[0], step):
-            stop = min(start + step, self.shape[0])
-            valid = pos < lengths[start:stop, None]
-            at = np.where(valid, self.indptr[start:stop, None] + pos, 0)
-            cols = np.where(valid, self.indices[at], 0)
-            vals = np.where(valid, self.data[at], 0)
-            np.matmul(vals[:, None, :], dense[cols], out=out[start:stop, None, :])
+            run = slice(start, start + step)
+            np.matmul(vals[run], dense[cols[run]], out=out[run, None, :])
         return out
+
+
+_GATHERED = 1 << 17  # numbers per run of gathered rows in CSR @ dense
 
 
 def empty(shape: tuple[int, int], dtype=np.complex128) -> CSR:
@@ -321,8 +327,19 @@ def max_abs_of_sum(a: CSR, b: CSR, sign: int) -> float:
 
 
 def max_abs_less_adjoint(m: CSR) -> float:
-    """max_abs(m - m^dagger) for a square matrix."""
-    return _max_abs_of_sum(m.keys(), m.data, m.indices.astype(np.int64) * m.shape[0] + m.entry_rows(), m.data.conj(), -1)
+    """max_abs(m - m^dagger) for a square matrix.  Where m stores each cell
+    once, in ascending order (as ``from_coo`` builds it), and m^dagger stores
+    the same cells, each entry is compared with its mirror entry directly: a
+    stable sort of the columns (numpy's radix sort where they fit 16 bits)
+    lists the mirror entries in m's order.  That reads the same largest
+    entry as summing each cell first, which differs only in signs of zero."""
+    keys, rows = m.keys(), m.entry_rows()
+    cols = m.indices.astype(np.uint16) if m.shape[1] <= 1 << 16 else m.indices
+    mirror = np.argsort(cols, kind="stable")
+    mirror_keys = m.indices.take(mirror).astype(np.int64) * m.shape[0] + rows.take(mirror)
+    if np.array_equal(keys, mirror_keys) and (keys[1:] > keys[:-1]).all():
+        return max_abs(m.data - m.data.take(mirror).conj())
+    return _max_abs_of_sum(keys, m.data, m.indices.astype(np.int64) * m.shape[0] + rows, m.data.conj(), -1)
 
 
 def _max_abs_of_sum(keys_a, data_a, keys_b, data_b, sign: int) -> float:

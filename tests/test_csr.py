@@ -166,6 +166,8 @@ def test_sums_read_scipys_largest_entry(x, y, sign):
 
 
 @given(coo_entries())
+@example(entries([0, 0, 1], [0, 1, 0], 1.0, complex(2.0, 1.0), complex(2.0, -1.5)))  # the adjoint's cells: entry by entry
+@example(entries([0, 1, 1], [1, 0, 0], complex(-0.0, 0.5), 1.0, -1.0))  # a cancelled cell against a lone one
 def test_adjoint_difference_and_dense_form_are_scipys(coo):
     m = build(*coo)
     s = to_scipy(m)
