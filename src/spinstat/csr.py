@@ -110,7 +110,7 @@ class CSR:
         return out
 
 
-_GATHERED = 1 << 17  # numbers per run of gathered rows in CSR @ dense
+_GATHERED = 1 << 16  # numbers per run of gathered rows in CSR @ dense
 
 
 def empty(shape: tuple[int, int], dtype=np.complex128) -> CSR:

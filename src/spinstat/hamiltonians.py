@@ -351,7 +351,9 @@ def _is_mirror(partner: CSR, block: CSR, image: np.ndarray, sign: np.ndarray) ->
 
 
 def _worst_residual(sub: CSR, vectors: np.ndarray, values: np.ndarray) -> float:
-    """max_k ||H_b v_k - lambda_k v_k||, from two dense temporaries."""
+    """max_k ||H_b v_k - lambda_k v_k||, from two dense temporaries and the
+    rows the sparse product gathers, a run at a time, which hold at most
+    about as many numbers as one of them (``CSR.__matmul__``)."""
     residual = sub @ vectors
     residual -= vectors * values
     squares = residual.real  # the array itself when it is real
@@ -390,8 +392,9 @@ def diagonalize(ham: OperatorFamily) -> SpectrumResult:
     vectors (``MirroredBlock``): the signed, permuted partner columns are
     built when they are read.  Any other block, mirrored or not, is solved.
     Every block's residual ||H_b v - lambda v|| is taken with the sparse
-    block, and its Gram check run, on the whole block with at most two dense
-    temporaries; a mirrored block is checked on a gathered copy that is
+    block, and its Gram check run, on the whole block with two dense
+    temporaries and the sparse product's gathered rows, at most about one
+    more (within the five arrays of the eigensolve); a mirrored block is checked on a gathered copy that is
     dropped before the next block.  Raises ``DimensionCapError`` when what
     is held would not fit in the memory the process can still take
     (``_available_memory``): the solved blocks' eigenvectors, five arrays the
