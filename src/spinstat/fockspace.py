@@ -774,18 +774,18 @@ class _RelationPlan:
 
 def _layout_ids(matrices) -> list[int]:
     """One id per distinct sparsity pattern among ``matrices`` (shape,
-    indptr and indices), in order of first appearance."""
-    firsts: list[CSR] = []
-    ids = []
+    indptr and indices), in order of first appearance: each matrix is
+    compared only with the patterns of its digest, so the grouping stays
+    linear in the number of matrices."""
+    seen: dict[tuple, list[tuple[int, CSR]]] = {}  # digest -> (id, first matrix) of its patterns
+    ids, count = [], 0
     for m in matrices:
-        same = (
-            n for n, f in enumerate(firsts)
-            if f.shape == m.shape and f.nnz == m.nnz
-            and np.array_equal(f.indptr, m.indptr) and np.array_equal(f.indices, m.indices)
-        )
-        n = next(same, len(firsts))
-        if n == len(firsts):
-            firsts.append(m)
+        digest = (m.shape, m.nnz, hash(m.indptr.tobytes()), hash(m.indices.tobytes()))
+        same = (n for n, f in seen.get(digest, ()) if np.array_equal(f.indptr, m.indptr) and np.array_equal(f.indices, m.indices))
+        n = next(same, None)
+        if n is None:
+            n, count = count, count + 1
+            seen.setdefault(digest, []).append((n, m))
         ids.append(n)
     return ids
 

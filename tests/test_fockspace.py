@@ -431,6 +431,31 @@ def test_ladder_relation_tiles_match_pair_products(monkeypatch, kind, sigma):
         assert ladder_relation_residuals(RING4, ops, sigma, 3) == want  # bit for bit
 
 
+@pytest.mark.parametrize("sigma", [1, -1])
+def test_relation_tiles_of_one_pattern_share_one_expansion(monkeypatch, sigma):
+    # the 8 eigenmodes of RING4 have 4 sparsity patterns, so one-pair tiles
+    # group: fewer expansions than tiles, and the same residuals as above
+    plans, tiles = [], []
+    plan_of, worst = fockspace._RelationPlan.of.__func__, fockspace._RelationPlan.worst
+    monkeypatch.setattr(fockspace._RelationPlan, "of", classmethod(lambda cls, *a: plans.append(a) or plan_of(cls, *a)))
+    monkeypatch.setattr(fockspace._RelationPlan, "worst", lambda self, *a, **k: tiles.append(a) or worst(self, *a, **k))
+    monkeypatch.setattr(fockspace, "_PRODUCT_ENTRIES", 1)
+    ops = ladder_set("eigen", sigma)
+    assert ladder_relation_residuals(RING4, ops, sigma, 3) == naive_ladder_residuals(RING4, ops, sigma, 3)
+    assert 0 < len(plans) < len(tiles) / 2
+
+
+def test_layout_ids_group_equal_sparsity_patterns():
+    family = matrix_family(ladder_set("eigen", 1), [(build_basis(RING4, 1, 1), build_basis(RING4, 0, 1))])[0]
+    members = [family.rows(p, p + 1) for p in range(len(family))]
+    ids = fockspace._layout_ids(members)
+    for p, q in product(range(len(members)), repeat=2):
+        same = np.array_equal(members[p].indices, members[q].indices) and np.array_equal(members[p].indptr, members[q].indptr)
+        assert (ids[p] == ids[q]) == same
+    assert sorted(set(ids)) == list(range(4))
+    assert fockspace._layout_ids(members[:1] + [family.rows(0, 2)]) == [0, 1]  # another shape, another pattern
+
+
 @pytest.mark.parametrize("budget", [1, 1 << 62], ids=["pair-tiles", "one-tile"])
 @pytest.mark.parametrize("sigma", [1, -1])
 def test_like_relation_failures_are_caught(monkeypatch, budget, sigma):
