@@ -54,12 +54,16 @@ class CSR:
 
     def entry_rows(self) -> np.ndarray:
         """The row of each stored entry, in the index dtype."""
-        return np.repeat(np.arange(self.shape[0], dtype=self.indices.dtype), np.diff(self.indptr))
+        return np.repeat(np.arange(self.shape[0], dtype=self.indices.dtype), self.row_lengths())
+
+    def row_lengths(self) -> np.ndarray:
+        """The number of stored entries of each row."""
+        return self.indptr[1:] - self.indptr[:-1]
 
     def keys(self) -> np.ndarray:
         """row * n_cols + column of each stored entry, as int64."""
         firsts = np.arange(0, self.shape[0] * self.shape[1], self.shape[1], dtype=np.int64)
-        return np.repeat(firsts, np.diff(self.indptr)) + self.indices
+        return np.repeat(firsts, self.row_lengths()) + self.indices
 
     def row_range(self, start: int, stop: int, n_cols: int | None = None) -> CSR:
         """Rows start to stop as a CSR of ``n_cols`` columns (none of them
@@ -92,7 +96,7 @@ class CSR:
         product per run of rows; each run's gathered rows hold about as
         many numbers as ``dense``, and at most about ``_GATHERED``, so they
         stay in a core's cache."""
-        lengths = np.diff(self.indptr)
+        lengths = self.row_lengths()
         width = int(lengths.max(initial=0))
         out = np.zeros((self.shape[0], dense.shape[1]), dtype=np.result_type(self.data, dense))
         if not width:
@@ -250,7 +254,7 @@ def product_terms(a: CSR, b: CSR) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     + j of its cell (int32 where every key fits, else int64).  The positions
     depend only on the two sparsity patterns, so one expansion serves every
     pair of matrices stored as these two."""
-    counts = np.diff(b.indptr).take(a.indices)
+    counts = b.row_lengths().take(a.indices)
     live = np.flatnonzero(counts)  # the entries of a whose row of b holds any entry
     counts = counts.take(live)
     ends = np.cumsum(counts)
@@ -299,9 +303,11 @@ def cell_ids(*keys: np.ndarray) -> tuple[list[np.ndarray], np.ndarray, np.ndarra
     new[:1] = True
     np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
     starts = np.flatnonzero(new)
+    group = np.cumsum(new, dtype=np.intp)  # one past each sorted key's cell id
     del new
+    group -= 1
     ids = np.empty(len(ordered), dtype=np.intp)
-    ids[order] = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(ordered)))
+    ids[order] = group
     bounds = np.cumsum([0, *(len(k) for k in keys)])
     return [ids[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])], ordered, starts
 

@@ -5,20 +5,23 @@ modes m_1 <= ... <= m_N of a+(m_1)...a+(m_N)|0>, a mode repeated by its
 occupancy.  A ``FockBasis`` is the (dim, N) array of the lists of one
 (N, sigma) sector as its enumeration makes them (combinations for sigma=-1,
 multisets for sigma=+1, in lexicographic order), and ``FockBasis.rank``, the
-one ranking path, inverts that order with the combinatorial number system.
+one ranking path, inverts that order with the combinatorial number system,
+one slot column at a time.
 
 All ladder action goes through one kernel, ``_apply_strings``, which steps a
 batch of lists, padded with an empty-slot marker, through their ladder
-strings with bosonic sqrt factors or fermionic parity signs, and drops a row
-as soon as its string vanishes.  An operator between two sectors is always
-an ``OperatorFamily``: the stacked CSR vstack_p(M_p) of one or more members,
-a single operator (``matrix_of``, a Hamiltonian, a lift) being a family of
-one.  ``matrix_family`` builds the matrices M_p of a list of expressions on
-each of a list of (domain, codomain) sector pairs.  Every build is one join of
-consecutive pairs, up to ``JOIN_ENTRIES``: one kernel pass over their domain
-lists side by side, each row ranked in its own codomain, and one COO -> CSR
-(``csr.from_coo``, duplicates summed in input order) whose row ranges are
-the pairs' stacks; only the (term, column) pairs whose
+strings with bosonic sqrt factors or fermionic parity signs; where a factor
+kills rows the batch is compacted to the rows still alive, and the
+survivors are scattered into the output once.  An operator between two
+sectors is always an ``OperatorFamily``: the stacked CSR vstack_p(M_p) of
+one or more members, a single operator (``matrix_of``, a Hamiltonian, a
+lift) being a family of one.  ``matrix_family`` builds the matrices M_p of
+a list of expressions on each of a list of (domain, codomain) sector pairs,
+reading each term's factors once (``_ladder_strings``).  Every build is one
+join of consecutive pairs, up to ``JOIN_ENTRIES``: one kernel pass over
+their domain lists side by side, each row ranked in its own codomain, and
+one COO -> CSR (``csr.from_coo``, duplicates summed in input order) whose
+row ranges are the pairs' stacks; only the (term, column) pairs whose
 first-acting annihilators (the string's rightmost factors up to its first
 creator) all find a particle, or whose rightmost creator acts, enter the
 kernel, and each row of a join receives the entries of its own one-sector
@@ -47,10 +50,9 @@ from __future__ import annotations
 
 import math
 import os
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, partial, reduce
-from itertools import accumulate, chain, combinations, combinations_with_replacement, permutations, takewhile
+from itertools import accumulate, chain, combinations, combinations_with_replacement, permutations
 
 import numpy as np
 
@@ -195,8 +197,13 @@ class FockBasis:
         return tuple(np.bincount(self.modes[i], minlength=self.space.n_modes).tolist())
 
     def rank(self, lists: np.ndarray) -> np.ndarray:
-        """Sector index of each ascending creation list (one per row) of this sector."""
-        after = self.rank_table[np.arange(self.n_particles), lists].sum(axis=1)
+        """Sector index of each ascending creation list (one per row) of this
+        sector.  The table is summed one slot column at a time, as
+        ``_slot_count`` counts: a 2-D gather reduced over the slot axis is
+        slower."""
+        after = np.zeros(len(lists), dtype=np.int64)
+        for table, column in zip(self.rank_table, lists.T):
+            after += table.take(column)
         return self.dim - 1 - after
 
 
@@ -264,40 +271,49 @@ def _apply_strings(lists: np.ndarray, modes: np.ndarray, daggers: np.ndarray, si
     below m.  A creation fills an empty slot and an annihilation empties its
     mode's first slot, in rows widened to the most particles any string
     reaches; each surviving row is sorted at the end.  Returns (new lists,
-    real amplitudes, alive); a row whose string vanishes has alive False and
-    amplitude 0, and is not stepped further.
+    real amplitudes, alive); a row whose string vanishes has alive False,
+    amplitude 0 and only empty slots, and is not stepped further.
 
-    Each factor works only on the rows still alive, held as an index array,
-    so the counts and square roots of a string are paid only up to the
-    factor that kills it; a live row's amplitude is the same product, in the
-    same factor order, as if no row had been dropped.
+    The live rows are stepped as one compact batch: where a factor kills
+    rows, the batch's lists, modes, daggers and amplitudes drop them, so
+    the counts and square roots of a string are paid only up to the factor
+    that kills it, and a factor that kills none gathers nothing.  The
+    survivors are sorted in place and scattered into the output once; a
+    live row's amplitude is the same product, in the same factor order, as
+    if no row had been dropped.
     """
     k = len(lists)
     empty = np.iinfo(lists.dtype).max
     reach = np.where(daggers[:, ::-1], 1, -1).cumsum(axis=1).max(initial=0)
-    work = _widened(lists, lists.shape[1] + reach)
-    live = np.arange(k)
-    live_amp = np.ones(k)
+    rows = _widened(lists, lists.shape[1] + reach)
+    live = None  # the input row of each batch row, while any has died
+    amp = np.ones(k)
     for f in reversed(range(modes.shape[1])):
-        idx, dag, rows = modes[live, f], daggers[live, f], work[live]
+        idx, dag = modes[:, f], daggers[:, f]
         n = _slot_count(rows, np.equal, idx)
         keep = _factor_survives(n, dag, sigma)
         if not keep.all():
-            live, idx, dag, rows, n, live_amp = live[keep], idx[keep], dag[keep], rows[keep], n[keep], live_amp[keep]
-        if not len(live):  # nothing left to step, maybe not even a slot
+            live = np.flatnonzero(keep) if live is None else live[keep]
+            rows, modes, daggers, amp = rows[keep], modes[keep], daggers[keep], amp[keep]
+            idx, dag, n = idx[keep], dag[keep], n[keep]
+        if not len(rows):  # nothing left to step, maybe not even a slot
             break
         if sigma == -1:
-            live_amp *= 1 - 2 * (_slot_count(rows, np.less, idx) & 1)
+            amp *= 1 - 2 * (_slot_count(rows, np.less, idx) & 1)
         else:
-            live_amp *= np.sqrt(n.astype(np.float64) + dag)
+            amp *= np.sqrt(n.astype(np.float64) + dag)
         slot = (rows == np.where(dag, empty, idx)[:, None]).argmax(axis=1)  # the first empty slot, or idx's
-        work[live, slot] = np.where(dag, idx, empty)
-    work[live] = np.sort(work[live], axis=1)
-    amp = np.zeros(k)
-    amp[live] = live_amp
+        rows[np.arange(len(rows)), slot] = np.where(dag, idx, empty)
+    rows.sort(axis=1)
+    if live is None:  # every row survived: the batch is the output
+        return rows, amp, np.ones(k, dtype=bool)
+    out = np.full((k, rows.shape[1]), empty, dtype=rows.dtype)
+    out[live] = rows
+    amps = np.zeros(k)
+    amps[live] = amp
     alive = np.zeros(k, dtype=bool)
     alive[live] = True
-    return work, amp, alive
+    return out, amps, alive
 
 
 def _slot_count(rows: np.ndarray, compare, idx: np.ndarray) -> np.ndarray:
@@ -469,10 +485,12 @@ def matrix_family(exprs, sectors) -> list[OperatorFamily]:
                 raise ValueError(
                     f"expression shifts particle number by {shift}, sectors differ by {required}"
                 )
+    pieces = joined_pieces(_join_sizes(exprs, sectors))
+    strings = _ladder_strings(exprs, sectors[0][0].space, sectors[0][0].sigma) if pieces else []
     return [
         family
-        for piece in joined_pieces(_join_sizes(exprs, sectors))
-        for family in _joined_families(exprs, [sectors[i] for i in piece])
+        for piece in pieces
+        for family in _joined_families(strings, len(exprs), [sectors[i] for i in piece])
     ]
 
 
@@ -483,10 +501,48 @@ def _join_sizes(exprs, sectors) -> list[int]:
     return [n_terms * domain.dim + len(exprs) * codomain.dim for domain, codomain in sectors]
 
 
-def _kernel_batches(exprs, space: ModeSpace, lists: np.ndarray, sigma: int):
+def _ladder_strings(exprs, space: ModeSpace, sigma: int) -> list[tuple]:
+    """The terms of ``exprs`` by string length, ascending, each term's
+    factors read once: per length, the terms in expression order as
+    (expressions, coefficients, factor modes, daggers, prefilter keys), the
+    modes and daggers one row per term, rightmost factor last.  A term's
+    prefilter key is None where it acts on every column (no factors, or a
+    boson creator first), the mode of a fermion creator that acts first, or
+    else the ascending modes of its first-acting annihilation run (its
+    rightmost factors up to its first creator)."""
+    by_length: dict[int, tuple[list, ...]] = {}
+    for p, expr in enumerate(exprs):
+        for term in expr.terms:
+            modes = [space.index(f.mode) for f in term.factors]
+            daggers = [f.dagger for f in term.factors]
+            run = len(daggers)
+            while run and not daggers[run - 1]:
+                run -= 1
+            if run < len(daggers):
+                key = tuple(sorted(modes[run:]))
+            elif daggers and sigma == -1:
+                key = modes[-1]
+            else:
+                key = None
+            table = by_length.setdefault(len(modes), ([], [], [], [], []))
+            for column, value in zip(table, (p, term.coeff, modes, daggers, key)):
+                column.append(value)
+    return [
+        (
+            np.array(owners, dtype=np.intp),
+            np.array(coeffs),
+            np.array(modes, dtype=np.intp).reshape(len(owners), length),
+            np.array(daggers, dtype=bool).reshape(len(owners), length),
+            keys,
+        )
+        for length, (owners, coeffs, modes, daggers, keys) in sorted(by_length.items())
+    ]
+
+
+def _kernel_batches(strings: list[tuple], n_modes: int, lists: np.ndarray, sigma: int):
     """Every kernel call of a family build on the creation lists ``lists``, as
     (kernel row's block-row offset, column, coefficient, new rows,
-    amplitudes, alive).
+    amplitudes, alive), for the terms ``_ladder_strings`` read.
 
     A term enters the kernel only on the columns where its first-acting
     annihilation run (its rightmost factors, up to its first creator) finds
@@ -496,7 +552,7 @@ def _kernel_batches(exprs, space: ModeSpace, lists: np.ndarray, sigma: int):
     rightmost factor is a creator enters where that factor survives (a
     fermion's mode empty, a boson's anywhere), and a term without factors
     on every column.  The columns are read from one mode index of
-    the lists (``_mode_index``), once per run or fermion creator.  Rows are
+    the lists (``_mode_index``), once per prefilter key.  Rows are
     term-major, terms ascending by length and then in expression order,
     columns ascending, cut by ``joined_pieces`` into calls of at most
     ``_KERNEL_ROWS`` rows unless one term has more.  No array is terms x
@@ -506,53 +562,32 @@ def _kernel_batches(exprs, space: ModeSpace, lists: np.ndarray, sigma: int):
     of the family is the same, entry for entry, and so is every bit of its
     CSR.
     """
-    by_length: dict[int, list] = {}
-    for p, expr in enumerate(exprs):
-        for term in expr.terms:
-            by_length.setdefault(len(term.factors), []).append((p, term))
     everywhere = np.arange(len(lists))
-    holding = _mode_index(lists, space.n_modes, sigma)
-    # a fermion creator's mode, or an annihilation run's ascending (mode, count)
-    # pairs -> the columns where it survives
-    acting: dict[int | tuple, np.ndarray] = {}
+    holding = _mode_index(lists, n_modes, sigma)
+    acting: dict[int | tuple, np.ndarray] = {None: everywhere}  # prefilter key -> the columns where it survives
 
-    def columns(term) -> np.ndarray:
-        first = term.factors[-1] if term.factors else None
-        if first is None or first.dagger and sigma == 1:  # a boson creator always acts
-            return everywhere
-        if first.dagger:
-            key = space.index(first.mode)
-        else:
-            run = takewhile(lambda f: not f.dagger, reversed(term.factors))
-            key = tuple(sorted(Counter(space.index(f.mode) for f in run).items()))
+    def columns(key) -> np.ndarray:
         if key not in acting:
-            if first.dagger:  # a fermion creator needs its mode empty
+            if isinstance(key, tuple):  # every (mode, count) of the run held
+                counts = [(m, key.count(m)) for m in sorted(set(key))]
+                acting[key] = reduce(partial(np.intersect1d, assume_unique=True), (holding(*mc) for mc in counts))
+            else:  # a fermion creator needs its mode empty
                 empty = np.ones(len(lists), dtype=bool)
                 empty[holding(key, 1)] = False
                 acting[key] = np.flatnonzero(empty)
-            else:
-                acting[key] = reduce(partial(np.intersect1d, assume_unique=True), (holding(*mc) for mc in key))
         return acting[key]
 
-    def call(length, batch):  # its arrays are the caller's alone once it returns
-        owners, terms, cols = zip(*batch)
-        counts = [len(c) for c in cols]
-        factors = [f for t in terms for f in t.factors]
-        modes = np.array([space.index(f.mode) for f in factors], dtype=np.intp)
-        daggers = np.array([f.dagger for f in factors], dtype=bool)
-        cols = joined(cols)
-        new, amp, alive = _apply_strings(
-            lists[cols],
-            np.repeat(modes.reshape(len(terms), length), counts, axis=0),
-            np.repeat(daggers.reshape(len(terms), length), counts, axis=0),
-            sigma,
-        )
-        return np.repeat(owners, counts), cols, np.repeat([t.coeff for t in terms], counts), new, amp, alive
-
-    for length, items in sorted(by_length.items()):
-        items = [(p, term, c) for p, term in items if len(c := columns(term))]
-        for piece in joined_pieces([len(c) for _, _, c in items], _KERNEL_ROWS):
-            yield call(length, [items[i] for i in piece])
+    for owners, coeffs, modes, daggers, keys in strings:
+        cols = [columns(key) for key in keys]
+        chosen = [t for t, c in enumerate(cols) if len(c)]
+        for piece in joined_pieces([len(cols[t]) for t in chosen], _KERNEL_ROWS):
+            at = [chosen[i] for i in piece]
+            counts = [len(cols[t]) for t in at]
+            rows = joined([cols[t] for t in at])
+            new, amp, alive = _apply_strings(
+                lists[rows], modes[at].repeat(counts, axis=0), daggers[at].repeat(counts, axis=0), sigma
+            )  # the caller's arrays alone once yielded
+            yield owners[at].repeat(counts), rows, coeffs[at].repeat(counts), new, amp, alive
 
 
 def _mode_index(lists: np.ndarray, n_modes: int, sigma: int):
@@ -579,18 +614,22 @@ def _mode_index(lists: np.ndarray, n_modes: int, sigma: int):
         rows = joined([(order[b[m]:b[m + 1]] // width).astype(np.intp) + start for start, order, b in pieces])
         if count > 1:  # a row's count-th slot of m, count - 1 places after its first
             rows = rows[count - 1:][rows[count - 1:] == rows[:len(rows) - count + 1]]
-        return rows if sigma == -1 else rows[np.diff(rows, prepend=-1) != 0]
+        if sigma == -1:
+            return rows
+        first = np.ones(len(rows), dtype=bool)  # a boson row's first slot of m, once per row
+        np.not_equal(rows[1:], rows[:-1], out=first[1:])
+        return rows[first]
 
     return holding
 
 
-def _joined_families(exprs, sectors) -> list[OperatorFamily]:
-    """The families of ``exprs`` on ``sectors``, from one COO of all their
-    entries: sector s's stack is rows offset[s] to offset[s + 1] of the
-    joined CSR, and its domain's columns are columns start[s] onward of the
-    joined kernel input, every domain's lists padded to the widest N."""
+def _joined_families(strings: list[tuple], k: int, sectors) -> list[OperatorFamily]:
+    """The families of k expressions, whose terms are ``strings``, on
+    ``sectors``, from one COO of all their entries: sector s's stack is rows
+    offset[s] to offset[s + 1] of the joined CSR, and its domain's columns
+    are columns start[s] onward of the joined kernel input, every domain's
+    lists padded to the widest N."""
     domains, codomains = zip(*sectors)
-    k = len(exprs)
     start = list(accumulate((d.dim for d in domains), initial=0))
     offset = list(accumulate((k * c.dim for c in codomains), initial=0))
     shape = (offset[-1], max(d.dim for d in domains))
@@ -598,7 +637,8 @@ def _joined_families(exprs, sectors) -> list[OperatorFamily]:
     width = max(d.n_particles for d in domains)
     lists = joined([d.modes if d.n_particles == width else _widened(d.modes, width) for d in domains])
     keys, vals = [], []  # each batch's cells (row * n_cols + column) and values
-    for owners, columns, coeffs, new, amp, alive in _kernel_batches(exprs, domains[0].space, lists, domains[0].sigma):
+    batches = _kernel_batches(strings, domains[0].space.n_modes, lists, domains[0].sigma)
+    for owners, columns, coeffs, new, amp, alive in batches:
         columns, owners, new = columns[alive], owners[alive], new[alive]
         # each row ranked in the codomain of its column's sector
         sector = np.searchsorted(at, columns, side="right") - 1
@@ -692,7 +732,7 @@ def _worst_relation(lefts, rights, sigma: int, mirror=None, like=False) -> float
     families = [f for f in ((lefts, rights), None if like else mirror) if f]
     pair = 1  # per stored entry of ls[p] in column k, the stored entries of row k of rs[q]
     for ls, rs in families:
-        lengths = np.diff(rs.matrix.indptr).reshape(len(rs), rs.codomain.dim).astype(float)
+        lengths = rs.matrix.row_lengths().reshape(len(rs), rs.codomain.dim).astype(float)
         pair = max(pair, int((_column_hits(ls) @ lengths.T).max(initial=0)))
     side = max(1, math.isqrt(_PRODUCT_ENTRIES // pair))
     tiles = [(i, min(i + side, len(lefts))) for i in range(0, len(lefts), side)]

@@ -326,11 +326,12 @@ def _gathered(mat: CSR, order: np.ndarray, starts: np.ndarray, real: bool) -> CS
     """H's rows in the concatenated block ``order``, each row's entries in H's
     stored order and each column counted from the start of its block, which
     is the row's: rows starts[b] to starts[b + 1] are block b itself."""
+    sizes = starts[1:] - starts[:-1]
     local = np.empty(len(order), dtype=mat.indices.dtype)
-    local[order] = np.arange(len(order)) - np.repeat(starts[:-1], np.diff(starts))
+    local[order] = np.arange(len(order)) - np.repeat(starts[:-1], sizes)
     take, indptr = row_gather(mat, order)
     data = (mat.data.real if real else mat.data)[take]
-    width = int(np.diff(starts).max(initial=0))
+    width = int(sizes.max(initial=0))
     return CSR(indptr, local[mat.indices[take]], data, (len(order), width))
 
 

@@ -5,7 +5,6 @@ from itertools import permutations, product
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +19,7 @@ from helpers import (
     to_scipy,
 )
 from spinstat import fockspace
+from spinstat.csr import CSR
 from spinstat.fockspace import (
     DimensionCapError,
     StateVector,
@@ -157,6 +157,12 @@ _BOSON_DEATHS = [
     [(5, False), (0, False), (0, False)],  # mode 5 empty: dies at the last
 ]
 
+# rows of the first three N = 2 states, each of whose strings dies at its
+# first (rightmost) factor: a fermion annihilator on an empty mode or creator
+# on a filled one, a boson annihilator on an empty mode
+_FERMION_FIRST_DEATHS = [[(1, True), (5, False)], [(2, False), (0, True)], [(3, True), (6, False)]]
+_BOSON_FIRST_DEATHS = [[(0, True), (7, False)], [(1, False), (5, False)], [(0, False), (6, False)]]
+
 
 @settings(max_examples=300)
 @given(ladder_batches())
@@ -165,6 +171,12 @@ _BOSON_DEATHS = [
 @example((build_basis(KERNEL_SPACES[2], 1, 1), [4], [[(3, False)]]))  # empty mode
 @example((build_basis(KERNEL_SPACES[1], 2, -1), [0] * 5, _FERMION_DEATHS))
 @example((build_basis(KERNEL_SPACES[1], 2, 1), [0] * 5, _BOSON_DEATHS))
+@example((build_basis(KERNEL_SPACES[1], 2, -1), [], [[]]))  # a batch of zero rows
+@example((build_basis(KERNEL_SPACES[1], 0, 1), [], [[]]))  # zero rows of zero slots
+@example((build_basis(KERNEL_SPACES[1], 2, -1), [0, 5, 27], [[], [], []]))  # strings of length zero
+@example((build_basis(KERNEL_SPACES[1], 2, 1), [0, 5, 35], [[], [], []]))
+@example((build_basis(KERNEL_SPACES[1], 2, -1), [0, 1, 2], _FERMION_FIRST_DEATHS))
+@example((build_basis(KERNEL_SPACES[1], 2, 1), [0, 1, 2], _BOSON_FIRST_DEATHS))
 def test_kernel_matches_scalar_reference(batch):
     basis, states, strings = batch
     length = len(strings[0])
@@ -172,6 +184,17 @@ def test_kernel_matches_scalar_reference(batch):
     daggers = np.array([[dag for _, dag in s] for s in strings], dtype=bool).reshape(len(states), length)
     lists, amp, alive = _apply_strings(basis.modes[states], modes, daggers, basis.sigma)
     assert_kernel_rows(basis, states, strings, lists, amp, alive)
+
+
+@pytest.mark.parametrize("sigma", [1, -1])
+def test_kernel_takes_a_batch_of_zero_rows(sigma):
+    # every factor of an empty batch, on lists of zero and of two slots
+    for n in (0, 2):
+        basis = build_basis(KERNEL_SPACES[1], n, sigma)
+        for length in range(4):
+            strings = np.zeros((0, length), dtype=np.intp)
+            got = _apply_strings(basis.modes[:0], strings, strings.astype(bool), sigma)
+            assert [a.shape for a in got] == [(0, n), (0,), (0,)]
 
 
 @pytest.mark.parametrize("sigma", [1, -1])
@@ -513,6 +536,24 @@ def test_family_blocks_are_each_matrix_of_bit_for_bit(monkeypatch, sigma):
             assert family.rows(0, len(exprs)) is family.matrix
 
 
+@pytest.mark.parametrize("sigma", [1, -1])
+def test_family_build_reads_each_factor_mode_once(monkeypatch, sigma):
+    # the prefilter keys and the kernel strings come from one pass over the
+    # terms: one ModeSpace.index call per factor in a matrix_family call,
+    # whether its sectors make one join or one join each
+    ops = ladder_set("eigen", sigma)
+    sectors = [(build_basis(RING4, n, sigma), build_basis(RING4, n - 1, sigma)) for n in (3, 2, 1)]
+    factors = sum(len(term.factors) for op in ops for term in op.terms)
+    calls, index = [], ModeSpace.index
+    monkeypatch.setattr(ModeSpace, "index", lambda self, mode: calls.append(mode) or index(self, mode))
+    for budget, joins in ((fockspace.JOIN_ENTRIES, 1), (1, len(sectors))):
+        monkeypatch.setattr(fockspace, "JOIN_ENTRIES", budget)
+        assert len(fockspace.joined_pieces(fockspace._join_sizes(ops, sectors))) == joins
+        calls.clear()
+        matrix_family(ops, sectors)
+        assert len(calls) == factors
+
+
 def random_term(draw, space, shift):
     """One term of particle shift ``shift``: |shift| + 2k ladder factors (k <= 1,
     or 2 at no shift) in any order, so the rightmost may be a creator, with
@@ -544,10 +585,28 @@ def random_families(draw):
     return [(build_basis(space, n, sigma), build_basis(space, n + shift, sigma)) for n in ns], exprs
 
 
+def summed_in_input_order(rows, cols, vals, shape) -> CSR:
+    """The CSR of the entries (rows, cols, vals), cells ordered by row and
+    then column, the entries of one cell summed one at a time in input
+    order from the first: a lone entry keeps its bits and a sum that cancels
+    stays an explicit zero, as ``csr.from_coo`` promises, whatever the
+    length of a row."""
+    cells = {}
+    for cell, value in zip(zip(np.asarray(rows).tolist(), np.asarray(cols).tolist()), vals):
+        cells[cell] = cells[cell] + value if cell in cells else value
+    order = sorted(cells)
+    indptr = np.zeros(shape[0] + 1, dtype=np.int64)
+    np.add.at(indptr, [r + 1 for r, _ in order], 1)
+    return CSR(
+        np.cumsum(indptr), np.array([c for _, c in order], dtype=np.int64),
+        np.array([cells[cell] for cell in order], dtype=np.complex128), shape,
+    )
+
+
 def reference_matrix(expr, domain, codomain):
     """The matrix of ``expr`` with every term applied to every domain column by
     the scalar ``occ_apply``, its entries listed in the kernel's term order
-    (ascending by length) and summed by the same COO-to-CSR conversion."""
+    (ascending by length) and summed in that order (``summed_in_input_order``)."""
     space, where = domain.space, {codomain.occ_tuple(i): i for i in range(codomain.dim)}
     rows, cols, coeffs, amps = [], [], [], []
     for term in sorted(expr.terms, key=lambda t: len(t.factors)):
@@ -560,8 +619,7 @@ def reference_matrix(expr, domain, codomain):
                 coeffs.append(term.coeff)
                 amps.append(hit[1])
     vals = np.array(coeffs, dtype=np.complex128) * np.array(amps, dtype=np.float64)
-    coo = sp.coo_matrix((vals, (rows, cols)), shape=(codomain.dim, domain.dim), dtype=np.complex128)
-    return coo.tocsr()
+    return summed_in_input_order(rows, cols, vals, (codomain.dim, domain.dim))
 
 
 def csr_bits(m):
@@ -578,6 +636,15 @@ def _example_family(space, sigma, ns, shift, *terms):
     return sectors, [expr, OperatorExpr.zero(sigma)]
 
 
+# a+(0) a(m) for each of the 8 modes, three times over: row 0 of N = 1 holds
+# 24 entries, three per cell and eight apart, whose sum depends on their
+# order (1e16 + 1 - 1e16 is 0, 1e16 - 1e16 + 1 is 1).  scipy's COO -> CSR
+# sorts such a row unstably (std::sort past 16 entries) and sums it in
+# another order.
+_LONG_ROW = tuple(
+    (coeff, [(0, True), (m, False)]) for coeff in (1e16, 1.0 + 0.5j, -1e16) for m in range(8)
+)
+
 _EDGE_TERMS = (
     (0.5, []),  # no factors: every column
     (1.0, [(1, False), (1, True)]),  # rightmost a creator, mode repeated
@@ -593,6 +660,7 @@ _EDGE_TERMS = (
 @example(_example_family(KERNEL_SPACES[0], -1, (5,), -2, (1.0, [(0, False), (1, False)])))  # empty domain
 @example(_example_family(KERNEL_SPACES[1], 1, (3, 0, 2, 1), 0, *_EDGE_TERMS))  # one join of four sectors
 @example(_example_family(KERNEL_SPACES[0], -1, (2, 5, 3), -2, (1.0, [(0, False), (1, False)])))
+@example(_example_family(KERNEL_SPACES[1], 1, (1, 2), 0, *_LONG_ROW))  # rows of more than 16 entries
 def test_family_blocks_match_every_column_scalar_reference(family_input):
     sectors, exprs = family_input
     families = matrix_family(exprs, sectors)
@@ -607,8 +675,8 @@ def test_family_blocks_match_every_column_scalar_reference(family_input):
 def every_pair_matrix(expr, domain, codomain):
     """The matrix of ``expr`` from one kernel call per term on every domain
     column, nothing filtered out first: its entries in the kernel's term order
-    (ascending by length), columns ascending, summed by the same COO-to-CSR
-    conversion."""
+    (ascending by length), columns ascending, summed in that order
+    (``summed_in_input_order``)."""
     space, dim = domain.space, domain.dim
     rows, cols, vals = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=complex)]
     for term in sorted(expr.terms, key=lambda t: len(t.factors)) if dim else ():  # no rows to rank
@@ -622,11 +690,7 @@ def every_pair_matrix(expr, domain, codomain):
         rows.append(codomain.rank(new[alive, :codomain.n_particles]))
         cols.append(np.flatnonzero(alive))
         vals.append((term.coeff * amp)[alive])
-    coo = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(codomain.dim, dim), dtype=np.complex128,
-    )
-    return coo.tocsr()
+    return summed_in_input_order(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), (codomain.dim, dim))
 
 
 _REPEAT = [(0, False), (0, False)]  # a(m) a(m): a fermion never survives it, a boson needs n_m >= 2
@@ -645,6 +709,7 @@ _REPEAT = [(0, False), (0, False)]  # a(m) a(m): a fermion never survives it, a 
 @example(_example_family(  # an empty fermion sector beside a full one in one join
     KERNEL_SPACES[0], -1, (5, 2), 0, (1.0, [(1, True), (1, False)]), (1.0, [(1, False), (2, True)]),
 ))
+@example(_example_family(KERNEL_SPACES[1], -1, (1, 2), 0, *_LONG_ROW))  # rows of more than 16 entries
 def test_prefilter_matches_a_pass_of_every_term_on_every_column(family_input):
     # only the (term, column) pairs whose first annihilations all find a
     # particle enter the kernel; the matrix is that of a pass of every pair
