@@ -62,7 +62,7 @@ class CSR:
 
     def keys(self) -> np.ndarray:
         """row * n_cols + column of each stored entry, as int64."""
-        firsts = np.arange(0, self.shape[0] * self.shape[1], self.shape[1], dtype=np.int64)
+        firsts = np.arange(self.shape[0], dtype=np.int64) * self.shape[1]
         return np.repeat(firsts, self.row_lengths()) + self.indices
 
     def row_range(self, start: int, stop: int, n_cols: int | None = None) -> CSR:
@@ -130,14 +130,19 @@ def index_dtype(*sizes: int):
 def from_coo(keys: list[np.ndarray], values: list[np.ndarray], shape: tuple[int, int]) -> CSR:
     """The CSR of the entries whose cells are ``keys`` (row * n_cols +
     column, int64) and whose values are ``values``, each given as a list of
-    pieces in input order: rows ascending, each row's columns ascending, the
-    entries of one cell summed in input order from the first, so a lone
-    entry keeps its bits and a sum that cancels is stored as an explicit
-    zero.  Both lists are emptied as they are joined, so where the caller
-    keeps no other reference to the pieces the build holds at most the
-    values twice, the keys and one sort order: 48 bytes per complex entry."""
-    data = _joined(values)
-    key = _joined(keys)
+    pieces in input order, maybe none: rows ascending, each row's columns
+    ascending, the entries of one cell summed in input order from the first,
+    so a lone entry keeps its bits and a sum that cancels is stored as an
+    explicit zero.  Each list is emptied once it is joined, so where the
+    caller keeps no other reference to the pieces the build holds at most
+    the values twice, the keys and one sort order: 48 bytes per complex
+    entry."""
+    if not values:
+        return empty(shape)
+    data = joined(values)
+    values.clear()
+    key = joined(keys)
+    keys.clear()
     index = index_dtype(*shape, len(data))
     if not len(data):
         return empty(shape, data.dtype)
@@ -161,11 +166,9 @@ def from_coo(keys: list[np.ndarray], values: list[np.ndarray], shape: tuple[int,
     return CSR(indptr, key.astype(index), data, shape)
 
 
-def _joined(pieces: list[np.ndarray]) -> np.ndarray:
-    """The pieces end to end (a lone piece itself), the list emptied."""
-    out = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
-    pieces.clear()
-    return out
+def joined(arrays) -> np.ndarray:
+    """``np.concatenate(arrays)``, without copying a lone array."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
 def _run_sums(values: np.ndarray, starts: np.ndarray) -> np.ndarray:

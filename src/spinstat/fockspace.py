@@ -11,14 +11,15 @@ one slot column at a time.
 All ladder action goes through one kernel, ``_apply_strings``, which steps a
 batch of lists, padded with an empty-slot marker, through their ladder
 strings with bosonic sqrt factors or fermionic parity signs; where a factor
-kills rows the batch is compacted to the rows still alive, and the
-survivors are scattered into the output once.  An operator between two
-sectors is always an ``OperatorFamily``: the stacked CSR vstack_p(M_p) of
-one or more members, a single operator (``matrix_of``, a Hamiltonian, a
-lift) being a family of one.  ``matrix_family`` builds the matrices M_p of
-a list of expressions on each of a list of (domain, codomain) sector pairs,
-reading each term's factors once (``_ladder_strings``).  Every build is one
-join of consecutive pairs, up to ``JOIN_ENTRIES``: one kernel pass over
+kills rows the batch is compacted to the rows still alive, and only the
+survivors come back, with the input rows they came from.  An operator
+between two sectors is always an ``OperatorFamily``: the stacked CSR
+vstack_p(M_p) of one or more members, a single operator (``matrix_of``, a
+Hamiltonian, a lift) being a family of one.  ``matrix_family`` builds the
+matrices M_p of a list of expressions on each of a list of (domain,
+codomain) sector pairs, reading each term's factors once
+(``_ladder_strings``).  Every build is one join of consecutive pairs, up
+to ``JOIN_ENTRIES``: one kernel pass over
 their domain lists side by side, each row ranked in its own codomain, and
 one COO -> CSR (``csr.from_coo``, duplicates summed in input order) whose
 row ranges are the pairs' stacks; only the (term, column) pairs whose
@@ -60,8 +61,8 @@ from .csr import (
     CSR,
     cell_ids,
     cell_sums,
-    empty,
     from_coo,
+    joined,
     max_abs,
     product_terms,
     real_only,
@@ -270,30 +271,30 @@ def _apply_strings(lists: np.ndarray, modes: np.ndarray, daggers: np.ndarray, si
     allows occupancy 0/1 and gives the parity sign of the particles in modes
     below m.  A creation fills an empty slot and an annihilation empties its
     mode's first slot, in rows widened to the most particles any string
-    reaches; each surviving row is sorted at the end.  Returns (new lists,
-    real amplitudes, alive); a row whose string vanishes has alive False,
-    amplitude 0 and only empty slots, and is not stepped further.
+    reaches; each surviving row is sorted at the end.  Returns (live, new
+    lists, real amplitudes) of the rows whose string survives, in input
+    order: ``live`` picks those rows out of the input, ``slice(None)`` where
+    every row survives (so the caller's gathers are views) and else their
+    ascending indices.
 
     The live rows are stepped as one compact batch: where a factor kills
     rows, the batch's lists, modes, daggers and amplitudes drop them, so
     the counts and square roots of a string are paid only up to the factor
-    that kills it, and a factor that kills none gathers nothing.  The
-    survivors are sorted in place and scattered into the output once; a
-    live row's amplitude is the same product, in the same factor order, as
+    that kills it, and a factor that kills none gathers nothing.  A
+    survivor's amplitude is the same product, in the same factor order, as
     if no row had been dropped.
     """
-    k = len(lists)
     empty = np.iinfo(lists.dtype).max
     reach = np.where(daggers[:, ::-1], 1, -1).cumsum(axis=1).max(initial=0)
     rows = _widened(lists, lists.shape[1] + reach)
-    live = None  # the input row of each batch row, while any has died
-    amp = np.ones(k)
+    live = slice(None)  # the input row of each batch row: every row until one dies
+    amp = np.ones(len(lists))
     for f in reversed(range(modes.shape[1])):
         idx, dag = modes[:, f], daggers[:, f]
         n = _slot_count(rows, np.equal, idx)
         keep = _factor_survives(n, dag, sigma)
         if not keep.all():
-            live = np.flatnonzero(keep) if live is None else live[keep]
+            live = np.flatnonzero(keep) if isinstance(live, slice) else live[keep]
             rows, modes, daggers, amp = rows[keep], modes[keep], daggers[keep], amp[keep]
             idx, dag, n = idx[keep], dag[keep], n[keep]
         if not len(rows):  # nothing left to step, maybe not even a slot
@@ -305,15 +306,7 @@ def _apply_strings(lists: np.ndarray, modes: np.ndarray, daggers: np.ndarray, si
         slot = (rows == np.where(dag, empty, idx)[:, None]).argmax(axis=1)  # the first empty slot, or idx's
         rows[np.arange(len(rows)), slot] = np.where(dag, idx, empty)
     rows.sort(axis=1)
-    if live is None:  # every row survived: the batch is the output
-        return rows, amp, np.ones(k, dtype=bool)
-    out = np.full((k, rows.shape[1]), empty, dtype=rows.dtype)
-    out[live] = rows
-    amps = np.zeros(k)
-    amps[live] = amp
-    alive = np.zeros(k, dtype=bool)
-    alive[live] = True
-    return out, amps, alive
+    return live, rows, amp
 
 
 def _slot_count(rows: np.ndarray, compare, idx: np.ndarray) -> np.ndarray:
@@ -445,11 +438,6 @@ def joined_pieces(sizes, budget: int | None = None) -> list[range]:
     return pieces + [range(start, len(sizes))] if len(sizes) > start else pieces
 
 
-def joined(arrays) -> np.ndarray:
-    """``np.concatenate(arrays)``, without copying a lone array."""
-    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
-
-
 def matrix_family(exprs, sectors) -> list[OperatorFamily]:
     """The family of ``exprs`` on each (domain, codomain) pair of ``sectors``,
     in order: block p, column j of a sector's stack is exprs[p] applied to
@@ -541,8 +529,8 @@ def _ladder_strings(exprs, space: ModeSpace, sigma: int) -> list[tuple]:
 
 def _kernel_batches(strings: list[tuple], n_modes: int, lists: np.ndarray, sigma: int):
     """Every kernel call of a family build on the creation lists ``lists``, as
-    (kernel row's block-row offset, column, coefficient, new rows,
-    amplitudes, alive), for the terms ``_ladder_strings`` read.
+    the (block-row offset, column, coefficient, new list, amplitude) of each
+    row whose string survives, for the terms ``_ladder_strings`` read.
 
     A term enters the kernel only on the columns where its first-acting
     annihilation run (its rightmost factors, up to its first creator) finds
@@ -557,8 +545,8 @@ def _kernel_batches(strings: list[tuple], n_modes: int, lists: np.ndarray, sigma
     columns ascending, cut by ``joined_pieces`` into calls of at most
     ``_KERNEL_ROWS`` rows unless one term has more.  No array is terms x
     columns.  A pair dropped here would die within the kernel's first run,
-    so the rows alive on return are those of a pass over every (term,
-    column) pair, in the same order, with the same factor products: the COO
+    so the rows that survive are those of a pass over every (term, column)
+    pair, in the same order, with the same factor products: the COO
     of the family is the same, entry for entry, and so is every bit of its
     CSR.
     """
@@ -584,10 +572,10 @@ def _kernel_batches(strings: list[tuple], n_modes: int, lists: np.ndarray, sigma
             at = [chosen[i] for i in piece]
             counts = [len(cols[t]) for t in at]
             rows = joined([cols[t] for t in at])
-            new, amp, alive = _apply_strings(
+            live, new, amp = _apply_strings(
                 lists[rows], modes[at].repeat(counts, axis=0), daggers[at].repeat(counts, axis=0), sigma
             )  # the caller's arrays alone once yielded
-            yield owners[at].repeat(counts), rows, coeffs[at].repeat(counts), new, amp, alive
+            yield owners[at].repeat(counts)[live], rows[live], coeffs[at].repeat(counts)[live], new, amp
 
 
 def _mode_index(lists: np.ndarray, n_modes: int, sigma: int):
@@ -638,16 +626,15 @@ def _joined_families(strings: list[tuple], k: int, sectors) -> list[OperatorFami
     lists = joined([d.modes if d.n_particles == width else _widened(d.modes, width) for d in domains])
     keys, vals = [], []  # each batch's cells (row * n_cols + column) and values
     batches = _kernel_batches(strings, domains[0].space.n_modes, lists, domains[0].sigma)
-    for owners, columns, coeffs, new, amp, alive in batches:
-        columns, owners, new = columns[alive], owners[alive], new[alive]
+    for owners, columns, coeffs, new, amp in batches:
         # each row ranked in the codomain of its column's sector
         sector = np.searchsorted(at, columns, side="right") - 1
         key = _rank_rows(codomains, sector, new) + first[sector] + owners * co[sector]
         key *= shape[1]
         key += columns - at[sector]
         keys.append(key)
-        vals.append((coeffs * amp)[alive].astype(np.complex128, copy=False))
-    stack = from_coo(keys, vals, shape) if vals else empty(shape)  # from_coo empties both lists
+        vals.append((coeffs * amp).astype(np.complex128, copy=False))
+    stack = from_coo(keys, vals, shape)  # from_coo empties both lists
     return [
         OperatorFamily(d, c, k, stack.row_range(offset[s], offset[s + 1], d.dim))
         for s, (d, c) in enumerate(sectors)

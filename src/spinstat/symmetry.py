@@ -42,14 +42,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .csr import CSR, complex_array, index_dtype, max_abs, max_abs_of_sum, row_gather, times
+from .csr import CSR, complex_array, index_dtype, joined, max_abs, max_abs_of_sum, row_gather, times
 from .fockspace import (
     FockBasis,
     OperatorFamily,
     SectorLift,
     bracket_amplitudes,
     build_basis,
-    joined,
     joined_pieces,
     matrix_family,
     perm_parity,

@@ -367,6 +367,19 @@ def test_pair_suites_build_each_pair_matrix_once(monkeypatch, suite, total):
     assert len(set(sectors)) == len(sectors) == total // 2  # no (expression list, sector) twice
 
 
+DEFAULT_VERIFY_FAMILY_CALLS = 18  # matrix_family calls of a default verify
+DEFAULT_VERIFY_SECTOR_BUILDS = 52  # the sector families they build
+
+
+def test_readme_states_the_default_verify_family_counts():
+    text = " ".join(README.read_text().split())
+    found = re.search(
+        r"default `verify` so builds (\d+) sector families instead of 84, in (\d+) `matrix_family` calls", text
+    )
+    assert found, "the README sentence on the default verify's family builds is gone"
+    assert [int(n) for n in found.groups()] == [DEFAULT_VERIFY_SECTOR_BUILDS, DEFAULT_VERIFY_FAMILY_CALLS]
+
+
 def test_default_verify_builds_each_family_once_for_every_suite(tmp_path, monkeypatch):
     builds = _count_calls(monkeypatch, fockspace, "matrix_family")
     with contextlib.redirect_stdout(io.StringIO()):
@@ -376,8 +389,8 @@ def test_default_verify_builds_each_family_once_for_every_suite(tmp_path, monkey
     # suites the same-point pairs; 60 calls when each made one call per
     # sector, 22 with one per expression list and projection, 18 with one per
     # expression list over every projection (52 sector builds)
-    assert len(builds) == 18
-    assert len(_sector_builds(builds)) == 52
+    assert len(builds) == DEFAULT_VERIFY_FAMILY_CALLS
+    assert len(_sector_builds(builds)) == DEFAULT_VERIFY_SECTOR_BUILDS
     built = Counter(_sector_builds(builds))
     repeats = {
         (exprs, domain.sigma, domain.n_particles, codomain.n_particles): n
@@ -957,6 +970,9 @@ def _verify_flags(draw) -> dict:
 @example(flags=_flags(lattice="grid2d:1", n_max="2"), suite="theorem")
 @example(flags=_flags(hop_t="nan"), suite="ideal-gas")
 @example(flags=_flags(hop_t="inf"), suite="ideal-gas")
+# an empty sigma=-1 sector (past the mode count) as a domain: a traceback once
+@example(flags=_flags(lattice="grid2d:1", n_max="2", sigma="-1"), suite="rotation")
+@example(flags=_flags(n_max="3", sigma="both"), suite="theorem")
 def test_every_config_ends_in_a_contract_exit_code(tmp_path_factory, flags, suite):
     # the largest bosonic sector a suite may build stays small, to bound the run time
     modes = _SITES[flags["--lattice"]] * (max(int(flags["--twos-s"]), 0) + 1)

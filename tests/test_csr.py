@@ -180,6 +180,21 @@ def test_adjoint_difference_and_dense_form_are_scipys(coo):
     assert m.entry_rows().tolist() == s.tocoo().row.tolist()
 
 
+@pytest.mark.parametrize("shape", [(3, 0), (0, 2), (0, 0)])
+def test_matrices_without_rows_or_columns_are_scipys(shape):
+    # an empty sigma=-1 sector (past the mode count) as a domain has no columns
+    m = build(*entries([], [], shape=shape))
+    s = to_scipy(m)
+    coo = s.tocoo()
+    assert m.keys().dtype == np.int64
+    assert m.keys().tolist() == (coo.row.astype(np.int64) * shape[1] + coo.col).tolist()
+    assert m.toarray().shape == shape and m.toarray().tobytes() == s.toarray().tobytes()
+    for sign in (1, -1):
+        assert csr.max_abs_of_sum(m, m, sign) == sparse_max_abs(s + s if sign > 0 else s - s)
+    if shape[0] == shape[1]:
+        assert csr.max_abs_less_adjoint(m) == sparse_max_abs(s - s.conj().T)
+
+
 @given(coo_entries(max_side=5), st.integers(1, 4), st.data())
 def test_row_ranges_gathers_and_block_swaps_are_scipys(coo, n_cols, data):
     m = build(*coo)

@@ -126,18 +126,21 @@ def scalar_string(occ: tuple[int, ...], string, sigma: int):
     return occ, factor
 
 
-def assert_kernel_rows(basis, states, strings, lists, amp, alive):
-    """Each kernel row against ``scalar_string``: a live row is the ascending
-    creation list of the reference occupation, then empty slots."""
+def assert_kernel_rows(basis, states, strings, live, lists, amp):
+    """Each kernel row against ``scalar_string``: ``live`` picks out exactly
+    the rows whose reference survives, with no copy where every row does,
+    and each survivor is the ascending creation list of the reference
+    occupation, then empty slots."""
     empty = np.iinfo(basis.modes.dtype).max
-    for row, (state, string) in enumerate(zip(states, strings)):
-        want = scalar_string(basis.occ_tuple(state), string, basis.sigma)
-        if want is None:
-            assert not alive[row] and amp[row] == 0.0
-        else:
-            assert alive[row] and amp[row] == want[1]
-            created = [m for m, n in enumerate(want[0]) for _ in range(n)]
-            assert lists[row].tolist() == created + [empty] * (lists.shape[1] - len(created))
+    wants = [scalar_string(basis.occ_tuple(state), string, basis.sigma) for state, string in zip(states, strings)]
+    survivors = [row for row, want in enumerate(wants) if want is not None]
+    assert np.arange(len(wants))[live].tolist() == survivors
+    assert isinstance(live, slice) == (len(survivors) == len(wants))
+    assert len(lists) == len(amp) == len(survivors)
+    for row, got, got_amp in zip(survivors, lists, amp):
+        assert got_amp == wants[row][1]
+        created = [m for m, n in enumerate(wants[row][0]) for _ in range(n)]
+        assert got.tolist() == created + [empty] * (lists.shape[1] - len(created))
 
 
 # one batch of length-3 strings on the first basis state, in which rows die at
@@ -182,8 +185,8 @@ def test_kernel_matches_scalar_reference(batch):
     length = len(strings[0])
     modes = np.array([[idx for idx, _ in s] for s in strings], dtype=np.intp).reshape(len(states), length)
     daggers = np.array([[dag for _, dag in s] for s in strings], dtype=bool).reshape(len(states), length)
-    lists, amp, alive = _apply_strings(basis.modes[states], modes, daggers, basis.sigma)
-    assert_kernel_rows(basis, states, strings, lists, amp, alive)
+    live, lists, amp = _apply_strings(basis.modes[states], modes, daggers, basis.sigma)
+    assert_kernel_rows(basis, states, strings, live, lists, amp)
 
 
 @pytest.mark.parametrize("sigma", [1, -1])
@@ -193,8 +196,8 @@ def test_kernel_takes_a_batch_of_zero_rows(sigma):
         basis = build_basis(KERNEL_SPACES[1], n, sigma)
         for length in range(4):
             strings = np.zeros((0, length), dtype=np.intp)
-            got = _apply_strings(basis.modes[:0], strings, strings.astype(bool), sigma)
-            assert [a.shape for a in got] == [(0, n), (0,), (0,)]
+            live, lists, amp = _apply_strings(basis.modes[:0], strings, strings.astype(bool), sigma)
+            assert live == slice(None) and [lists.shape, amp.shape] == [(0, n), (0,)]
 
 
 @pytest.mark.parametrize("sigma", [1, -1])
@@ -212,14 +215,14 @@ def test_kernel_applies_every_hamiltonian_term_to_a_whole_sector(sigma):
     for strings in by_length.values():  # every term on every basis row, one call per string length
         states = list(range(basis.dim)) * len(strings)
         rows = [s for s in strings for _ in range(basis.dim)]
-        lists, amp, alive = _apply_strings(
+        live, lists, amp = _apply_strings(
             np.tile(basis.modes, (len(strings), 1)),
             np.array([[idx for idx, _ in s] for s in rows], dtype=np.intp),
             np.array([[dag for _, dag in s] for s in rows], dtype=bool),
             sigma,
         )
-        assert 0 < alive.sum() < len(rows)
-        assert_kernel_rows(basis, states, rows, lists, amp, alive)
+        assert 0 < len(amp) < len(rows)
+        assert_kernel_rows(basis, states, rows, live, lists, amp)
 
 
 RANK_SPACES = (KERNEL_SPACES[1], KERNEL_SPACES[2])  # ring:4 2s=1 and grid2d:3 2s=0
@@ -251,16 +254,18 @@ def test_creation_lists_are_ranked_from_the_list(batch):
     n = created.shape[1]
     basis = build_basis(space, n, sigma)
     vacuum = np.empty((len(lists), 0), dtype=basis.modes.dtype)
-    built, amp, alive = _apply_strings(vacuum, created, np.ones(created.shape, dtype=bool), sigma)
-    assert built.shape == (len(lists), n)
+    live, built, amp = _apply_strings(vacuum, created, np.ones(created.shape, dtype=bool), sigma)
+    assert built.shape == (len(amp), n)
     index, created_amp = fockspace._created_states(basis, created)
-    assert np.array_equal(index[alive], basis.rank(built[alive]))
-    assert created_amp.tobytes() == amp.tobytes()
+    assert np.array_equal(index[live], basis.rank(built))
+    kernel_amp = np.zeros(len(lists))  # a list the kernel drops has amplitude 0
+    kernel_amp[live] = amp
+    assert created_amp.tobytes() == kernel_amp.tobytes()
     want = np.zeros(len(lists), dtype=np.intp)
-    want[alive] = basis.rank(built[alive])
+    want[live] = basis.rank(built)
     got_basis, got_index, got_amp = bracket_amplitudes(space, created, sigma)
     assert got_basis is basis and np.array_equal(got_index, want)
-    assert got_amp.tobytes() == (amp / math.sqrt(math.factorial(n))).tobytes()
+    assert got_amp.tobytes() == (kernel_amp / math.sqrt(math.factorial(n))).tobytes()
 
 
 def test_dimension_cap(monkeypatch):
@@ -681,15 +686,15 @@ def every_pair_matrix(expr, domain, codomain):
     rows, cols, vals = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=complex)]
     for term in sorted(expr.terms, key=lambda t: len(t.factors)) if dim else ():  # no rows to rank
         length = len(term.factors)
-        new, amp, alive = _apply_strings(
+        live, new, amp = _apply_strings(
             domain.modes,
             np.array([[space.index(f.mode) for f in term.factors]] * dim, dtype=np.intp).reshape(dim, length),
             np.array([[f.dagger for f in term.factors]] * dim, dtype=bool).reshape(dim, length),
             domain.sigma,
         )
-        rows.append(codomain.rank(new[alive, :codomain.n_particles]))
-        cols.append(np.flatnonzero(alive))
-        vals.append((term.coeff * amp)[alive])
+        rows.append(codomain.rank(new[:, :codomain.n_particles]))
+        cols.append(np.arange(dim)[live])
+        vals.append(term.coeff * amp)
     return summed_in_input_order(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), (codomain.dim, dim))
 
 
@@ -753,10 +758,10 @@ def test_lists_at_128_modes_keep_the_empty_marker_apart_from_mode_127(sigma):
     rows = [(state, string) for state in states for string in strings]
     modes = np.array([[idx for idx, _ in string] for _, string in rows], dtype=np.intp)
     daggers = np.array([[dag for _, dag in string] for _, string in rows], dtype=bool)
-    lists, amp, alive = _apply_strings(basis.modes[[state for state, _ in rows]], modes, daggers, sigma)
-    assert lists.shape == (len(rows), 4)  # N = 2 and the two creations of one string
-    assert 0 < alive.sum() < len(rows)
-    assert_kernel_rows(basis, [state for state, _ in rows], [string for _, string in rows], lists, amp, alive)
+    live, lists, amp = _apply_strings(basis.modes[[state for state, _ in rows]], modes, daggers, sigma)
+    assert lists.shape == (len(amp), 4)  # N = 2 and the two creations of one string
+    assert 0 < len(amp) < len(rows)
+    assert_kernel_rows(basis, [state for state, _ in rows], [string for _, string in rows], live, lists, amp)
     # the one-step rotation's lift, against occ_apply from the vacuum
     rot = SpinorRotation(RING64, 1)
     phases = np.conj(rot.field_phases)
@@ -787,13 +792,13 @@ def test_hamiltonian_build_sends_only_rows_whose_first_annihilations_survive(mon
 
     def counted(occ, modes, daggers, sigma):
         out = kernel(occ, modes, daggers, sigma)
-        calls.append((len(occ), int(out[2].sum())))
+        calls.append((len(occ), len(out[2])))
         return out
 
     monkeypatch.setattr(fockspace, "_apply_strings", counted)
     build_many_body(spec1, TwoBodySpec.from_dict({0: 4.0, 1: 1.0}), basis)
     assert sum(rows for rows, _ in calls) == 12_060
-    assert sum(alive for _, alive in calls) == 11_340
+    assert sum(survivors for _, survivors in calls) == 11_340
     assert max(rows for rows, _ in calls) <= fockspace._KERNEL_ROWS
 
 
