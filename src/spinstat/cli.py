@@ -200,6 +200,8 @@ class RunConfig:
             raise self._type_error("v_table", "an object of numbers")
         if not isinstance(self.suites, tuple):
             raise self._type_error("suites", "a list of suite names")
+        if not self.suites:
+            raise ConfigError(f"config key 'suites' names no suite; choose from {', '.join(SUITE_NAMES)}")
         if self.n_particles < 0:
             raise ConfigError("N must be >= 0")
         if self.n_max < 0:
@@ -330,11 +332,12 @@ def _size_sectors(cfg: RunConfig, space: ModeSpace, top: int, *more: int) -> Non
             capped_dimension(space, n, sigma)
 
 
-def _pair_n_max(cfg: RunConfig, suite: str) -> int:
-    """Largest sector of the pair checks: the pair operator maps N to N - 2."""
+def _n_max_from_two(cfg: RunConfig, suite: str, top: int = 3) -> int:
+    """n_max, at most ``top``, for a suite whose sectors start at N = 2 (the
+    pair operator maps N to N - 2; a permutation needs two coordinates)."""
     if cfg.n_max < 2:
         raise ConfigError(f"the {suite} suite needs n_max >= 2 (sectors N >= 2), got {cfg.n_max}")
-    return min(cfg.n_max, 3)
+    return min(cfg.n_max, top)
 
 
 # -- suites -------------------------------------------------------------------
@@ -408,10 +411,11 @@ def suite_completeness(cfg: RunConfig, rng) -> SuiteReport:
 def suite_permutations(cfg: RunConfig, rng) -> SuiteReport:
     space = cfg.make_space()
     tol = _tol(cfg, "permutations")
+    n_top = _n_max_from_two(cfg, "permutations", 4)
     checks = []
     for sigma in cfg.sigmas():
         worst = 0.0
-        for n in range(2, min(cfg.n_max, 4) + 1):
+        for n in range(2, n_top + 1):
             draws = [tuple(rng.integers(0, space.n_modes, size=n)) for _ in range(3)]
             draws.append(tuple([0] * n))  # fully degenerate coordinates
             for idxs in draws:
@@ -449,7 +453,7 @@ def suite_ideal_gas(cfg: RunConfig, rng) -> SuiteReport:
 def suite_rotation(cfg: RunConfig, rng) -> SuiteReport:
     space = cfg.make_space()
     tol = _tol(cfg, "rotation")
-    n_pair = _pair_n_max(cfg, "rotation")
+    n_pair = _n_max_from_two(cfg, "rotation")
     n_top = min(n_pair, 2)
     _size_sectors(cfg, space, n_pair)
     checks = []
@@ -473,7 +477,7 @@ def _miss(measured, expected) -> float:
 def suite_pair_operator(cfg: RunConfig, rng) -> SuiteReport:
     space = cfg.make_space()
     tol = _tol(cfg, "pair-operator")
-    n_top = _pair_n_max(cfg, "pair-operator")
+    n_top = _n_max_from_two(cfg, "pair-operator")
     checks = []
     for sigma in cfg.sigmas():
         rec = pair_checks(space, sigma, n_top)
@@ -491,7 +495,7 @@ def suite_pair_operator(cfg: RunConfig, rng) -> SuiteReport:
 def suite_theorem(cfg: RunConfig, rng) -> SuiteReport:
     space = cfg.make_space()
     tol = _tol(cfg, "theorem")
-    report = theorem_report(space, n_max=_pair_n_max(cfg, "theorem"))
+    report = theorem_report(space, n_max=_n_max_from_two(cfg, "theorem"))
     checks = []
     expected_verdict = 1 if cfg.twos_s % 2 == 0 else -1
     checks.append(("verdict grade", 0.0 if report.verdict_sigma == expected_verdict else 1.0, tol))

@@ -26,10 +26,10 @@ is compared with one phased gather of the family's blocks: one difference
 and one maximum for all steps.  Inversion compares the stack with its
 blocks gathered in inverted site order.
 
-Inside one command (``memo.command_scope``) the families of F(r) and each
-grade's ``PairChecks`` record are built once and read by every check that
-needs them (the record's one-step and half-turn conjugations are made by the
-check that reads them); outside a command each call builds its own.
+Each grade's ``PairChecks`` record holds its F(r) families and same-point
+pairs from one ``matrix_family`` call, built once per command
+(``memo.command_scope``) and read by every check (the conjugations are made
+by the check that reads them); outside a command each call builds its own.
 """
 
 from __future__ import annotations
@@ -293,33 +293,16 @@ def pair_operator(space: ModeSpace, twos_ms: int, site: int, sigma: int) -> Oper
     return destroy(Mode(inv, twos_ms), sigma) * destroy(Mode(site, twos_ms), sigma)
 
 
-@command_memo
-def _pair_sectors(space: ModeSpace, sigma: int, n_max: int) -> dict[int, list[OperatorFamily]]:
-    """2m_s -> the families of F(r) over every site r on sectors N =
-    2..n_max, once per command.  Every projection's F(r) are built in one
-    ``matrix_family`` call, each projection's family a row range of its
-    sector's stack."""
-    sites = range(space.lattice.n_sites)
-    sectors = [(build_basis(space, n, sigma), build_basis(space, n - 2, sigma)) for n in range(2, n_max + 1)]
-    projections = space.spin.projections()
-    stacks = matrix_family([pair_operator(space, tm, site, sigma) for tm in projections for site in sites], sectors)
-    return {tm: [_members(stack, k * len(sites), len(sites)) for stack in stacks] for k, tm in enumerate(projections)}
-
-
-def _members(family: OperatorFamily, first: int, count: int) -> OperatorFamily:
-    """Members first to first + count of ``family``, as a family sharing its arrays."""
-    return OperatorFamily(family.domain, family.codomain, count, family.rows(first, first + count))
-
-
 def rotation_covariance_check(space: ModeSpace, sigma: int, n_max: int = 3) -> float:
     """Max residual of U F(r) U+ = e^{2 i m_s theta} F(R^{-1} r) over every lattice
-    rotation, every projection, every site r and sectors 2..n_max.  Each
-    family's rotations are one stacked conjugation (``_covariance``)."""
+    rotation, every projection, every site r and sectors 2..n_max, on the
+    F(r) families of the grade's ``pair_checks`` record.  Each family's
+    rotations are one stacked conjugation (``_covariance``)."""
     lattice = space.lattice
     sites = range(lattice.n_sites)
     rots = [SpinorRotation(space, steps) for steps in range(lattice.steps_per_turn)]
     worst = 0.0
-    for twos_ms, families in _pair_sectors(space, sigma, n_max).items():
+    for twos_ms, families in pair_checks(space, sigma, n_max).families.items():
         moves = [  # F(r) -> e^{2 i m_s theta} F(R^{-1} r)
             ([lattice.rotate_site_z(site, rot.steps) for site in sites], [cis_turns(twos_ms * rot.turns)] * len(sites))
             for rot in rots
@@ -415,10 +398,10 @@ class PairChecks:
     """Steps (c) and (e) for one grade on sectors N = 2..n_max, and the
     grade's verdict read from them.
 
-    Every value is read from two matrices per (2m_s, N), each built once: the
-    family of F(r) over every site, and the same-point pair
-    a(0, m_s) a(0, m_s).  On rings the latter is no member of the family,
-    since the inversion image of site 0 is M/2.
+    Every value is read from one stack per sector N, built once: F(r) over
+    every projection and site, then the same-point pair a(0, m_s) a(0, m_s)
+    per projection (on rings it is no F(r): site 0 inverts to M/2).  What needs a
+    probe site, the half-turn eigenvalue and the winding, is read on first use.
 
     The grade is consistent when, for half-integral spin, a nonzero winding
     never coexists with a finite same-point pair amplitude (single-valuedness),
@@ -428,13 +411,27 @@ class PairChecks:
 
     space: ModeSpace
     sigma: int
-    probe: int
     families: dict  # 2m_s -> the families of F(r) on N = 2..n_max
     inversion_residual: float  # max |F(-r) - sigma F(r)|
     even_inversion_norm: float  # max |F(-r) + F(r)|
-    lambdas: dict  # 2m_s -> the half-turn eigenvalue at the probe, or None
-    lambda_residuals: dict  # 2m_s -> |U_pi F U_pi+ - lambda F| at the probe
     same_point: dict  # 2m_s -> the largest |entry| of a(0, m_s) a(0, m_s)
+
+    @cached_property
+    def probe(self) -> int:
+        return theorem_probe_site(self.space)
+
+    @cached_property
+    def half_turn(self) -> dict[int, tuple[complex | None, float]]:
+        """2m_s -> lambda at the probe, or None, and |U_pi F U_pi+ - lambda F|."""
+        return {tm: _half_turn_eigenvalue(fams, self.probe) for tm, fams in self.families.items()}
+
+    @property
+    def lambdas(self) -> dict[int, complex | None]:
+        return {tm: lam for tm, (lam, _) in self.half_turn.items()}
+
+    @property
+    def lambda_residuals(self) -> dict[int, float]:
+        return {tm: residual for tm, (_, residual) in self.half_turn.items()}
 
     @property
     def lambda_expected(self) -> float:
@@ -446,14 +443,15 @@ class PairChecks:
     @cached_property
     def windings(self) -> dict[int, WindingResult]:
         """The winding of F per 2m_s along the probe's orbit on N = 2.  Read
-        on first use: it needs more than 2|2m_s| rotation steps per turn."""
+        on first use: it needs a probe site, whose lack is refused first, and
+        more than 2|2m_s| rotation steps per turn."""
         per_turn = self.space.lattice.steps_per_turn
+        orbit = [self.space.lattice.rotate_site_z(self.probe, k) for k in range(per_turn)]
         if per_turn <= 2 * self.space.spin.twos_s:
             raise IncompatibleRotationError(
                 f"{per_turn} rotation steps per turn cannot resolve winding up to"
                 f" 2m_s={self.space.spin.twos_s}; use a finer lattice (for example a larger ring)"
             )
-        orbit = [self.space.lattice.rotate_site_z(self.probe, k) for k in range(per_turn)]
         return {tm: _orbit_winding(families[0], orbit) for tm, families in self.families.items()}
 
     @property
@@ -505,17 +503,28 @@ class PairChecks:
 
 @command_memo
 def pair_checks(space: ModeSpace, sigma: int, n_max: int = 3) -> PairChecks:
-    """Build the pair families and same-point matrices of one grade once and
-    read every value of steps (c) and (e) from them; a command builds the
-    record once and every suite reads it.  The same-point pairs of every
-    projection are one ``matrix_family`` call."""
+    """Build the pair matrices of one grade (see ``PairChecks``) in one
+    ``matrix_family`` call over N = 2..n_max, each projection's F(r) family
+    a row range of its sector's stack, and read the inversion norms and the
+    same-point maxima from them; a command builds the record once."""
     if n_max < 2:
         raise ValueError("pair checks need sectors up to at least N=2")
-    probe = theorem_probe_site(space)
-    origin = origin_pair_site(space)
-    inverted = [space.lattice.invert_site(site) for site in range(space.lattice.n_sites)]
-    families = _pair_sectors(space, sigma, n_max)
-    same_point = dict.fromkeys(families, 0.0)
+    lattice, projections, origin = space.lattice, space.spin.projections(), origin_pair_site(space)
+    m = lattice.n_sites
+    sites = range(m)
+    pairs = [pair_operator(space, tm, site, sigma) for tm in projections for site in sites]
+    same = [destroy(Mode(origin, tm), sigma) * destroy(Mode(origin, tm), sigma) for tm in projections]
+    sectors = [(build_basis(space, n, sigma), build_basis(space, n - 2, sigma)) for n in range(2, n_max + 1)]
+    stacks = matrix_family(pairs + same, sectors)
+    families = {  # each projection's members, sharing the stack's arrays
+        tm: [OperatorFamily(f.domain, f.codomain, m, f.rows(k * m, k * m + m)) for f in stacks]
+        for k, tm in enumerate(projections)
+    }
+    same_point = {
+        tm: max(max_abs(stack.rows(len(pairs) + k, len(pairs) + k + 1)) for stack in stacks)
+        for k, tm in enumerate(projections)
+    }
+    inverted = [lattice.invert_site(site) for site in sites]
     inversion = even = 0.0
     for fams in families.values():
         for family in fams:
@@ -523,22 +532,7 @@ def pair_checks(space: ModeSpace, sigma: int, n_max: int = 3) -> PairChecks:
             even_part = max_abs_of_sum(mirrored, family.matrix, 1)
             inversion = max(inversion, max_abs_of_sum(mirrored, family.matrix, -1) if sigma == 1 else even_part)
             even = max(even, even_part)
-    same = [destroy(Mode(origin, tm), sigma) * destroy(Mode(origin, tm), sigma) for tm in families]
-    for stack in matrix_family(same, [(f.domain, f.codomain) for f in next(iter(families.values()))]):
-        for k, tm in enumerate(families):
-            same_point[tm] = max(same_point[tm], max_abs(stack.rows(k, k + 1)))
-    eigen = {tm: _half_turn_eigenvalue(fams, probe) for tm, fams in families.items()}
-    return PairChecks(
-        space=space,
-        sigma=sigma,
-        probe=probe,
-        families=families,
-        inversion_residual=inversion,
-        even_inversion_norm=even,
-        lambdas={tm: lam for tm, (lam, _) in eigen.items()},
-        lambda_residuals={tm: res for tm, (_, res) in eigen.items()},
-        same_point=same_point,
-    )
+    return PairChecks(space, sigma, families, inversion, even, same_point)
 
 
 # -- the assembled verdict ----------------------------------------------------

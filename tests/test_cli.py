@@ -142,6 +142,15 @@ def test_unknown_suite_rejected(tmp_path):
     assert main(["verify", "--config", str(path)]) == 2
 
 
+def test_empty_suite_list_rejected(tmp_path, capsys):
+    # a config that lists no suite ran none, wrote nothing and exited 0
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"suites": []}))
+    assert main(["verify", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "config key 'suites' names no suite" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_unknown_config_key_rejected(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"bogus": 1}))
@@ -278,6 +287,14 @@ def test_pair_suites_below_two_particles_are_config_errors(tmp_path, capsys, sui
     assert not (tmp_path / "o" / f"{suite}.json").exists()
 
 
+@pytest.mark.parametrize("n_max", ["0", "1"])
+def test_permutations_below_two_coordinates_are_config_errors(tmp_path, capsys, n_max):
+    # the suite permutes N >= 2 coordinates: with n_max < 2 it checked nothing and passed
+    assert main(["verify", "--suite", "permutations", "--n-max", n_max, "--out", str(tmp_path / "o")]) == 2
+    assert f"the permutations suite needs n_max >= 2 (sectors N >= 2), got {n_max}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("suite", ["pair-operator", "theorem"])
 def test_lattice_without_inversion_pair_is_config_error(tmp_path, capsys, suite):
     # grid2d:1 is a single site, its own inversion image
@@ -327,13 +344,27 @@ def test_rotation_suite_builds_each_matrix_once(monkeypatch):
     report = cli.suite_rotation(cfg, None)
     assert report.passed
     # per grade: one call building the family of a(xi) over the 8 modes on
-    # N = 1, 2 and one building F(r) over both projections and the 4 sites on N = 2, 3
-    assert [(len(exprs), len(sectors)) for exprs, sectors in builds] == [(8, 2), (8, 2)] * 2
+    # N = 1, 2 and the pair record's one call, building F(r) over both
+    # projections and the 4 sites, then both same-point pairs, on N = 2, 3
+    assert [(len(exprs), len(sectors)) for exprs, sectors in builds] == [(8, 2), (10, 2)] * 2
     sectors = _sector_builds(builds)
     assert len(sectors) == 2 * (2 + 2) == 8
-    assert sorted(len(exprs) for exprs, _, _ in sectors) == [8] * 8
-    assert sum(len(exprs) for exprs, _, _ in sectors) == 64  # the matrices, one each
+    assert sorted(len(exprs) for exprs, _, _ in sectors) == [8] * 4 + [10] * 4
+    assert sum(len(exprs) for exprs, _, _ in sectors) == 72  # the matrices, one each
     assert len(set(sectors)) == len(sectors)  # no (family, sector) twice
+
+
+def test_rotation_suite_reads_no_probe_and_no_half_turn_eigenvalue(tmp_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the rotation suite read a probe site")
+
+    monkeypatch.setattr(symmetry, "theorem_probe_site", refuse)
+    monkeypatch.setattr(symmetry, "_half_turn_eigenvalue", refuse)
+    assert cli.suite_rotation(load_config(None).validate(), None).passed
+    # so it runs on grid2d:1, a lattice with no inversion pair, which the pair suites refuse
+    argv = ["verify", "--suite", "rotation", "--lattice", "grid2d:1", "--twos-s", "0", "--n-max", "2"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([*argv, "--out", str(tmp_path / "o")]) == 0
 
 
 def test_ladder_relations_build_each_ladder_matrix_once(monkeypatch):
@@ -358,17 +389,17 @@ def test_pair_suites_build_each_pair_matrix_once(monkeypatch, suite, total):
     assert suite(cfg, None).passed
     # `total` pair families, one per grade, N = 2, 3, projection and kind: F(r)
     # over the 4 sites and the same-point pair (24 and 20 when each identity was
-    # computed apart). Both projections of a kind are one expression list, so
-    # total // 2 sector builds (one per projection before), and each list on
-    # N = 2, 3 is built in one call
-    assert [len(sectors) for _, sectors in builds] == [2] * (total // 4)
+    # computed apart). Both kinds of both projections are one expression list
+    # of 10, so total // 4 sector builds (one per projection and kind once),
+    # and each grade's list on N = 2, 3 is built in one call
+    assert [len(sectors) for _, sectors in builds] == [2] * 2
     sectors = _sector_builds(builds)
-    assert sorted(len(exprs) for exprs, _, _ in sectors) == [2] * (total // 4) + [8] * (total // 4)
-    assert len(set(sectors)) == len(sectors) == total // 2  # no (expression list, sector) twice
+    assert sorted(len(exprs) for exprs, _, _ in sectors) == [10] * (total // 4)
+    assert len(set(sectors)) == len(sectors) == total // 4  # no (expression list, sector) twice
 
 
-DEFAULT_VERIFY_FAMILY_CALLS = 18  # matrix_family calls of a default verify
-DEFAULT_VERIFY_SECTOR_BUILDS = 52  # the sector families they build
+DEFAULT_VERIFY_FAMILY_CALLS = 16  # matrix_family calls of a default verify
+DEFAULT_VERIFY_SECTOR_BUILDS = 48  # the sector families they build
 
 
 def test_readme_states_the_default_verify_family_counts():
@@ -385,10 +416,11 @@ def test_default_verify_builds_each_family_once_for_every_suite(tmp_path, monkey
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["verify", "--out", str(tmp_path / "o")]) == 0
     # 84 sector builds when each suite built its own: the rotation, pair-operator
-    # and theorem suites share the F(r) families, the pair-operator and theorem
-    # suites the same-point pairs; 60 calls when each made one call per
-    # sector, 22 with one per expression list and projection, 18 with one per
-    # expression list over every projection (52 sector builds)
+    # and theorem suites share each grade's pair record, its F(r) families and
+    # same-point pairs; 60 calls when each made one call per sector, 22 with
+    # one per expression list and projection, 18 with one per expression list
+    # over every projection (52 sector builds), 16 with the same-point pairs in
+    # the F(r) list (48 sector builds)
     assert len(builds) == DEFAULT_VERIFY_FAMILY_CALLS
     assert len(_sector_builds(builds)) == DEFAULT_VERIFY_SECTOR_BUILDS
     built = Counter(_sector_builds(builds))
@@ -407,16 +439,16 @@ def test_default_verify_builds_each_family_once_for_every_suite(tmp_path, monkey
 
 
 def test_default_verify_builds_each_pair_record_once(tmp_path, monkeypatch):
-    memos = (symmetry.pair_checks, symmetry._pair_sectors)
+    memos = (symmetry.pair_checks,)
     conjugations = _count_calls(monkeypatch, symmetry, "_conjugated_stack")
     before = [m.cache_info() for m in memos]
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["verify", "--out", str(tmp_path / "o")]) == 0
     after = [m.cache_info() for m in memos]
-    # per grade: one record, built by the pair-operator suite and read by the
-    # theorem suite; its F(r) families (2 projections x N = 2, 3), built by the
-    # rotation suite
-    assert [(a.misses - b.misses, a.hits - b.hits) for a, b in zip(after, before)] == [(2, 2), (2, 2)]
+    # per grade: one record, its F(r) families (2 projections x N = 2, 3) and
+    # same-point pairs, built by the rotation suite and read by the
+    # pair-operator and theorem suites
+    assert [(a.misses - b.misses, a.hits - b.hits) for a, b in zip(after, before)] == [(2, 4)]
     # the one-rotation conjugations, each made once by the check that reads
     # it: the half-turn eigenvalue (all 4 families) and the winding (the
     # one-step rotation of the 2 on N = 2); the rotation suite stacks all 4
@@ -437,8 +469,7 @@ def test_every_memo_is_empty_after_main(tmp_path, argv):
     held = {m.__qualname__: m.cache_info().currsize for m in memo._MEMOS}
     assert held == dict.fromkeys(held, 0)
     named = {
-        fockspace._build_basis_cached, fockspace.bracket_matrix, symmetry._sector_unitary,
-        symmetry._pair_sectors, symmetry.pair_checks,
+        fockspace._build_basis_cached, fockspace.bracket_matrix, symmetry._sector_unitary, symmetry.pair_checks,
     }
     assert named == set(memo._MEMOS)  # a rotation is a value, not a memo
 
@@ -973,6 +1004,8 @@ def _verify_flags(draw) -> dict:
 # an empty sigma=-1 sector (past the mode count) as a domain: a traceback once
 @example(flags=_flags(lattice="grid2d:1", n_max="2", sigma="-1"), suite="rotation")
 @example(flags=_flags(n_max="3", sigma="both"), suite="theorem")
+# the pair record is built before its probe is read: a lattice with no inversion pair
+@example(flags=_flags(lattice="grid2d:1", n_max="2"), suite="pair-operator")
 def test_every_config_ends_in_a_contract_exit_code(tmp_path_factory, flags, suite):
     # the largest bosonic sector a suite may build stays small, to bound the run time
     modes = _SITES[flags["--lattice"]] * (max(int(flags["--twos-s"]), 0) + 1)

@@ -337,15 +337,12 @@ def _same_point(space, tm, sigma):
 
 
 def _pair_builds(space, sigma, sectors):
-    """Per N, one family of F(r) over every projection and site, and one of
-    the same-point pair of every projection."""
+    """Per N, one family of F(r) over every projection and site, then the
+    same-point pair of every projection."""
     projections, sites = space.spin.projections(), range(space.lattice.n_sites)
-    builds = Counter()
-    for n in sectors:
-        domain = build_basis(space, n, sigma)
-        builds[tuple(pair_operator(space, tm, site, sigma) for tm in projections for site in sites), domain] += 1
-        builds[tuple(_same_point(space, tm, sigma) for tm in projections), domain] += 1
-    return builds
+    pairs = [pair_operator(space, tm, site, sigma) for tm in projections for site in sites]
+    same = [_same_point(space, tm, sigma) for tm in projections]
+    return Counter({(tuple(pairs + same), build_basis(space, n, sigma)): 1 for n in sectors})
 
 
 def _sector_builds(calls) -> Counter:
@@ -357,16 +354,16 @@ def test_parity_covariance_builds_each_pair_matrix_once(monkeypatch):
     calls = _count_calls(monkeypatch, "matrix_family")
     assert pair_checks(RING4_HALF, -1, n_max=3).inversion_residual <= 1e-12
     assert _sector_builds(calls) == _pair_builds(RING4_HALF, -1, (2, 3))
-    # one call per expression list, F(r) and the same-point pairs of every projection, on N = 2, 3 at once
-    assert len(calls) == 2
+    # one call, F(r) and then the same-point pairs of every projection, on N = 2, 3 at once
+    assert len(calls) == 1
     # on rings the same-point pair is no member of the family: site 0 inverts to M/2
     assert _same_point(RING4_HALF, 1, -1) != pair_operator(RING4_HALF, 1, 0, -1)
 
 
 def test_pair_records_index_each_sector_join_once_for_every_projection(monkeypatch):
     # ring:4, 2s=3 has four projections; its F(r) families and same-point
-    # pairs on N = 2, 3 are one join each, so each is indexed once, where
-    # one build per projection indexed them eight times
+    # pairs on N = 2, 3 are one list in one join, so it is indexed once,
+    # where a build per list indexed it twice and one per projection eight times
     calls = []
     original = fockspace._mode_index
 
@@ -378,7 +375,7 @@ def test_pair_records_index_each_sector_join_once_for_every_projection(monkeypat
     for sigma in (1, -1):
         calls.clear()
         pair_checks(ModeSpace(Lattice.ring(4), SpinQuantum(3)), sigma, n_max=3)
-        assert len(calls) == 2, sigma
+        assert len(calls) == 1, sigma
 
 
 def test_full_turn_winding_builds_each_pair_matrix_once(monkeypatch):
@@ -394,9 +391,12 @@ def test_theorem_report_checks_origin_once_per_grade_and_projection(monkeypatch)
     records = _count_calls(monkeypatch, "pair_checks")
     families = _count_calls(monkeypatch, "matrix_family")
     theorem_report(RING4_HALF, n_max=3)
-    # one pair record per grade, whose same-point pairs are built once per sector
+    # one pair record per grade, whose same-point pairs are built once per
+    # sector, as the last members of its one list
     assert records == [(RING4_HALF, 1, 3), (RING4_HALF, -1, 3)]
-    same_point = {key: n for key, n in _sector_builds(families).items() if len(key[0]) == 2}
+    same_point = Counter()
+    for (exprs, domain), n in _sector_builds(families).items():
+        same_point[exprs[-2:], domain] += n
     assert same_point == {
         (tuple(_same_point(RING4_HALF, tm, sigma) for tm in (1, -1)), build_basis(RING4_HALF, n, sigma)): 1
         for sigma in (1, -1) for n in (2, 3)
@@ -409,9 +409,9 @@ def test_theorem_report_builds_each_even_inversion_pair_matrix_once(monkeypatch)
     theorem_report(space, n_max=2)
     # per grade, on N = 2, one family of F(r) over every projection and site,
     # read by the inversion checks, the half-turn eigenvalue at the probe and
-    # the winding along the probe's orbit, and one of the same-point pairs
+    # the winding along the probe's orbit, then the same-point pairs
     assert _sector_builds(families) == _pair_builds(space, 1, (2,)) + _pair_builds(space, -1, (2,))
-    assert len(families) == 2 * 2  # one call per expression list, for all 4 projections
+    assert len(families) == 2  # one call per grade, for all 4 projections
 
 
 def _per_step_maxima(space, sigma, n_max=3):
@@ -425,7 +425,7 @@ def _per_step_maxima(space, sigma, n_max=3):
         for rot in rots:
             residual = symmetry._covariance(family, [rot], [(rot.mode_permutation, rot.field_phases)])
             element = max(element, residual)
-    for twos_ms, families in symmetry._pair_sectors(space, sigma, n_max).items():
+    for twos_ms, families in pair_checks(space, sigma, n_max).families.items():
         for family in families:
             for rot in rots:
                 images = [space.lattice.rotate_site_z(site, rot.steps) for site in range(len(family))]
@@ -444,7 +444,7 @@ def test_stacked_compares_return_the_per_step_and_per_probe_maxima(space, monkey
     for sigma in (1, -1):
         conjugations.clear()
         covariance = rotation_covariance_check(space, sigma)
-        n_families = sum(len(fams) for fams in symmetry._pair_sectors(space, sigma, 3).values())
+        n_families = sum(len(fams) for fams in pair_checks(space, sigma, 3).families.values())
         assert [len(run) for run, _ in conjugations] == [len(rots)] * n_families  # every rotation in one stack
         stacked = (rotation_element_residual(space, sigma), covariance)
         assert stacked == _per_step_maxima(space, sigma)
@@ -474,7 +474,7 @@ def test_kept_conjugations_are_bitwise_member_conjugations(space, sigma):
     # triple product bit for bit, and so is each rotation's row range of the
     # conjugation stacked over every rotation
     annihilators = [destroy(mode, sigma) for mode in space.modes]
-    families = [family for fams in symmetry._pair_sectors(space, sigma, 3).values() for family in fams] + matrix_family(
+    families = [family for fams in pair_checks(space, sigma, 3).families.values() for family in fams] + matrix_family(
         annihilators, [(build_basis(space, n, sigma), build_basis(space, n - 1, sigma)) for n in (1, 2)]
     )
     rots = [SpinorRotation(space, steps) for steps in range(space.lattice.steps_per_turn)]
@@ -515,10 +515,11 @@ def test_sector_objects_are_shared_only_inside_a_command():
         assert pair_checks(RING4_HALF, -1, 3) is record
         lift = symmetry._sector_unitary(SpinorRotation(RING4_HALF, 1), 2, -1)
         assert symmetry._sector_unitary(SpinorRotation(RING4_HALF, 1), 2, -1) is lift
-        # the record reads the families the rotation covariance check built
-        assert record.families is symmetry._pair_sectors(RING4_HALF, -1, 3)
+        # the rotation covariance check reads the record's families
+        hits = symmetry.pair_checks.cache_info().hits
+        rotation_covariance_check(RING4_HALF, -1, 3)
+        assert symmetry.pair_checks.cache_info().hits == hits + 1
     assert symmetry.pair_checks.cache_info().currsize == 0
-    assert symmetry._pair_sectors.cache_info().currsize == 0
 
 
 def test_winding_needs_fine_enough_steps():
