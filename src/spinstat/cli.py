@@ -7,7 +7,9 @@ repeated runs with the same configuration are byte-identical.
 
 Exit codes: 0 all checks passed, 1 a verification failed, 2 configuration
 or precondition error (among them a negative seed, a tolerance that is not a
-finite positive number, and a sector with no states).
+finite positive number, a sector with no states, a lattice key other than
+``kind`` and its size key, N < 2 for the completeness suite, and an
+expression coefficient that is not finite).
 """
 
 from __future__ import annotations
@@ -153,6 +155,9 @@ class RunConfig:
         key = SIZE_KEYS.get(kind)
         if key is None:
             raise ConfigError(f"unknown lattice kind {kind!r}")
+        unknown = sorted(set(self.lattice) - {"kind", key})
+        if unknown:  # they would be echoed in every report, though never read
+            raise ConfigError(f"unknown keys {unknown} for lattice kind {kind!r}, which takes only {key!r}")
         if not _is_json(self.lattice.get(key), "int"):
             raise self._type_error("lattice", f"an object with an integer {key!r}")
         try:
@@ -309,6 +314,12 @@ def _finish(suite: str, cfg: RunConfig, checks: list[tuple[str, float, float]]) 
     )
 
 
+def _graded(sigmas, grade) -> list[tuple[str, float, float]]:
+    """The (check, value, tol) rows of ``grade(sigma)`` for each grade in
+    turn, as ``_finish`` takes them, each check named with its grade."""
+    return [(f"{check} [sigma={sigma:+d}]", value, tol) for sigma in sigmas for check, value, tol in grade(sigma)]
+
+
 def _tol(cfg: RunConfig, suite: str) -> float:
     return cfg.tol if cfg.tol is not None else SUITE_DEFAULT_TOL[suite]
 
@@ -347,27 +358,27 @@ def suite_commutators(cfg: RunConfig, rng) -> SuiteReport:
     space = cfg.make_space()
     tol = _tol(cfg, "commutators")
     _size_sectors(cfg, space, cfg.n_max + 2)  # the relations read N <= n_max + 2
-    checks = []
-    for sigma in cfg.sigmas():
-        worst_mixed, worst_ann, worst_cre = ladder_relation_residuals(
-            space, [destroy(m, sigma) for m in space.modes], sigma, cfg.n_max
-        )
-        tag = f"sigma={sigma:+d}"
-        checks.append((f"mixed commutator vs delta [{tag}]", worst_mixed, tol))
-        checks.append((f"annihilator commutator vs 0 [{tag}]", worst_ann, tol))
-        checks.append((f"creator commutator vs 0 [{tag}]", worst_cre, tol))
-    return _finish("commutators", cfg, checks)
+
+    def grade(sigma):
+        annihilators = [destroy(m, sigma) for m in space.modes]
+        worst_mixed, worst_ann, worst_cre = ladder_relation_residuals(space, annihilators, sigma, cfg.n_max)
+        return [
+            ("mixed commutator vs delta", worst_mixed, tol),
+            ("annihilator commutator vs 0", worst_ann, tol),
+            ("creator commutator vs 0", worst_cre, tol),
+        ]
+
+    return _finish("commutators", cfg, _graded(cfg.sigmas(), grade))
 
 
 def suite_orthonormality(cfg: RunConfig, rng) -> SuiteReport:
     space = cfg.make_space()
     tol = _tol(cfg, "orthonormality")
     m = space.n_modes
-    n_top = min(cfg.n_max, 3)
-    checks = []
-    for sigma in cfg.sigmas():
+
+    def grade(sigma):
         worst = 0.0
-        for n in range(n_top + 1):
+        for n in range(min(cfg.n_max, 3) + 1):
             if m ** (2 * n) <= 60_000:  # every pair of coordinate tuples
                 tuples = index_tuples(m, n)
                 bras, kets = np.divmod(np.arange(len(tuples) ** 2), len(tuples))
@@ -378,42 +389,45 @@ def suite_orthonormality(cfg: RunConfig, rng) -> SuiteReport:
             overlaps = np.where(index[bras] == index[kets], amp[bras] * amp[kets], 0.0)
             oracle = overlap_oracle(tuples[bras], tuples[kets], sigma)
             worst = max(worst, max_abs(overlaps - oracle))
-        checks.append((f"overlap vs permutation oracle [sigma={sigma:+d}]", worst, tol))
-    return _finish("orthonormality", cfg, checks)
+        return [("overlap vs permutation oracle", worst, tol)]
+
+    return _finish("orthonormality", cfg, _graded(cfg.sigmas(), grade))
 
 
 def suite_completeness(cfg: RunConfig, rng) -> SuiteReport:
     space = cfg.make_space()
     tol = _tol(cfg, "completeness")
-    m = space.n_modes
-    n = max(2, cfg.n_particles)
-    shape = (m,) * n
-    checks = []
+    m, n = space.n_modes, cfg.n_particles
+    if n < 2:
+        raise ConfigError(f"the completeness suite needs N >= 2 (at N < 2 the symmetrizer is the identity), got {n}")
     for sigma in cfg.sigmas():
+        _require_states(space, n, sigma)
+    shape = (m,) * n
+
+    def grade(sigma):
         brackets = every_bracket(space, n, sigma)
         worst_vs_oracle = 0.0
         for piece in joined_pieces([m**n] * 100):  # the probes projected and symmetrized as one stack
-            probes = [rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in piece]
-            probes = probes[0] if len(probes) == 1 else np.stack(probes)  # a probe past the budget alone
+            probes = np.stack([rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in piece])
             worst_vs_oracle = max(worst_vs_oracle, completeness_check(brackets, probes))
         probe = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         once = project_onto_symmetric(brackets, probe)
-        worst_idem = max_abs(project_onto_symmetric(brackets, once) - once)
         symmetric = symmetrizer_oracle(probe, sigma)
-        worst_fixed = max_abs(project_onto_symmetric(brackets, symmetric) - symmetric)
-        tag = f"sigma={sigma:+d}"
-        checks.append((f"projector vs symmetrizer oracle [{tag}]", worst_vs_oracle, tol))
-        checks.append((f"projector idempotence [{tag}]", worst_idem, tol))
-        checks.append((f"symmetric probe fixed point [{tag}]", worst_fixed, tol))
-    return _finish("completeness", cfg, checks)
+        return [
+            ("projector vs symmetrizer oracle", worst_vs_oracle, tol),
+            ("projector idempotence", max_abs(project_onto_symmetric(brackets, once) - once), tol),
+            ("symmetric probe fixed point", max_abs(project_onto_symmetric(brackets, symmetric) - symmetric), tol),
+        ]
+
+    return _finish("completeness", cfg, _graded(cfg.sigmas(), grade))
 
 
 def suite_permutations(cfg: RunConfig, rng) -> SuiteReport:
     space = cfg.make_space()
     tol = _tol(cfg, "permutations")
     n_top = _n_max_from_two(cfg, "permutations", 4)
-    checks = []
-    for sigma in cfg.sigmas():
+
+    def grade(sigma):
         worst = 0.0
         for n in range(2, n_top + 1):
             draws = [tuple(rng.integers(0, space.n_modes, size=n)) for _ in range(3)]
@@ -422,8 +436,9 @@ def suite_permutations(cfg: RunConfig, rng) -> SuiteReport:
                 coords = tuple(space.mode_at(int(i)) for i in idxs)
                 perms = iter_permutations(range(n))
                 worst = max(worst, permutation_eigencheck(space, coords, perms, sigma))
-        checks.append((f"bracket permutation eigenvalue [sigma={sigma:+d}]", worst, tol))
-    return _finish("permutations", cfg, checks)
+        return [("bracket permutation eigenvalue", worst, tol)]
+
+    return _finish("permutations", cfg, _graded(cfg.sigmas(), grade))
 
 
 def suite_ideal_gas(cfg: RunConfig, rng) -> SuiteReport:
@@ -435,19 +450,17 @@ def suite_ideal_gas(cfg: RunConfig, rng) -> SuiteReport:
     spectral_tol = _tol(cfg, "ideal-gas")
     mode_tol = cfg.tol if cfg.tol is not None else MODE_COMMUTATOR_TOL
     eps, phi = one_particle_spectrum(spec1, space.lattice, space.spin)
-    checks = []
-    for sigma in cfg.sigmas():
+
+    def grade(sigma):
         cs = mode_operators(space, phi, sigma)
         report = ideal_gas_check(spec1, space, cfg.n_particles, sigma, eps, cs)
-        tag = f"sigma={sigma:+d}"
-        checks.append((f"ED spectrum vs occupancy multiset [{tag}]", report.spectral_deviation, spectral_tol))
-        checks.append((f"diagonal eigenmode identity [{tag}]", report.h0_identity_residual, spectral_tol))
-        checks.append((
-            f"eigenmode ladder relations [{tag}]",
-            mode_operator_check(space, cs, sigma, n_max=min(cfg.n_max, 3)),
-            mode_tol,
-        ))
-    return _finish("ideal-gas", cfg, checks)
+        return [
+            ("ED spectrum vs occupancy multiset", report.spectral_deviation, spectral_tol),
+            ("diagonal eigenmode identity", report.h0_identity_residual, spectral_tol),
+            ("eigenmode ladder relations", mode_operator_check(space, cs, sigma, n_max=min(cfg.n_max, 3)), mode_tol),
+        ]
+
+    return _finish("ideal-gas", cfg, _graded(cfg.sigmas(), grade))
 
 
 def suite_rotation(cfg: RunConfig, rng) -> SuiteReport:
@@ -456,17 +469,19 @@ def suite_rotation(cfg: RunConfig, rng) -> SuiteReport:
     n_pair = _n_max_from_two(cfg, "rotation")
     n_top = min(n_pair, 2)
     _size_sectors(cfg, space, n_pair)
-    checks = []
-    for sigma in cfg.sigmas():
+
+    def grade(sigma):
         elem = rotation_element_residual(space, sigma, n_top)
         cov = rotation_covariance_check(space, sigma, n_pair)
         unitary, square = sector_lift_residuals(space, sigma, n_top)
-        tag = f"sigma={sigma:+d}"
-        checks.append((f"field transform element identity [{tag}]", elem, tol))
-        checks.append((f"pair rotation covariance [{tag}]", cov, tol))
-        checks.append((f"sector lift unitarity [{tag}]", unitary, tol))
-        checks.append((f"half-turn lift squared vs (-1)^(2sN) [{tag}]", square, tol))
-    return _finish("rotation", cfg, checks)
+        return [
+            ("field transform element identity", elem, tol),
+            ("pair rotation covariance", cov, tol),
+            ("sector lift unitarity", unitary, tol),
+            ("half-turn lift squared vs (-1)^(2sN)", square, tol),
+        ]
+
+    return _finish("rotation", cfg, _graded(cfg.sigmas(), grade))
 
 
 def _miss(measured, expected) -> float:
@@ -478,44 +493,40 @@ def suite_pair_operator(cfg: RunConfig, rng) -> SuiteReport:
     space = cfg.make_space()
     tol = _tol(cfg, "pair-operator")
     n_top = _n_max_from_two(cfg, "pair-operator")
-    checks = []
-    for sigma in cfg.sigmas():
+
+    def grade(sigma):
         rec = pair_checks(space, sigma, n_top)
         worst_lambda = max(
             max(rec.lambda_residuals[tm], _miss(lam, rec.lambda_expected)) for tm, lam in rec.lambdas.items()
         )
         origin_ok = all(rec.same_point_vanishes(tm) == (sigma == -1) for tm in rec.same_point)
-        tag = f"sigma={sigma:+d}"
-        checks.append((f"inversion covariance of the pair [{tag}]", rec.inversion_residual, tol))
-        checks.append((f"half-turn eigenvalue vs (-1)^2s sigma [{tag}]", worst_lambda, tol))
-        checks.append((f"same-point pair vanishing rule [{tag}]", 0.0 if origin_ok else 1.0, tol))
-    return _finish("pair-operator", cfg, checks)
+        return [
+            ("inversion covariance of the pair", rec.inversion_residual, tol),
+            ("half-turn eigenvalue vs (-1)^2s sigma", worst_lambda, tol),
+            ("same-point pair vanishing rule", 0.0 if origin_ok else 1.0, tol),
+        ]
+
+    return _finish("pair-operator", cfg, _graded(cfg.sigmas(), grade))
 
 
 def suite_theorem(cfg: RunConfig, rng) -> SuiteReport:
     space = cfg.make_space()
     tol = _tol(cfg, "theorem")
     report = theorem_report(space, n_max=_n_max_from_two(cfg, "theorem"))
-    checks = []
-    expected_verdict = 1 if cfg.twos_s % 2 == 0 else -1
-    checks.append(("verdict grade", 0.0 if report.verdict_sigma == expected_verdict else 1.0, tol))
-    for sigma, verdict in sorted(report.per_sigma.items(), reverse=True):
-        tag = f"sigma={sigma:+d}"
-        checks.append((
-            f"half-turn eigenvalue identity [{tag}]",
-            max(verdict.lambda_residual, _miss(verdict.lambda_measured, verdict.lambda_expected)),
-            tol,
-        ))
+
+    def grade(sigma):
+        verdict = report.per_sigma[sigma]
+        half_turn = max(verdict.lambda_residual, _miss(verdict.lambda_measured, verdict.lambda_expected))
         winding_dev = max(_miss(w, tm) for tm, w in verdict.winding_by_twos_ms.items())
-        checks.append((f"full-turn winding vs 2m_s [{tag}]", float(winding_dev), tol))
-        checks.append((f"winding step residual [{tag}]", verdict.winding_residual, tol))
-        origin_expected = sigma == -1
-        checks.append((
-            f"same-point vanishing [{tag}]",
-            0.0 if verdict.origin_vanishes == origin_expected else 1.0,
-            tol,
-        ))
-    suite = _finish("theorem", cfg, checks)
+        return [
+            ("half-turn eigenvalue identity", half_turn, tol),
+            ("full-turn winding vs 2m_s", float(winding_dev), tol),
+            ("winding step residual", verdict.winding_residual, tol),
+            ("same-point vanishing", 0.0 if verdict.origin_vanishes == (sigma == -1) else 1.0, tol),
+        ]
+
+    verdict_row = ("verdict grade", 0.0 if report.verdict_sigma == (-1) ** cfg.twos_s else 1.0, tol)
+    suite = _finish("theorem", cfg, [verdict_row, *_graded((1, -1), grade)])  # both grades, whatever --sigma says
     suite.params["theorem_report"] = report.to_dict()
     return suite
 
@@ -539,21 +550,19 @@ def check_expression(cfg: RunConfig) -> SuiteReport:
     if cfg.equals is None:
         raise ConfigError("--expr needs --equals to compare against")
     space = cfg.make_space()
-    checks = []
-    for sigma in cfg.sigmas():
+    tol = cfg.tol if cfg.tol is not None else COEFF_TOL
+
+    def grade(sigma):
         try:
-            lhs = parse_expr(cfg.expr, sigma)
-            rhs = parse_expr(cfg.equals, sigma)
+            lhs, rhs = parse_expr(cfg.expr, sigma), parse_expr(cfg.equals, sigma)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        for expr in (lhs, rhs):
-            for term in expr.terms:
-                for factor in term.factors:
-                    if not space.contains(factor.mode):
-                        raise ConfigError(f"mode {factor.mode} is outside the configured space")
-        tol = cfg.tol if cfg.tol is not None else COEFF_TOL
-        checks.append((f"expression equality [sigma={sigma:+d}]", expr_residual(lhs, rhs), tol))
-    return _finish("expression", cfg, checks)
+        outside = [f.mode for e in (lhs, rhs) for t in e.terms for f in t.factors if not space.contains(f.mode)]
+        if outside:
+            raise ConfigError(f"mode {outside[0]} is outside the configured space")
+        return [("expression equality", expr_residual(lhs, rhs), tol)]
+
+    return _finish("expression", cfg, _graded(cfg.sigmas(), grade))
 
 
 # -- commands -------------------------------------------------------------------
@@ -596,7 +605,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     all_passed = True
     for report in reports:
         _dump_json(out / f"{report.suite}.json", asdict(report))
-        if report.suite == "theorem" and "theorem_report" in report.params:
+        if report.suite == "theorem":
             _dump_json(out / "theorem_report.json", report.params["theorem_report"])
         _print_report(report)
         all_passed &= report.passed

@@ -19,6 +19,7 @@ largest coefficient of their canonical difference, against a tolerance.
 
 from __future__ import annotations
 
+import cmath
 import numbers
 import re
 from collections import defaultdict
@@ -329,6 +330,8 @@ def parse_expr(text: str, sigma: int) -> OperatorExpr:
                 break
         if expect_factor:
             raise ValueError("dangling '*' in expression")
+        if not cmath.isfinite(coeff):
+            raise ValueError(f"term {len(terms) + 1} has a coefficient that is not finite: {coeff!r}")
         terms.append(OperatorTerm(coeff, tuple(factors)))
         first = False
     return OperatorExpr(sigma, tuple(terms))

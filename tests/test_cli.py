@@ -187,6 +187,17 @@ def test_lattice_specs_round_trip_through_the_size_keys(spec):
     assert cli._parse_lattice_flag(f"{kind}:{lattice.size}") == spec
 
 
+def test_unknown_lattice_keys_are_config_errors(tmp_path, capsys):
+    # they were accepted and echoed in every report's params, though never read
+    (tmp_path / "cfg.json").write_text(json.dumps({"lattice": {"kind": "ring", "M": 4, "L": 3, "size": 99}}))
+    out = tmp_path / "o"
+    assert main(["verify", "--config", str(tmp_path / "cfg.json"), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: unknown keys ['L', 'size'] for lattice kind 'ring', which takes only 'M'\n"
+    )
+    assert not out.exists()
+
+
 def test_bad_lattice_flag_is_config_error(tmp_path, capsys):
     assert main(["verify", "--lattice", "ring:x", "--out", str(tmp_path / "o")]) == 2
     assert "ring:x" in capsys.readouterr().err
@@ -293,6 +304,28 @@ def test_permutations_below_two_coordinates_are_config_errors(tmp_path, capsys, 
     assert main(["verify", "--suite", "permutations", "--n-max", n_max, "--out", str(tmp_path / "o")]) == 2
     assert f"the permutations suite needs n_max >= 2 (sectors N >= 2), got {n_max}" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv, n", [
+    (["--suite", "completeness", "-N", "0"], 0),
+    (["--suite", "completeness", "-N", "1"], 1),
+    (["-N", "1"], 1),
+], ids=["N0", "N1", "every-suite"])
+def test_completeness_below_two_particles_is_config_error(tmp_path, capsys, argv, n):
+    # the suite checked N = 2 and passed, while its report said N = 0 or 1
+    assert main(["verify", *argv, "--out", str(tmp_path / "o")]) == 2
+    reason = f"the completeness suite needs N >= 2 (at N < 2 the symmetrizer is the identity), got {n}"
+    assert capsys.readouterr().err == f"configuration error: {reason}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_completeness_on_an_empty_sector_is_config_error(tmp_path, capsys):
+    # ring:2, 2s=0 has 2 modes: a zero projector matched a zero antisymmetrizer, exit 0
+    out = tmp_path / "o"
+    argv = ["verify", "--suite", "completeness", "--lattice", "ring:2", "--twos-s", "0", "-N", "3", "--sigma", "-1"]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "configuration error: sector N=3, sigma=-1 has no states\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("suite", ["pair-operator", "theorem"])
@@ -919,6 +952,29 @@ def test_expression_check(tmp_path):
     assert outside == 2
 
 
+@pytest.mark.parametrize("expr", ["1e400", "(nan)", "(inf+0j)", "1e200 * 1e200"])
+def test_non_finite_expression_coefficients_are_config_errors(tmp_path, capsys, expr):
+    # these ended in exit 1, with a bare NaN token written into expression.json
+    out = tmp_path / "o"
+    assert main(["verify", "--expr", expr, "--equals", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"configuration error: term 1 has a coefficient that is not finite: .*\n", err)
+    assert not out.exists()
+
+
+def test_one_grade_verify_reports_only_that_grade(tmp_path):
+    # the theorem suite states its verdict first and then reports both grades
+    assert main(["verify", "--sigma", "-1", "--out", str(tmp_path)]) == 0
+    checks = {name: [r["check"] for r in read_json(tmp_path / f"{name}.json")["residuals"]] for name in cli.SUITE_NAMES}
+    for name in cli.SUITE_NAMES:
+        if name != "theorem":
+            assert checks[name] and all(check.endswith(" [sigma=-1]") for check in checks[name]), name
+    theorem = [
+        "half-turn eigenvalue identity", "full-turn winding vs 2m_s", "winding step residual", "same-point vanishing",
+    ]
+    assert checks["theorem"] == ["verdict grade", *(f"{c} [sigma={s}]" for s in ("+1", "-1") for c in theorem)]
+
+
 def test_expression_reports_the_residual(tmp_path):
     out = tmp_path / "half"
     assert main(["verify", "--expr", "1.5", "--equals", "1", "--tol", "1", "--out", str(out)]) == 0
@@ -1006,6 +1062,9 @@ def _verify_flags(draw) -> dict:
 @example(flags=_flags(n_max="3", sigma="both"), suite="theorem")
 # the pair record is built before its probe is read: a lattice with no inversion pair
 @example(flags=_flags(lattice="grid2d:1", n_max="2"), suite="pair-operator")
+# completeness checked N = 2 for N < 2, and passed on an empty sector
+@example(flags=_flags(N="1"), suite="completeness")
+@example(flags=_flags(lattice="ring:2", sigma="-1", N="3"), suite="completeness")
 def test_every_config_ends_in_a_contract_exit_code(tmp_path_factory, flags, suite):
     # the largest bosonic sector a suite may build stays small, to bound the run time
     modes = _SITES[flags["--lattice"]] * (max(int(flags["--twos-s"]), 0) + 1)
