@@ -8,8 +8,9 @@ repeated runs with the same configuration are byte-identical.
 Exit codes: 0 all checks passed, 1 a verification failed, 2 configuration
 or precondition error (among them a negative seed, a tolerance that is not a
 finite positive number, a sector with no states, a lattice key other than
-``kind`` and its size key, N < 2 for the completeness suite, and an
-expression coefficient that is not finite).
+``kind`` and its size key, N < 2 for the completeness suite, an expression
+coefficient that is not finite, and an expression difference whose
+coefficients overflow a float).
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from itertools import permutations as iter_permutations
 from pathlib import Path
 
 import numpy as np
-import numpy.random  # noqa: F401  numpy loads it on first use; loaded here, in start-up, not in a check
 
 from . import correlations as corr
 from .csr import max_abs
@@ -280,7 +280,7 @@ def _parse_lattice_flag(text: str) -> dict:
 
 
 def _dump_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 @dataclass
@@ -560,7 +560,14 @@ def check_expression(cfg: RunConfig) -> SuiteReport:
         outside = [f.mode for e in (lhs, rhs) for t in e.terms for f in t.factors if not space.contains(f.mode)]
         if outside:
             raise ConfigError(f"mode {outside[0]} is outside the configured space")
-        return [("expression equality", expr_residual(lhs, rhs), tol)]
+        overflow = "the difference of --expr and --equals has a coefficient too large for a float"
+        try:
+            residual = expr_residual(lhs, rhs)
+        except OverflowError:  # abs() of a complex coefficient past the float range
+            raise ConfigError(overflow) from None
+        if not math.isfinite(residual):
+            raise ConfigError(overflow)
+        return [("expression equality", residual, tol)]
 
     return _finish("expression", cfg, _graded(cfg.sigmas(), grade))
 
@@ -594,13 +601,11 @@ def _run_suite(name: str, cfg: RunConfig, rng) -> SuiteReport:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    rng = np.random.default_rng(cfg.seed)
-    reports = []
     if cfg.expr is not None:
-        reports.append(check_expression(cfg))
+        reports = [check_expression(cfg)]
     else:
-        for name in cfg.suites:
-            reports.append(_run_suite(name, cfg, rng))
+        rng = np.random.default_rng(cfg.seed)  # numpy loads its random module here, on first use
+        reports = [_run_suite(name, cfg, rng) for name in cfg.suites]
     out = _out_dir(cfg)
     all_passed = True
     for report in reports:

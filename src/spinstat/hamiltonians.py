@@ -354,16 +354,23 @@ def _is_mirror(partner: CSR, block: CSR, image: np.ndarray, sign: np.ndarray) ->
 def _worst_residual(sub: CSR, vectors: np.ndarray, values: np.ndarray) -> float:
     """max_k ||H_b v_k - lambda_k v_k||, from two dense temporaries and the
     rows the sparse product gathers, a run at a time, which hold at most
-    about as many numbers as one of them (``CSR.__matmul__``)."""
+    about as many numbers as one of them (``CSR.__matmul__``).  The residual,
+    whose entries are at most 2 max_k |lambda_k| for a Hermitian H_b, is
+    divided by the power of two just above that largest |lambda_k| before
+    its squares are taken.  The division is exact, so the norm keeps its
+    bits (squares in the subnormal range aside) while its squares cannot
+    overflow at any finite energy scale, and a NaN stays NaN."""
+    exponent = int(np.frexp(np.abs(values).max(initial=0.0))[1])
     residual = sub @ vectors
     residual -= vectors * values
+    residual *= np.ldexp(1.0, -exponent)
     squares = residual.real  # the array itself when it is real
     squares *= squares
     if np.iscomplexobj(residual):
         imag = residual.imag
         imag *= imag
         squares += imag
-    return float(np.sqrt(np.add.reduce(squares, axis=0)).max())
+    return float(np.ldexp(np.sqrt(np.add.reduce(squares, axis=0)).max(), exponent))
 
 
 def _worst_gram_entry(vectors: np.ndarray) -> float:

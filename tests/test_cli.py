@@ -8,6 +8,7 @@ import random
 import re
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -962,6 +963,32 @@ def test_non_finite_expression_coefficients_are_config_errors(tmp_path, capsys, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "expr, equals",
+    [
+        ("1e308 * a+(0,1)", "-1e308 * a+(0,1)"),
+        ("1e308 * a+(0,1) + 1e308 * a+(0,1)", "1"),
+        ("(1.5e308+1.5e308j) * a+(0,1)", "0"),
+    ],
+)
+def test_overflowing_expression_difference_is_a_config_error(tmp_path, capsys, expr, equals):
+    # every coefficient is finite, but the difference's is not: the first two
+    # ended in exit 1 with "value": Infinity in expression.json, which strict
+    # JSON parsers reject, the third in an OverflowError traceback from abs()
+    out = tmp_path / "o"
+    assert main(["verify", "--expr", expr, "--equals", equals, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "configuration error: the difference of --expr and --equals has a coefficient too large for a float\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_reports_refuse_non_finite_numbers(tmp_path, value):
+    # strict JSON parsers reject NaN and Infinity, so no report may hold them
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        cli._dump_json(tmp_path / "report.json", {"value": value})
+
+
 def test_one_grade_verify_reports_only_that_grade(tmp_path):
     # the theorem suite states its verdict first and then reports both grades
     assert main(["verify", "--sigma", "-1", "--out", str(tmp_path)]) == 0
@@ -1249,3 +1276,56 @@ def test_commands_run_without_scipy(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert (tmp_path / "h" / "hamiltonian.csv").exists() and (tmp_path / "h" / "profile.csv").exists()
+
+
+@pytest.mark.parametrize("hop_t", ["1e200", "1e300"])
+def test_spectrum_commands_keep_their_contract_at_huge_energy_scales(tmp_path, capsys, hop_t):
+    # the squares of the residual overflowed, and the sound solve was refused
+    # with exit 1, "eigensolver failed its residual contract"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["diagonalize", "--sigma", "-1", "-N", "2", "--hop-t", hop_t, "--out", str(tmp_path / "d")]) == 0
+        assert main([
+            "correlate", "--sigma", "-1", "-N", "3", "--lattice", "ring:10", "--hop-t", hop_t, "--out", str(tmp_path / "c"),
+        ]) == 0
+    ground = float((tmp_path / "d" / "spectrum.csv").read_text().splitlines()[1].split(",")[1])
+    assert math.isclose(ground, -4 * float(hop_t), rel_tol=1e-12)
+
+
+def test_only_the_suites_load_numpy_random(tmp_path):
+    # only verify's suites draw: diagonalize, correlate and verify --expr run
+    # with numpy.random blocked and write the bytes and the lines that an
+    # unblocked run writes, while a default verify still loads the module
+    config = tmp_path / "hubbard.json"
+    config.write_text(json.dumps(CI_HUBBARD))
+    commands = {
+        "diagonalize": ["diagonalize", "--config", str(config), "--eigenvectors", "--dump-matrix", "--dump-basis"],
+        "correlate": ["correlate", "--config", str(config)],
+        "expression": [
+            "verify", "--sigma", "-1", "--lattice", "ring:2", "--twos-s", "1",
+            "--expr", "a-(0,1) * a+(0,1) + a+(0,1) * a-(0,1)", "--equals", "1",
+        ],
+    }
+    run = "import sys\nfrom spinstat.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1", PYTHONWARNINGS="error")
+
+    def child(code, *argv):
+        return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, timeout=300)
+
+    for name, argv in commands.items():
+        plain, blocked = tmp_path / "plain" / name, tmp_path / "blocked" / name
+        runs = [
+            child(run, *argv, "--out", str(plain)),
+            child("import sys\nsys.modules['numpy.random'] = None\n" + run, *argv, "--out", str(blocked)),
+        ]
+        assert [r.returncode for r in runs] == [0, 0], runs[1].stderr
+        assert runs[0].stdout == runs[1].stdout
+        files = sorted(p.name for p in plain.iterdir())
+        assert files and files == sorted(p.name for p in blocked.iterdir())
+        assert all((plain / f).read_bytes() == (blocked / f).read_bytes() for f in files)
+    loads = (
+        "import sys\nfrom spinstat.cli import main\nassert 'numpy.random' not in sys.modules\n"
+        "assert main(['verify', '--out', sys.argv[1]]) == 0\nassert 'numpy.random' in sys.modules\n"
+    )
+    done = child(loads, str(tmp_path / "verify"))
+    assert done.returncode == 0, done.stderr

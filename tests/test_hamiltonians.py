@@ -2,6 +2,7 @@ import dataclasses
 import random
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -596,6 +597,26 @@ def test_diagonalize_peak_stays_within_its_memory_estimate(monkeypatch):
     # arrays numpy allocates are, and no dense sector-sized complex array is built
     assert peak <= estimate < 16 * basis.dim**2
     assert len(result.eigenvectors) == basis.dim
+
+
+@pytest.mark.parametrize("phase", [1.0, 1j])
+def test_residual_norms_scale_exactly_past_the_float_range(phase):
+    # at hop_t = 1e200 the squares of the residual overflowed (a RuntimeWarning,
+    # then a sound solve failed its residual contract); scaled by 2**600 a
+    # residual is now 2**600 times the unscaled one, bit for bit
+    basis = build_basis(ModeSpace(Lattice.ring(4), SpinQuantum(1)), 2, -1)
+    mat = build_many_body(OneBodySpec(hop_t=1.0, onsite_u=(0.3, -0.7, 0.2, 0.9)), None, basis).matrix
+    values, vectors = np.linalg.eigh(mat.toarray())
+    vectors = vectors * phase
+    big = 2.0**600
+    scaled = dataclasses.replace(mat, data=mat.data * big)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        base = hamiltonians._worst_residual(mat, vectors, values)
+        assert 0 < base and hamiltonians._worst_residual(scaled, vectors, values * big) == base * big
+        vectors[0, 0] = np.nan  # a NaN fails the contract on either path
+        assert np.isnan(hamiltonians._worst_residual(mat, vectors, values))
+        assert np.isnan(hamiltonians._worst_residual(scaled, vectors, values * big))
 
 
 def test_occupancy_spectrum_rules():
